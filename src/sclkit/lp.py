@@ -1,19 +1,46 @@
-"""Exact-rational linear programming.
-
-A two-phase primal simplex over fractions.Fraction with Bland's pivoting
-rule: entering variable = lowest-index eligible column, leaving row =
-lowest-index argmin of the ratio test.  Bland's rule makes the solver
-deterministic and immune to cycling; no floating point is used anywhere.
+"""Exact linear programming by fraction-free simplex, with a primal-dual
+certificate.
 
 Problems are given in equality standard form:
 
     minimise c . x   subject to   A x = b,  x >= 0.
+
+The solver is a two-phase primal simplex with Bland's pivoting rule:
+entering variable = lowest-index column of negative reduced cost, leaving
+row = lowest ratio, ties to the lowest basic index.  Bland's rule makes it
+deterministic and immune to cycling.  No floating point is used anywhere.
+
+Integer rows.  Each input row and its right-hand side are scaled to a
+primitive integer vector with b_i >= 0 (so positive rescalings of a row give
+the same problem).  Every tableau row is a list of Python ints whose implicit
+denominator is its entry in its basic column; that entry is kept positive.
+Pivoting on (r, c) with p = T[r][c] > 0 leaves row r alone and replaces each
+row i with f = T[i][c] != 0 by (p T[i] - f T[r]) / gcd, in the manner of
+Edmonds (1967) and Avis's lrs; the basic entry of row i becomes a positive
+multiple of the old one.  The objective row is held the same way, with its
+positive scale in an extra column that is zero in every constraint row and
+is never a pivot column.
+
+Same pivots as rational arithmetic.  Row i stands for T[i] / T[i][basis[i]],
+a positive multiple of the rational tableau row, so every sign test (which
+reduced cost is negative, which entry is positive) reads the same.  The
+ratio of row i is T[i][-1] / T[i][c], in which the denominator cancels; the
+ratio test compares T[i][-1] * a_best with best * a_i.  Hence the basis
+sequence, the solution and the pivot count are those of the Fraction
+tableau on the same primitive rows.
+
+Certificate.  The artificial columns of phase 1 stay in the tableau through
+phase 2 but may never enter there.  At the optimum the dual of row k is
+y_k = -(reduced cost of artificial k), mapped back through the sign and
+scale applied to row k.  ``replay_check`` verifies x >= 0, A x = b,
+A^T y <= c and b . y = c . x against the caller's own data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class LpError(RuntimeError):
@@ -26,29 +53,67 @@ class LpResult:
     value: Fraction | None
     solution: list | None
     pivots: int = 0
+    dual: list | None = None  # y with A^T y <= c and b . y = value
 
     def certificate(self):
+        def strs(xs):
+            return None if xs is None else [str(x) for x in xs]
+
         return {
             "status": self.status,
             "value": None if self.value is None else str(self.value),
-            "solution": None
-            if self.solution is None
-            else [str(x) for x in self.solution],
+            "solution": strs(self.solution),
+            "dual": strs(self.dual),
             "pivots": self.pivots,
         }
 
 
+def _common_denominator(values):
+    """(integers, d) with values[j] == integers[j] / d."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        raise LpError("LP data must be int or Fraction")
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _primitive(values):
+    """``values`` times a rational lam != 0, as a primitive integer vector
+    whose last entry is >= 0; returns (integers, lam)."""
+    ints, d = _common_denominator(values)
+    g = gcd(*ints) or 1
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [v // g for v in ints]
+    return ints, Fraction(d, g)
+
+
+def _eliminate(r, p, f, support):
+    """(p * r - f * t) / gcd, where ``support`` lists the nonzeros (j, t_j)."""
+    new = r[:] if p == 1 else [p * v for v in r]
+    for j, v in support:
+        new[j] -= f * v
+    g = gcd(*new)
+    return new if g == 1 else [v // g for v in new]
+
+
+def _support(row):
+    return [(j, v) for j, v in enumerate(row) if v]
+
+
 def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    inv = 1 / piv
-    tab[row] = [x * inv for x in tab[row]]
     prow = tab[row]
+    p = prow[col]
+    if p < 0:  # only when driving out an artificial, whose row has rhs 0
+        prow = tab[row] = [-v for v in prow]
+        p = -p
+    support = _support(prow)
     for i, r in enumerate(tab):
-        if i == row:
-            continue
         f = r[col]
-        if f:
-            tab[i] = [a - f * b if b else a for a, b in zip(r, prow)]
+        if f and i != row:
+            tab[i] = _eliminate(r, p, f, support)
     basis[row] = col
 
 
@@ -65,14 +130,18 @@ def _simplex_phase(tab, basis, ncols, limit=2_000_000):
         if col is None:
             return "optimal", pivots
         row = None
-        best = None
+        best = best_a = None
         for i in range(len(tab) - 1):
             a = tab[i][col]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    best = ratio
-                    row = i
+                rhs = tab[i][-1]
+                if row is None:
+                    better = True
+                else:
+                    diff = rhs * best_a - best * a  # sign of ratio_i - ratio_best
+                    better = diff < 0 or (diff == 0 and basis[i] < basis[row])
+                if better:
+                    best, best_a, row = rhs, a, i
         if row is None:
             return "unbounded", pivots
         _pivot(tab, basis, row, col)
@@ -85,70 +154,99 @@ def solve_lp(objective, a_rows, b_vals) -> LpResult:
     """Minimise objective . x subject to a_rows x = b_vals, x >= 0."""
     m = len(a_rows)
     n = len(objective)
-    c = [Fraction(x) for x in objective]
-    rows = [[Fraction(x) for x in row] for row in a_rows]
-    b = [Fraction(x) for x in b_vals]
-    for i in range(m):
-        if b[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            b[i] = -b[i]
+    rows = []
+    row_scale = []  # integer row i = row_scale[i] * (input row i)
+    for row, rhs in zip(a_rows, b_vals):
+        ints, lam = _primitive([*row, rhs])
+        rows.append(ints)
+        row_scale.append(lam)
+
+    # columns: n originals, m artificials, the objective scale, the rhs
+    width = n + m + 2
+    scale = n + m
+    tab = []
+    for i, ints in enumerate(rows):
+        t = ints[:n] + [0] * (m + 2)
+        t[n + i] = 1
+        t[-1] = ints[-1]
+        tab.append(t)
 
     # phase 1: minimise the sum of artificial variables
-    ncols = n + m
-    tab = []
-    for i in range(m):
-        art = [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        tab.append(rows[i] + art + [b[i]])
-    obj = [Fraction(0)] * (ncols + 1)
-    for i in range(m):
+    obj = [0] * width
+    for t in tab:
         for j in range(n):
-            obj[j] -= rows[i][j]
-        obj[-1] -= b[i]
+            if t[j]:
+                obj[j] -= t[j]
+        obj[-1] -= t[-1]
+    obj[scale] = 1
     tab.append(obj)
     basis = [n + i for i in range(m)]
-    status, p1 = _simplex_phase(tab, basis, ncols)
+    status, p1 = _simplex_phase(tab, basis, n + m)
     if status != "optimal" or tab[-1][-1] != 0:
         return LpResult("infeasible", None, None, p1)
 
-    # drive leftover artificials out of the basis where possible
+    # drive leftover artificials out of the basis where possible; a row
+    # still basic in its artificial is redundant and has all zeros in the
+    # original columns, so it never enters a ratio test again
     for i in range(m):
         if basis[i] >= n:
             col = next((j for j in range(n) if tab[i][j] != 0), None)
             if col is not None:
                 _pivot(tab, basis, i, col)
 
-    # rows still basic in an artificial are redundant constraints: drop them
-    keep = [i for i in range(m) if basis[i] < n]
-    tab2 = [[tab[i][j] for j in range(n)] + [tab[i][-1]] for i in keep]
-    basis2 = [basis[i] for i in keep]
-
     # phase 2 objective, reduced against the current basis
-    obj2 = c + [Fraction(0)]
-    for i, bj in enumerate(basis2):
-        f = obj2[bj]
-        if f:
-            obj2 = [a - f * b2 for a, b2 in zip(obj2, tab2[i])]
-    tab2.append(obj2)
-    status, p2 = _simplex_phase(tab2, basis2, n)
+    ints, d = _common_denominator(objective)
+    obj = ints + [0] * (m + 2)
+    obj[scale] = d
+    for i, bj in enumerate(basis):
+        if obj[bj]:
+            obj = _eliminate(obj, tab[i][bj], obj[bj], _support(tab[i]))
+    tab[-1] = obj
+    status, p2 = _simplex_phase(tab, basis, n)
     if status == "unbounded":
         return LpResult("unbounded", None, None, p1 + p2)
+
+    obj = tab[-1]
+    s = obj[scale]
     x = [Fraction(0)] * n
-    for i, bj in enumerate(basis2):
-        x[bj] = tab2[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    result = LpResult("optimal", value, x, p1 + p2)
+    for i, bj in enumerate(basis):
+        if bj < n:
+            x[bj] = Fraction(tab[i][-1], tab[i][bj])
+    dual = [
+        Fraction(-obj[n + k] * lam.numerator, s * lam.denominator)
+        for k, lam in enumerate(row_scale)
+    ]
+    result = LpResult("optimal", Fraction(-obj[-1], s), x, p1 + p2, dual)
     replay_check(objective, a_rows, b_vals, result)
     return result
 
 
 def replay_check(objective, a_rows, b_vals, result: LpResult):
-    """Replay a primal certificate: feasibility and objective value, exactly."""
+    """Check a primal-dual certificate exactly against the problem data:
+    x >= 0, A x = b, A^T y <= c and b . y = c . x = value."""
     if result.status != "optimal":
         return
-    x = result.solution
-    assert all(xi >= 0 for xi in x), "negative variable in certificate"
-    for row, rhs in zip(a_rows, b_vals):
-        lhs = sum(Fraction(a) * xi for a, xi in zip(row, x) if a)
-        assert lhs == Fraction(rhs), "certificate violates a constraint"
-    val = sum(Fraction(ci) * xi for ci, xi in zip(objective, x) if ci)
-    assert val == result.value, "certificate objective mismatch"
+    n, m = len(objective), len(a_rows)
+    x, y = result.solution, result.dual
+    if x is None or len(x) != n or y is None or len(y) != m:
+        raise LpError("certificate has the wrong shape")
+    xs, dx = _common_denominator(x)
+    ys, dy = _common_denominator(y)
+    if any(v < 0 for v in xs):
+        raise LpError("negative variable in certificate")
+    aty = [0] * n
+    for row, rhs, yk in zip(a_rows, b_vals, ys):
+        if sum(a * v for a, v in zip(row, xs) if a) != rhs * dx:
+            raise LpError("certificate violates a constraint")
+        if yk:
+            for j, a in enumerate(row):
+                if a:
+                    aty[j] += a * yk
+    if any(s > ci * dy for s, ci in zip(aty, objective)):
+        raise LpError("dual certificate violates A^T y <= c")
+    primal = Fraction(sum(ci * v for ci, v in zip(objective, xs) if ci)) / dx
+    dual = Fraction(sum(bk * v for bk, v in zip(b_vals, ys) if v)) / dy
+    if primal != result.value:
+        raise LpError("certificate objective mismatch")
+    if dual != primal:
+        raise LpError("dual objective differs from the primal objective")

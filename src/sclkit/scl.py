@@ -37,7 +37,7 @@ INFINITE = "infinite"
 class SclResult:
     value: Fraction | None  # None means infinite
     status: str  # 'exact' | 'infinite'
-    lp: LpResult | None = None
+    lp: LpResult | None = None  # primal x and dual y, checked, of 2 * value
     method: str = "lp"
 
     @property
@@ -107,7 +107,8 @@ def _scl_forced(chain, npos, edges):
     """All pair multiplicities forced to 1: count flow cycles directly."""
     nxt = {}
     for src, dst, _ in edges:
-        assert src not in nxt, "forced flow is not a permutation"
+        if src in nxt:
+            raise ChainError("forced flow is not a permutation")
         nxt[src] = dst
     seen = set()
     discs = 0
@@ -125,12 +126,9 @@ def _scl_forced(chain, npos, edges):
 
 
 def _scl_full_lp(chain, npos, pairs, partners, edges):
-    edge_index = {}
-    for src, dst, pidx in edges:
-        assert (src, dst) not in edge_index, "duplicate directed gap edge"
-        edge_index[(src, dst)] = pidx
-
-    # variables: pair multiplicities, then coloured flows
+    # variables: pair multiplicities, then coloured flows; no two edges share
+    # (src, dst), since dst is the far end of the band and prev^-1(src) the
+    # near end, and together they name the pair and the side it is crossed at
     nvar = len(pairs)
     colour_vars = {}  # (colour, src, dst) -> column
     for src, dst, _ in edges:
@@ -142,8 +140,8 @@ def _scl_full_lp(chain, npos, pairs, partners, edges):
     rhs = []
 
     def new_row():
-        rows.append([Fraction(0)] * nvar)
-        rhs.append(Fraction(0))
+        rows.append([0] * nvar)
+        rhs.append(0)
         return rows[-1]
 
     # coverage: each position is covered once
@@ -151,7 +149,7 @@ def _scl_full_lp(chain, npos, pairs, partners, edges):
         row = new_row()
         for pidx in partners[u]:
             row[pidx] += 1
-        rhs[-1] = Fraction(1)
+        rhs[-1] = 1
 
     # colour totals: sum of colours on a directed edge equals its pair weight
     for src, dst, pidx in edges:
@@ -161,11 +159,6 @@ def _scl_full_lp(chain, npos, pairs, partners, edges):
             row[colour_vars[(colour, src, dst)]] += 1
 
     # conservation of each colour at each eligible node
-    incident = {}
-    for src, dst, _ in edges:
-        for colour in range(min(src, dst) + 1):
-            incident.setdefault((colour, src), [0, 0])
-            incident.setdefault((colour, dst), [0, 0])
     for colour in range(npos):
         for node in range(colour, npos):
             ins = [
@@ -187,7 +180,7 @@ def _scl_full_lp(chain, npos, pairs, partners, edges):
                 row[j] -= 1
 
     # objective: bands minus discs
-    objective = [Fraction(0)] * nvar
+    objective = [0] * nvar
     for pidx in range(len(pairs)):
         objective[pidx] += 1
     for (colour, src, dst), j in colour_vars.items():
@@ -320,11 +313,10 @@ def scl_compare_under_inclusion(chain: OneChain, ambient_basis) -> InclusionRepo
     big_chain = chain.in_basis(ambient_basis)
     small = scl_lp(chain)
     big = scl_lp(big_chain)
-    if small.is_infinite:
-        assert big.is_infinite, "chain became a boundary in a larger basis"
-    else:
-        assert not big.is_infinite
-        assert big.value <= small.value, "monotonicity of scl violated"
+    if small.is_infinite != big.is_infinite:
+        raise ChainError("chain is a boundary in only one of the two bases")
+    if not small.is_infinite and big.value > small.value:
+        raise ChainError("monotonicity of scl violated")
     return InclusionReport(
         small_basis=chain.basis,
         big_basis=tuple(ambient_basis),

@@ -1,6 +1,17 @@
+import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
-from sclkit.lp import solve_lp
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sclkit
+from sclkit.lp import LpError, replay_check, solve_lp
 
 
 def test_basic_minimisation():
@@ -51,3 +62,190 @@ def test_determinism():
         assert again.value == first.value
         assert again.solution == first.solution
         assert again.pivots == first.pivots
+
+
+def _check(objective, rows, rhs, res):
+    replay_check(objective, rows, rhs, res)
+    return res
+
+
+def test_beale_cycling_example_terminates():
+    # Beale (1955): the textbook rule cycles here; Bland's rule must not
+    q = Fraction
+    objective = [0, 0, 0, q(-3, 4), 20, q(-1, 2), 6]
+    rows = [
+        [1, 0, 0, q(1, 4), -8, -1, 9],
+        [0, 1, 0, q(1, 2), -12, q(-1, 2), 3],
+        [0, 0, 1, 0, 0, 1, 0],
+    ]
+    rhs = [0, 0, 1]
+    res = _check(objective, rows, rhs, solve_lp(objective, rows, rhs))
+    assert res.status == "optimal"
+    assert res.value == Fraction(-5, 4)
+    assert res.solution == [q(3, 4), 0, 0, 1, 0, 1, 0]
+
+
+def test_fraction_coefficients_and_rhs():
+    # min x + y  s.t.  x/2 + 2y/3 = 5/6,  x/3 - y/4 = 1/12
+    q = Fraction
+    objective = [1, 1]
+    rows = [[q(1, 2), q(2, 3)], [q(1, 3), q(-1, 4)]]
+    rhs = [q(5, 6), q(1, 12)]
+    res = _check(objective, rows, rhs, solve_lp(objective, rows, rhs))
+    assert res.solution == [q(19, 25), q(17, 25)] and res.value == q(36, 25)
+    assert all(isinstance(v, Fraction) for v in res.solution + res.dual)
+
+
+def test_redundant_row_gets_dual_zero():
+    # the second row is twice the first: its artificial stays basic
+    objective, rows, rhs = [1, 2], [[1, 1], [2, 2]], [3, 6]
+    res = _check(objective, rows, rhs, solve_lp(objective, rows, rhs))
+    assert res.value == 3
+    assert res.dual == [1, 0]
+    assert res.certificate()["dual"] == ["1", "0"]
+
+
+def test_tampered_certificate_raises_under_optimize():
+    script = textwrap.dedent(
+        """
+        from sclkit.lp import LpError, replay_check, solve_lp
+        problem = ([1, 2], [[1, 1], [2, 2]], [3, 6])
+        caught = 0
+        for field, index, delta in (("solution", 0, 1), ("solution", 0, -4), ("dual", 0, 1), ("dual", 1, -1)):
+            res = solve_lp(*problem)
+            getattr(res, field)[index] += delta
+            try:
+                replay_check(*problem, res)
+            except LpError:
+                caught += 1
+        res = solve_lp(*problem)
+        res.value += 1
+        try:
+            replay_check(*problem, res)
+        except LpError:
+            caught += 1
+        print(caught)
+        """
+    )
+    src = str(Path(sclkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["5"]
+
+
+# -- random programmes --------------------------------------------------------
+
+
+def _reference_solve(objective, a_rows, b_vals):
+    """The Fraction tableau with Bland's rule: (status, solution, pivots)."""
+    m, n = len(a_rows), len(objective)
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(a_rows, b_vals)]
+    rows = [[-v for v in r] if r[-1] < 0 else r for r in rows]
+
+    def pivot(tab, basis, r, c):
+        tab[r] = [v / tab[r][c] for v in tab[r]]
+        for i, row in enumerate(tab):
+            if i != r and row[c]:
+                tab[i] = [a - row[c] * b for a, b in zip(row, tab[r])]
+        basis[r] = c
+
+    def phase(tab, basis, ncols):
+        count = 0
+        while True:
+            col = next((j for j in range(ncols) if tab[-1][j] < 0), None)
+            if col is None:
+                return "optimal", count
+            cands = [(tab[i][-1] / tab[i][col], basis[i], i) for i in range(len(tab) - 1) if tab[i][col] > 0]
+            if not cands:
+                return "unbounded", count
+            pivot(tab, basis, min(cands)[2], col)
+            count += 1
+
+    tab = [r[:n] + [Fraction(int(j == i)) for j in range(m)] + [r[-1]] for i, r in enumerate(rows)]
+    tab.append([-sum(r[j] for r in rows) for j in range(n)] + [Fraction(0)] * m + [-sum(r[-1] for r in rows)])
+    basis = [n + i for i in range(m)]
+    status, p1 = phase(tab, basis, n + m)
+    if status != "optimal" or tab[-1][-1] != 0:
+        return "infeasible", None, p1
+    for i in range(m):
+        col = next((j for j in range(n) if tab[i][j]), None) if basis[i] >= n else None
+        if col is not None:
+            pivot(tab, basis, i, col)
+    keep = [i for i in range(m) if basis[i] < n]
+    tab2 = [tab[i][:n] + [tab[i][-1]] for i in keep]
+    basis2 = [basis[i] for i in keep]
+    obj = [Fraction(v) for v in objective] + [Fraction(0)]
+    for i, bj in enumerate(basis2):
+        obj = [a - obj[bj] * b for a, b in zip(obj, tab2[i])]
+    tab2.append(obj)
+    status, p2 = phase(tab2, basis2, n)
+    if status == "unbounded":
+        return status, None, p1 + p2
+    x = [Fraction(0)] * n
+    for i, bj in enumerate(basis2):
+        x[bj] = tab2[i][-1]
+    return status, x, p1 + p2
+
+
+def _primitive_rows(rows, rhs):
+    out_rows, out_rhs = [], []
+    for row, b in zip(rows, rhs):
+        g = math.gcd(*row, b) or 1
+        out_rows.append([v // g for v in row])
+        out_rhs.append(b // g)
+    return out_rows, out_rhs
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    objective = draw(st.lists(entry, min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if draw(st.booleans()):  # feasible: b = A x0 for some x0 >= 0
+        x0 = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        rhs = [sum(a * v for a, v in zip(row, x0)) for row in rows]
+    else:
+        rhs = draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+    return objective, rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+def test_random_lps_match_the_fraction_tableau(lp):
+    objective, rows, rhs = lp
+    rows, rhs = _primitive_rows(rows, rhs)
+    res = solve_lp(objective, rows, rhs)
+    status, x, pivots = _reference_solve(objective, rows, rhs)
+    assert (res.status, res.solution, res.pivots) == (status, x, pivots)
+    if res.status == "optimal":
+        replay_check(objective, rows, rhs, res)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_lps(), st.data())
+def test_row_scaling_leaves_the_solve_unchanged(lp, data):
+    objective, rows, rhs = lp
+    base = solve_lp(objective, rows, rhs)
+    i = data.draw(st.integers(0, len(rows) - 1))
+    k = data.draw(st.sampled_from([2, 3, Fraction(1, 2), Fraction(5, 3)]))
+    scaled_rows = [[k * v for v in row] if r == i else row for r, row in enumerate(rows)]
+    scaled_rhs = [k * b if r == i else b for r, b in enumerate(rhs)]
+    res = solve_lp(objective, scaled_rows, scaled_rhs)
+    assert (res.status, res.value, res.solution, res.pivots) == (
+        base.status,
+        base.value,
+        base.solution,
+        base.pivots,
+    )
+    if res.status == "optimal":
+        replay_check(objective, scaled_rows, scaled_rhs, res)
+        assert res.dual[i] * k == base.dual[i]
+
+
+def test_float_data_is_refused():
+    with pytest.raises(LpError):
+        solve_lp([1, 1], [[0.5, 1]], [2])

@@ -6,13 +6,14 @@ from sclkit.complexes import ComplexError
 from sclkit.fixtures import one_holed, closed_genus3_split
 from sclkit.scl import (
     RotStructure,
+    SclResult,
     bavard_sandwich,
     default_rot_structure,
     rot_value,
     scl_compare_under_inclusion,
     scl_lp,
 )
-from sclkit.words import EdgeChain, parse_chain, parse_edge_chain
+from sclkit.words import ChainError, EdgeChain, parse_chain, parse_edge_chain
 
 
 def scl(text, basis):
@@ -158,3 +159,29 @@ def test_lp_determinism():
     assert first.value == again.value
     assert first.lp.pivots == again.lp.pivots
     assert first.lp.solution == again.lp.solution
+
+
+@pytest.mark.parametrize(
+    "text, value, pivots",
+    [
+        ("[a,b][a,b]", Fraction(1), 69),
+        ("[a,b][a,b][a,b]", Fraction(3, 2), 286),
+        ("aaabAAAB", Fraction(1, 2), 113),
+        ("[a,b][a,B]", Fraction(1, 2), 66),
+        ("[a,b][a,b][a,b][a,b]", Fraction(2), 873),
+    ],
+)
+def test_lp_pivot_counts_are_pinned(text, value, pivots):
+    res = scl(text, "ab")
+    assert res.method == "lp"
+    assert (res.value, res.lp.pivots) == (value, pivots)
+    assert res.lp.dual is not None
+
+
+def test_compare_under_inclusion_rejects_a_monotonicity_failure(monkeypatch):
+    values = iter([Fraction(1, 2), Fraction(1)])
+    monkeypatch.setattr(
+        "sclkit.scl.scl_lp", lambda chain: SclResult(next(values), "exact")
+    )
+    with pytest.raises(ChainError):
+        scl_compare_under_inclusion(parse_chain("[a,b]", "ab"), "abc")
