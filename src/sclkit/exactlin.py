@@ -1,15 +1,52 @@
 """Exact linear algebra over Z and Q.
 
-Matrices are plain lists of lists.  Integer routines never leave Z;
-rational routines use fractions.Fraction.  Everything here is deterministic:
-the Smith normal form uses a fixed pivot rule (smallest nonzero absolute
+Dense matrices are plain lists of lists; callers pass and receive those.
+Integer routines never leave Z; rational results are fractions.Fraction.
+Everything here is deterministic.
+
+Sparse elimination.  ``rank_q``, ``solve_q``, ``kernel_q`` and
+``unit_reduce`` run one routine, ``_eliminate``.  A row is a dict
+{column: int} of its nonzeros; a row with Fraction entries is first
+multiplied by the lcm of its denominators, which changes neither the row
+space nor, for an augmented row [a | b], the solutions of a . x = b.
+Columns are processed left to right, and every active row waits in the
+bucket of its first nonzero column not yet processed, so bucket c holds
+exactly the active rows that are nonzero in column c.  The pivot of column
+c is the row of bucket c with the smallest |entry| there, then the fewest
+nonzeros.  Every other row of the bucket, with entry f in column c, becomes
+row - (f p) pivot when the pivot p is +-1 and p row - f pivot otherwise,
+and is then divided by the gcd of its entries: the fraction-free step of
+``lp``.  No Fraction is formed during elimination, and only the rows
+meeting column c are touched.
+
+Same vectors as Gauss-Jordan.  Column c gets a pivot iff some active row is
+nonzero there, iff column c is not in the span of columns 0..c-1; this does
+not depend on which rows were chosen before.  So the pivot columns are the
+leftmost column basis, the pivot columns of the reduced row echelon form.
+Given them, the solution with free variables 0 and the kernel vector whose
+free part is e_j are unique, so back substitution through the echelon rows
+returns exactly the vectors read off the RREF.
+
+Unit pivots over Z.  ``unit_reduce`` accepts only pivots +-1, leaves a
+column without one alone (its rows move on to their next column) and never
+divides a row by its gcd.  Each step then adds integer multiples of the
+pivot row to other rows.  The column operations that would clear the pivot
+row change no other row, since after the step its column is zero in every
+active row and the earlier pivot rows are already cleared.  Hence M is
+unimodularly equivalent to I_k + R, where k counts the unit pivots and R is
+what is left of the rows without pivot on the columns without pivot:
+rank M = k + rank R, and the invariant factors of M are k ones followed by
+those of R.  Smith normal form then runs on R only.
+
+The Smith normal form uses a fixed pivot rule (smallest nonzero absolute
 value, ties broken by lowest row then lowest column index).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 
 def zeros(m, n):
@@ -36,12 +73,6 @@ def mat_mul(a, b):
                     if bt[j]:
                         oi[j] += s * bt[j]
     return out
-
-
-def mat_transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 def mat_vec(a, v):
@@ -227,82 +258,146 @@ def check_snf(mat, res: SnfResult):
             assert b % a == 0, "divisibility chain broken"
 
 
+# -- sparse fraction-free elimination ------------------------------------------
+
+
+def _int_row(values):
+    """Nonzeros of a dense row as {column: int}, times the lcm of the
+    denominators when the row holds fractions."""
+    if all(type(v) is int for v in values):
+        return {j: v for j, v in enumerate(values) if v}
+    values = [Fraction(v) for v in values]
+    d = lcm(*(v.denominator for v in values))
+    return {j: v.numerator * (d // v.denominator) for j, v in enumerate(values) if v}
+
+
+def _combine(row, s, a, prow):
+    """s * row + a * prow, as a sparse row without zero entries."""
+    new = dict(row) if s == 1 else {k: s * v for k, v in row.items()}
+    for k, v in prow.items():
+        x = new.get(k, 0) + a * v
+        if x:
+            new[k] = x
+        else:
+            del new[k]
+    return new
+
+
+def _eliminate(rows, ncols, units_only=False):
+    """Sparse fraction-free elimination, columns left to right.
+
+    ``rows`` are {column: int} dicts with columns below ``ncols``; they are
+    not modified.  Returns (pivots, rest): ``pivots`` lists (column, row) in
+    column order, the row having no nonzero in an earlier pivot column;
+    ``rest`` lists the nonzero rows that got no pivot, which is empty unless
+    ``units_only`` restricts pivots to entries +-1.
+    """
+    # bucket c holds the rows whose first nonzero past the columns already
+    # processed is c, i.e. every active row that is nonzero in column c
+    buckets = [[] for _ in range(ncols)]
+    for row in rows:
+        if row:
+            buckets[min(row)].append(row)
+    pivots, rest = [], []
+    for c in range(ncols):
+        bucket = buckets[c]
+        if not bucket:
+            continue
+        prow = min(bucket, key=lambda r: (abs(r[c]), len(r)))
+        p = prow[c]
+        if units_only and p * p != 1:
+            moved = bucket
+        else:
+            pivots.append((c, prow))
+            moved = []
+            for row in bucket:
+                if row is prow:
+                    continue
+                f = row[c]
+                if p * p == 1:
+                    new = _combine(row, 1, -f * p, prow)
+                else:
+                    new = _combine(row, p, -f, prow)
+                if not units_only:
+                    g = gcd(*new.values())
+                    if g > 1:
+                        new = {k: v // g for k, v in new.items()}
+                if new:
+                    moved.append(new)
+        for row in moved:
+            nxt = min((k for k in row if k > c), default=None)
+            if nxt is None:
+                rest.append(row)
+            else:
+                buckets[nxt].append(row)
+    return pivots, rest
+
+
+def unit_reduce(rows, ncols):
+    """Split an integer matrix as I_k + R up to unimodular equivalence.
+
+    ``rows`` are {column: int} dicts.  Eliminates on pivots +-1 only and
+    returns (k, R): k pivots were units, and R is the dense residual (the
+    rows that got no pivot, on the columns that got none).  The rank is
+    k + rank R and the invariant factors are k ones followed by those of R.
+    """
+    pivots, rest = _eliminate(rows, ncols, units_only=True)
+    cols = sorted(set().union(*rest))
+    at = {c: j for j, c in enumerate(cols)}
+    residual = []
+    for row in rest:
+        dense = [0] * len(cols)
+        for k, v in row.items():
+            dense[at[k]] = v
+        residual.append(dense)
+    return len(pivots), residual
+
+
 def rank_q(mat) -> int:
-    """Rank over Q by fraction Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
-
-
-def rref(mat):
-    """Reduced row echelon form over Q; returns (rref matrix, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    """Rank over Q."""
+    cols = len(mat[0]) if mat else 0
+    return len(_eliminate([_int_row(row) for row in mat], cols)[0])
 
 
 def kernel_q(mat):
-    """Basis of the rational kernel of ``mat`` (list of Fraction vectors)."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
+    """Basis of the rational kernel of ``mat`` (list of Fraction vectors):
+    one vector per free column j, with free part e_j, as read off the
+    reduced row echelon form."""
+    cols = len(mat[0]) if mat else 0
     if cols == 0:
         return []
-    if rows == 0:
-        return [[Fraction(1 if i == j else 0) for j in range(cols)] for i in range(cols)]
-    red, pivots = rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
+    pivots, _ = _eliminate([_int_row(row) for row in mat], cols)
+    pivot_cols = {c for c, _ in pivots}
     basis = []
-    for fc in free:
+    for j in range(cols):
+        if j in pivot_cols:
+            continue
         vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+        vec[j] = Fraction(1)
+        for c, row in reversed(pivots):
+            s = sum(v * vec[k] for k, v in row.items() if k != c and vec[k])
+            if s:
+                vec[c] = -s / row[c]
         basis.append(vec)
     return basis
+
+
+def solve_q(mat, rhs):
+    """One exact solution of mat * x = rhs over Q, or None if inconsistent.
+
+    Free variables are 0, so this is the solution read off the reduced row
+    echelon form of [mat | rhs].
+    """
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    pivots, _ = _eliminate([_int_row([*mat[i], rhs[i]]) for i in range(rows)], cols + 1)
+    if pivots and pivots[-1][0] == cols:
+        return None
+    x = [Fraction(0)] * cols
+    for c, row in reversed(pivots):
+        s = row.get(cols, 0) - sum(v * x[k] for k, v in row.items() if k != c and k < cols and x[k])
+        x[c] = Fraction(s) / row[c]
+    return x
 
 
 def kernel_z(mat):
@@ -325,23 +420,6 @@ def kernel_z(mat):
         if d == 0:
             basis.append([res.V[i][j] for i in range(cols)])
     return basis
-
-
-def solve_q(mat, rhs):
-    """One exact solution of mat * x = rhs over Q, or None if inconsistent."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [[Fraction(mat[i][j]) for j in range(cols)] + [Fraction(rhs[i])] for i in range(rows)]
-    red, pivots = rref(aug)
-    for r in range(len(red)):
-        if all(red[r][c] == 0 for c in range(cols)) and red[r][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        if pc == cols:
-            return None
-        x[pc] = red[r][cols]
-    return x
 
 
 def coords_in_basis(basis, vec):

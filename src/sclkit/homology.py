@@ -5,20 +5,42 @@ torsion via Smith normal form; Q is rank data only.  The homology of a
 pair (X, c), where c is an integral 1-chain of loops on the 1-skeleton,
 is computed through the algebraic mapping cone of the chain map from a
 disjoint union of cellulated circles into X.
+
+Boundary maps are built sparsely from the face words and edge ends: one
+{row index: coefficient} dict per cell, i.e. per column of the map, with
+at most deg(f) nonzeros for a face.  d1 d2 = 0 is checked on these
+columns in O(nnz).
+
+Rank and torsion.  A boundary map is reduced by ``exactlin.unit_reduce``,
+which eliminates on pivots +-1 only (columns are fed as rows; rank and
+invariant factors do not see the transpose).  Each step is unimodular, so
+the map is equivalent over Z to I_k + R with R the small residual block:
+rank = k + rank R, and the invariant factors are k ones followed by those
+of R.  Over Z the torsion of H_(n-1) is read from ``smith_normal_form(R)``
+of d_n; over Q the rank is ``rank_q(R)``.  On surfaces almost every pivot
+is a unit; RP^2 leaves R = [[2]], which is its Z/2.
+
+Every guard here raises ``HomologyError`` (a ``ComplexError``), so the
+checks also run under ``python -O``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import exactlin
 from .complexes import ComplexError, Subcomplex, TwoComplex, boundary_subcomplex
-from .exactlin import kernel_q, kernel_z, mat_vec, rank_q, smith_normal_form
+from .exactlin import kernel_q, rank_q, smith_normal_form, unit_reduce
 
 
 class RingError(ValueError):
     pass
+
+
+class HomologyError(ComplexError):
+    """A homology result failed one of its own consistency checks."""
 
 
 def check_ring(ring):
@@ -52,42 +74,87 @@ class ChainVec:
         return frozenset(cell for cell, _ in self.coeffs)
 
     def __add__(self, other):
-        assert self.ring == other.ring
+        if self.ring != other.ring:
+            raise RingError(f"cannot add a {self.ring} chain to a {other.ring} chain")
         out = self.as_dict()
         for cell, c in other.coeffs:
             out[cell] = out.get(cell, 0) + c
         return ChainVec.make(self.ring, out)
 
-    def scale(self, k):
-        return ChainVec.make(self.ring, {cell: k * c for cell, c in self.coeffs})
-
     def __bool__(self):
         return bool(self.coeffs)
 
 
+def _add(col, i, c):
+    """col[i] += c, dropping the entry when it cancels."""
+    x = col.get(i, 0) + c
+    if x:
+        col[i] = x
+    else:
+        col.pop(i, None)
+
+
+def _check_square_zero(d2, d1, what):
+    """Raise HomologyError unless d1 d2 = 0; both maps given as sparse columns."""
+    for col in d2:
+        total = {}
+        for i, c in col.items():
+            for v, a in d1[i].items():
+                _add(total, v, c * a)
+        if total:
+            raise HomologyError(what)
+
+
+def _boundary_columns(cx: TwoComplex, sub: Subcomplex | None = None):
+    """Sparse boundary maps of C_*(X), or of C_*(X)/C_*(Y) for Y = ``sub``.
+
+    Returns (d2, d1, vs, es, fs): the cells outside Y in ascending id, d2 as
+    one {edge index: coefficient} per face (signed side counts) and d1 as
+    one {vertex index: coefficient} per edge (target minus source).
+    """
+    vs = [v for v in cx.vertices if sub is None or v not in sub.vertex_set]
+    es = [e for e in cx.edges if sub is None or e not in sub.edge_set]
+    fs = [f for f in cx.faces if sub is None or f not in sub.face_set]
+    vix = {v: i for i, v in enumerate(vs)}
+    eix = {e: i for i, e in enumerate(es)}
+    d2 = []
+    for f in fs:
+        col = {}
+        for e, sign in cx.faces[f]:
+            if e in eix:
+                _add(col, eix[e], sign)
+        d2.append(col)
+    d1 = []
+    for e in es:
+        s, t = cx.edges[e]
+        col = {}
+        if t in vix:
+            _add(col, vix[t], 1)
+        if s in vix:
+            _add(col, vix[s], -1)
+        d1.append(col)
+    _check_square_zero(d2, d1, "d1*d2 != 0")
+    return d2, d1, vs, es, fs
+
+
+def _dense(columns, nrows):
+    mat = exactlin.zeros(nrows, len(columns))
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            mat[i][j] = c
+    return mat
+
+
 def boundary_matrices(cx: TwoComplex, ring="Z"):
-    """(d2, d1) with d1 * d2 = 0.
+    """(d2, d1) with d1 * d2 = 0, as dense matrices.
 
     d2 is edges x faces (signed side counts), d1 is vertices x edges
     (target minus source).  Row and column order is ascending cell id.
     """
     check_ring(ring)
-    vs = list(cx.vertices)
-    es = list(cx.edges)
-    fs = list(cx.faces)
-    vix = {v: i for i, v in enumerate(vs)}
-    eix = {e: i for i, e in enumerate(es)}
-    d2 = exactlin.zeros(len(es), len(fs))
-    for j, f in enumerate(fs):
-        for e, sign in cx.faces[f]:
-            d2[eix[e]][j] += sign
-    d1 = exactlin.zeros(len(vs), len(es))
-    for j, e in enumerate(es):
-        s, t = cx.edges[e]
-        d1[vix[t]][j] += 1
-        d1[vix[s]][j] -= 1
-    prod = exactlin.mat_mul(d1, d2)
-    assert all(all(x == 0 for x in row) for row in prod), "d1*d2 != 0"
+    d2c, d1c, vs, es, _ = _boundary_columns(cx)
+    d2 = _dense(d2c, len(es))
+    d1 = _dense(d1c, len(vs))
     if ring == "Q":
         d2 = [[Fraction(x) for x in row] for row in d2]
         d1 = [[Fraction(x) for x in row] for row in d1]
@@ -120,50 +187,32 @@ class HomologySummary:
         return "; ".join(parts)
 
 
-def _complex_homology(d2, d1, n2, n1, n0, ring):
-    """Homology of  0 -> Q^n2 --d2--> Q^n1 --d1--> Q^n0 -> 0   (or over Z)."""
-    r2 = rank_q(d2) if n2 and n1 else 0
-    r1 = rank_q(d1) if n1 and n0 else 0
-    b2 = n2 - r2
-    b1 = n1 - r1 - r2
-    b0 = n0 - r1
+def _rank_torsion(columns, nrows, ring):
+    """(rank, torsion) of the map whose sparse columns are given; the
+    torsion (invariant factors > 1) is () over Q."""
+    units, residual = unit_reduce(columns, nrows)
     if ring == "Q":
-        return HomologySummary("Q", (b0, b1, b2))
-    # torsion of H_(n-1) comes from the invariant factors of d_n
-    t1 = tuple(smith_normal_form(d2).torsion) if n2 and n1 else ()
-    t0 = tuple(smith_normal_form(d1).torsion) if n1 and n0 else ()
-    # top degree is a subgroup of a free module: no torsion possible
-    return HomologySummary("Z", (b0, b1, b2), ((*t0,), (*t1,), ()))
+        return units + rank_q(residual), ()
+    snf = smith_normal_form(residual)
+    return units + snf.rank, tuple(snf.torsion)
+
+
+def _complex_homology(d2, d1, n2, n1, n0, ring):
+    """Homology of  0 -> Z^n2 --d2--> Z^n1 --d1--> Z^n0 -> 0  over ``ring``."""
+    r2, t1 = _rank_torsion(d2, n1, ring)
+    r1, t0 = _rank_torsion(d1, n0, ring)
+    ranks = (n0 - r1, n1 - r1 - r2, n2 - r2)
+    if ring == "Q":
+        return HomologySummary("Q", ranks)
+    # torsion of H_(n-1) comes from the invariant factors of d_n; the top
+    # degree is a subgroup of a free module, so it has none
+    return HomologySummary("Z", ranks, (t0, t1, ()))
 
 
 def homology(cx: TwoComplex, ring="Z") -> HomologySummary:
     check_ring(ring)
-    d2, d1 = boundary_matrices(cx, "Z")
-    return _complex_homology(
-        d2, d1, len(cx.faces), len(cx.edges), len(cx.vertices), ring
-    )
-
-
-def _quotient_matrices(cx: TwoComplex, sub: Subcomplex):
-    """Boundary matrices of C_*(X)/C_*(Y) and the surviving cell orders."""
-    vs = [v for v in cx.vertices if v not in sub.vertex_set]
-    es = [e for e in cx.edges if e not in sub.edge_set]
-    fs = [f for f in cx.faces if f not in sub.face_set]
-    vix = {v: i for i, v in enumerate(vs)}
-    eix = {e: i for i, e in enumerate(es)}
-    d2 = exactlin.zeros(len(es), len(fs))
-    for j, f in enumerate(fs):
-        for e, sign in cx.faces[f]:
-            if e in eix:
-                d2[eix[e]][j] += sign
-    d1 = exactlin.zeros(len(vs), len(es))
-    for j, e in enumerate(es):
-        s, t = cx.edges[e]
-        if t in vix:
-            d1[vix[t]][j] += 1
-        if s in vix:
-            d1[vix[s]][j] -= 1
-    return d2, d1, vs, es, fs
+    d2, d1, vs, es, fs = _boundary_columns(cx)
+    return _complex_homology(d2, d1, len(fs), len(es), len(vs), ring)
 
 
 def relative_homology(cx: TwoComplex, sub: Subcomplex, ring="Z") -> HomologySummary:
@@ -177,7 +226,7 @@ def relative_homology(cx: TwoComplex, sub: Subcomplex, ring="Z") -> HomologySumm
             and sub.face_set <= set(cx.faces)
         ):
             raise ComplexError("subcomplex does not live in the given complex")
-    d2, d1, vs, es, fs = _quotient_matrices(cx, sub)
+    d2, d1, vs, es, fs = _boundary_columns(cx, sub)
     return _complex_homology(d2, d1, len(fs), len(es), len(vs), ring)
 
 
@@ -300,73 +349,57 @@ def chain_circles(cx: TwoComplex, terms):
 
 
 def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
-    """Build the mapping cone for the chain with the given (coeff, loop) terms."""
+    """Build the mapping cone for the chain with the given (coeff, loop) terms.
+
+    The summary carries H_*(X, c; Q); the connecting map to H1 of the
+    circles is available through ConeComplex.boundary_degrees.
+    """
     circles = chain_circles(cx, terms)
-    es = list(cx.edges)
-    fs = list(cx.faces)
-    vs = list(cx.vertices)
+    d2x, d1x, vs, es, fs = _boundary_columns(cx)
     eix = {e: i for i, e in enumerate(es)}
     fix = {f: i for i, f in enumerate(fs)}
     vix = {v: i for i, v in enumerate(vs)}
 
-    n_cv = sum(c.length for c in circles)  # circle vertices
-    n_ce = n_cv  # circle edges
+    n_cv = sum(c.length for c in circles)  # circle vertices = circle edges
     offsets = []
     off = 0
     for c in circles:
         offsets.append(off)
         off += c.length
 
-    rows2 = n_cv + len(es)
-    cols2 = n_ce + len(fs)
-    d2 = exactlin.zeros(rows2, cols2)
-    # block -d_circle : circle edge k runs vertex k -> vertex k+1
-    for i, c in enumerate(circles):
-        off = offsets[i]
-        for k in range(c.length):
-            d2[off + ((k + 1) % c.length)][off + k] -= 1
-            d2[off + k][off + k] += 1
-    # block -gamma_1 : circle edge k maps to the signed letter
-    for i, c in enumerate(circles):
-        off = offsets[i]
+    # degree 2: circle edges then X faces; rows circle vertices then X edges
+    d2 = []
+    for off, c in zip(offsets, circles):
         for k, (e, sign) in enumerate(c.letters):
-            d2[n_cv + eix[e]][off + k] -= sign
-    # block d2 of X
-    for j, f in enumerate(fs):
-        for e, sign in cx.faces[f]:
-            d2[n_cv + eix[e]][n_ce + j] += sign
-
-    rows1 = len(vs)
-    cols1 = rows2
-    d1 = exactlin.zeros(rows1, cols1)
-    # block -gamma_0 : circle vertex k maps to the start of letter k
-    for i, c in enumerate(circles):
-        off = offsets[i]
+            col = {}
+            # -d_circle: circle edge k runs vertex k -> vertex k+1
+            _add(col, off + k, 1)
+            _add(col, off + (k + 1) % c.length, -1)
+            # -gamma_1: circle edge k maps to the signed letter
+            _add(col, n_cv + eix[e], -sign)
+            d2.append(col)
+    d2.extend({n_cv + i: x for i, x in col.items()} for col in d2x)
+    # degree 1: circle vertices then X edges; rows X vertices
+    d1 = []
+    for c in circles:
         for k in range(c.length):
-            v = cx.endpoint(c.letters[k], 0)
-            d1[vix[v]][off + k] -= 1
-    # block d1 of X
-    for j, e in enumerate(es):
-        s, t = cx.edges[e]
-        d1[vix[t]][n_cv + j] += 1
-        d1[vix[s]][n_cv + j] -= 1
+            # -gamma_0: circle vertex k maps to the start of letter k
+            d1.append({vix[cx.endpoint(c.letters[k], 0)]: -1})
+    d1.extend(d1x)
+    _check_square_zero(d2, d1, "cone differential squares to nonzero")
 
-    prod = exactlin.mat_mul(d1, d2)
-    assert all(all(x == 0 for x in row) for row in prod), "cone differential squares to nonzero"
-
-    kernel = kernel_q(d2) if cols2 else []
-    r2 = rank_q(d2) if rows2 and cols2 else 0
-    r1 = rank_q(d1) if rows1 and cols1 else 0
-    b2 = cols2 - r2
-    b1 = cols1 - r1 - r2
-    b0 = rows1 - r1
-    summary = HomologySummary("Q", (b0, b1, b2))
+    rows2, cols2, rows1 = n_cv + len(es), len(d2), len(vs)
+    d2_dense = _dense(d2, rows2)
+    kernel = kernel_q(d2_dense) if cols2 else []
+    r2 = cols2 - len(kernel)
+    r1, _ = _rank_torsion(d1, rows1, "Q")
+    summary = HomologySummary("Q", (rows1 - r1, rows2 - r1 - r2, cols2 - r2))
 
     cone = ConeComplex(
         cx=cx,
         circles=tuple(circles),
-        d2=d2,
-        d1=d1,
+        d2=d2_dense,
+        d1=_dense(d1, rows1),
         kernel_basis=kernel,
         edge_index=eix,
         face_index=fix,
@@ -379,45 +412,22 @@ def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
 
 def _assert_cone_rank_identity(cone: ConeComplex):
     """rank H2(X,c) = rank H2(X) + dim ker(H1(circles) -> H1(X))."""
-    cx = cone.cx
-    hx = homology(cx, "Q")
-    d2x, d1x = boundary_matrices(cx, "Z")
-    es = list(cx.edges)
+    d2x, _, _, es, fs = _boundary_columns(cone.cx)
     eix = {e: i for i, e in enumerate(es)}
     # image of each circle's fundamental cycle in C1(X)
-    gamma_cols = []
+    gamma = []
     for c in cone.circles:
-        col = [0] * len(es)
+        col = {}
         for e, sign in c.letters:
-            col[eix[e]] += sign
-        gamma_cols.append(col)
-    n_circ = len(gamma_cols)
-    if n_circ == 0:
-        ker_gamma = 0
-    else:
-        # rank of the composite  Q^circles -> H1(X) = ker d1 / im d2:
-        # columns are cycles, so rank in H1 = rank([gamma | d2]) - rank(d2)
-        cols = [list(col) for col in zip(*gamma_cols)] if gamma_cols else []
-        stacked = [
-            [gamma_cols[j][i] for j in range(n_circ)] + list(d2x[i])
-            for i in range(len(es))
-        ]
-        rank_with = rank_q(stacked) if es else 0
-        rank_d2 = rank_q(d2x) if es and cx.faces else 0
-        ker_gamma = n_circ - (rank_with - rank_d2)
-    expected = hx.rank(2) + ker_gamma
-    assert cone.summary.rank(2) == expected, (
-        f"cone rank identity failed: {cone.summary.rank(2)} != {expected}"
-    )
-
-
-def cone_homology(cx: TwoComplex, terms):
-    """Homology of the pair (X, c): returns the ConeComplex.
-
-    The summary carries H_*(X, c; Q); the connecting map to H1 of the
-    circles is available through ConeComplex.boundary_degrees.
-    """
-    return cone_complex(cx, terms)
+            _add(col, eix[e], sign)
+        gamma.append(col)
+    # gamma's columns are cycles, so the rank of Q^circles -> H1(X) =
+    # ker d1 / im d2 is rank([gamma | d2]) - rank(d2)
+    rank_d2, _ = _rank_torsion(d2x, len(es), "Q")
+    rank_with, _ = _rank_torsion(gamma + d2x, len(es), "Q")
+    expected = (len(fs) - rank_d2) + len(gamma) - (rank_with - rank_d2)
+    if cone.summary.rank(2) != expected:
+        raise HomologyError(f"cone rank identity failed: {cone.summary.rank(2)} != {expected}")
 
 
 # -- orientability ---------------------------------------------------------
@@ -427,24 +437,20 @@ def is_orientable(cx: TwoComplex, ring="Z"):
     """Search a relative 2-cycle (mod boundary) supported on every face.
 
     Returns the witness ChainVec, or None when impossible.  Over Z and Q
-    the answer agrees: the integer kernel basis spans the rational kernel,
-    and any rational witness scales to an integer one.
+    the answer agrees: the rational kernel basis, each vector scaled to
+    integers, gives an integer witness whenever a rational one exists.
     """
     check_ring(ring)
     if not cx.faces:
         return ChainVec.make(ring, {})
-    bsub = boundary_subcomplex(cx)
-    es = [e for e in cx.edges if e not in bsub.edge_set]
-    fs = list(cx.faces)
-    eix = {e: i for i, e in enumerate(es)}
-    mat = exactlin.zeros(len(es), len(fs))
-    for j, f in enumerate(fs):
-        for e, sign in cx.faces[f]:
-            if e in eix:
-                mat[eix[e]][j] += sign
-    basis = kernel_z(mat) if es else [
-        [1 if i == j else 0 for j in range(len(fs))] for i in range(len(fs))
-    ]
+    d2, _, _, es, fs = _boundary_columns(cx, boundary_subcomplex(cx))
+    if es:
+        basis = []
+        for vec in kernel_q(_dense(d2, len(es))):
+            d = lcm(*(x.denominator for x in vec))
+            basis.append([x.numerator * (d // x.denominator) for x in vec])
+    else:
+        basis = [[1 if i == j else 0 for j in range(len(fs))] for i in range(len(fs))]
     covered = set()
     for vec in basis:
         for j, x in enumerate(vec):
@@ -466,20 +472,21 @@ def is_orientable(cx: TwoComplex, ring="Z"):
             chain = ChainVec.make(ring, {fs[j]: combo[j] for j in range(len(fs))})
             _assert_orientation_witness(cx, chain)
             return chain
-    raise AssertionError("orientation witness combination failed unexpectedly")
+    raise HomologyError("orientation witness combination failed unexpectedly")
 
 
 def _assert_orientation_witness(cx: TwoComplex, chain: ChainVec):
     coeffs = chain.as_dict()
-    assert set(coeffs) == set(cx.faces), "witness must be supported on every face"
+    if set(coeffs) != set(cx.faces):
+        raise HomologyError("witness must be supported on every face")
     bsub = boundary_subcomplex(cx)
     totals = {}
     for f, c in coeffs.items():
         for e, sign in cx.faces[f]:
             totals[e] = totals.get(e, 0) + sign * c
     for e, total in totals.items():
-        if total != 0:
-            assert e in bsub.edge_set, "witness boundary leaks outside the complex boundary"
+        if total != 0 and e not in bsub.edge_set:
+            raise HomologyError("witness boundary leaks outside the complex boundary")
 
 
 @dataclass
@@ -507,7 +514,8 @@ def check_support_lemma(cx: TwoComplex, sub: Subcomplex, ring="Z") -> SupportVer
     h2 = relative_homology(cx, sub, ring)
     if h2.is_zero(2):
         missing = sorted(set(cx.faces) - sub.face_set)
-        assert not missing, f"support lemma violated: faces {missing} escape Y"
+        if missing:
+            raise HomologyError(f"support lemma violated: faces {missing} escape Y")
         return SupportVerdict(True, "contains-all-faces")
     return SupportVerdict(
         False,

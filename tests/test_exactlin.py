@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sclkit.exactlin import (
     smith_normal_form,
     check_snf,
@@ -14,7 +17,71 @@ from sclkit.exactlin import (
     mat_mul,
     mat_vec,
     coords_in_basis,
+    unit_reduce,
 )
+
+
+# -- dense Fraction Gauss-Jordan: the reference the sparse routines must match --
+
+
+def dense_rref(mat):
+    """Reduced row echelon form over Q; returns (rref matrix, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if m[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def dense_rank_q(mat):
+    return len(dense_rref(mat)[1])
+
+
+def dense_kernel_q(mat):
+    cols = len(mat[0]) if mat else 0
+    if cols == 0:
+        return []
+    red, pivots = dense_rref(mat)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def dense_solve_q(mat, rhs):
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    red, pivots = dense_rref([[*mat[i], rhs[i]] for i in range(rows)])
+    if pivots and pivots[-1] == cols:
+        return None
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols]
+    return x
 
 
 def minors_gcd(mat, k):
@@ -138,3 +205,66 @@ def test_mat_mul_shapes():
     a = [[1, 2], [3, 4], [5, 6]]
     b = [[1, 0, 1], [0, 1, 1]]
     assert mat_mul(a, b) == [[1, 2, 3], [3, 4, 7], [5, 6, 11]]
+
+
+# -- sparse elimination against the dense oracle --------------------------------
+
+
+def entries(fractions):
+    ints = st.integers(-5, 5)
+    if not fractions:
+        return st.one_of(st.just(0), ints)
+    return st.one_of(st.just(0), ints, st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+@st.composite
+def matrices(draw, max_rows=7, max_cols=7):
+    """Random int or Fraction matrices, with forced zero rows and columns."""
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    flat = draw(st.lists(entries(draw(st.booleans())), min_size=rows * cols, max_size=rows * cols))
+    m = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
+    for i in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2)) if rows else ():
+        m[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2)) if cols else ():
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def vectors(n):
+    return st.lists(entries(True), min_size=n, max_size=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_sparse_elimination_matches_dense_gauss_jordan(m, data):
+    assert rank_q(m) == dense_rank_q(m)
+    assert kernel_q(m) == dense_kernel_q(m)
+    # an arbitrary right-hand side (often inconsistent) and a consistent one
+    rhs = data.draw(vectors(len(m)))
+    assert solve_q(m, rhs) == dense_solve_q(m, rhs)
+    cols = len(m[0]) if m else 0
+    x = data.draw(vectors(cols))
+    rhs = mat_vec(m, x) if cols else [0] * len(m)
+    sol = solve_q(m, rhs)
+    assert sol == dense_solve_q(m, rhs)
+    assert sol is not None and mat_vec(m, sol) == rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_unit_reduce_splits_off_an_identity(rows, cols, data):
+    flat = data.draw(st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols))
+    m = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
+    units, residual = unit_reduce(sparse, cols)
+    assert sparse == [{j: v for j, v in enumerate(row) if v} for row in m]  # input untouched
+    whole = smith_normal_form(m).invariant_factors
+    assert whole == [1] * units + smith_normal_form(residual).invariant_factors
+
+
+def test_unit_reduce_keeps_a_non_unit_block():
+    # d2 of RP^2 is [[2]]: no unit pivot, the whole matrix is the residual
+    assert unit_reduce([{0: 2}], 1) == (0, [[2]])
+    assert unit_reduce([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) == (1, [[-2]])

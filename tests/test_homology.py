@@ -1,7 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import sclkit
 
 from sclkit.complexes import (
     ComplexError,
@@ -13,7 +20,8 @@ from sclkit.complexes import (
     induced_subcomplex,
     surface_check,
 )
-from sclkit.exactlin import rank_q
+from sclkit.complexes import barycentric
+from sclkit.exactlin import rank_q, smith_normal_form, unit_reduce
 from sclkit.fixtures import (
     ambient_pair,
     closed_genus,
@@ -27,9 +35,10 @@ from sclkit.fixtures import (
 )
 from sclkit.homology import (
     ChainVec,
+    HomologyError,
     boundary_matrices,
     check_support_lemma,
-    cone_homology,
+    cone_complex,
     homology,
     is_orientable,
     parse_chain_file,
@@ -110,7 +119,7 @@ def test_relative_class_is_zero():
 
 def test_cone_one_holed_boundary_loop():
     cx = one_holed(1)
-    cone = cone_homology(cx, [(1, loop(cx, "c"))])
+    cone = cone_complex(cx, [(1, loop(cx, "c"))])
     assert cone.summary.rank(2) == 1
     # the connecting map is injective: the basis class has nonzero degree
     degs = cone.boundary_degrees([Fraction(1)])
@@ -119,25 +128,25 @@ def test_cone_one_holed_boundary_loop():
 
 def test_cone_zero_chain_is_absolute():
     cx = closed_genus(1)
-    cone = cone_homology(cx, [])
+    cone = cone_complex(cx, [])
     assert cone.summary.rank(2) == homology(cx, "Q").rank(2) == 1
 
 
 def test_cone_genus3_separating_loop():
     cx = closed_genus3_split()
-    cone = cone_homology(cx, [(1, loop(cx, "c", -1))])
+    cone = cone_complex(cx, [(1, loop(cx, "c", -1))])
     assert cone.summary.rank(2) == 2
 
 
 def test_cone_open_path_rejected():
     cx = disc()
     with pytest.raises(ComplexError):
-        cone_homology(cx, [(1, ((cx.edge_id("e1"), 1),))])
+        cone_complex(cx, [(1, ((cx.edge_id("e1"), 1),))])
 
 
 def test_cone_empty_loop_rejected():
     with pytest.raises(ComplexError):
-        cone_homology(torus(), [(1, ())])
+        cone_complex(torus(), [(1, ())])
 
 
 def test_orientable_closed_genus2():
@@ -294,3 +303,140 @@ def test_chain_file_and_report():
 def test_homology_z_top_degree_torsion_free():
     for cx in (torus(), rp2(), closed_genus(2), closed_genus3_split()):
         assert homology(cx, "Z").torsion_of(2) == ()
+
+
+# -- sparse reduction against dense Smith normal form ---------------------------
+
+
+def _random_complex(rng):
+    """A small random 2-complex: loops and multi-edges allowed, faces are
+    random closed walks, some of them repeated to produce torsion."""
+    nv = rng.randint(1, 4)
+    edges = {e: (rng.randrange(nv), rng.randrange(nv)) for e in range(rng.randint(1, 6))}
+    steps = {v: [] for v in range(nv)}  # vertex -> signed edges leaving it
+    for e, (s, t) in edges.items():
+        steps[s].append((e, 1))
+        steps[t].append((e, -1))
+    faces = {}
+    for f in range(rng.randint(0, 5)):
+        start = rng.choice([v for v in range(nv) if steps[v]] or [None])
+        if start is None:
+            break
+        walk, here = [], start
+        for _ in range(rng.randint(1, 5)):
+            e, sign = rng.choice(steps[here])
+            walk.append((e, sign))
+            here = edges[e][1] if sign == 1 else edges[e][0]
+        # close the walk by retracing it when it did not come back
+        if here != start:
+            walk += [(e, -sign) for e, sign in reversed(walk)]
+        faces[f] = tuple(walk) * rng.choice((1, 1, 2, 3))
+    return TwoComplex(range(nv), edges, faces)
+
+
+def _dense_snf_homology(cx):
+    """Ranks and torsion from Smith normal forms of the whole dense maps."""
+    d2, d1 = boundary_matrices(cx, "Z")
+    n2, n1, n0 = len(cx.faces), len(cx.edges), len(cx.vertices)
+    s2 = smith_normal_form(d2) if n2 and n1 else None
+    s1 = smith_normal_form(d1) if n1 and n0 else None
+    r2 = s2.rank if s2 else 0
+    r1 = s1.rank if s1 else 0
+    t1 = tuple(s2.torsion) if s2 else ()
+    t0 = tuple(s1.torsion) if s1 else ()
+    return (n0 - r1, n1 - r1 - r2, n2 - r2), (t0, t1, ())
+
+
+def test_homology_matches_dense_smith_normal_form_on_random_complexes():
+    rng = random.Random(41)
+    torsion_seen = 0
+    for _ in range(300):
+        cx = _random_complex(rng)
+        ranks, torsion = _dense_snf_homology(cx)
+        hz = homology(cx, "Z")
+        assert (hz.ranks, hz.torsion) == (ranks, torsion)
+        assert homology(cx, "Q").ranks == ranks
+        torsion_seen += bool(torsion[1])
+    assert torsion_seen > 10
+
+
+def test_rp2_torsion_comes_from_the_non_unit_residual():
+    d2, _ = boundary_matrices(rp2())
+    assert unit_reduce([{0: d2[0][0]}], 1) == (0, [[2]])
+    assert homology(rp2(), "Z").torsion == ((), (2,), ())
+
+
+def test_closed_genus8_twice_subdivided():
+    cx = barycentric(barycentric(closed_genus(8))[0])[0]
+    assert (len(cx.vertices), len(cx.edges), len(cx.faces)) == (178, 576, 384)
+    hz = homology(cx, "Z")
+    assert hz.ranks == (1, 16, 1) and hz.torsion == ((), (), ())
+    assert homology(cx, "Q").ranks == (1, 16, 1)
+    witness = is_orientable(cx, "Z")
+    assert witness is not None and witness.support() == set(cx.faces)
+
+
+# -- typed errors ------------------------------------------------------------
+
+
+def test_guards_raise_typed_errors_under_optimize():
+    script = textwrap.dedent(
+        """
+        import sclkit.homology as H
+        from sclkit.complexes import barycentric, induced_subcomplex
+        from sclkit.fixtures import closed_genus, disc, one_holed, torus
+
+        caught = []
+
+        def expect(name, error, call):
+            try:
+                call()
+            except error:
+                caught.append(name)
+
+        # a face word that no longer closes up: d1 d2 != 0
+        cx = disc()
+        cx.faces[0] = cx.faces[0][:-1]
+        expect("d1d2", H.HomologyError, lambda: H.boundary_matrices(cx))
+
+        # a circle that is an open path: the cone differential squares to nonzero
+        cx = disc()
+        chain_circles = H.chain_circles
+        H.chain_circles = lambda cx, terms: [H.CircleComplex(((0, 1),))]
+        expect("cone d2", H.HomologyError, lambda: H.cone_complex(cx, []))
+        H.chain_circles = chain_circles
+
+        cx = one_holed(1)
+        cone = H.cone_complex(cx, [(1, ((cx.edge_id("c"), 1),))])
+        b0, b1, b2 = cone.summary.ranks
+        cone.summary = H.HomologySummary("Q", (b0, b1, b2 + 1))
+        expect("cone rank", H.HomologyError, lambda: H._assert_cone_rank_identity(cone))
+
+        cx = torus()
+        expect("witness support", H.HomologyError,
+               lambda: H._assert_orientation_witness(cx, H.ChainVec.make("Z", {})))
+        cx = barycentric(closed_genus(1))[0]
+        witness = H.is_orientable(cx).as_dict()
+        witness[0] += 1
+        expect("witness leak", H.HomologyError,
+               lambda: H._assert_orientation_witness(cx, H.ChainVec.make("Z", witness)))
+
+        # a tampered H2(X, Y) = 0 for a Y that misses the face
+        cx = closed_genus(1)
+        sub = induced_subcomplex(cx, [("e", e) for e in cx.edges])
+        H.relative_homology = lambda cx, sub, ring: H.HomologySummary(ring, (0, 0, 0))
+        expect("support", H.HomologyError, lambda: H.check_support_lemma(cx, sub, "Q"))
+
+        z, q = H.ChainVec.make("Z", {0: 1}), H.ChainVec.make("Q", {0: 1})
+        expect("ring", H.RingError, lambda: z + q)
+        print(" ".join(name.replace(" ", "_") for name in caught))
+        """
+    )
+    src = str(Path(sclkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == [
+        "d1d2", "cone_d2", "cone_rank", "witness_support", "witness_leak", "support", "ring"
+    ]
