@@ -12,8 +12,8 @@ The package is organised in five layers:
 * ``surfaces`` / ``rewrite``   : transverse admissible surfaces over a
   cellulated surface (vertex discs, 1-handles, cellular discs) and the
   rewriting moves that bring them to standard form.
-* ``fixtures`` / ``verify`` / ``cli`` : the worked example library, the
-  containment / isometry verification harnesses and the command line tool.
+* ``fixtures`` : the worked example library (small complexes, ambient
+  pairs, subsurfaces and folded admissible surfaces).
 """
 
 __version__ = "0.1.0"

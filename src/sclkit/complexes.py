@@ -10,7 +10,7 @@ every derived object is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ComplexError(ValueError):
@@ -128,7 +128,15 @@ class TwoComplex:
 
     def side_incidence(self, e):
         """Number of face sides glued to edge e, counted with multiplicity."""
-        return sum(1 for word in self.faces.values() for e2, _ in word if e2 == e)
+        return self.side_incidences().get(e, 0)
+
+    def side_incidences(self):
+        """side_incidence of every edge, from one pass over the face words."""
+        counts = dict.fromkeys(self.edges, 0)
+        for word in self.faces.values():
+            for e, _ in word:
+                counts[e] += 1
+        return counts
 
     def half_edges(self, v):
         """Oriented half-edges starting at v; a loop contributes two."""
@@ -289,8 +297,8 @@ def has_small_links(cx: TwoComplex):
     Returns (ok, witness edge id or None).  Equivalent to every vertex link
     being a disjoint union of arcs (possibly degenerate) and circles.
     """
-    for e in cx.edges:
-        if cx.side_incidence(e) > 2:
+    for e, count in cx.side_incidences().items():
+        if count > 2:
             return False, e
     return True, None
 
@@ -373,9 +381,6 @@ class Subcomplex:
         out += [("f", f) for f in sorted(self.face_set)]
         return out
 
-    def contains_cell(self, kind, ident):
-        return self._has((kind, ident))
-
     def __contains__(self, cell):
         return self._has(cell)
 
@@ -427,17 +432,13 @@ def boundary_subcomplex(cx: TwoComplex) -> Subcomplex:
     For a cellulated surface this is the topological boundary: interior
     points of such edges have half-disc neighbourhoods.
     """
-    es = {e for e in cx.edges if cx.side_incidence(e) == 1}
+    es = {e for e, count in cx.side_incidences().items() if count == 1}
     vs = set()
     for e in es:
         s, t = cx.edges[e]
         vs.add(s)
         vs.add(t)
     return Subcomplex(cx, frozenset(vs), frozenset(es), frozenset())
-
-
-def euler_characteristic(cx: TwoComplex):
-    return cx.euler_characteristic()
 
 
 def reduced_euler(cx: TwoComplex):

@@ -267,7 +267,7 @@ def fold_necklace(target=None, face_name="f", m=1, fold_pos=0, back_pos=1, close
     every other side sits on a handle with a free outer long.  Every
     adjacent pair is an eligible fold elimination.
     """
-    from .surfaces import build_with_inferred_chain, derive_vpieces, required_long_index
+    from .surfaces import derive_vpieces, required_long_index
 
     target = target or torus()
     face = target.face_id(face_name)
@@ -330,7 +330,7 @@ def fold_necklace(target=None, face_name="f", m=1, fold_pos=0, back_pos=1, close
         hid: HPiece(hp.edge, hp.longs, placement[(hid, "s")], placement[(hid, "t")])
         for hid, hp in hpieces.items()
     }
-    return build_with_inferred_chain(target, vpieces, hpieces, fpieces)
+    return AdmissibleSurface(target, None, vpieces, hpieces, fpieces)
 
 
 def fold_fixture() -> AdmissibleSurface:

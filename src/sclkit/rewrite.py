@@ -14,21 +14,16 @@ into single handles.
 Boundary words are only changed by the link-connection move; it records a
 2-chain certificate (the faces the boundary was pushed across) so that the
 class in H2(S, c) is computed from an honest relative cycle and can be
-asserted unchanged.
+checked unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexes import (
-    ComplexError,
-    TwoComplex,
-    boundary_subcomplex,
-    link_graph,
-    surface_check,
-)
+from .complexes import TwoComplex, boundary_subcomplex, link_graph, surface_check
 from .exactlin import solve_q
 from .homology import boundary_matrices, homology
 from .surfaces import (
@@ -42,7 +37,7 @@ from .surfaces import (
     polygon_sign,
     required_long_index,
 )
-from .words import EdgeChain, canonical_rotation, word_inverse
+from .words import EdgeChain, canonical_rotation
 
 
 class MoveError(RuntimeError):
@@ -100,14 +95,13 @@ class MoveLog:
         return "\n".join(e.line() for e in self.entries) + ("\n" if self.entries else "")
 
 
-def _carry_assignments(old: AdmissibleSurface, new_raw_words, old_circuits=None):
+def _carry_assignments(old: AdmissibleSurface, new_raw_words):
     """Match new circuit words against old circuits to carry (circle, degree).
 
     Both moves that use this keep every boundary word intact, so matching by
     cyclic word classes is faithful; ties are resolved in order.
     """
-    circuits = list(old_circuits if old_circuits is not None else old.circuits)
-    pool = [(canonical_rotation(c.word), c.circle, c.degree) for c in circuits]
+    pool = [(canonical_rotation(c.word), c.circle, c.degree) for c in old.circuits]
     out = []
     for items, word in new_raw_words:
         if not word:
@@ -149,9 +143,6 @@ class _Tokens:
             for j, tok in enumerate(toks):
                 self.succ[tok] = toks[(j + 1) % len(toks)]
 
-    def handle_token(self, hid, end):
-        return ("h", hid, end)
-
     def new_free(self, vertex):
         tok = ("free+", self.free_n)
         self.free_n += 1
@@ -175,24 +166,46 @@ class _Tokens:
         del self.kind[tok]
         del self.vertex[tok]
 
-    def fuse(self, a, b, new_tok):
-        """Replace the consecutive pair a -> b by a single token."""
-        if self.succ.get(a) != b:
-            raise MoveError("tokens to fuse are not adjacent")
-        nxt = self.succ[b]
-        prev = next(t for t, s in self.succ.items() if s == a)
+    def drop_free_run(self, a, b):
+        """Delete the tokens strictly between a and b, which must all be free."""
+        cur = self.succ[a]
+        guard = 0
+        while cur != b:
+            if self.kind[cur] != FREE:
+                raise MoveError("free run to replace contains glued slots")
+            nxt = self.succ[cur]
+            self.delete(cur)
+            cur = nxt
+            guard += 1
+            if guard > len(self.succ) + 2:
+                raise MoveError("degenerate link connection; unsupported")
+
+    def fuse(self, toks, new_tok):
+        """Replace the tokens of ``toks``, one consecutive run, by new_tok."""
+        heads = [t for t in toks if all(self.succ.get(o) != t for o in toks if o != t)]
+        if len(heads) == 1:
+            head = heads[0]
+        elif not heads and toks:
+            head = min(toks)  # the run is a whole disc boundary by itself
+        else:
+            raise MoveError("merged handle ends are not a single run")
+        run = [head]
+        while len(run) < len(toks):
+            nxt = self.succ.get(run[-1])
+            if nxt not in toks:
+                raise MoveError("merged handle ends are not contiguous")
+            run.append(nxt)
+        prev = next(t for t, s in self.succ.items() if s == run[0])
+        nxt = self.succ[run[-1]]
         self.kind[new_tok] = new_tok
-        self.vertex[new_tok] = self.vertex[a]
-        for t in (a, b):
-            del self.succ[t]
-            del self.kind[t]
-            del self.vertex[t]
-        if prev == b:
-            # the pair was a whole two-slot disc boundary
+        self.vertex[new_tok] = self.vertex[run[0]]
+        if prev == run[-1]:
             self.succ[new_tok] = new_tok
         else:
             self.succ[prev] = new_tok
             self.succ[new_tok] = nxt
+        for t in run:
+            self.delete(t)
 
     def cycles(self):
         seen = set()
@@ -253,53 +266,38 @@ def _face_corner_tokens(surface: AdmissibleSurface, fid, k):
     return gap_tok, end_tok
 
 
-def _rebuild(
-    surface: AdmissibleSurface,
-    tokens: _Tokens,
-    hpieces,
-    fpieces,
-    chain=None,
-    homotopy=None,
-    extra_note=None,
-    carry_from=None,
-):
+def _rebuild(surface: AdmissibleSurface, tokens: _Tokens, hpieces, fpieces, carry, homotopy=None):
+    """The surface after a token surgery, validated once.
+
+    ``carry(surface, raw circuits)`` gives the (circle, degree) of every
+    new circuit, or None for a letterless one: ``_carry_assignments`` for
+    moves that keep every boundary word, ``_carry_by_items`` for moves that
+    reroute boundary arcs.
+    """
     vpieces, where = tokens.rebuild_vpieces()
     fixed = {}
     for hid, hp in hpieces.items():
         if (hid, "s") not in where or (hid, "t") not in where:
             raise MoveError("handle lost an end during surgery")
-        fixed[hid] = HPiece(hp.edge, hp.longs, where[(hid, "s")], where[(hid, "t")])
-    probe = AdmissibleSurface.__new__(AdmissibleSurface)
-    probe.target = surface.target
-    probe.chain = chain if chain is not None else surface.chain
-    probe.vpieces = vpieces
-    probe.hpieces = {k: fixed[k] for k in sorted(fixed)}
-    probe.fpieces = {k: fpieces[k] for k in sorted(fpieces)}
-    probe.homotopy = {f: c for f, c in (homotopy if homotopy is not None else surface.homotopy).items() if c}
-    probe.relaxed = surface.relaxed or bool(probe.homotopy)
-    probe.incompressible = surface.incompressible
-    probe._validate_target()
-    probe._validate_pieces()
-    probe._assemble()
-    probe._validate_surface()
-    probe._extract_circuits()
-    carried = _carry_assignments(
-        carry_from if carry_from is not None else surface, probe._raw_circuits
-    )
-    assignments = []
-    for (items, word), carry in zip(probe._raw_circuits, carried):
-        if carry is not None:
-            assignments.append((items[0][:-1], carry[0], carry[1]))
+        fixed[hid] = HPiece(hp.edge, tuple(hp.longs), where[(hid, "s")], where[(hid, "t")])
+
+    def assignments(raw):
+        return [
+            (items[0][:-1], *found)
+            for (items, _word), found in zip(raw, carry(surface, raw))
+            if found is not None
+        ]
+
     return AdmissibleSurface(
-        probe.target,
-        probe.chain,
-        probe.vpieces,
-        probe.hpieces,
-        probe.fpieces,
+        surface.target,
+        surface.chain,
+        vpieces,
+        fixed,
+        fpieces,
         assignments=assignments,
-        homotopy=probe.homotopy,
-        incompressible=probe.incompressible,
-        relaxed_boundary=getattr(probe, "relaxed", False),
+        homotopy=surface.homotopy if homotopy is None else homotopy,
+        incompressible=surface.incompressible,
+        relaxed_boundary=surface.relaxed,
     )
 
 
@@ -443,7 +441,7 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
 
     if shared is not None:
         for end in ("s", "t"):
-            tok = tokens.handle_token(shared, end)
+            tok = ("h", shared, end)
             if tokens.succ.get(tok) != tok:
                 raise MoveError("shared handle did not close off during the splice")
             tokens.delete(tok)
@@ -519,38 +517,7 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
             del hpieces[h]
         # fuse the members' end tokens, one run per end label
         for label in ("s", "t"):
-            toks = {("h", h, label) for h in members}
-            heads = [
-                t
-                for t in toks
-                if all(tokens.succ.get(o) != t for o in toks if o != t)
-            ]
-            if len(heads) == 1:
-                head = heads[0]
-            elif not heads and len(toks) > 0:
-                head = min(toks)  # the run is a whole disc boundary by itself
-            else:
-                raise MoveError("merged handle ends are not a single run")
-            run = [head]
-            while len(run) < len(members):
-                nxt = tokens.succ.get(run[-1])
-                if nxt not in toks:
-                    raise MoveError("merged handle ends are not contiguous")
-                run.append(nxt)
-            new_tok = ("h", cid, label)
-            prev = next(t for t, s in tokens.succ.items() if s == run[0])
-            nxt = tokens.succ[run[-1]]
-            tokens.kind[new_tok] = new_tok
-            tokens.vertex[new_tok] = tokens.vertex[run[0]]
-            if prev == run[-1]:
-                tokens.succ[new_tok] = new_tok
-            else:
-                tokens.succ[prev] = new_tok
-                tokens.succ[new_tok] = nxt
-            for t in run:
-                del tokens.succ[t]
-                del tokens.kind[t]
-                del tokens.vertex[t]
+            tokens.fuse({("h", h, label) for h in members}, ("h", cid, label))
 
     # rewrite surviving references through the merges
     fpieces = {
@@ -609,7 +576,7 @@ def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog | None =
     old_words = sorted(canonical_rotation(c.word) for c in surface.circuits)
 
     tokens, hpieces, fpieces = _mirror_surgery(surface, fid1, fid2, k)
-    out = _rebuild(surface, tokens, hpieces, fpieces)
+    out = _rebuild(surface, tokens, hpieces, fpieces, _carry_assignments)
 
     delta = out.euler_characteristic() - surface.euler_characteristic()
     if delta < 0 or delta % 2:
@@ -654,7 +621,7 @@ def glue_opposite_discs(surface: AdmissibleSurface, fid1, fid2, log: MoveLog | N
 
     before = _metrics(surface)
     tokens, hpieces, fpieces = _mirror_surgery(surface, fid1, fid2, None)
-    out = _rebuild(surface, tokens, hpieces, fpieces)
+    out = _rebuild(surface, tokens, hpieces, fpieces, _carry_assignments)
     if out.reduced_euler() != surface.reduced_euler() - 2:
         raise MoveError("gluing did not raise -chi^- by exactly 2")
     if log is not None:
@@ -803,7 +770,6 @@ def connect_link(surface: AdmissibleSurface, vid, policy="positive", log: MoveLo
 
     before = _metrics(surface)
     old_coords = surface.reduced_class()
-    old_link_excess = before["link_excess"]
 
     # covered gaps of the vertex disc: gap after slot j hosts a corner
     covered_after = set()
@@ -985,7 +951,6 @@ def connect_link(surface: AdmissibleSurface, vid, policy="positive", log: MoveLo
             raise MoveError("conflicting corner equations")
         incoming[y] = x
 
-    consumed = []
     processed = set()
 
     def chain_from(head):
@@ -997,18 +962,7 @@ def connect_link(surface: AdmissibleSurface, vid, policy="positive", log: MoveLo
     # existing -> existing overrides (a single corner closing the free run)
     for x, y in list(overrides.items()):
         if x not in new_token_set and y not in new_token_set:
-            cur = tokens.succ[x]
-            guard = 0
-            while cur != y:
-                if tokens.kind[cur] != FREE:
-                    raise MoveError("free run to replace contains glued slots")
-                consumed.append(cur)
-                nxt = tokens.succ[cur]
-                tokens.delete(cur)
-                cur = nxt
-                guard += 1
-                if guard > len(tokens.succ) + 2:
-                    raise MoveError("degenerate link connection; unsupported")
+            tokens.drop_free_run(x, y)
             tokens.succ[x] = y
 
     heads = [
@@ -1027,18 +981,7 @@ def connect_link(surface: AdmissibleSurface, vid, policy="positive", log: MoveLo
         for a, b in zip(chain, chain[1:]):
             tokens.succ[a] = b
         if start_anchor is not None and end_anchor is not None:
-            cur = tokens.succ[start_anchor]
-            guard = 0
-            while cur != end_anchor:
-                if tokens.kind[cur] != FREE:
-                    raise MoveError("free run to replace contains glued slots")
-                consumed.append(cur)
-                nxt = tokens.succ[cur]
-                tokens.delete(cur)
-                cur = nxt
-                guard += 1
-                if guard > len(tokens.succ) + 2:
-                    raise MoveError("degenerate link connection; unsupported")
+            tokens.drop_free_run(start_anchor, end_anchor)
             tokens.succ[start_anchor] = head
             tokens.succ[tail] = end_anchor
         elif end_anchor is not None:
@@ -1058,70 +1001,25 @@ def connect_link(surface: AdmissibleSurface, vid, policy="positive", log: MoveLo
     for face in new_faces_crossed:
         homotopy[face] = homotopy.get(face, 0) + s_pol
 
-    out = _rebuild_with_items(
-        surface, tokens, hpieces, fpieces, homotopy=homotopy
-    )
+    out = _rebuild(surface, tokens, hpieces, fpieces, _carry_by_items, homotopy=homotopy)
 
     if out.reduced_class() != old_coords:
         raise MoveError("link connection changed the class in H2(S, c)")
-    new_excess = _metrics(out)["link_excess"]
-    if not fallback and new_excess != old_link_excess - 1:
+    after = _metrics(out)
+    if not fallback and after["link_excess"] != before["link_excess"] - 1:
         raise MoveError("link connection did not lower the link excess by one")
-    if fallback and _find_fold_pair(out) is None:
+    if fallback and not _find_fold_pairs(out):
         raise MoveError("fallback link connection did not produce a fold")
-    if policy == "positive" and _metrics(out)["neg"] != before["neg"]:
+    if policy == "positive" and after["neg"] != before["neg"]:
         raise MoveError("positive link connection changed the negative disc count")
     if log is not None:
         log.record(
             "connect_link",
             f"vdisc={vid} policy={policy} faces={new_faces_crossed}",
             before,
-            _metrics(out),
+            after,
         )
     return out
-
-
-def _rebuild_with_items(surface, tokens, hpieces, fpieces, chain=None, homotopy=None):
-    vpieces, where = tokens.rebuild_vpieces()
-    fixed = {}
-    for hid, hp in hpieces.items():
-        if (hid, "s") not in where or (hid, "t") not in where:
-            raise MoveError("handle lost an end during surgery")
-        fixed[hid] = HPiece(hp.edge, tuple(hp.longs), where[(hid, "s")], where[(hid, "t")])
-    probe = AdmissibleSurface.__new__(AdmissibleSurface)
-    probe.target = surface.target
-    probe.chain = chain if chain is not None else surface.chain
-    probe.vpieces = vpieces
-    probe.hpieces = {k: fixed[k] for k in sorted(fixed)}
-    probe.fpieces = {k: fpieces[k] for k in sorted(fpieces)}
-    probe.homotopy = {
-        f: c
-        for f, c in (homotopy if homotopy is not None else surface.homotopy).items()
-        if c
-    }
-    probe.relaxed = surface.relaxed or bool(probe.homotopy)
-    probe.incompressible = surface.incompressible
-    probe._validate_target()
-    probe._validate_pieces()
-    probe._assemble()
-    probe._validate_surface()
-    probe._extract_circuits()
-    carried = _carry_by_items(surface, probe._raw_circuits)
-    assignments = []
-    for (items, word), carry in zip(probe._raw_circuits, carried):
-        if carry is not None:
-            assignments.append((items[0][:-1], carry[0], carry[1]))
-    return AdmissibleSurface(
-        probe.target,
-        probe.chain,
-        probe.vpieces,
-        probe.hpieces,
-        probe.fpieces,
-        assignments=assignments,
-        homotopy=probe.homotopy,
-        incompressible=probe.incompressible,
-        relaxed_boundary=getattr(probe, "relaxed", False),
-    )
 
 
 # -- boundary thickening -------------------------------------------------------
@@ -1131,7 +1029,7 @@ def thicken_boundary(cx: TwoComplex) -> TwoComplex:
     """Glue a cellulated annulus collar to each boundary circuit.
 
     The result is homeomorphic to the input (same Euler characteristic and
-    homology, asserted); every old boundary vertex becomes interior.  Old
+    homology, checked); every old boundary vertex becomes interior.  Old
     cells keep their ids, so complexes, chains and surfaces over the old
     cellulation remain valid over the new one.
     """
@@ -1186,11 +1084,14 @@ def thicken_boundary(cx: TwoComplex) -> TwoComplex:
 
     out = TwoComplex(vertices, edges, faces, names)
     rep = surface_check(out)
-    assert rep.is_surface, "thickening broke the surface"
-    assert out.euler_characteristic() == cx.euler_characteristic()
-    assert homology(out, "Q").ranks == homology(cx, "Q").ranks
-    for v in bsub.vertex_set:
-        assert v not in rep.boundary_vertices, "old boundary vertex still on the boundary"
+    if not rep.is_surface:
+        raise MoveError("thickening broke the surface")
+    if out.euler_characteristic() != cx.euler_characteristic():
+        raise MoveError("thickening changed the Euler characteristic")
+    if homology(out, "Q").ranks != homology(cx, "Q").ranks:
+        raise MoveError("thickening changed the homology")
+    if bsub.vertex_set & set(rep.boundary_vertices):
+        raise MoveError("old boundary vertex still on the boundary")
     return out
 
 
@@ -1231,18 +1132,6 @@ def _find_fold_pairs(surface: AdmissibleSurface):
             if len(shared) == 1:
                 out.append((fid1, fid2))
     return out
-
-
-def _find_fold_pair(surface: AdmissibleSurface):
-    pairs = _find_fold_pairs(surface)
-    return pairs[0] if pairs else None
-
-
-def _find_disconnected_vdisc(surface: AdmissibleSurface):
-    for vid in sorted(surface.vpieces):
-        if surface.bar_link_components(vid) > 1:
-            return vid
-    return None
 
 
 def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
@@ -1314,17 +1203,16 @@ def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
     report = s.standard_form_report()
     if not report.connected_links:
         raise MoveError("standard form loop stalled")
-    if not report.disc_sphere_free:
-        # class-carrying discs or spheres can survive over simply connected
-        # targets; anything removable has been removed already
-        chis = s.component_euler()
-        assert any(chi > 0 for chi in chis)
+    # discs and spheres are not an error here: remove_trivial_components has
+    # dropped every one it could, and over a simply connected target the
+    # ones left carry the class
     if not report.non_folded:
         # with connected links, a mixed component must contain an adjacent
         # opposite pair over one face; its absence means a fold pair through
         # several handles, which this implementation does not rewrite
         raise MoveError("component remains folded without an eligible fold pair")
-    assert _ratio(s) <= start_ratio, "standard form worsened -chi^-/n"
+    if _ratio(s) > start_ratio:
+        raise MoveError("standard form worsened -chi^-/n")
     return s, log
 
 
@@ -1336,6 +1224,66 @@ def _ratio(surface: AdmissibleSurface):
 
 
 # -- covers and asymptotic promotion -------------------------------------------
+
+
+def _lifted_walk(cxs: TwoComplex, c, n, f, k):
+    """(edge, sheet, sign) of each letter of face f lifted to start at sheet k.
+
+    The copy at sheet k of an edge (u, w) runs from (u, k) to (w, k + c(e)
+    mod n), so the sheets of a lifted word are partial sums of the cocycle.
+    """
+    out = []
+    sheet = k
+    for e, sign in cxs.faces[f]:
+        if sign == 1:
+            out.append((e, sheet, 1))
+            sheet = (sheet + c[e]) % n
+        else:
+            sheet = (sheet - c[e]) % n
+            out.append((e, sheet, -1))
+    return out
+
+
+def _spanning_trees(cxs: TwoComplex):
+    """Per component: (edges, breadth-first vertex order, tree parents, loop edges).
+
+    The loop edges, those outside the spanning tree, close the loops of a
+    basis of the component's first homology.
+    """
+    out = []
+    for comp in cxs.connected_components():
+        comp_vertices = [i for kind, i in comp if kind == "v"]
+        comp_edges = {i for kind, i in comp if kind == "e"}
+        root = min(comp_vertices)
+        tree_parent = {root: None}
+        order = [root]
+        frontier = [root]
+        adj = {}
+        for e in comp_edges:
+            u, w = cxs.edges[e]
+            adj.setdefault(u, []).append((e, w))
+            adj.setdefault(w, []).append((e, u))
+        tree_edges = set()
+        while frontier:
+            v = frontier.pop(0)
+            for e, w in sorted(adj.get(v, []), key=str):
+                if w not in tree_parent:
+                    tree_parent[w] = (e, v)
+                    tree_edges.add(e)
+                    order.append(w)
+                    frontier.append(w)
+        out.append((comp_edges, order, tree_parent, sorted(comp_edges - tree_edges)))
+    return out
+
+
+def _loop_values(cxs: TwoComplex, tree, c):
+    """The 1-cochain c summed around each loop of a spanning tree's basis."""
+    _edges, order, tree_parent, loops = tree
+    theta = {order[0]: 0}
+    for v in order[1:]:
+        e, parent = tree_parent[v]
+        theta[v] = theta[parent] + (c[e] if cxs.edges[e][1] == v else -c[e])
+    return [theta[cxs.edges[e][0]] + c[e] - theta[cxs.edges[e][1]] for e in loops]
 
 
 def _cover_cocycle(surface: AdmissibleSurface):
@@ -1359,68 +1307,30 @@ def _cover_cocycle(surface: AdmissibleSurface):
         for e, sign in cxs.faces[f]:
             row[eix[e]] += sign
         rows.append(row)
-    cocycles = kernel_z(rows) if rows else []
+    basis = [{e: vec[eix[e]] for e in es} for vec in (kernel_z(rows) if rows else [])]
 
-    cocycle = [0] * len(es)
-    for comp in cxs.connected_components():
-        comp_vertices = [i for kind, i in comp if kind == "v"]
-        comp_edges = {i for kind, i in comp if kind == "e"}
+    cocycle = {e: 0 for e in es}
+    for tree in _spanning_trees(cxs):
+        comp_edges, _order, _parent, loops = tree
         if not comp_edges:
             raise MoveError("component without edges cannot be covered")
-        # spanning tree and loop basis
-        root = min(comp_vertices)
-        tree_parent = {root: None}
-        order = [root]
-        frontier = [root]
-        adj = {}
-        for e in comp_edges:
-            u, w = cxs.edges[e]
-            adj.setdefault(u, []).append((e, w, 1))
-            adj.setdefault(w, []).append((e, u, -1))
-        tree_edges = set()
-        while frontier:
-            v = frontier.pop(0)
-            for e, w, _d in sorted(adj.get(v, []), key=str):
-                if w not in tree_parent:
-                    tree_parent[w] = (e, v)
-                    tree_edges.add(e)
-                    order.append(w)
-                    frontier.append(w)
-        loops = sorted(comp_edges - tree_edges)
         if not loops:
             raise MoveError("component with trivial first homology; a disc slipped through")
-        # potentials along the tree for each candidate cocycle
-        pairings = []
-        for vec in cocycles:
-            theta = {root: 0}
-            for v in order[1:]:
-                e, parent = tree_parent[v]
-                u, w = cxs.edges[e]
-                val = vec[eix[e]]
-                theta[v] = theta[parent] + (val if w == v else -val)
-            row = []
-            for e in loops:
-                u, w = cxs.edges[e]
-                row.append(theta[u] + vec[eix[e]] - theta[w])
-            pairings.append(row)
-        res = smith_normal_form(pairings)
+        res = smith_normal_form([_loop_values(cxs, tree, vec) for vec in basis])
         if not res.invariant_factors or res.invariant_factors[0] != 1:
             raise MoveError("no primitively pairing cocycle; cover unavailable")
-        combo = res.U[0]
-        for coeff, vec in zip(combo, cocycles):
+        for coeff, vec in zip(res.U[0], basis):
             if coeff:
                 for e in comp_edges:
-                    cocycle[eix[e]] += coeff * vec[eix[e]]
-    basis = [{e: vec[eix[e]] for e in es} for vec in cocycles]
-    return {e: cocycle[eix[e]] for e in es}, basis
+                    cocycle[e] += coeff * vec[e]
+    return cocycle, basis
 
 
 def connected_cover(surface: AdmissibleSurface, n, log: MoveLog | None = None, cocycle=None):
     """Degree n cyclic cover with connected preimage of every component.
 
-    The assembled surface is lifted along a cocycle: the copy k of an edge
-    (u, w) runs from (u, k) to (w, k + c(e) mod n), faces lift by partial
-    sums, and the piece structure is read back off the lifted cells.
+    The assembled surface is lifted along a cocycle (see ``_lifted_walk``)
+    and the piece structure is read back off the lifted cells.
     """
     if n < 1:
         raise MoveError("cover degree must be at least 1")
@@ -1429,46 +1339,19 @@ def connected_cover(surface: AdmissibleSurface, n, log: MoveLog | None = None, c
     before = _metrics(surface)
     c = cocycle if cocycle is not None else _cover_cocycle(surface)[0]
     cxs = surface.complex
+    face_ix = {name: ix for ix, name in enumerate(surface._face_names)}
 
-    # lifted faces: for base face f starting at sheet k, the lifted word
-    # visits edge copies at sheets given by partial sums of the cocycle
-    def lifted_word(f, k):
-        out = []
-        sheet = k
-        for e, sign in cxs.faces[f]:
-            if sign == 1:
-                out.append((e, sheet, 1))
-                sheet = (sheet + c[e]) % n
-            else:
-                sheet = (sheet - c[e]) % n
-                out.append((e, sheet, -1))
-        return out
-
-    # who uses each lifted interior edge: (base face kind, base id, sheet, position)
-    edge_users = {}
-    face_kinds = {}
-    for ix, name in enumerate(surface._face_names):
-        face_kinds[ix] = name
-    for f in cxs.faces:
-        for k in range(n):
-            for pos, (e, sheet, sign) in enumerate(lifted_word(f, k)):
-                edge_users.setdefault((e, sheet), []).append((f, k, pos, sign))
+    def lifted_word(name, k):
+        return _lifted_walk(cxs, c, n, face_ix[name], k)
 
     def pid(base, k):
         return base * n + k
 
-    name_of_edge = {}
-    for name, ix in surface._edge_ix.items():
-        name_of_edge[ix] = name
-
-    vpieces, hpieces, fpieces = {}, {}, {}
+    hpieces = {}
     # handles first: identify their slot and long edge copies
     for hid, hp in surface.hpieces.items():
-        base_face = next(
-            ix for ix, nm in face_kinds.items() if nm == ("hd", hid)
-        )
         for k in range(n):
-            word = lifted_word(base_face, k)
+            word = lifted_word(("hd", hid), k)
             # word: long0 +, slot(tgt) -, long1 -, slot(src) -
             hpieces[pid(hid, k)] = {
                 "edge": hp.edge,
@@ -1490,9 +1373,8 @@ def connected_cover(surface: AdmissibleSurface, n, log: MoveLog | None = None, c
     new_vp = {}
     slot_place = {}
     for vid, vp in surface.vpieces.items():
-        base_face = next(ix for ix, nm in face_kinds.items() if nm == ("vd", vid))
         for k in range(n):
-            word = lifted_word(base_face, k)
+            word = lifted_word(("vd", vid), k)
             slots = []
             for j, (e, sheet, _sign) in enumerate(word):
                 base_slot = vp.slots[j]
@@ -1514,13 +1396,11 @@ def connected_cover(surface: AdmissibleSurface, n, log: MoveLog | None = None, c
     new_fp = {}
     side_ref = {}
     for fid, fp in surface.fpieces.items():
-        base_face = next(ix for ix, nm in face_kinds.items() if nm == ("cd", fid))
         word = surface.target.faces[fp.face]
         order = polygon_order(fp, len(word))
         for k in range(n):
-            lifted = lifted_word(base_face, k)
             sides = [None] * len(word)
-            for i, (e, sheet, _sign) in enumerate(lifted):
+            for i, (e, sheet, _sign) in enumerate(lifted_word(("cd", fid), k)):
                 pos = order[i]
                 if (e, sheet) not in lift_of_long:
                     raise MoveError("cover long identification failed")
@@ -1548,52 +1428,41 @@ def connected_cover(surface: AdmissibleSurface, n, log: MoveLog | None = None, c
             slot_place[(key, "t")],
         )
 
-    homotopy = {f: n * cval for f, cval in surface.homotopy.items()}
-    probe = AdmissibleSurface.__new__(AdmissibleSurface)
-    probe.target = surface.target
-    probe.chain = surface.chain
-    probe.vpieces = {k: new_vp[k] for k in sorted(new_vp)}
-    probe.hpieces = {k: new_hp[k] for k in sorted(new_hp)}
-    probe.fpieces = {k: new_fp[k] for k in sorted(new_fp)}
-    probe.homotopy = {f: cv for f, cv in homotopy.items() if cv}
-    probe.relaxed = surface.relaxed or bool(probe.homotopy)
-    probe.incompressible = surface.incompressible
-    probe._validate_target()
-    probe._validate_pieces()
-    probe._assemble()
-    probe._validate_surface()
-    probe._extract_circuits()
-    base = {}
-    for circ in surface.circuits:
-        if circ.circle is None:
-            continue
-        anchor = circ.items[0]
-        base[anchor[:-1]] = (circ.circle, circ.degree)
-    assignments = []
-    for items, word in probe._raw_circuits:
-        if not word:
-            continue
-        hits = {}
-        for item in items:
-            if item[0] == "long":
-                b = ("long", item[1] // n, item[2])
-                if b in base:
-                    hits[b] = hits.get(b, 0) + 1
-        if not hits:
-            raise MoveError("cover circuit without a base anchor")
-        b, mult = sorted(hits.items(), key=str)[0]
-        circle, degree = base[b]
-        assignments.append((items[0][:-1], circle, degree * mult))
+    base = {
+        circ.items[0][:-1]: (circ.circle, circ.degree)
+        for circ in surface.circuits
+        if circ.circle is not None
+    }
+
+    def assignments(raw):
+        # a lifted circuit winds around its base circle once per base anchor
+        # copy it passes through
+        out = []
+        for items, word in raw:
+            if not word:
+                continue
+            hits = {}
+            for item in items:
+                if item[0] == "long":
+                    b = ("long", item[1] // n, item[2])
+                    if b in base:
+                        hits[b] = hits.get(b, 0) + 1
+            if not hits:
+                raise MoveError("cover circuit without a base anchor")
+            b, mult = sorted(hits.items(), key=str)[0]
+            circle, degree = base[b]
+            out.append((items[0][:-1], circle, degree * mult))
+        return out
 
     out = AdmissibleSurface(
-        probe.target,
-        probe.chain,
-        probe.vpieces,
-        probe.hpieces,
-        probe.fpieces,
+        surface.target,
+        surface.chain,
+        new_vp,
+        new_hp,
+        new_fp,
         assignments=assignments,
-        homotopy=probe.homotopy,
-        incompressible=probe.incompressible,
+        homotopy={f: n * cval for f, cval in surface.homotopy.items()},
+        incompressible=surface.incompressible,
     )
     if out.euler_characteristic() != n * surface.euler_characteristic():
         raise MoveError("cover has the wrong Euler characteristic")
@@ -1602,42 +1471,6 @@ def connected_cover(surface: AdmissibleSurface, n, log: MoveLog | None = None, c
     if log is not None:
         log.record("connected_cover", f"degree={n}", before, _metrics(out))
     return out
-
-
-
-def _disc_collision_free(surface, c, n, fid):
-    """Will every lift of this cellular disc have pairwise distinct handles?"""
-    cxs = surface.complex
-    name_to_face = {name: ix for ix, name in enumerate(surface._face_names)}
-
-    def lifted_sheets(face_ix, k):
-        sheets = []
-        sheet = k
-        for e, sign in cxs.faces[face_ix]:
-            if sign == 1:
-                sheets.append((e, sheet))
-                sheet = (sheet + c[e]) % n
-            else:
-                sheet = (sheet - c[e]) % n
-                sheets.append((e, sheet))
-        return sheets
-
-    # handle copy owning each lifted long edge, relative offset per handle
-    fp = surface.fpieces[fid]
-    long_owner_offset = {}
-    for hid in {h for h, _li in fp.sides}:
-        hd_ix = name_to_face[("hd", hid)]
-        for e, sheet in lifted_sheets(hd_ix, 0):
-            long_owner_offset[(hid, e)] = sheet
-    cd_ix = name_to_face[("cd", fid)]
-    word = surface.target.faces[fp.face]
-    order = polygon_order(fp, len(word))
-    owners = []
-    for i, (e, sheet) in enumerate(lifted_sheets(cd_ix, 0)):
-        hid, _li = fp.sides[order[i]]
-        rel = long_owner_offset[(hid, e)]
-        owners.append((hid, (sheet - rel) % n))
-    return len(set(owners)) == len(owners)
 
 
 def _glue_geometry(surface, c, n, fid):
@@ -1652,34 +1485,20 @@ def _glue_geometry(surface, c, n, fid):
     word = surface.target.faces[fp.face]
     order = polygon_order(fp, len(word))
 
-    def walk(face_ix, k):
-        out = []
-        sheet = k
-        for e, sign in cxs.faces[face_ix]:
-            if sign == 1:
-                out.append((e, sheet))
-                sheet = (sheet + c[e]) % n
-            else:
-                sheet = (sheet - c[e]) % n
-                out.append((e, sheet))
-        return out
+    def walk(name):
+        return _lifted_walk(cxs, c, n, name_to_face[name], 0)
 
     # per relevant handle: sheet offsets of its long and slot edge copies
-    hd_walks = {}
-    for hid in {h for h, _li in fp.sides}:
-        hd_walks[hid] = walk(name_to_face[("hd", hid)], 0)
-    vd_walks = {}
-    for vid, vp in surface.vpieces.items():
-        vd_walks[vid] = walk(name_to_face[("vd", vid)], 0)
+    hd_walks = {hid: walk(("hd", hid)) for hid in {h for h, _li in fp.sides}}
     slot_host = {}  # slot edge id -> (vpid, offset inside the vd walk)
-    for vid, vp in surface.vpieces.items():
-        for (e, sheet) in vd_walks[vid]:
+    for vid in surface.vpieces:
+        for e, sheet, _sign in walk(("vd", vid)):
             slot_host[e] = (vid, sheet)
 
     owners = []
     corner_hosts = []
-    lifted = walk(name_to_face[("cd", fid)], 0)
-    for i, (e, sheet) in enumerate(lifted):
+    lifted = walk(("cd", fid))
+    for i, (e, sheet, _sign) in enumerate(lifted):
         pos = order[i]
         hid, li = fp.sides[pos]
         hd = hd_walks[hid]
@@ -1694,10 +1513,9 @@ def _glue_geometry(surface, c, n, fid):
         hid2, li2 = fp.sides[nxt]
         hd2 = hd_walks[hid2]
         # start slot of the next side: tgt end for long0, src end for long1
-        slot_letter = hd2[1] if li2 == 0 else hd2[3]
-        slot_edge, slot_rel = slot_letter
+        slot_edge, slot_rel, _ = hd2[1] if li2 == 0 else hd2[3]
         # sheet of the next side's long edge copy
-        e2, sheet2 = lifted[(i + 1) % len(lifted)]
+        sheet2 = lifted[(i + 1) % len(lifted)][1]
         long2_rel = hd2[0][1] if li2 == 0 else hd2[2][1]
         m_h2 = (sheet2 - long2_rel) % n
         slot_sheet = (m_h2 + slot_rel) % n
@@ -1773,25 +1591,7 @@ def _cover_params_for_glue(surface: AdmissibleSurface, n_min):
     import random as _random
 
     base, basis = _cover_cocycle(surface)
-    comps = surface.piece_components()
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for kind, pid in comp:
-            if kind == "f":
-                comp_of[pid] = i
-    mixed_pairs = []
-    by_face = {}
-    for fid in sorted(surface.fpieces):
-        by_face.setdefault(surface.fpieces[fid].face, []).append(fid)
-    for _face, fids in sorted(by_face.items()):
-        for f1 in fids:
-            for f2 in fids:
-                if (
-                    surface.fpieces[f1].sign == 1
-                    and surface.fpieces[f2].sign == -1
-                    and comp_of[f1] != comp_of[f2]
-                ):
-                    mixed_pairs.append((f1, f2))
+    mixed_pairs = _opposite_pairs_across_components(surface)
     if not mixed_pairs:
         raise MoveError("no cross-component opposite pair to glue")
     max_deg = max(
@@ -1823,42 +1623,8 @@ def _cover_params_for_glue(surface: AdmissibleSurface, n_min):
 
 def _cover_pairing_ok(surface, c, n):
     """Does the cocycle generate Z/n on the loops of every component?"""
-    import math
-
     cxs = surface.complex
-    for comp in cxs.connected_components():
-        comp_vertices = [i for kind, i in comp if kind == "v"]
-        comp_edges = {i for kind, i in comp if kind == "e"}
-        root = min(comp_vertices)
-        tree_parent = {root: None}
-        order = [root]
-        frontier = [root]
-        adj = {}
-        for e in comp_edges:
-            u, w = cxs.edges[e]
-            adj.setdefault(u, []).append((e, w))
-            adj.setdefault(w, []).append((e, u))
-        tree_edges = set()
-        while frontier:
-            v = frontier.pop(0)
-            for e, w in sorted(adj.get(v, []), key=str):
-                if w not in tree_parent:
-                    tree_parent[w] = (e, v)
-                    tree_edges.add(e)
-                    order.append(w)
-                    frontier.append(w)
-        theta = {root: 0}
-        for v in order[1:]:
-            e, parent = tree_parent[v]
-            u, w = cxs.edges[e]
-            theta[v] = theta[parent] + (c[e] if w == v else -c[e])
-        g = n
-        for e in sorted(comp_edges - tree_edges):
-            u, w = cxs.edges[e]
-            g = math.gcd(g, theta[u] + c[e] - theta[w])
-        if g != 1:
-            return False
-    return True
+    return all(math.gcd(n, *_loop_values(cxs, tree, c)) == 1 for tree in _spanning_trees(cxs))
 
 
 def _glue_pair_supported(surface, f1, f2):
@@ -1866,30 +1632,25 @@ def _glue_pair_supported(surface, f1, f2):
     return len(set(used)) == len(used)
 
 
-def _find_opposite_pair_across_components(surface: AdmissibleSurface):
-    comps = surface.piece_components()
+def _opposite_pairs_across_components(surface: AdmissibleSurface):
+    """(positive disc, negative disc) pairs over one face in distinct components."""
     comp_of = {}
-    for i, comp in enumerate(comps):
+    for i, comp in enumerate(surface.piece_components()):
         for kind, pid in comp:
             if kind == "f":
                 comp_of[pid] = i
     by_face = {}
     for fid in sorted(surface.fpieces):
-        fp = surface.fpieces[fid]
-        by_face.setdefault(fp.face, []).append(fid)
-    for face in sorted(by_face):
-        fids = by_face[face]
-        for f1 in fids:
-            if surface.fpieces[f1].sign != 1:
-                continue
-            for f2 in fids:
-                if (
-                    surface.fpieces[f2].sign == -1
-                    and comp_of[f1] != comp_of[f2]
-                    and _glue_pair_supported(surface, f1, f2)
-                ):
-                    return f1, f2
-    return None
+        by_face.setdefault(surface.fpieces[fid].face, []).append(fid)
+    return [
+        (f1, f2)
+        for _face, fids in sorted(by_face.items())
+        for f1 in fids
+        for f2 in fids
+        if surface.fpieces[f1].sign == 1
+        and surface.fpieces[f2].sign == -1
+        and comp_of[f1] != comp_of[f2]
+    ]
 
 
 def promote_orientation_perfect(surface: AdmissibleSurface, eps, log: MoveLog | None = None):
@@ -1920,99 +1681,19 @@ def promote_orientation_perfect(surface: AdmissibleSurface, eps, log: MoveLog | 
             raise MoveError("promotion exceeded its component bound")
         cocycle, n_used = _cover_params_for_glue(s, n_cover)
         s = connected_cover(s, n_used, log, cocycle=cocycle)
-        pair = _find_opposite_pair_across_components(s)
+        pair = next(
+            (p for p in _opposite_pairs_across_components(s) if _glue_pair_supported(s, *p)),
+            None,
+        )
         if pair is None:
             raise MoveError("mixed face without a cross-component pair")
-        before_chi = s.reduced_euler()
         s = glue_opposite_discs(s, pair[0], pair[1], log)
-        assert s.reduced_euler() == before_chi - 2
         s, log = make_standard_form(s, log)
     bound = start_ratio + components0 * 2 * eps
-    assert _ratio(s) <= bound, "promotion exceeded the advertised ratio bound"
+    if _ratio(s) > bound:
+        raise MoveError("promotion exceeded the advertised ratio bound")
     if log.entries:
         log.entries[-1].note = (
             f"final ratio {_ratio(s)} within bound {bound} (start {start_ratio})"
         )
     return s, log
-
-
-def best_connected_component(surface: AdmissibleSurface):
-    """The component minimising -chi^-/n, for single-circle monotone surfaces."""
-    if len(surface.chain.terms) != 1:
-        raise MoveError("component selection needs a single-term chain")
-    report = surface.standard_form_report()
-    if not report.monotone:
-        raise MoveError("component selection needs a monotone surface")
-    comps = surface.piece_components()
-    chis = surface.component_euler()
-    owner = {}
-    for i, comp in enumerate(comps):
-        for kind, pid in comp:
-            owner[(kind, pid)] = i
-    degs = [0] * len(comps)
-    for circ in surface.circuits:
-        if circ.circle is None:
-            continue
-        item = circ.items[0]
-        key = ("h", item[1]) if item[0] == "long" else ("v", item[1])
-        degs[owner[key]] += circ.degree
-    candidates = [
-        (Fraction(-min(0, chis[i]), degs[i]), i)
-        for i in range(len(comps))
-        if degs[i] > 0
-    ]
-    if not candidates:
-        raise MoveError("no component covers the circle")
-    best = min(candidates)[1]
-    total_n = surface.uniform_degree()
-    if total_n:
-        assert min(candidates)[0] <= Fraction(-surface.reduced_euler(), total_n)
-    return restrict_to_component(surface, best)
-
-
-def restrict_to_component(surface: AdmissibleSurface, index):
-    comp = surface.piece_components()[index]
-    vpieces = {k: v for k, v in surface.vpieces.items() if ("v", k) in comp}
-    hpieces = {k: v for k, v in surface.hpieces.items() if ("h", k) in comp}
-    fpieces = {k: v for k, v in surface.fpieces.items() if ("f", k) in comp}
-    assignments = []
-    for circ in surface.circuits:
-        if circ.circle is None:
-            continue
-        item = circ.items[0]
-        key = ("h", item[1]) if item[0] == "long" else ("v", item[1])
-        if key in comp:
-            assignments.append((item[:-1], circ.circle, circ.degree))
-    homotopy = surface.homotopy
-    if homotopy:
-        # re-derive a certificate for the restricted boundary
-        words = {}
-        for circ in surface.circuits:
-            item = circ.items[0]
-            key = ("h", item[1]) if item[0] == "long" else ("v", item[1])
-            if key not in comp:
-                continue
-            for e, sign in circ.word:
-                words[e] = words.get(e, 0) + sign
-            if circ.circle is not None:
-                for e, sign in surface.chain.circle_words()[circ.circle]:
-                    words[e] = words.get(e, 0) - circ.degree * sign
-        cx = surface.target
-        es = list(cx.edges)
-        d2, _ = boundary_matrices(cx, "Z")
-        sol = solve_q(d2, [words.get(e, 0) for e in es])
-        if sol is None:
-            raise MoveError("restricted boundary has no homotopy certificate")
-        fs = list(cx.faces)
-        homotopy = {fs[j]: sol[j] for j in range(len(fs)) if sol[j]}
-    return AdmissibleSurface(
-        surface.target,
-        surface.chain,
-        vpieces,
-        hpieces,
-        fpieces,
-        assignments=assignments,
-        homotopy=homotopy,
-        incompressible=surface.incompressible,
-        relaxed_boundary=surface.relaxed,
-    )

@@ -40,8 +40,7 @@ equality: the total boundary 1-chain minus the degree-weighted circle
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .complexes import (
     ComplexError,
@@ -50,7 +49,6 @@ from .complexes import (
     link_graph,
     surface_check,
 )
-from .homology import cone_complex
 from .words import EdgeChain, cyclic_rotations, cyclically_equal, word_inverse
 
 
@@ -129,9 +127,6 @@ class StandardFormReport:
             and self.incompressible
         )
 
-    def in_perfect_standard_form(self):
-        return self.in_standard_form() and self.orientation_perfect
-
     def describe(self):
         flags = [
             ("transverse", self.transverse),
@@ -146,7 +141,22 @@ class StandardFormReport:
 
 
 class AdmissibleSurface:
-    """A validated transverse admissible surface over a cellulated surface."""
+    """A validated transverse admissible surface over a cellulated surface.
+
+    Construction runs every check once.  ``assignments`` says which circle
+    each lettered boundary circuit winds around, and how often:
+
+    * None: match each circuit word against the chain's circles;
+    * a list of (anchor item, circle, degree) entries, as made by
+      ``assignment_list``;
+    * a function of the raw boundary circuits, a list of (items, word)
+      pairs, that returns such a list; moves carry the assignments of the
+      surface they rewrite this way.
+
+    With ``chain`` None the chain is read off the boundary instead: each
+    cyclic class of circuit words becomes a term of coefficient 1, and a
+    circuit reading a term backwards winds -1 times around it.
+    """
 
     def __init__(
         self,
@@ -173,6 +183,10 @@ class AdmissibleSurface:
         self._assemble()
         self._validate_surface()
         self._extract_circuits()
+        if chain is None:
+            self.chain, assignments = _infer_chain(target, self._raw_circuits)
+        elif callable(assignments):
+            assignments = assignments(self._raw_circuits)
         self._resolve_assignments(assignments)
         self._validate_boundary_words()
         self._cross_checks()
@@ -190,7 +204,6 @@ class AdmissibleSurface:
                 totals[e] = totals.get(e, 0) + sign
         bset = boundary_subcomplex(cx).edge_set
         for e, total in totals.items():
-            expected_interior = 0 if e not in bset else None
             if e in bset:
                 if total not in (1, -1):
                     raise SurfaceError("target words are not coherently oriented")
@@ -592,18 +605,6 @@ class AdmissibleSurface:
             out[fp.face] = out.get(fp.face, 0) + fp.sign
         return {f: c for f, c in out.items() if c}
 
-    def pushforward_class(self):
-        """(two-chain, class coordinates in H2(S, c), cone) of the surface."""
-        cone = cone_complex(self.target, self.chain.terms)
-        x = self.two_chain()
-        for f, c in self.homotopy.items():
-            x[f] = x.get(f, 0) - c
-        x = {f: c for f, c in x.items() if c}
-        coords = cone.class_coords(self.degree_vector(), x)
-        if coords is None:
-            raise SurfaceError("boundary data inconsistent: no relative cycle")
-        return self.two_chain(), coords, cone
-
     def reduced_class(self):
         """Exact fingerprint of the class in H2(S, c).
 
@@ -697,12 +698,9 @@ class AdmissibleSurface:
                 monotone = False
                 witnesses.setdefault("monotone", []).append(circle)
 
-        bar, _ = self.collapse()
-        vids = sorted(self.vpieces)
         connected_links = True
-        for ix, vid in enumerate(vids):
-            ncomp = len(link_graph(bar, ix).components())
-            if ncomp > 1:
+        for vid in self.vpieces:
+            if self.bar_link_components(vid) > 1:
                 connected_links = False
                 witnesses.setdefault("disconnected_link", []).append(vid)
 
@@ -734,8 +732,8 @@ class AdmissibleSurface:
         )
         # orientation-perfect surfaces with connected links cannot be folded:
         # adjacent discs of opposite sign share a target face
-        if report.orientation_perfect and report.connected_links:
-            assert report.non_folded, "perfect orientation with connected links must be non-folded"
+        if orientation_perfect and connected_links and not non_folded:
+            raise SurfaceError("perfect orientation with connected links must be non-folded")
         return report
 
     def image_cells(self):
@@ -756,29 +754,6 @@ class AdmissibleSurface:
             if circ.circle is not None:
                 out.append((circ.items[0][:-1], circ.circle, circ.degree))
         return out
-
-    def with_pieces(
-        self,
-        vpieces=None,
-        hpieces=None,
-        fpieces=None,
-        chain=None,
-        assignments=None,
-        homotopy=None,
-        target=None,
-    ) -> "AdmissibleSurface":
-        """Rebuild (and fully revalidate) with some parts replaced."""
-        return AdmissibleSurface(
-            target if target is not None else self.target,
-            chain if chain is not None else self.chain,
-            vpieces if vpieces is not None else self.vpieces,
-            hpieces if hpieces is not None else self.hpieces,
-            fpieces if fpieces is not None else self.fpieces,
-            assignments=assignments,
-            homotopy=homotopy if homotopy is not None else self.homotopy,
-            incompressible=self.incompressible,
-            relaxed_boundary=self.relaxed,
-        )
 
     def __repr__(self):
         return (
@@ -993,30 +968,17 @@ def disjoint_union(*surfaces) -> AdmissibleSurface:
     )
 
 
-def infer_chain(target, vpieces, hpieces, fpieces, homotopy=None):
-    """Derive a chain and assignments matching a piece description's boundary.
+def _infer_chain(target, circuits):
+    """A chain and assignments matching the raw boundary circuits.
 
-    Builds the assembly, reads the boundary circuit words, merges them into
-    chain terms by cyclic equality (a circuit reading the inverse of an
-    existing term is assigned degree -1).  Useful for constructing fixtures
-    whose boundary words are easier to trace than to write down.
+    Merges the circuit words into chain terms by cyclic equality (a circuit
+    reading the inverse of an existing term is assigned degree -1).  Useful
+    for constructing fixtures whose boundary words are easier to trace than
+    to write down.
     """
-    probe = AdmissibleSurface.__new__(AdmissibleSurface)
-    probe.target = target
-    probe.chain = EdgeChain(())
-    probe.vpieces = {k: vpieces[k] for k in sorted(vpieces)}
-    probe.hpieces = {k: hpieces[k] for k in sorted(hpieces)}
-    probe.fpieces = {k: fpieces[k] for k in sorted(fpieces)}
-    probe.homotopy = dict(homotopy or {})
-    probe.incompressible = True
-    probe._validate_target()
-    probe._validate_pieces()
-    probe._assemble()
-    probe._validate_surface()
-    probe._extract_circuits()
     terms = []
     assignments = []
-    for items, word in probe._raw_circuits:
+    for items, word in circuits:
         if not word:
             continue
         for i, loop in enumerate(terms):
@@ -1029,21 +991,7 @@ def infer_chain(target, vpieces, hpieces, fpieces, homotopy=None):
         else:
             terms.append(tuple(word))
             assignments.append((items[0][:-1], len(terms) - 1, 1))
-    chain = EdgeChain.make(target, [(1, w) for w in terms])
-    return chain, assignments
-
-
-def build_with_inferred_chain(target, vpieces, hpieces, fpieces, incompressible=True):
-    chain, assignments = infer_chain(target, vpieces, hpieces, fpieces)
-    return AdmissibleSurface(
-        target,
-        chain,
-        vpieces,
-        hpieces,
-        fpieces,
-        assignments=assignments,
-        incompressible=incompressible,
-    )
+    return EdgeChain.make(target, [(1, w) for w in terms]), assignments
 
 
 def derive_vpieces(target, hpieces, fpieces):

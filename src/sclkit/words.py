@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ComplexError, TwoComplex
+from .complexes import TwoComplex
 
 
 class ChainError(ValueError):
