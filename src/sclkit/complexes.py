@@ -138,28 +138,6 @@ class TwoComplex:
                 counts[e] += 1
         return counts
 
-    def half_edges(self, v):
-        """Oriented half-edges starting at v; a loop contributes two."""
-        out = []
-        for e, (s, t) in self.edges.items():
-            if s == v:
-                out.append((e, 1))
-            if t == v:
-                out.append((e, -1))
-        return out
-
-    def corners(self):
-        """All face corners: (face, index k) for the pair (word[k], word[k+1])."""
-        return [(f, k) for f, word in self.faces.items() for k in range(len(word))]
-
-    def corner_vertex(self, f, k):
-        return self.endpoint(self.faces[f][k], 1)
-
-    def corner_halves(self, f, k):
-        """Link endpoints of a corner: (inverse of word[k], word[k+1])."""
-        word = self.faces[f]
-        return inv(word[k]), word[(k + 1) % len(word)]
-
     # -- invariants ------------------------------------------------------
 
     def euler_characteristic(self):
@@ -172,8 +150,14 @@ class TwoComplex:
         return out
 
     def connected_components(self):
-        """Partition of cells by 1-skeleton plus face incidence connectivity."""
-        parent = {c: c for c in self.cells()}
+        """Partition of cells by 1-skeleton plus face incidence connectivity.
+
+        Components are sorted cell lists, ordered by their least cell.  The
+        union-find runs on vertices only: an edge lies with its endpoints,
+        and a face with the start of its first side (its word is a closed
+        path, so all its sides lie in one component).
+        """
+        parent = {v: v for v in self.vertices}
 
         def find(x):
             while parent[x] != x:
@@ -181,21 +165,18 @@ class TwoComplex:
                 x = parent[x]
             return x
 
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-        for e, (s, t) in self.edges.items():
-            union(("e", e), ("v", s))
-            union(("e", e), ("v", t))
-        for f, word in self.faces.items():
-            for e, _ in word:
-                union(("f", f), ("e", e))
+        for s, t in self.edges.values():
+            rs, rt = find(s), find(t)
+            if rs != rt:
+                parent[max(rs, rt)] = min(rs, rt)
         groups = {}
-        for c in self.cells():
-            groups.setdefault(find(c), []).append(c)
-        return [sorted(groups[r]) for r in sorted(groups)]
+        for v in self.vertices:
+            groups.setdefault(find(v), []).append(("v", v))
+        for e, (s, _) in self.edges.items():
+            groups[find(s)].append(("e", e))
+        for f, word in self.faces.items():
+            groups[find(self.endpoint(word[0], 0))].append(("f", f))
+        return sorted(sorted(cells) for cells in groups.values())
 
     def __repr__(self):
         return (
@@ -210,7 +191,8 @@ class LinkGraph:
 
     Each corner of a face word passing through the vertex contributes one
     edge between the inverse of the incoming side and the outgoing side,
-    tagged by (face id, corner index).
+    tagged by (face id, corner index).  ``links`` builds the links of all
+    vertices of a complex in one pass; ``link_graph`` reads one from it.
     """
 
     vertex: int
@@ -279,16 +261,36 @@ class LinkGraph:
         return "branched"
 
 
+def links(cx: TwoComplex) -> dict:
+    """Links of all vertices: vertex id -> LinkGraph, in vertex id order.
+
+    One pass over the edges files the half-edges at their endpoints, and one
+    pass over the face words files each corner at the vertex it passes.
+    """
+    nodes = {v: [] for v in cx.vertices}
+    corners = {v: [] for v in cx.vertices}
+    # edges run in ascending id and (e, -1) < (e, 1): every node list is sorted
+    for e, (s, t) in cx.edges.items():
+        nodes[t].append((e, -1))
+        nodes[s].append((e, 1))
+    for f, word in cx.faces.items():
+        n = len(word)
+        for k, side in enumerate(word):
+            corners[cx.endpoint(side, 1)].append(
+                ((inv(side), word[(k + 1) % n]), (f, k))
+            )
+    return {
+        v: LinkGraph(vertex=v, nodes=tuple(nodes[v]), links=tuple(corners[v]))
+        for v in cx.vertices
+    }
+
+
 def link_graph(cx: TwoComplex, v) -> LinkGraph:
-    """Link of vertex v in cx."""
-    if v not in cx.vertices:
+    """Link of vertex v in cx, read from the table of ``links(cx)``."""
+    table = links(cx)
+    if v not in table:
         raise ComplexError(f"unknown vertex id {v}")
-    nodes = tuple(sorted(cx.half_edges(v)))
-    links = []
-    for f, k in cx.corners():
-        if cx.corner_vertex(f, k) == v:
-            links.append((cx.corner_halves(f, k), (f, k)))
-    return LinkGraph(vertex=v, nodes=nodes, links=tuple(links))
+    return table[v]
 
 
 def has_small_links(cx: TwoComplex):
@@ -317,8 +319,8 @@ def surface_check(cx: TwoComplex) -> SurfaceReport:
     """
     boundary = []
     bad = []
-    for v in cx.vertices:
-        kind = link_graph(cx, v).classify()
+    for v, lk in links(cx).items():
+        kind = lk.classify()
         if kind == "arc":
             boundary.append(v)
         elif kind != "circle":

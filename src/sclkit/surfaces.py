@@ -46,7 +46,7 @@ from .complexes import (
     ComplexError,
     TwoComplex,
     boundary_subcomplex,
-    link_graph,
+    links,
     surface_check,
 )
 from .words import EdgeChain, cyclic_rotations, cyclically_equal, word_inverse
@@ -671,10 +671,10 @@ class AdmissibleSurface:
         cache = getattr(self, "_bar_links_cache", None)
         if cache is None:
             bar, _ = self.collapse()
-            vids = sorted(self.vpieces)
+            bar_links = links(bar)
             cache = {
-                v: len(link_graph(bar, ix).components())
-                for ix, v in enumerate(vids)
+                v: len(bar_links[ix].components())
+                for ix, v in enumerate(sorted(self.vpieces))
             }
             self._bar_links_cache = cache
         return cache[vid]
@@ -824,8 +824,7 @@ def subsurface_as_admissible(
     # from a half-edge h to the other endpoint of the corner leaving along h
     vp_slots = {}
     slot_index = {}
-    for v in sub_vertices:
-        lk = link_graph(sub_cx, v)
+    for v, lk in links(sub_cx).items():
         succ = {}
         pred = {}
         for (h1, h2), _prov in lk.links:

@@ -1,20 +1,30 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sclkit.complexes
 from sclkit.complexes import (
     ComplexError,
+    LinkGraph,
+    SurfaceReport,
     TwoComplex,
+    barycentric,
     boundary_subcomplex,
     full_subcomplex,
     has_small_links,
     induced_subcomplex,
+    inv,
     link_graph,
+    links,
     parse_complex,
     print_complex,
     reduced_euler,
+    subdivided,
     surface_check,
 )
+from sclkit.fixtures import COMPLEX_FIXTURES, closed_genus, fold_fixture
 
 
 def torus():
@@ -133,7 +143,7 @@ def test_isolated_vertex_link_empty():
 
 
 def test_unknown_vertex_link():
-    with pytest.raises(ComplexError):
+    with pytest.raises(ComplexError, match="unknown vertex id 99"):
         link_graph(torus(), 99)
 
 
@@ -327,3 +337,166 @@ def test_parse_errors():
         parse_complex("face f = a\n")
     with pytest.raises(ComplexError):
         parse_complex("widget w\n")
+
+
+# -- the per-vertex scans that ``links`` and the vertex union-find replaced,
+# kept as references
+
+
+def reference_link_graph(cx, v):
+    """Link of v from a scan of every edge and every face corner."""
+    nodes = []
+    for e, (s, t) in cx.edges.items():
+        if s == v:
+            nodes.append((e, 1))
+        if t == v:
+            nodes.append((e, -1))
+    corners = []
+    for f, word in cx.faces.items():
+        for k in range(len(word)):
+            if cx.endpoint(word[k], 1) == v:
+                corners.append(((inv(word[k]), word[(k + 1) % len(word)]), (f, k)))
+    return LinkGraph(vertex=v, nodes=tuple(sorted(nodes)), links=tuple(corners))
+
+
+def reference_surface_check(cx):
+    boundary, bad = [], []
+    for v in cx.vertices:
+        kind = reference_link_graph(cx, v).classify()
+        if kind == "arc":
+            boundary.append(v)
+        elif kind != "circle":
+            bad.append((v, kind))
+    return SurfaceReport(not bad, tuple(boundary), tuple(bad))
+
+
+def reference_components(cx):
+    """Union-find over all cells, tagged ('v'|'e'|'f', id)."""
+    parent = {c: c for c in cx.cells()}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for e, (s, t) in cx.edges.items():
+        union(("e", e), ("v", s))
+        union(("e", e), ("v", t))
+    for f, word in cx.faces.items():
+        for e, _ in word:
+            union(("f", f), ("e", e))
+    groups = {}
+    for c in cx.cells():
+        groups.setdefault(find(c), []).append(c)
+    return [sorted(groups[r]) for r in sorted(groups)]
+
+
+def assert_matches_references(cx):
+    table = links(cx)
+    assert list(table) == list(cx.vertices)
+    for v in cx.vertices:
+        expected = reference_link_graph(cx, v)
+        assert table[v] == expected
+        assert link_graph(cx, v) == expected
+    assert surface_check(cx) == reference_surface_check(cx)
+    assert cx.connected_components() == reference_components(cx)
+
+
+@st.composite
+def small_complexes(draw):
+    """Loop edges, isolated vertices, faces of length 1 and 2, sparse ids.
+
+    A face word is a random walk, closed by walking it back when it does
+    not end where it started.
+    """
+    vertices = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True))
+    edge_ids = draw(st.lists(st.integers(0, 40), max_size=8, unique=True))
+    edges = {e: (draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))) for e in edge_ids}
+    at = {v: [] for v in vertices}
+    for e, (s, t) in edges.items():
+        at[s].append((e, 1))
+        at[t].append((e, -1))
+    starts = [v for v in vertices if at[v]]
+    faces = {}
+    for f in range(draw(st.integers(0, 5)) if starts else 0):
+        v = start = draw(st.sampled_from(starts))
+        walk = []
+        for _ in range(draw(st.integers(1, 4))):
+            side = draw(st.sampled_from(at[v]))
+            walk.append(side)
+            e, sign = side
+            v = edges[e][1] if sign == 1 else edges[e][0]
+        if v != start:
+            walk += [inv(side) for side in reversed(walk)]
+        faces[draw(st.integers(0, 3)) + 4 * f] = walk
+    return TwoComplex(vertices, edges, faces)
+
+
+def union_of(a, b):
+    """Disjoint union keeping a's ids and shifting b's past them."""
+    dv = max(a.vertices, default=-1) + 1
+    de = max(a.edges, default=-1) + 1
+    df = max(a.faces, default=-1) + 1
+    return TwoComplex(
+        list(a.vertices) + [v + dv for v in b.vertices],
+        {**a.edges, **{e + de: (s + dv, t + dv) for e, (s, t) in b.edges.items()}},
+        {**a.faces, **{f + df: [(e + de, sign) for e, sign in w] for f, w in b.faces.items()}},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes(), small_complexes(), st.sampled_from(["plain", "union", "barycentric", "subdivided"]))
+def test_links_and_components_match_the_per_vertex_scans(a, b, image):
+    cx = {
+        "plain": lambda: a,
+        "union": lambda: union_of(a, b),
+        "barycentric": lambda: barycentric(union_of(b, a))[0],
+        "subdivided": lambda: subdivided(a),
+    }[image]()
+    assert_matches_references(cx)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_FIXTURES))
+def test_links_and_components_match_on_fixture_images(name):
+    cx = COMPLEX_FIXTURES[name]()
+    for image in (cx, barycentric(cx)[0], subdivided(cx), union_of(cx, subdivided(cx))):
+        assert_matches_references(image)
+
+
+def test_connected_components_order_and_cells():
+    cx = union_of(disc(), union_of(TwoComplex([0], {}, {}), rp2()))
+    assert cx.connected_components() == [
+        [("e", 0), ("e", 1), ("e", 2), ("f", 0), ("v", 0), ("v", 1), ("v", 2)],
+        [("e", 3), ("f", 1), ("v", 4)],
+        [("v", 3)],
+    ]
+
+
+@pytest.mark.parametrize("which", ["genus 8", "fold_fixture"])
+def test_surface_check_builds_the_link_table_once(which, monkeypatch):
+    if which == "genus 8":
+        cx = barycentric(barycentric(closed_genus(8))[0])[0]
+        assert (len(cx.vertices), len(cx.edges), len(cx.faces)) == (178, 576, 384)
+    else:
+        cx = fold_fixture().complex
+    calls = []
+
+    def counting(arg):
+        calls.append(arg)
+        return links(arg)
+
+    def forbidden(*args):
+        raise AssertionError("surface_check read a link through link_graph")
+
+    monkeypatch.setattr(sclkit.complexes, "links", counting)
+    monkeypatch.setattr(sclkit.complexes, "link_graph", forbidden)
+    report = surface_check(cx)
+    assert calls == [cx]
+    assert report == reference_surface_check(cx)
+    if which == "genus 8":
+        assert report.is_surface and report.boundary_vertices == ()
