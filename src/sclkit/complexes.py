@@ -422,12 +422,6 @@ def induced_subcomplex(cx: TwoComplex, cells) -> Subcomplex:
     return Subcomplex(cx, frozenset(vs), frozenset(es), frozenset(fs))
 
 
-def full_subcomplex(cx: TwoComplex) -> Subcomplex:
-    return Subcomplex(
-        cx, frozenset(cx.vertices), frozenset(cx.edges), frozenset(cx.faces)
-    )
-
-
 def boundary_subcomplex(cx: TwoComplex) -> Subcomplex:
     """Edges glued to exactly one face side, plus their endpoints.
 

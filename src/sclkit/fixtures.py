@@ -175,13 +175,6 @@ COMPLEX_FIXTURES = {
 }
 
 
-def complex_fixture(name) -> TwoComplex:
-    try:
-        return COMPLEX_FIXTURES[name]()
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; have {sorted(COMPLEX_FIXTURES)}")
-
-
 # -- admissible surface fixtures --------------------------------------------
 
 from .surfaces import (  # noqa: E402

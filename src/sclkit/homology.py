@@ -230,19 +230,6 @@ def relative_homology(cx: TwoComplex, sub: Subcomplex, ring="Z") -> HomologySumm
     return _complex_homology(d2, d1, len(fs), len(es), len(vs), ring)
 
 
-def relative_class_is_zero(cx: TwoComplex, sub: Subcomplex, two_chain: dict):
-    """Is the class of a relative 2-cycle zero in H2(X, Y)?
-
-    A 2-complex has no 3-cells, so H2(X, Y) is the group of relative
-    2-cycles itself: the class vanishes iff the chain is supported in Y.
-    Returns (is_zero, offending faces outside Y).
-    """
-    outside = sorted(
-        f for f, c in two_chain.items() if c and f not in sub.face_set
-    )
-    return (not outside), tuple(outside)
-
-
 # -- mapping cone of a chain of loops -------------------------------------
 
 
@@ -279,35 +266,6 @@ class ConeComplex:
     face_index: dict
     circle_edge_offset: tuple  # start column of each circle's edges in d2
     summary: HomologySummary
-
-    def class_coords(self, circle_cycle, two_chain):
-        """Coordinates in the kernel basis of the cone cycle (a, x).
-
-        circle_cycle: per circle, the winding multiple of its fundamental
-        cycle.  two_chain: face id -> coefficient.  Returns None if (a, x)
-        is not a cycle or lies outside the computed kernel (both indicate
-        inconsistent boundary data).
-        """
-        vec = self._cycle_vector(circle_cycle, two_chain)
-        cols = len(self.d2[0]) if self.d2 else 0
-        rows = len(self.d2)
-        for i in range(rows):
-            s = sum(self.d2[i][j] * vec[j] for j in range(cols) if vec[j])
-            if s != 0:
-                return None
-        return exactlin.coords_in_basis(self.kernel_basis, vec)
-
-    def _cycle_vector(self, circle_cycle, two_chain):
-        n_ce = sum(c.length for c in self.circles)
-        n_f = len(self.face_index)
-        vec = [Fraction(0)] * (n_ce + n_f)
-        for i, mult in enumerate(circle_cycle):
-            off = self.circle_edge_offset[i]
-            for k in range(self.circles[i].length):
-                vec[off + k] = Fraction(mult)
-        for f, c in two_chain.items():
-            vec[n_ce + self.face_index[f]] = Fraction(c)
-        return vec
 
     def boundary_degrees(self, coords):
         """Image of a class (in kernel-basis coordinates) in H1 of the circles."""

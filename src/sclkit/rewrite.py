@@ -1,9 +1,15 @@
 """Rewriting moves on transverse admissible surfaces.
 
-All moves return new surfaces (full revalidation included) plus log
-entries.  The surgery engine works on a global successor map over slot
-tokens: every vertex disc contributes a cyclic list of tokens (handle ends
-and free arcs); gluing two mirrored polygon corners is the cross-splice
+``make_standard_form`` reaches standard form by one route: it drops
+trivial components, connects disconnected vertex-disc links and
+eliminates folds, thickening the target's boundary when a link to be
+connected sits over a boundary vertex.  All moves return new surfaces
+(full revalidation included) plus log entries.
+
+The surgery engine works on a global successor map over slot tokens:
+every vertex disc contributes a cyclic list of tokens (handle ends and
+free arcs); gluing the mirrored polygon corners of a fold is the
+cross-splice
 
     succ(t1), succ(t2)  :=  succ(t2), succ(t1)
 
@@ -19,7 +25,6 @@ checked unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -296,7 +301,6 @@ def _rebuild(surface: AdmissibleSurface, tokens: _Tokens, hpieces, fpieces, carr
         fpieces,
         assignments=assignments,
         homotopy=surface.homotopy if homotopy is None else homotopy,
-        incompressible=surface.incompressible,
         relaxed_boundary=surface.relaxed,
     )
 
@@ -351,19 +355,15 @@ def _without_components(surface: AdmissibleSurface, dead_indices):
         fpieces,
         assignments=assignments,
         homotopy=homotopy,
-        incompressible=surface.incompressible,
         relaxed_boundary=surface.relaxed,
     )
 
 
-def remove_trivial_components(
-    surface: AdmissibleSurface, log: MoveLog | None = None, only_null_class=False
-):
+def remove_trivial_components(surface: AdmissibleSurface, log: MoveLog | None = None):
     """Drop components with positive Euler characteristic.
 
-    Dropping never changes -chi^-.  A disc or sphere carrying a nonzero
-    class in H2(S, c) cannot be dropped: by default that is an error; with
-    only_null_class=True such components are kept instead (they can occur
+    Dropping never changes -chi^-.  A disc or sphere whose removal would
+    change the class in H2(S, c) is kept instead (such components occur
     over simply connected targets, where essential-looking words bound).
     """
     chis = surface.component_euler()
@@ -381,11 +381,6 @@ def remove_trivial_components(
             new_coords = None
         if new_coords == old_coords:
             break
-        if not only_null_class:
-            raise MoveError(
-                "removal would change the class in H2(S, c); refusing to drop "
-                "a homologically visible component"
-            )
         kept_back.append(dead.pop())
     if not dead:
         return surface
@@ -401,17 +396,17 @@ def remove_trivial_components(
     return out
 
 
-# -- fold elimination and opposite-disc gluing --------------------------------
+# -- fold elimination ----------------------------------------------------------
 
 
 def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     """Delete two mirrored discs, splicing their remaining side handles.
 
-    shared_position is the word position of the common handle for a fold,
-    or None for the gluing of discs in distinct components.  Handles whose
-    freed long sides become glued to each other merge in chains; a chain
-    closing onto itself would be a circle bundle over an edge, which the
-    transverse model cannot express, and is rejected.
+    shared_position is the word position of the handle the two discs of
+    the fold share.  Handles whose freed long sides become glued to each
+    other merge in chains; a chain closing onto itself would be a circle
+    bundle over an edge, which the transverse model cannot express, and is
+    rejected.
     """
     fp1 = surface.fpieces[fid1]
     fp2 = surface.fpieces[fid2]
@@ -420,9 +415,7 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     if deg < 2:
         raise MoveError("mirror surgery needs a face of degree at least 2")
 
-    shared = None
-    if shared_position is not None:
-        shared = fp1.sides[shared_position][0]
+    shared = fp1.sides[shared_position][0]
 
     tokens = _Tokens(surface)
     # check the corner registry before mutating, then glue every mirrored pair
@@ -439,13 +432,12 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     hpieces = dict(surface.hpieces)
     fpieces = {k: v for k, v in surface.fpieces.items() if k not in (fid1, fid2)}
 
-    if shared is not None:
-        for end in ("s", "t"):
-            tok = ("h", shared, end)
-            if tokens.succ.get(tok) != tok:
-                raise MoveError("shared handle did not close off during the splice")
-            tokens.delete(tok)
-        del hpieces[shared]
+    for end in ("s", "t"):
+        tok = ("h", shared, end)
+        if tokens.succ.get(tok) != tok:
+            raise MoveError("shared handle did not close off during the splice")
+        tokens.delete(tok)
+    del hpieces[shared]
 
     # handles freed by the deleted discs merge in chains; group them
     parent = {}
@@ -458,7 +450,7 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
         return x
 
     for k in range(deg):
-        if shared_position is not None and k == shared_position:
+        if k == shared_position:
             continue
         a_hid = fp1.sides[k][0]
         b_hid = fp2.sides[k][0]
@@ -602,67 +594,33 @@ def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog | None =
     return out
 
 
-def glue_opposite_discs(surface: AdmissibleSurface, fid1, fid2, log: MoveLog | None = None):
-    """Remove opposite-orientation discs in distinct components and glue
-    the freed boundary circles; raises -chi^- by exactly 2."""
-    fp1 = surface.fpieces[fid1]
-    fp2 = surface.fpieces[fid2]
-    if fp1.face != fp2.face or fp1.sign + fp2.sign != 0:
-        raise MoveError("gluing needs opposite discs over one face")
-    if fp1.sign == -1:
-        fid1, fid2, fp1, fp2 = fid2, fid1, fp2, fp1
-    comps = surface.piece_components()
-    where1 = next(i for i, c in enumerate(comps) if ("f", fid1) in c)
-    where2 = next(i for i, c in enumerate(comps) if ("f", fid2) in c)
-    if where1 == where2:
-        raise MoveError("gluing needs discs in distinct components")
-    if any(fp1.sides[k][0] == fp2.sides[k][0] for k in range(len(fp1.sides))):
-        raise MoveError("discs in distinct components cannot share a handle")
-
-    before = _metrics(surface)
-    tokens, hpieces, fpieces = _mirror_surgery(surface, fid1, fid2, None)
-    out = _rebuild(surface, tokens, hpieces, fpieces, _carry_assignments)
-    if out.reduced_euler() != surface.reduced_euler() - 2:
-        raise MoveError("gluing did not raise -chi^- by exactly 2")
-    if log is not None:
-        log.record(
-            "glue_opposite_discs",
-            f"discs=({fid1},{fid2}) face={fp1.face}",
-            before,
-            _metrics(out),
-        )
-    return out
-
-
 # -- link connection -----------------------------------------------------------
 
 
-def _walk_link_until(surface, v, start_half, role, stop_half):
+def _walk_link_until(surface, v, start_half, stop_half):
     """Corners crossed and intermediate half-edges from start to stop.
 
-    Walking with a fixed lookup role is walking the link circle in a fixed
-    direction: each crossed corner uses the current half-edge in that role
-    and hands over its other endpoint.  Positive-policy walks look up
-    corners by their outgoing side (role h2), negative walks by the
-    incoming one.
+    The walk goes round the target's link circle in the direction of the
+    positive discs: each crossed corner is looked up by its outgoing side
+    h2 and hands over its incoming side h1.
     """
     lk = link_graph(surface.target, v)
-    by_role = {"h1": {}, "h2": {}}
+    by_out = {}
+    seen_in = set()
     for (h1, h2), prov in lk.links:
-        if h1 in by_role["h1"] or h2 in by_role["h2"]:
+        if h1 in seen_in or h2 in by_out:
             raise MoveError("target vertex link is not a simple circle")
-        by_role["h1"][h1] = ((h1, h2), prov)
-        by_role["h2"][h2] = ((h1, h2), prov)
+        seen_in.add(h1)
+        by_out[h2] = (h1, prov)
     corners = []
     halves = []
     cur = start_half
     for _ in range(len(lk.links) + 1):
-        entry = by_role[role].get(cur)
+        entry = by_out.get(cur)
         if entry is None:
             raise MoveError("link walk fell off the circle")
-        (h1, h2), prov = entry
+        nxt, prov = entry
         corners.append(prov)
-        nxt = h1 if role == "h2" else h2
         if nxt == stop_half:
             return corners, halves
         halves.append(nxt)
@@ -741,21 +699,18 @@ def _carry_by_items(old: AdmissibleSurface, new_raw):
     return out
 
 
-def connect_link(surface: AdmissibleSurface, vid, policy="positive", log: MoveLog | None = None, separator=0):
+def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, separator=0):
     """Connect the collapsed link of a vertex disc by pushing the boundary
     across a fan of target faces.
 
     The vertex disc must map to an interior vertex of the target and have a
     disconnected collapsed link.  A free stretch of its boundary between two
-    link components is replaced by a path of new cellular discs, all of the
-    orientation chosen by ``policy``, together with the fresh handles and
-    vertex discs the crossed faces require.  The boundary is moved by a
-    homotopy, so the class in H2(S, c) is unchanged; the faces crossed are
-    added to the homotopy certificate.
+    link components is replaced by a path of new positive cellular discs,
+    together with the fresh handles and vertex discs the crossed faces
+    require; the negative discs are left as they are.  The boundary is
+    moved by a homotopy, so the class in H2(S, c) is unchanged; the faces
+    crossed are added to the homotopy certificate.
     """
-    if policy not in ("positive", "negative"):
-        raise MoveError("policy must be 'positive' or 'negative'")
-    s_pol = 1 if policy == "positive" else -1
     if vid not in surface.vpieces:
         raise MoveError("unknown vertex disc")
     vp = surface.vpieces[vid]
@@ -830,8 +785,7 @@ def connect_link(surface: AdmissibleSurface, vid, policy="positive", log: MoveLo
     if hE_h.longs[xE] != FREE or hS_h.longs[xS] != FREE:
         raise MoveError("separator long sides are unexpectedly glued")
 
-    role = "h2" if s_pol == 1 else "h1"
-    corners, halves = _walk_link_until(surface, v, half_E, role, half_S)
+    corners, halves = _walk_link_until(surface, v, half_E, half_S)
 
     # build the new pieces
     hpieces = dict(surface.hpieces)
@@ -856,12 +810,8 @@ def connect_link(surface: AdmissibleSurface, vid, policy="positive", log: MoveLo
     # the progress, as in the alternation that proves termination
     fallback = False
     last = len(corners) - 1
-    word_last = surface.target.faces[corners[last][0]]
-    if s_pol == 1:
-        leave_last = corners[last][1]
-    else:
-        leave_last = (corners[last][1] + 1) % len(word_last)
-    li_last = required_long_index(s_pol * word_last[leave_last][1])
+    face_last, leave_last = corners[last]
+    li_last = required_long_index(surface.target.faces[face_last][leave_last][1])
     if li_last != xS or hS_hid == hE_hid:
         fallback = True
     for t, (face, kidx) in enumerate(corners):
@@ -871,14 +821,10 @@ def connect_link(surface: AdmissibleSurface, vid, policy="positive", log: MoveLo
         next_f += 1
         new_fids.append(fid)
         new_faces_crossed.append(face)
-        if s_pol == 1:
-            enter_pos, leave_pos = (kidx + 1) % deg, kidx
-        else:
-            enter_pos, leave_pos = kidx, (kidx + 1) % deg
+        enter_pos, leave_pos = (kidx + 1) % deg, kidx
         sides = [None] * deg
         for q in range(deg):
-            ps = s_pol * word[q][1]
-            li = required_long_index(ps)
+            li = required_long_index(word[q][1])
             if q == enter_pos:
                 hid = hE_hid if t == 0 else n_handles[t - 1]
                 if t == 0 and li != xE:
@@ -898,7 +844,7 @@ def connect_link(surface: AdmissibleSurface, vid, policy="positive", log: MoveLo
                 hpieces[hid] = HPiece(word[q][0], [None, None], None, None)
             sides[q] = (hid, li)
             new_handle_sides.setdefault(hid, {})[li] = ("f", fid, q)
-        fpieces[fid] = FPiece(face, s_pol, tuple(sides))
+        fpieces[fid] = FPiece(face, 1, tuple(sides))
 
     # finalise the long sides of touched handles
     for hid, per_side in new_handle_sides.items():
@@ -999,7 +945,7 @@ def connect_link(surface: AdmissibleSurface, vid, policy="positive", log: MoveLo
 
     homotopy = dict(surface.homotopy)
     for face in new_faces_crossed:
-        homotopy[face] = homotopy.get(face, 0) + s_pol
+        homotopy[face] = homotopy.get(face, 0) + 1
 
     out = _rebuild(surface, tokens, hpieces, fpieces, _carry_by_items, homotopy=homotopy)
 
@@ -1010,12 +956,12 @@ def connect_link(surface: AdmissibleSurface, vid, policy="positive", log: MoveLo
         raise MoveError("link connection did not lower the link excess by one")
     if fallback and not _find_fold_pairs(out):
         raise MoveError("fallback link connection did not produce a fold")
-    if policy == "positive" and after["neg"] != before["neg"]:
+    if after["neg"] != before["neg"]:
         raise MoveError("positive link connection changed the negative disc count")
     if log is not None:
         log.record(
             "connect_link",
-            f"vdisc={vid} policy={policy} faces={new_faces_crossed}",
+            f"vdisc={vid} policy=positive faces={new_faces_crossed}",
             before,
             after,
         )
@@ -1106,7 +1052,6 @@ def retarget(surface: AdmissibleSurface, new_target: TwoComplex) -> AdmissibleSu
         surface.fpieces,
         assignments=surface.assignment_list(),
         homotopy=surface.homotopy,
-        incompressible=surface.incompressible,
         relaxed_boundary=surface.relaxed,
     )
 
@@ -1143,7 +1088,7 @@ def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
     -chi^-/n never increased and the class in H2(S, c) preserved.
     """
     log = log if log is not None else MoveLog()
-    s = remove_trivial_components(surface, log, only_null_class=True)
+    s = remove_trivial_components(surface, log)
     start_ratio = _ratio(s)
     guard = 0
     while True:
@@ -1173,7 +1118,7 @@ def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
             for vid in vids:
                 for sep in range(len(s.vpieces[vid].slots)):
                     try:
-                        s = connect_link(s, vid, "positive", log, separator=sep)
+                        s = connect_link(s, vid, log, separator=sep)
                         done = True
                     except MoveError as exc:
                         last_exc = exc
@@ -1197,7 +1142,7 @@ def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
                     last_exc = exc
             if not done:
                 raise MoveError(f"no fold elimination applies: {last_exc}")
-            s = remove_trivial_components(s, log, only_null_class=True)
+            s = remove_trivial_components(s, log)
             continue
         break
     report = s.standard_form_report()
@@ -1221,479 +1166,3 @@ def _ratio(surface: AdmissibleSurface):
     if not n:
         return Fraction(0)
     return Fraction(-surface.reduced_euler(), n)
-
-
-# -- covers and asymptotic promotion -------------------------------------------
-
-
-def _lifted_walk(cxs: TwoComplex, c, n, f, k):
-    """(edge, sheet, sign) of each letter of face f lifted to start at sheet k.
-
-    The copy at sheet k of an edge (u, w) runs from (u, k) to (w, k + c(e)
-    mod n), so the sheets of a lifted word are partial sums of the cocycle.
-    """
-    out = []
-    sheet = k
-    for e, sign in cxs.faces[f]:
-        if sign == 1:
-            out.append((e, sheet, 1))
-            sheet = (sheet + c[e]) % n
-        else:
-            sheet = (sheet - c[e]) % n
-            out.append((e, sheet, -1))
-    return out
-
-
-def _spanning_trees(cxs: TwoComplex):
-    """Per component: (edges, breadth-first vertex order, tree parents, loop edges).
-
-    The loop edges, those outside the spanning tree, close the loops of a
-    basis of the component's first homology.
-    """
-    out = []
-    for comp in cxs.connected_components():
-        comp_vertices = [i for kind, i in comp if kind == "v"]
-        comp_edges = {i for kind, i in comp if kind == "e"}
-        root = min(comp_vertices)
-        tree_parent = {root: None}
-        order = [root]
-        frontier = [root]
-        adj = {}
-        for e in comp_edges:
-            u, w = cxs.edges[e]
-            adj.setdefault(u, []).append((e, w))
-            adj.setdefault(w, []).append((e, u))
-        tree_edges = set()
-        while frontier:
-            v = frontier.pop(0)
-            for e, w in sorted(adj.get(v, []), key=str):
-                if w not in tree_parent:
-                    tree_parent[w] = (e, v)
-                    tree_edges.add(e)
-                    order.append(w)
-                    frontier.append(w)
-        out.append((comp_edges, order, tree_parent, sorted(comp_edges - tree_edges)))
-    return out
-
-
-def _loop_values(cxs: TwoComplex, tree, c):
-    """The 1-cochain c summed around each loop of a spanning tree's basis."""
-    _edges, order, tree_parent, loops = tree
-    theta = {order[0]: 0}
-    for v in order[1:]:
-        e, parent = tree_parent[v]
-        theta[v] = theta[parent] + (c[e] if cxs.edges[e][1] == v else -c[e])
-    return [theta[cxs.edges[e][0]] + c[e] - theta[cxs.edges[e][1]] for e in loops]
-
-
-def _cover_cocycle(surface: AdmissibleSurface):
-    """Integer 1-cocycle on the assembled complex pairing primitively with
-    the first homology of every component.
-
-    The cyclic cover of degree N glued along such a cocycle (reduced mod N)
-    is connected over each component.  Cocycles are kernel vectors of the
-    transposed face incidence matrix; the primitive pairing combination is
-    extracted with a Smith normal form of the pairing matrix against a
-    spanning-tree loop basis.
-    """
-    from .exactlin import kernel_z, smith_normal_form
-
-    cxs = surface.complex
-    es = list(cxs.edges)
-    eix = {e: i for i, e in enumerate(es)}
-    rows = []
-    for f in cxs.faces:
-        row = [0] * len(es)
-        for e, sign in cxs.faces[f]:
-            row[eix[e]] += sign
-        rows.append(row)
-    basis = [{e: vec[eix[e]] for e in es} for vec in (kernel_z(rows) if rows else [])]
-
-    cocycle = {e: 0 for e in es}
-    for tree in _spanning_trees(cxs):
-        comp_edges, _order, _parent, loops = tree
-        if not comp_edges:
-            raise MoveError("component without edges cannot be covered")
-        if not loops:
-            raise MoveError("component with trivial first homology; a disc slipped through")
-        res = smith_normal_form([_loop_values(cxs, tree, vec) for vec in basis])
-        if not res.invariant_factors or res.invariant_factors[0] != 1:
-            raise MoveError("no primitively pairing cocycle; cover unavailable")
-        for coeff, vec in zip(res.U[0], basis):
-            if coeff:
-                for e in comp_edges:
-                    cocycle[e] += coeff * vec[e]
-    return cocycle, basis
-
-
-def connected_cover(surface: AdmissibleSurface, n, log: MoveLog | None = None, cocycle=None):
-    """Degree n cyclic cover with connected preimage of every component.
-
-    The assembled surface is lifted along a cocycle (see ``_lifted_walk``)
-    and the piece structure is read back off the lifted cells.
-    """
-    if n < 1:
-        raise MoveError("cover degree must be at least 1")
-    if n == 1:
-        return surface
-    before = _metrics(surface)
-    c = cocycle if cocycle is not None else _cover_cocycle(surface)[0]
-    cxs = surface.complex
-    face_ix = {name: ix for ix, name in enumerate(surface._face_names)}
-
-    def lifted_word(name, k):
-        return _lifted_walk(cxs, c, n, face_ix[name], k)
-
-    def pid(base, k):
-        return base * n + k
-
-    hpieces = {}
-    # handles first: identify their slot and long edge copies
-    for hid, hp in surface.hpieces.items():
-        for k in range(n):
-            word = lifted_word(("hd", hid), k)
-            # word: long0 +, slot(tgt) -, long1 -, slot(src) -
-            hpieces[pid(hid, k)] = {
-                "edge": hp.edge,
-                "long0": (word[0][0], word[0][1]),
-                "long1": (word[2][0], word[2][1]),
-                "slot_t": (word[1][0], word[1][1]),
-                "slot_s": (word[3][0], word[3][1]),
-                "base": hid,
-            }
-    lift_of_long = {}
-    for key, h in hpieces.items():
-        lift_of_long[h["long0"]] = (key, 0)
-        lift_of_long[h["long1"]] = (key, 1)
-    lift_of_slot_end = {}
-    for key, h in hpieces.items():
-        lift_of_slot_end.setdefault(h["slot_s"], []).append((key, "s"))
-        lift_of_slot_end.setdefault(h["slot_t"], []).append((key, "t"))
-
-    new_vp = {}
-    slot_place = {}
-    for vid, vp in surface.vpieces.items():
-        for k in range(n):
-            word = lifted_word(("vd", vid), k)
-            slots = []
-            for j, (e, sheet, _sign) in enumerate(word):
-                base_slot = vp.slots[j]
-                if base_slot == FREE:
-                    slots.append(FREE)
-                    continue
-                users = lift_of_slot_end.get((e, sheet), [])
-                match = [
-                    (hkey, end)
-                    for hkey, end in users
-                    if hpieces[hkey]["base"] == base_slot[1] and end == base_slot[2]
-                ]
-                if len(match) != 1:
-                    raise MoveError("cover slot identification failed")
-                slots.append(("h", match[0][0], match[0][1]))
-                slot_place[(match[0][0], match[0][1])] = (pid(vid, k), j)
-            new_vp[pid(vid, k)] = VPiece(vp.vertex, tuple(slots))
-
-    new_fp = {}
-    side_ref = {}
-    for fid, fp in surface.fpieces.items():
-        word = surface.target.faces[fp.face]
-        order = polygon_order(fp, len(word))
-        for k in range(n):
-            sides = [None] * len(word)
-            for i, (e, sheet, _sign) in enumerate(lifted_word(("cd", fid), k)):
-                pos = order[i]
-                if (e, sheet) not in lift_of_long:
-                    raise MoveError("cover long identification failed")
-                hkey, li = lift_of_long[(e, sheet)]
-                sides[pos] = (hkey, li)
-                side_ref[(hkey, li)] = ("f", pid(fid, k), pos)
-            new_fp[pid(fid, k)] = FPiece(fp.face, fp.sign, tuple(sides))
-
-    new_hp = {}
-    for key, h in hpieces.items():
-        longs = []
-        for li in (0, 1):
-            ref = side_ref.get((key, li))
-            base_ref = surface.hpieces[h["base"]].longs[li]
-            if base_ref == FREE:
-                longs.append(FREE)
-            elif ref is None:
-                raise MoveError("cover lost a long gluing")
-            else:
-                longs.append(ref)
-        new_hp[key] = HPiece(
-            h["edge"],
-            tuple(longs),
-            slot_place[(key, "s")],
-            slot_place[(key, "t")],
-        )
-
-    base = {
-        circ.items[0][:-1]: (circ.circle, circ.degree)
-        for circ in surface.circuits
-        if circ.circle is not None
-    }
-
-    def assignments(raw):
-        # a lifted circuit winds around its base circle once per base anchor
-        # copy it passes through
-        out = []
-        for items, word in raw:
-            if not word:
-                continue
-            hits = {}
-            for item in items:
-                if item[0] == "long":
-                    b = ("long", item[1] // n, item[2])
-                    if b in base:
-                        hits[b] = hits.get(b, 0) + 1
-            if not hits:
-                raise MoveError("cover circuit without a base anchor")
-            b, mult = sorted(hits.items(), key=str)[0]
-            circle, degree = base[b]
-            out.append((items[0][:-1], circle, degree * mult))
-        return out
-
-    out = AdmissibleSurface(
-        surface.target,
-        surface.chain,
-        new_vp,
-        new_hp,
-        new_fp,
-        assignments=assignments,
-        homotopy={f: n * cval for f, cval in surface.homotopy.items()},
-        incompressible=surface.incompressible,
-    )
-    if out.euler_characteristic() != n * surface.euler_characteristic():
-        raise MoveError("cover has the wrong Euler characteristic")
-    if len(out.piece_components()) != len(surface.piece_components()):
-        raise MoveError("cover is not connected over some component")
-    if log is not None:
-        log.record("connected_cover", f"degree={n}", before, _metrics(out))
-    return out
-
-
-def _glue_geometry(surface, c, n, fid):
-    """(handle owners, corner host vertex-disc copies) of every lift of a disc.
-
-    Both lists are sheet-offset patterns: shifting the lift shifts every
-    entry uniformly, so distinctness is independent of the starting sheet.
-    """
-    cxs = surface.complex
-    name_to_face = {name: ix for ix, name in enumerate(surface._face_names)}
-    fp = surface.fpieces[fid]
-    word = surface.target.faces[fp.face]
-    order = polygon_order(fp, len(word))
-
-    def walk(name):
-        return _lifted_walk(cxs, c, n, name_to_face[name], 0)
-
-    # per relevant handle: sheet offsets of its long and slot edge copies
-    hd_walks = {hid: walk(("hd", hid)) for hid in {h for h, _li in fp.sides}}
-    slot_host = {}  # slot edge id -> (vpid, offset inside the vd walk)
-    for vid in surface.vpieces:
-        for e, sheet, _sign in walk(("vd", vid)):
-            slot_host[e] = (vid, sheet)
-
-    owners = []
-    corner_hosts = []
-    lifted = walk(("cd", fid))
-    for i, (e, sheet, _sign) in enumerate(lifted):
-        pos = order[i]
-        hid, li = fp.sides[pos]
-        hd = hd_walks[hid]
-        # hd word: long0 +, slot_t -, long1 -, slot_s -
-        long_rel = hd[0][1] if li == 0 else hd[2][1]
-        m_h = (sheet - long_rel) % n
-        owners.append((hid, m_h))
-        # the corner after this polygon side sits on the slot edge that the
-        # next side starts from; its host vertex disc copy comes from the
-        # slot edge copy's sheet minus its offset in the vd walk
-        nxt = order[(i + 1) % len(order)]
-        hid2, li2 = fp.sides[nxt]
-        hd2 = hd_walks[hid2]
-        # start slot of the next side: tgt end for long0, src end for long1
-        slot_edge, slot_rel, _ = hd2[1] if li2 == 0 else hd2[3]
-        # sheet of the next side's long edge copy
-        sheet2 = lifted[(i + 1) % len(lifted)][1]
-        long2_rel = hd2[0][1] if li2 == 0 else hd2[2][1]
-        m_h2 = (sheet2 - long2_rel) % n
-        slot_sheet = (m_h2 + slot_rel) % n
-        vpid, vd_rel = slot_host[slot_edge]
-        corner_hosts.append((vpid, (slot_sheet - vd_rel) % n))
-    return owners, corner_hosts
-
-
-def _glue_pair_clean(surface, c, n, f1, f2):
-    """Will gluing lifts of these discs merge distinct pieces at every step?
-
-    Requires pairwise distinct side handles per disc, and the bipartite
-    multigraph pairing the corner host vertex-disc copies must be a forest,
-    so every corner splice joins two still-separate vertex discs.
-    """
-    owners1, hosts1 = _glue_geometry(surface, c, n, f1)
-    owners2, hosts2 = _glue_geometry(surface, c, n, f2)
-    if len(set(owners1)) != len(owners1) or len(set(owners2)) != len(owners2):
-        return False
-    deg = len(hosts1)
-    # corner k of the positive disc is glued to corner k of the mirror,
-    # with the mirror's polygon running backwards through the word
-    fp1 = surface.fpieces[f1]
-    fp2 = surface.fpieces[f2]
-    word = surface.target.faces[fp1.face]
-    order1 = polygon_order(fp1, len(word))
-    order2 = polygon_order(fp2, len(word))
-    by_corner1 = {}
-    by_corner2 = {}
-    for i in range(deg):
-        x1 = order1[i]
-        by_corner1[min_corner_key(x1, order1[(i + 1) % deg], deg)] = hosts1[i]
-        x2 = order2[i]
-        by_corner2[min_corner_key(x2, order2[(i + 1) % deg], deg)] = hosts2[i]
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for key in by_corner1:
-        a = ("+",) + by_corner1[key]
-        b = ("-",) + by_corner2[key]
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[max(ra, rb, key=str)] = min(ra, rb, key=str)
-    return True
-
-
-def min_corner_key(x, y, deg):
-    # face corner between word positions x and y = x+1 (mod deg)
-    if (x + 1) % deg == y:
-        return x
-    if (y + 1) % deg == x:
-        return y
-    raise MoveError("sides are not word-consecutive")
-
-
-def _cover_params_for_glue(surface: AdmissibleSurface, n_min):
-    """A (cocycle, degree) pair whose cover admits a clean gluing.
-
-    Clean means the two chosen opposite discs lift with pairwise distinct
-    side handles and pairwise distinct corner host vertex discs, so the
-    glue surgery merges distinct pieces at every step and lowers the Euler
-    characteristic by exactly 2.  The search perturbs the primitive cocycle
-    by seeded random basis combinations; the bad locus is a finite union of
-    hyperplanes, so a hit comes quickly and deterministically.
-    """
-    import random as _random
-
-    base, basis = _cover_cocycle(surface)
-    mixed_pairs = _opposite_pairs_across_components(surface)
-    if not mixed_pairs:
-        raise MoveError("no cross-component opposite pair to glue")
-    max_deg = max(
-        len(surface.fpieces[f].sides) for pair in mixed_pairs for f in pair
-    )
-    rng = _random.Random(20259)
-    degrees = [max(n_min, 2 * max_deg + 1)]
-    degrees += [degrees[0] + 1, degrees[0] + 2, degrees[0] + 5]
-    for n in degrees:
-        for attempt in range(800):
-            if attempt == 0:
-                cand = dict(base)
-            else:
-                cand = dict(base)
-                for vec in basis:
-                    t = rng.randrange(0, n)
-                    if t:
-                        for e, v in vec.items():
-                            cand[e] = cand.get(e, 0) + t * v
-            hit = None
-            for f1, f2 in mixed_pairs:
-                if _glue_pair_clean(surface, cand, n, f1, f2):
-                    hit = (f1, f2)
-                    break
-            if hit and _cover_pairing_ok(surface, cand, n):
-                return cand, n
-    raise MoveError("no cover admits a supported opposite-disc gluing")
-
-
-def _cover_pairing_ok(surface, c, n):
-    """Does the cocycle generate Z/n on the loops of every component?"""
-    cxs = surface.complex
-    return all(math.gcd(n, *_loop_values(cxs, tree, c)) == 1 for tree in _spanning_trees(cxs))
-
-
-def _glue_pair_supported(surface, f1, f2):
-    used = [h for fid in (f1, f2) for h, _li in surface.fpieces[fid].sides]
-    return len(set(used)) == len(used)
-
-
-def _opposite_pairs_across_components(surface: AdmissibleSurface):
-    """(positive disc, negative disc) pairs over one face in distinct components."""
-    comp_of = {}
-    for i, comp in enumerate(surface.piece_components()):
-        for kind, pid in comp:
-            if kind == "f":
-                comp_of[pid] = i
-    by_face = {}
-    for fid in sorted(surface.fpieces):
-        by_face.setdefault(surface.fpieces[fid].face, []).append(fid)
-    return [
-        (f1, f2)
-        for _face, fids in sorted(by_face.items())
-        for f1 in fids
-        for f2 in fids
-        if surface.fpieces[f1].sign == 1
-        and surface.fpieces[f2].sign == -1
-        and comp_of[f1] != comp_of[f2]
-    ]
-
-
-def promote_orientation_perfect(surface: AdmissibleSurface, eps, log: MoveLog | None = None):
-    """Trade +2 of -chi^- against a degree-N cover until no target face
-    carries cellular discs of both signs.
-
-    Needs a surface in standard form and a positive rational eps; the final
-    ratio satisfies  -chi^-/n  <=  original + (number of components) * 2 eps.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise MoveError("eps must be positive")
-    report = surface.standard_form_report()
-    if not report.in_standard_form():
-        raise MoveError("asymptotic promotion needs a surface in standard form")
-    log = log if log is not None else MoveLog()
-    n_cover = max(1, -(-1 // eps))  # smallest N with 1/N <= eps
-    n_cover = int(n_cover)
-    while Fraction(1, n_cover) > eps:
-        n_cover += 1
-    start_ratio = _ratio(surface)
-    components0 = len(surface.piece_components())
-    s = surface
-    rounds = 0
-    while not s.standard_form_report().orientation_perfect:
-        rounds += 1
-        if rounds > components0 + 1:
-            raise MoveError("promotion exceeded its component bound")
-        cocycle, n_used = _cover_params_for_glue(s, n_cover)
-        s = connected_cover(s, n_used, log, cocycle=cocycle)
-        pair = next(
-            (p for p in _opposite_pairs_across_components(s) if _glue_pair_supported(s, *p)),
-            None,
-        )
-        if pair is None:
-            raise MoveError("mixed face without a cross-component pair")
-        s = glue_opposite_discs(s, pair[0], pair[1], log)
-        s, log = make_standard_form(s, log)
-    bound = start_ratio + components0 * 2 * eps
-    if _ratio(s) > bound:
-        raise MoveError("promotion exceeded the advertised ratio bound")
-    if log.entries:
-        log.entries[-1].note = (
-            f"final ratio {_ratio(s)} within bound {bound} (start {start_ratio})"
-        )
-    return s, log

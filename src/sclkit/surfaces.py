@@ -116,16 +116,10 @@ class StandardFormReport:
     connected_links: bool
     non_folded: bool
     orientation_perfect: bool
-    incompressible: bool
     witnesses: dict
 
     def in_standard_form(self):
-        return (
-            self.disc_sphere_free
-            and self.connected_links
-            and self.non_folded
-            and self.incompressible
-        )
+        return self.disc_sphere_free and self.connected_links and self.non_folded
 
     def describe(self):
         flags = [
@@ -135,7 +129,6 @@ class StandardFormReport:
             ("connected_links", self.connected_links),
             ("non_folded", self.non_folded),
             ("orientation_perfect", self.orientation_perfect),
-            ("incompressible(cert)", self.incompressible),
         ]
         return "; ".join(f"{name}={'yes' if ok else 'NO'}" for name, ok in flags)
 
@@ -167,7 +160,6 @@ class AdmissibleSurface:
         fpieces: dict,
         assignments=None,
         homotopy=None,
-        incompressible=True,
         relaxed_boundary=False,
     ):
         self.target = target
@@ -177,7 +169,6 @@ class AdmissibleSurface:
         self.fpieces = {k: fpieces[k] for k in sorted(fpieces)}
         self.homotopy = {f: c for f, c in (homotopy or {}).items() if c}
         self.relaxed = bool(relaxed_boundary) or bool(self.homotopy)
-        self.incompressible = bool(incompressible)
         self._validate_target()
         self._validate_pieces()
         self._assemble()
@@ -190,6 +181,7 @@ class AdmissibleSurface:
         self._resolve_assignments(assignments)
         self._validate_boundary_words()
         self._cross_checks()
+        self._find_components()
 
     # -- validation ------------------------------------------------------
 
@@ -553,34 +545,30 @@ class AdmissibleSurface:
             if dz.get(e, 0) != words.get(e, 0):
                 raise SurfaceError("pushforward boundary disagrees with circuit words")
 
+    def _find_components(self):
+        """Components of the assembled complex as piece keys, and their
+        Euler characteristics; pieces never change, so once is enough."""
+        comps = []
+        for comp in self.complex.connected_components():
+            names = (self._face_names[ident] for kind, ident in comp if kind == "f")
+            comps.append(frozenset(({"vd": "v", "hd": "h", "cd": "f"}[tag], pid) for tag, pid in names))
+        self._components = tuple(comps)
+        self._component_chis = tuple(
+            sum(-1 if kind == "h" else 1 for kind, _ in comp) for comp in comps
+        )
+
     # -- analyses ----------------------------------------------------------
 
     def euler_characteristic(self):
         return self.complex.euler_characteristic()
 
     def piece_components(self):
-        """Connected components as sets of piece keys ('v'|'h'|'f', id)."""
-        comps = self.complex.connected_components()
-        out = []
-        for comp in comps:
-            pieces = set()
-            for kind, ident in comp:
-                if kind != "f":
-                    continue
-                tag, pid = self._face_names[ident][0], self._face_names[ident][1]
-                pieces.add(({"vd": "v", "hd": "h", "cd": "f"}[tag], pid))
-            out.append(pieces)
-        return out
+        """Connected components as frozensets of piece keys ('v'|'h'|'f', id)."""
+        return self._components
 
     def component_euler(self):
         """Euler characteristic per component, in piece_components order."""
-        out = []
-        for comp in self.piece_components():
-            v = sum(1 for kind, _ in comp if kind == "v")
-            h = sum(1 for kind, _ in comp if kind == "h")
-            f = sum(1 for kind, _ in comp if kind == "f")
-            out.append(v - h + f)
-        return out
+        return self._component_chis
 
     def reduced_euler(self):
         return sum(min(0, chi) for chi in self.component_euler())
@@ -727,7 +715,6 @@ class AdmissibleSurface:
             connected_links=connected_links,
             non_folded=non_folded,
             orientation_perfect=orientation_perfect,
-            incompressible=self.incompressible,
             witnesses=witnesses,
         )
         # orientation-perfect surfaces with connected links cannot be folded:
@@ -795,7 +782,6 @@ def subsurface_as_admissible(
     cells,
     chain: EdgeChain,
     sign=1,
-    incompressible=True,
 ) -> AdmissibleSurface:
     """The inclusion of a subsurface as a transverse admissible surface.
 
@@ -894,18 +880,13 @@ def subsurface_as_admissible(
             tgt=slot_index[(hid, "t")],
         )
 
-    return AdmissibleSurface(
-        target,
-        chain,
-        vpieces,
-        hpieces,
-        fpieces,
-        incompressible=incompressible,
-    )
+    return AdmissibleSurface(target, chain, vpieces, hpieces, fpieces)
 
 
 def disjoint_union(*surfaces) -> AdmissibleSurface:
     """Disjoint union over a common target and chain."""
+    if not surfaces:
+        raise SurfaceError("disjoint union needs at least one surface")
     first = surfaces[0]
     for s in surfaces[1:]:
         if s.target is not first.target and s.target.faces != first.target.faces:
@@ -962,7 +943,6 @@ def disjoint_union(*surfaces) -> AdmissibleSurface:
         fpieces,
         assignments=assignments,
         homotopy=homotopy,
-        incompressible=all(s.incompressible for s in surfaces),
         relaxed_boundary=any(s.relaxed for s in surfaces),
     )
 

@@ -140,10 +140,6 @@ class OneChain:
         return out
 
 
-def homology_class(chain: OneChain):
-    return chain.exponent_vector()
-
-
 def _parse_word(text, basis_set, where):
     """Word tokens: letters and [w1,w2] commutator sugar, recursively."""
     word = []

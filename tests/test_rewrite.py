@@ -9,25 +9,10 @@ import pytest
 
 import sclkit
 import sclkit.surfaces
-from sclkit.fixtures import (
-    closed_genus3_split,
-    figlnk,
-    fold_fixture,
-    fold_necklace,
-    genus3_chain,
-    genus3_T,
-    sigma_genus1,
-    t_itself,
-    torus,
-)
-from sclkit.rewrite import (
-    MoveError,
-    connected_cover,
-    eliminate_fold,
-    make_standard_form,
-    promote_orientation_perfect,
-)
-from sclkit.surfaces import disjoint_union, subsurface_as_admissible
+from sclkit.complexes import TwoComplex
+from sclkit.fixtures import figlnk, fold_fixture, fold_necklace, torus
+from sclkit.rewrite import MoveError, eliminate_fold, make_standard_form
+from sclkit.surfaces import AdmissibleSurface
 
 
 def ratio(s):
@@ -121,32 +106,25 @@ def test_fold_elimination_validates_the_new_surface_once(monkeypatch):
     assert out.two_chain() == s.two_chain()
 
 
-@pytest.mark.parametrize("build", [t_itself, sigma_genus1], ids=["t_itself", "sigma_genus1"])
-@pytest.mark.parametrize("n", [2, 3])
-def test_connected_cover_scales_the_surface(build, n):
-    s = build()
-    cover = connected_cover(s, n)
-    assert cover.euler_characteristic() == n * s.euler_characteristic()
-    assert len(cover.piece_components()) == len(s.piece_components())
-    degrees, chain = s.reduced_class()
-    assert cover.reduced_class() == (
-        tuple(n * d for d in degrees),
-        tuple((f, n * c) for f, c in chain),
-    )
+def test_standard_form_finds_components_once_per_surface(monkeypatch):
+    calls = []
+    built = []
+    find = TwoComplex.connected_components
+    init = AdmissibleSurface.__init__
 
+    def counting_find(cx):
+        calls.append(cx)
+        return find(cx)
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=MoveError,
-    reason="no cover of the mirrored pair admits a supported opposite-disc gluing",
-)
-def test_promotion_of_a_subsurface_and_its_mirror():
-    cx = closed_genus3_split()
-    cells = genus3_T(cx).cells()
-    plus = subsurface_as_admissible(cx, cells, genus3_chain(cx), sign=1)
-    minus = subsurface_as_admissible(cx, cells, genus3_chain(cx), sign=-1)
-    s, _log = promote_orientation_perfect(disjoint_union(plus, minus), Fraction(1, 2))
-    assert s.standard_form_report().orientation_perfect
+    def counting_init(surface, *args, **kwargs):
+        init(surface, *args, **kwargs)
+        built.append(surface)
+
+    s = fold_fixture()
+    monkeypatch.setattr(TwoComplex, "connected_components", counting_find)
+    monkeypatch.setattr(AdmissibleSurface, "__init__", counting_init)
+    make_standard_form(s)
+    assert built and len(calls) <= len(built)
 
 
 # -- typed errors ----------------------------------------------------------------

@@ -31,7 +31,6 @@ def rebuild(s, vpieces=None, hpieces=None, fpieces=None):
         fpieces if fpieces is not None else s.fpieces,
         assignments=s.assignment_list(),
         homotopy=s.homotopy,
-        incompressible=s.incompressible,
         relaxed_boundary=s.relaxed,
     )
 
@@ -86,6 +85,11 @@ def test_subsurface_and_its_mirror():
     assert report.in_standard_form()
     assert not report.monotone and not report.orientation_perfect
     assert report.witnesses["orientation_mixed_face"] == [cx.face_id("f1")]
+
+
+def test_disjoint_union_of_nothing_is_refused():
+    with pytest.raises(SurfaceError, match="at least one surface"):
+        disjoint_union()
 
 
 def test_standard_form_report_witnesses():
