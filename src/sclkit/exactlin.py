@@ -104,6 +104,10 @@ def det_int(a):
     return sign * m[n - 1][n - 1]
 
 
+class SnfError(ArithmeticError):
+    """An SnfResult fails one of its invariants."""
+
+
 @dataclass
 class SnfResult:
     """Factorisation U * M * V = D with U, V unimodular and D diagonal.
@@ -238,24 +242,23 @@ def smith_normal_form(mat) -> SnfResult:
 
 
 def check_snf(mat, res: SnfResult):
-    """Verify every SnfResult invariant; raise AssertionError on failure."""
-    prod = mat_mul(mat_mul(res.U, mat), res.V)
-    assert prod == res.D, "U*M*V != D"
-    assert abs(det_int(res.U)) == 1, "U not unimodular"
-    assert abs(det_int(res.V)) == 1, "V not unimodular"
+    """Verify every SnfResult invariant; raise SnfError on failure."""
+    if mat_mul(mat_mul(res.U, mat), res.V) != res.D:
+        raise SnfError("U*M*V != D")
+    if abs(det_int(res.U)) != 1:
+        raise SnfError("U not unimodular")
+    if abs(det_int(res.V)) != 1:
+        raise SnfError("V not unimodular")
+    if any(v for i, row in enumerate(res.D) for j, v in enumerate(row) if i != j):
+        raise SnfError("D not diagonal")
     diag = res.diagonal
-    rows = len(res.D)
-    cols = len(res.D[0]) if rows else 0
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert res.D[i][j] == 0, "D not diagonal"
+    if any(d < 0 for d in diag):
+        raise SnfError("negative invariant factor")
     for a, b in zip(diag, diag[1:]):
-        assert a >= 0 and b >= 0, "negative invariant factor"
-        if a == 0:
-            assert b == 0, "zero before nonzero in diagonal"
-        else:
-            assert b % a == 0, "divisibility chain broken"
+        if a == 0 and b != 0:
+            raise SnfError("zero before nonzero in diagonal")
+        if a and b % a:
+            raise SnfError("divisibility chain broken")
 
 
 # -- sparse fraction-free elimination ------------------------------------------
@@ -420,12 +423,3 @@ def kernel_z(mat):
         if d == 0:
             basis.append([res.V[i][j] for i in range(cols)])
     return basis
-
-
-def coords_in_basis(basis, vec):
-    """Coordinates of ``vec`` in the span of ``basis`` (None if outside)."""
-    if not basis:
-        return [] if all(x == 0 for x in vec) else None
-    cols = len(basis)
-    mat = [[basis[j][i] for j in range(cols)] for i in range(len(vec))]
-    return solve_q(mat, vec)

@@ -110,7 +110,6 @@ class Circuit:
 
 @dataclass
 class StandardFormReport:
-    transverse: bool
     disc_sphere_free: bool
     monotone: bool
     connected_links: bool
@@ -123,7 +122,6 @@ class StandardFormReport:
 
     def describe(self):
         flags = [
-            ("transverse", self.transverse),
             ("disc_sphere_free", self.disc_sphere_free),
             ("monotone", self.monotone),
             ("connected_links", self.connected_links),
@@ -709,7 +707,6 @@ class AdmissibleSurface:
                 witnesses.setdefault("orientation_mixed_face", []).append(face)
 
         report = StandardFormReport(
-            transverse=True,
             disc_sphere_free=disc_sphere_free,
             monotone=monotone,
             connected_links=connected_links,

@@ -1,11 +1,17 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sclkit
 from sclkit.exactlin import (
     smith_normal_form,
     check_snf,
@@ -16,7 +22,6 @@ from sclkit.exactlin import (
     solve_q,
     mat_mul,
     mat_vec,
-    coords_in_basis,
     unit_reduce,
 )
 
@@ -161,6 +166,42 @@ def test_snf_random_medium_invariants():
         assert res.rank == rank_q(m)
 
 
+def test_tampered_snf_raises_under_optimize():
+    # each case breaks one invariant and keeps the ones checked before it;
+    # check_snf must name it with asserts stripped
+    script = textwrap.dedent(
+        """
+        from sclkit.exactlin import SnfError, SnfResult, check_snf, smith_normal_form
+        eye = [[1, 0], [0, 1]]
+        res = smith_normal_form([[2, 4], [6, 8]])
+        cases = [
+            ("product", [[2, 4], [6, 8]], res.U, [[2, 0], [0, 5]], res.V),
+            ("unimodular", [[0]], [[2]], [[0]], [[1]]),
+            ("diagonal", [[2, 1], [0, 4]], eye, [[2, 1], [0, 4]], eye),
+            ("negative", [[-1, 0], [0, 1]], eye, [[-1, 0], [0, 1]], eye),
+            ("chain", [[2, 0], [0, 3]], eye, [[2, 0], [0, 3]], eye),
+        ]
+        for name, m, u, d, v in cases:
+            try:
+                check_snf(m, SnfResult(u, d, v))
+            except SnfError as err:
+                print(name, str(err).replace(" ", "_"))
+        """
+    )
+    src = str(Path(sclkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == [
+        "product", "U*M*V_!=_D",
+        "unimodular", "U_not_unimodular",
+        "diagonal", "D_not_diagonal",
+        "negative", "negative_invariant_factor",
+        "chain", "divisibility_chain_broken",
+    ]
+
+
 def test_kernels_agree_over_q():
     rng = random.Random(3)
     for _ in range(30):
@@ -191,6 +232,15 @@ def test_solve_q_roundtrip():
 
 def test_solve_q_inconsistent():
     assert solve_q([[1, 1], [1, 1]], [0, 1]) is None
+
+
+def coords_in_basis(basis, vec):
+    """Coordinates of ``vec`` in the span of ``basis`` (None if outside)."""
+    if not basis:
+        return [] if all(x == 0 for x in vec) else None
+    cols = len(basis)
+    mat = [[basis[j][i] for j in range(cols)] for i in range(len(vec))]
+    return solve_q(mat, vec)
 
 
 def test_coords_in_basis():

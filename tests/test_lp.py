@@ -5,12 +5,14 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sclkit
+from sclkit import lp
 from sclkit.lp import LpError, replay_check, solve_lp
 
 
@@ -70,7 +72,7 @@ def _check(objective, rows, rhs, res):
 
 
 def test_beale_cycling_example_terminates():
-    # Beale (1955): the textbook rule cycles here; Bland's rule must not
+    # Beale (1955): the textbook rule cycles here; the fallback must not
     q = Fraction
     objective = [0, 0, 0, q(-3, 4), 20, q(-1, 2), 6]
     rows = [
@@ -138,8 +140,11 @@ def test_tampered_certificate_raises_under_optimize():
 # -- random programmes --------------------------------------------------------
 
 
-def _reference_solve(objective, a_rows, b_vals):
-    """The Fraction tableau with Bland's rule: (status, solution, pivots)."""
+def _reference_solve(objective, a_rows, b_vals, bland_after):
+    """The Fraction tableau with Dantzig's rule, falling back to Bland's rule
+    after ``bland_after`` degenerate pivots in a row until the next
+    nondegenerate one (``bland_after=0`` is Bland's rule throughout):
+    (status, solution, pivots, pivots chosen by Bland's rule)."""
     m, n = len(a_rows), len(objective)
     rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(a_rows, b_vals)]
     rows = [[-v for v in r] if r[-1] < 0 else r for r in rows]
@@ -152,23 +157,28 @@ def _reference_solve(objective, a_rows, b_vals):
         basis[r] = c
 
     def phase(tab, basis, ncols):
-        count = 0
+        count = bland = run = 0
         while True:
-            col = next((j for j in range(ncols) if tab[-1][j] < 0), None)
-            if col is None:
-                return "optimal", count
+            negative = [j for j in range(ncols) if tab[-1][j] < 0]
+            if not negative:
+                return "optimal", count, bland
+            fallback = run >= bland_after
+            col = negative[0] if fallback else min(negative, key=lambda j: (tab[-1][j], j))
             cands = [(tab[i][-1] / tab[i][col], basis[i], i) for i in range(len(tab) - 1) if tab[i][col] > 0]
             if not cands:
-                return "unbounded", count
-            pivot(tab, basis, min(cands)[2], col)
+                return "unbounded", count, bland
+            row = min(cands)[2]
+            run = run + 1 if tab[row][-1] == 0 else 0
+            pivot(tab, basis, row, col)
             count += 1
+            bland += fallback
 
     tab = [r[:n] + [Fraction(int(j == i)) for j in range(m)] + [r[-1]] for i, r in enumerate(rows)]
     tab.append([-sum(r[j] for r in rows) for j in range(n)] + [Fraction(0)] * m + [-sum(r[-1] for r in rows)])
     basis = [n + i for i in range(m)]
-    status, p1 = phase(tab, basis, n + m)
+    status, p1, b1 = phase(tab, basis, n + m)
     if status != "optimal" or tab[-1][-1] != 0:
-        return "infeasible", None, p1
+        return "infeasible", None, p1, b1
     for i in range(m):
         col = next((j for j in range(n) if tab[i][j]), None) if basis[i] >= n else None
         if col is not None:
@@ -180,13 +190,13 @@ def _reference_solve(objective, a_rows, b_vals):
     for i, bj in enumerate(basis2):
         obj = [a - obj[bj] * b for a, b in zip(obj, tab2[i])]
     tab2.append(obj)
-    status, p2 = phase(tab2, basis2, n)
+    status, p2, b2 = phase(tab2, basis2, n)
     if status == "unbounded":
-        return status, None, p1 + p2
+        return status, None, p1 + p2, b1 + b2
     x = [Fraction(0)] * n
     for i, bj in enumerate(basis2):
         x[bj] = tab2[i][-1]
-    return status, x, p1 + p2
+    return status, x, p1 + p2, b1 + b2
 
 
 def _primitive_rows(rows, rhs):
@@ -213,22 +223,40 @@ def small_lps(draw):
     return objective, rows, rhs
 
 
+def _assert_matches_references(objective, rows, rhs):
+    res = solve_lp(objective, rows, rhs)
+    status, x, pivots, bland = _reference_solve(objective, rows, rhs, lp.BLAND_AFTER)
+    assert (res.status, res.solution, res.pivots, res.bland_pivots) == (status, x, pivots, bland)
+    # Bland's rule alone may reach another optimal vertex, but not another value
+    bland_status, bland_x, _, _ = _reference_solve(objective, rows, rhs, 0)
+    assert res.status == bland_status
+    if res.status == "optimal":
+        assert res.value == sum(c * v for c, v in zip(objective, bland_x))
+        replay_check(objective, rows, rhs, res)
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_lps())
-def test_random_lps_match_the_fraction_tableau(lp):
-    objective, rows, rhs = lp
-    rows, rhs = _primitive_rows(rows, rhs)
-    res = solve_lp(objective, rows, rhs)
-    status, x, pivots = _reference_solve(objective, rows, rhs)
-    assert (res.status, res.solution, res.pivots) == (status, x, pivots)
-    if res.status == "optimal":
-        replay_check(objective, rows, rhs, res)
+def test_random_lps_match_the_fraction_tableau(lp_data):
+    objective, rows, rhs = lp_data
+    _assert_matches_references(objective, *_primitive_rows(rows, rhs))
+
+
+@pytest.mark.parametrize("bland_after", [1, 2])
+@settings(max_examples=200, deadline=None)
+@given(lp_data=small_lps())
+def test_bland_fallback_matches_the_fraction_tableau(bland_after, lp_data):
+    # small programmes never reach 50 degenerate pivots; a low threshold
+    # runs the fallback and its return to Dantzig's rule
+    objective, rows, rhs = lp_data
+    with mock.patch.object(lp, "BLAND_AFTER", bland_after):
+        _assert_matches_references(objective, *_primitive_rows(rows, rhs))
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_lps(), st.data())
-def test_row_scaling_leaves_the_solve_unchanged(lp, data):
-    objective, rows, rhs = lp
+def test_row_scaling_leaves_the_solve_unchanged(lp_data, data):
+    objective, rows, rhs = lp_data
     base = solve_lp(objective, rows, rhs)
     i = data.draw(st.integers(0, len(rows) - 1))
     k = data.draw(st.sampled_from([2, 3, Fraction(1, 2), Fraction(5, 3)]))

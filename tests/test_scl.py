@@ -161,21 +161,32 @@ def test_lp_determinism():
     assert first.lp.solution == again.lp.solution
 
 
-@pytest.mark.parametrize(
-    "text, value, pivots",
-    [
-        ("[a,b][a,b]", Fraction(1), 69),
-        ("[a,b][a,b][a,b]", Fraction(3, 2), 286),
-        ("aaabAAAB", Fraction(1, 2), 113),
-        ("[a,b][a,B]", Fraction(1, 2), 66),
-        ("[a,b][a,b][a,b][a,b]", Fraction(2), 873),
-    ],
-)
+# exact pivot counts of Dantzig's rule with the temporary Bland fallback
+PINNED_PIVOTS = [
+    ("[a,b][a,b]", Fraction(1), 34),
+    ("[a,b][a,b][a,b]", Fraction(3, 2), 108),
+    ("aaabAAAB", Fraction(1, 2), 56),
+    ("[a,b][a,B]", Fraction(1, 2), 39),
+    ("[a,b][a,b][a,B]", Fraction(1, 2), 141),
+    ("[a,b][a,b][a,b][a,b]", Fraction(2), 253),
+    # about 5 s; Bland's rule alone takes 4532 pivots and about a minute
+    ("[a,b][a,b][a,b][a,b][a,b]", Fraction(5, 2), 677),
+]
+
+
+@pytest.mark.parametrize("text, value, pivots", PINNED_PIVOTS, ids=[t for t, _, _ in PINNED_PIVOTS])
 def test_lp_pivot_counts_are_pinned(text, value, pivots):
     res = scl(text, "ab")
     assert res.method == "lp"
     assert (res.value, res.lp.pivots) == (value, pivots)
     assert res.lp.dual is not None
+
+
+def test_bland_fallback_runs_on_a_real_scl_lp():
+    assert scl("[a,b][a,b]", "ab").lp.bland_pivots == 0
+    res = scl("[a,b][a,b][a,b]", "ab").lp
+    assert 0 < res.bland_pivots < res.pivots
+    assert res.certificate()["bland_pivots"] == res.bland_pivots
 
 
 def test_compare_under_inclusion_rejects_a_monotonicity_failure(monkeypatch):
