@@ -11,6 +11,7 @@ every derived object is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ComplexError(ValueError):
@@ -193,47 +194,25 @@ class LinkGraph:
     edge between the inverse of the incoming side and the outgoing side,
     tagged by (face id, corner index).  ``links`` builds the links of all
     vertices of a complex in one pass; ``link_graph`` reads one from it.
+    Only the corner walks need these graphs: questions about the shape of
+    a link are answered by ``link_shapes`` without building them.
     """
 
     vertex: int
     nodes: tuple
     links: tuple  # ((half1, half2), (face, corner index)) pairs
 
-    def adjacency(self):
-        adj = {n: [] for n in self.nodes}
-        for idx, ((h1, h2), _prov) in enumerate(self.links):
-            adj[h1].append((h2, idx))
-            adj[h2].append((h1, idx))
-        return adj
 
-    def node_degrees(self):
-        deg = {n: 0 for n in self.nodes}
-        for (h1, h2), _prov in self.links:
-            deg[h1] += 1
-            deg[h2] += 1
-        return deg
+class LinkShape(NamedTuple):
+    """The counts that decide the shape of one vertex link."""
 
-    def components(self):
-        adj = self.adjacency()
-        seen = set()
-        out = []
-        for n in sorted(self.nodes):
-            if n in seen:
-                continue
-            comp = []
-            stack = [n]
-            seen.add(n)
-            while stack:
-                cur = stack.pop()
-                comp.append(cur)
-                for nxt, _ in adj[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            out.append(sorted(comp))
-        return out
+    nodes: int  # half-edges at the vertex
+    zeros: int  # nodes of link degree 0
+    ones: int  # nodes of link degree 1
+    max_degree: int
+    components: int
 
-    def classify(self):
+    def kind(self):
         """'circle' | 'arc' | 'point' | 'union' | 'branched' | 'empty'.
 
         circle: connected, every node degree 2.
@@ -244,21 +223,16 @@ class LinkGraph:
         """
         if not self.nodes:
             return "empty"
-        deg = self.node_degrees()
-        if any(d > 2 for d in deg.values()):
+        if self.max_degree > 2:
             return "branched"
-        comps = self.components()
-        if len(comps) > 1:
+        if self.components > 1:
             return "union"
-        ones = sum(1 for d in deg.values() if d == 1)
-        zeros = sum(1 for d in deg.values() if d == 0)
-        if zeros:
-            return "point" if len(self.nodes) == 1 else "union"
-        if ones == 0:
-            return "circle"
-        if ones == 2:
-            return "arc"
-        return "branched"
+        if self.zeros:
+            # a connected link with an isolated node is that node alone
+            return "point"
+        # a connected graph of degrees 1 and 2 is a cycle or a path: by the
+        # handshake lemma it has no ends or two
+        return "arc" if self.ones else "circle"
 
 
 def links(cx: TwoComplex) -> dict:
@@ -293,6 +267,53 @@ def link_graph(cx: TwoComplex, v) -> LinkGraph:
     return table[v]
 
 
+def link_shapes(cx: TwoComplex) -> dict:
+    """Shapes of all vertex links: vertex id -> LinkShape, in vertex id order.
+
+    The half-edge (e, +1) sits at the source of e and (e, -1) at its
+    target.  Each occurrence of e in a face word leaves the corner before it
+    along one half-edge of e and reaches the corner after it along the
+    other, so it adds 1 to the link degree of both: each half-edge of e
+    has link degree side_incidence(e), and no link edge need be listed.
+    A corner joins two half-edges at one vertex, so one union-find over
+    half-edges, with one union per corner, finds the link components of
+    every vertex at once: a vertex has as many components as half-edges,
+    less the unions that merged two of its classes.
+    """
+    counts = cx.side_incidences()
+    leaving = {}  # signed side -> the half-edge it leaves its start along
+    arriving = {}  # signed side -> the half-edge it reaches its end along
+    home = []  # half-edge -> its vertex
+    degrees = {v: [] for v in cx.vertices}
+    for e, (s, t) in cx.edges.items():
+        leaving[(e, 1)] = arriving[(e, -1)] = len(home)
+        leaving[(e, -1)] = arriving[(e, 1)] = len(home) + 1
+        home += (s, t)
+        degrees[s].append(counts[e])
+        degrees[t].append(counts[e])
+    parent = list(range(len(home)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merges = dict.fromkeys(cx.vertices, 0)
+    for word in cx.faces.values():
+        incoming = arriving[word[-1]]
+        for side in word:
+            a, b = find(incoming), find(leaving[side])
+            if a != b:
+                parent[a] = b
+                merges[home[b]] += 1
+            incoming = arriving[side]
+    return {
+        v: LinkShape(len(d), d.count(0), d.count(1), max(d, default=0), len(d) - merges[v])
+        for v, d in degrees.items()
+    }
+
+
 def has_small_links(cx: TwoComplex):
     """True iff every edge meets at most two face sides, with a witness.
 
@@ -315,12 +336,14 @@ class SurfaceReport:
 def surface_check(cx: TwoComplex) -> SurfaceReport:
     """Surface criterion: every vertex link a circle or nondegenerate arc.
 
-    Vertices with arc links are exactly the boundary vertices.
+    Vertices with arc links are exactly the boundary vertices.  The kinds
+    come from ``link_shapes``, one linear pass over edges and corners that
+    builds no link graph.
     """
     boundary = []
     bad = []
-    for v, lk in links(cx).items():
-        kind = lk.classify()
+    for v, shape in link_shapes(cx).items():
+        kind = shape.kind()
         if kind == "arc":
             boundary.append(v)
         elif kind != "circle":

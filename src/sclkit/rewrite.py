@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexes import TwoComplex, boundary_subcomplex, link_graph, surface_check
+from .complexes import TwoComplex, boundary_subcomplex, link_graph, link_shapes, surface_check
 from .exactlin import solve_q
 from .homology import boundary_matrices, homology
 from .surfaces import (
@@ -717,8 +717,7 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
     v = vp.vertex
     if surface.bar_link_components(vid) <= 1:
         raise MoveError("vertex disc already has a connected link")
-    lk = link_graph(surface.target, v)
-    if lk.classify() != "circle":
+    if link_shapes(surface.target)[v].kind() != "circle":
         raise MoveError(
             "vertex disc maps to a boundary vertex; thicken the target first"
         )
@@ -1097,10 +1096,8 @@ def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
             raise MoveError("standard-form loop exceeded its potential bound")
         vids = [v for v in sorted(s.vpieces) if s.bar_link_components(v) > 1]
         if vids:
-            if any(
-                link_graph(s.target, s.vpieces[v].vertex).classify() != "circle"
-                for v in vids
-            ):
+            shapes = link_shapes(s.target)
+            if any(shapes[s.vpieces[v].vertex].kind() != "circle" for v in vids):
                 before = _metrics(s)
                 new_target = thicken_boundary(s.target)
                 s = retarget(s, new_target)

@@ -46,6 +46,7 @@ from .complexes import (
     ComplexError,
     TwoComplex,
     boundary_subcomplex,
+    link_shapes,
     links,
     surface_check,
 )
@@ -119,16 +120,6 @@ class StandardFormReport:
 
     def in_standard_form(self):
         return self.disc_sphere_free and self.connected_links and self.non_folded
-
-    def describe(self):
-        flags = [
-            ("disc_sphere_free", self.disc_sphere_free),
-            ("monotone", self.monotone),
-            ("connected_links", self.connected_links),
-            ("non_folded", self.non_folded),
-            ("orientation_perfect", self.orientation_perfect),
-        ]
-        return "; ".join(f"{name}={'yes' if ok else 'NO'}" for name, ok in flags)
 
 
 class AdmissibleSurface:
@@ -657,10 +648,9 @@ class AdmissibleSurface:
         cache = getattr(self, "_bar_links_cache", None)
         if cache is None:
             bar, _ = self.collapse()
-            bar_links = links(bar)
+            shapes = link_shapes(bar)
             cache = {
-                v: len(bar_links[ix].components())
-                for ix, v in enumerate(sorted(self.vpieces))
+                v: shapes[ix].components for ix, v in enumerate(sorted(self.vpieces))
             }
             self._bar_links_cache = cache
         return cache[vid]

@@ -16,6 +16,7 @@ from sclkit.complexes import (
     induced_subcomplex,
     inv,
     link_graph,
+    link_shapes,
     links,
     parse_complex,
     print_complex,
@@ -23,7 +24,14 @@ from sclkit.complexes import (
     subdivided,
     surface_check,
 )
-from sclkit.fixtures import COMPLEX_FIXTURES, closed_genus, fold_fixture
+from sclkit.fixtures import (
+    COMPLEX_FIXTURES,
+    closed_genus,
+    double_fold_fixture,
+    figlnk,
+    fold_fixture,
+    fold_necklace,
+)
 
 
 def torus():
@@ -115,7 +123,8 @@ def test_torus_link_is_single_circle():
     lk = link_graph(t2, 0)
     assert len(lk.nodes) == 4
     assert len(lk.links) == 4
-    assert lk.classify() == "circle"
+    assert reference_link_kind(lk) == "circle"
+    assert link_shapes(t2)[0] == (4, 0, 0, 2, 1)
     # independent corner enumeration of the square a b a- b-
     word = [(0, 1), (1, 1), (0, -1), (1, -1)]
     expected = set()
@@ -133,12 +142,15 @@ def test_disc_links_are_arcs():
         lk = link_graph(d, v)
         assert len(lk.nodes) == 2
         assert len(lk.links) == 1
-        assert lk.classify() == "arc"
+        assert reference_link_kind(lk) == "arc"
+        assert link_shapes(d)[v].kind() == "arc"
 
 
 def test_isolated_vertex_link_empty():
     cx = TwoComplex.build(["v", "w"], [("a", "v", "v")], [])
-    assert link_graph(cx, 1).classify() == "empty"
+    assert reference_link_kind(link_graph(cx, 1)) == "empty"
+    assert link_shapes(cx)[1] == (0, 0, 0, 0, 0)
+    assert link_shapes(cx)[1].kind() == "empty"
 
 
 def test_unknown_vertex_link():
@@ -180,11 +192,12 @@ def test_small_links_matches_link_formulation():
     for cx in samples:
         ok, _ = has_small_links(cx)
         link_ok = all(
-            link_graph(cx, v).classify() in ("circle", "arc", "point", "union", "empty")
-            and all(d <= 2 for d in link_graph(cx, v).node_degrees().values())
+            reference_link_kind(link_graph(cx, v)) in ("circle", "arc", "point", "union", "empty")
+            and all(d <= 2 for d in reference_node_degrees(link_graph(cx, v)).values())
             for v in cx.vertices
         )
         assert ok == link_ok
+        assert ok == all(shape.max_degree <= 2 for shape in link_shapes(cx).values())
 
 
 def test_surface_check_torus():
@@ -339,8 +352,8 @@ def test_parse_errors():
         parse_complex("widget w\n")
 
 
-# -- the per-vertex scans that ``links`` and the vertex union-find replaced,
-# kept as references
+# -- the per-vertex scans that ``links``, ``link_shapes`` and the vertex
+# union-find replaced, kept as references
 
 
 def reference_link_graph(cx, v):
@@ -359,10 +372,63 @@ def reference_link_graph(cx, v):
     return LinkGraph(vertex=v, nodes=tuple(sorted(nodes)), links=tuple(corners))
 
 
+def reference_node_degrees(lk):
+    deg = {n: 0 for n in lk.nodes}
+    for (h1, h2), _prov in lk.links:
+        deg[h1] += 1
+        deg[h2] += 1
+    return deg
+
+
+def reference_link_components(lk):
+    """Node sets of the link's components, by depth-first search."""
+    adj = {n: [] for n in lk.nodes}
+    for (h1, h2), _prov in lk.links:
+        adj[h1].append(h2)
+        adj[h2].append(h1)
+    seen = set()
+    out = []
+    for n in sorted(lk.nodes):
+        if n in seen:
+            continue
+        comp = []
+        stack = [n]
+        seen.add(n)
+        while stack:
+            cur = stack.pop()
+            comp.append(cur)
+            for nxt in adj[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        out.append(sorted(comp))
+    return out
+
+
+def reference_link_kind(lk):
+    """'circle' | 'arc' | 'point' | 'union' | 'branched' | 'empty', by DFS."""
+    if not lk.nodes:
+        return "empty"
+    deg = reference_node_degrees(lk)
+    if any(d > 2 for d in deg.values()):
+        return "branched"
+    if len(reference_link_components(lk)) > 1:
+        return "union"
+    ones = sum(1 for d in deg.values() if d == 1)
+    zeros = sum(1 for d in deg.values() if d == 0)
+    if zeros:
+        return "point" if len(lk.nodes) == 1 else "union"
+    if ones == 0:
+        return "circle"
+    if ones == 2:
+        return "arc"
+    return "branched"
+
+
 def reference_surface_check(cx):
     boundary, bad = [], []
     for v in cx.vertices:
-        kind = reference_link_graph(cx, v).classify()
+        kind = reference_link_kind(reference_link_graph(cx, v))
         if kind == "arc":
             boundary.append(v)
         elif kind != "circle":
@@ -396,6 +462,22 @@ def reference_components(cx):
     return [sorted(groups[r]) for r in sorted(groups)]
 
 
+def assert_shapes_match_the_dfs(cx):
+    shapes = link_shapes(cx)
+    assert list(shapes) == list(cx.vertices)
+    for v in cx.vertices:
+        lk = reference_link_graph(cx, v)
+        degrees = list(reference_node_degrees(lk).values())
+        assert shapes[v] == (
+            len(lk.nodes),
+            degrees.count(0),
+            degrees.count(1),
+            max(degrees, default=0),
+            len(reference_link_components(lk)),
+        )
+        assert shapes[v].kind() == reference_link_kind(lk)
+
+
 def assert_matches_references(cx):
     table = links(cx)
     assert list(table) == list(cx.vertices)
@@ -404,6 +486,7 @@ def assert_matches_references(cx):
         assert table[v] == expected
         assert link_graph(cx, v) == expected
     assert surface_check(cx) == reference_surface_check(cx)
+    assert_shapes_match_the_dfs(cx)
     assert cx.connected_components() == reference_components(cx)
 
 
@@ -468,6 +551,67 @@ def test_links_and_components_match_on_fixture_images(name):
         assert_matches_references(image)
 
 
+# a loop edge under a one-sided face (an arc link); backtracking words
+# (self-loops in the link), a loop edge, an edge with no face side and an
+# isolated vertex
+LOOP_ARC = TwoComplex([0], {0: (0, 0)}, {0: ((0, 1),)})
+BACKTRACK = TwoComplex(
+    [0, 1, 2, 3, 4],
+    {0: (0, 1), 1: (1, 2), 2: (2, 2), 3: (0, 3)},
+    {0: ((0, 1), (0, -1)), 1: ((1, 1), (2, 1), (1, -1))},
+)
+
+
+def test_link_shapes_on_loops_backtracks_and_free_edges():
+    for cx in (LOOP_ARC, BACKTRACK, union_of(BACKTRACK, LOOP_ARC)):
+        for image in (cx, barycentric(cx)[0], subdivided(cx)):
+            assert_matches_references(image)
+    assert link_shapes(LOOP_ARC)[0] == (2, 0, 2, 1, 1)
+    # vertex 0: a self-loop from the backtrack plus the free edge's end;
+    # vertex 1: two self-loops; vertex 2: a path through the loop edge
+    assert list(link_shapes(BACKTRACK).values()) == [
+        (2, 1, 0, 2, 2),
+        (2, 0, 0, 2, 2),
+        (3, 0, 2, 2, 1),
+        (1, 1, 0, 0, 1),
+        (0, 0, 0, 0, 0),
+    ]
+    assert [s.kind() for s in link_shapes(BACKTRACK).values()] == ["union", "union", "arc", "point", "empty"]
+
+
+NECKLACE_GRID = [
+    (m, closed, fold_pos, back_pos)
+    for m in (1, 2)
+    for closed in (True, False)
+    for fold_pos in range(4)
+    for back_pos in range(4)
+    if fold_pos != back_pos
+]
+
+
+def assert_bar_links_match_the_dfs(surface):
+    table = links(surface.collapse()[0])
+    for ix, vid in enumerate(sorted(surface.vpieces)):
+        assert surface.bar_link_components(vid) == len(reference_link_components(table[ix]))
+
+
+@pytest.mark.parametrize("name", ["fold_fixture", "double_fold_fixture", "figlnk", "necklace(m=6)"])
+def test_bar_link_components_match_the_dfs_on_fold_fixtures(name):
+    build = {
+        "fold_fixture": fold_fixture,
+        "double_fold_fixture": double_fold_fixture,
+        "figlnk": figlnk,
+        "necklace(m=6)": lambda: fold_necklace(torus(), "f", 6, fold_pos=0, back_pos=2),
+    }[name]
+    assert_bar_links_match_the_dfs(build())
+
+
+def test_bar_link_components_match_the_dfs_on_the_necklace_grid():
+    assert len(NECKLACE_GRID) == 48
+    for m, closed, fold_pos, back_pos in NECKLACE_GRID:
+        assert_bar_links_match_the_dfs(fold_necklace(torus(), "f", m, fold_pos, back_pos, closed=closed))
+
+
 def test_connected_components_order_and_cells():
     cx = union_of(disc(), union_of(TwoComplex([0], {}, {}), rp2()))
     assert cx.connected_components() == [
@@ -478,25 +622,19 @@ def test_connected_components_order_and_cells():
 
 
 @pytest.mark.parametrize("which", ["genus 8", "fold_fixture"])
-def test_surface_check_builds_the_link_table_once(which, monkeypatch):
+def test_surface_check_builds_no_link_graph(which, monkeypatch):
     if which == "genus 8":
         cx = barycentric(barycentric(closed_genus(8))[0])[0]
         assert (len(cx.vertices), len(cx.edges), len(cx.faces)) == (178, 576, 384)
     else:
         cx = fold_fixture().complex
-    calls = []
-
-    def counting(arg):
-        calls.append(arg)
-        return links(arg)
 
     def forbidden(*args):
-        raise AssertionError("surface_check read a link through link_graph")
+        raise AssertionError("surface_check built a link graph")
 
-    monkeypatch.setattr(sclkit.complexes, "links", counting)
+    monkeypatch.setattr(sclkit.complexes, "links", forbidden)
     monkeypatch.setattr(sclkit.complexes, "link_graph", forbidden)
     report = surface_check(cx)
-    assert calls == [cx]
     assert report == reference_surface_check(cx)
     if which == "genus 8":
         assert report.is_surface and report.boundary_vertices == ()
