@@ -127,16 +127,22 @@ class TwoComplex:
     def degree(self, f):
         return len(self.faces[f])
 
-    def side_incidence(self, e):
-        """Number of face sides glued to edge e, counted with multiplicity."""
-        return self.side_incidences().get(e, 0)
-
     def side_incidences(self):
-        """side_incidence of every edge, from one pass over the face words."""
+        """Edge id -> number of face sides glued to it, counted with
+        multiplicity, from one pass over the face words."""
         counts = dict.fromkeys(self.edges, 0)
         for word in self.faces.values():
             for e, _ in word:
                 counts[e] += 1
+        return counts
+
+    def signed_incidences(self):
+        """Edge id -> sum of the signs with which the face words run over
+        it; zero on every edge when the faces form a cycle."""
+        counts = dict.fromkeys(self.edges, 0)
+        for word in self.faces.values():
+            for e, sign in word:
+                counts[e] += sign
         return counts
 
     # -- invariants ------------------------------------------------------
@@ -194,8 +200,9 @@ class LinkGraph:
     edge between the inverse of the incoming side and the outgoing side,
     tagged by (face id, corner index).  ``links`` builds the links of all
     vertices of a complex in one pass; ``link_graph`` reads one from it.
-    Only the corner walks need these graphs: questions about the shape of
-    a link are answered by ``link_shapes`` without building them.
+    Only ``rewrite._walk_link_until`` still walks link graphs: questions
+    about the shape of a link are answered by ``link_shapes`` without
+    building them.
     """
 
     vertex: int
@@ -274,7 +281,8 @@ def link_shapes(cx: TwoComplex) -> dict:
     target.  Each occurrence of e in a face word leaves the corner before it
     along one half-edge of e and reaches the corner after it along the
     other, so it adds 1 to the link degree of both: each half-edge of e
-    has link degree side_incidence(e), and no link edge need be listed.
+    has the side incidence of e as its link degree, and no link edge need
+    be listed.
     A corner joins two half-edges at one vertex, so one union-find over
     half-edges, with one union per corner, finds the link components of
     every vertex at once: a vertex has as many components as half-edges,
@@ -312,18 +320,6 @@ def link_shapes(cx: TwoComplex) -> dict:
         v: LinkShape(len(d), d.count(0), d.count(1), max(d, default=0), len(d) - merges[v])
         for v, d in degrees.items()
     }
-
-
-def has_small_links(cx: TwoComplex):
-    """True iff every edge meets at most two face sides, with a witness.
-
-    Returns (ok, witness edge id or None).  Equivalent to every vertex link
-    being a disjoint union of arcs (possibly degenerate) and circles.
-    """
-    for e, count in cx.side_incidences().items():
-        if count > 2:
-            return False, e
-    return True, None
 
 
 @dataclass

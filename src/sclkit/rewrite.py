@@ -38,7 +38,7 @@ from .surfaces import (
     HPiece,
     SurfaceError,
     VPiece,
-    polygon_order,
+    corner_tokens,
     polygon_sign,
     required_long_index,
 )
@@ -245,32 +245,6 @@ class _Tokens:
         return vpieces, where
 
 
-def _face_corner_tokens(surface: AdmissibleSurface, fid, k):
-    """(gap token, end token) of the disc's corner at face-word corner k.
-
-    The corner between polygon-consecutive sides X then Y satisfies
-    succ(start slot of Y) = end slot of X, and the gap after the start slot
-    is the corner point.  A side on long0 is traversed negatively (it starts
-    at the handle's tgt end), a side on long1 positively, so the start slot
-    of Y is its handle's tgt end for long0 and src end for long1, and the
-    end slot of X is the src end for long0 and tgt end for long1.  For a
-    disc of sign -1 the polygon runs through the word backwards, swapping
-    the roles of the two sides at the corner.
-    """
-    fp = surface.fpieces[fid]
-    word = surface.target.faces[fp.face]
-    deg = len(word)
-    if fp.sign == 1:
-        x_pos, y_pos = k, (k + 1) % deg
-    else:
-        x_pos, y_pos = (k + 1) % deg, k
-    hx, lix = fp.sides[x_pos]
-    hy, liy = fp.sides[y_pos]
-    gap_tok = ("h", hy, "t" if liy == 0 else "s")
-    end_tok = ("h", hx, "s" if lix == 0 else "t")
-    return gap_tok, end_tok
-
-
 def _rebuild(surface: AdmissibleSurface, tokens: _Tokens, hpieces, fpieces, carry, homotopy=None):
     """The surface after a token surgery, validated once.
 
@@ -421,8 +395,8 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     # check the corner registry before mutating, then glue every mirrored pair
     pairs = []
     for k in range(deg):
-        t1, e1 = _face_corner_tokens(surface, fid1, k)
-        t2, e2 = _face_corner_tokens(surface, fid2, k)
+        t1, e1 = corner_tokens(fp1, word, k)
+        t2, e2 = corner_tokens(fp2, word, k)
         if tokens.succ.get(t1) != e1 or tokens.succ.get(t2) != e2:
             raise MoveError("corner registry out of step with the slot lists")
         pairs.append((t1, t2))
@@ -715,7 +689,8 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
         raise MoveError("unknown vertex disc")
     vp = surface.vpieces[vid]
     v = vp.vertex
-    if surface.bar_link_components(vid) <= 1:
+    runs = surface.link_runs(vid)
+    if len(runs) <= 1:
         raise MoveError("vertex disc already has a connected link")
     if link_shapes(surface.target)[v].kind() != "circle":
         raise MoveError(
@@ -725,49 +700,7 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
     before = _metrics(surface)
     old_coords = surface.reduced_class()
 
-    # covered gaps of the vertex disc: gap after slot j hosts a corner
-    covered_after = set()
-    for fid, fp in surface.fpieces.items():
-        word = surface.target.faces[fp.face]
-        for k in range(len(word)):
-            covered_after.add(_face_corner_tokens(surface, fid, k)[0])
-
     slots = vp.slots
-    m = len(slots)
-
-    def is_handle(j):
-        return slots[j] != FREE
-
-    def gap_covered(j):
-        # gap between slot j and slot j+1
-        if slots[j] == FREE or slots[(j + 1) % m] == FREE:
-            return False
-        tok = ("h", slots[j][1], slots[j][2])
-        return tok in covered_after
-
-    # separators between bar-link runs: free slots or uncovered gaps
-    runs = []
-    run = []
-    start = None
-    for j in range(m):
-        if is_handle(j):
-            start = j
-            break
-    if start is None:
-        raise MoveError("vertex disc has no handles at all")
-    j = start
-    for _ in range(m):
-        if is_handle(j):
-            run.append(j)
-            if not gap_covered(j):
-                runs.append(run)
-                run = []
-        j = (j + 1) % m
-    if run:
-        runs.append(run)
-    if len(runs) < 2:
-        raise MoveError("could not find two link components to join")
-
     # the separator after run i joins run i to run i+1
     if not 0 <= separator < len(runs):
         raise MoveError("separator index out of range")
@@ -878,14 +811,8 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
     for fid in new_fids:
         fp = fpieces[fid]
         word = target.faces[fp.face]
-        order = polygon_order(fp, len(word))
-        for i in range(len(order)):
-            x_pos = order[i]
-            y_pos = order[(i + 1) % len(order)]
-            hx, lix = fp.sides[x_pos]
-            hy, liy = fp.sides[y_pos]
-            x_tok = ("h", hx, "s" if lix == 0 else "t")
-            y_tok = ("h", hy, "t" if liy == 0 else "s")
+        for k in range(len(word)):
+            y_tok, x_tok = corner_tokens(fp, word, k)
             if y_tok in overrides:
                 raise MoveError("conflicting corner equations")
             overrides[y_tok] = x_tok
@@ -984,10 +911,7 @@ def thicken_boundary(cx: TwoComplex) -> TwoComplex:
     bsub = boundary_subcomplex(cx)
     if not bsub.edge_set:
         return cx
-    totals = {}
-    for _f, word in cx.faces.items():
-        for e, sign in word:
-            totals[e] = totals.get(e, 0) + sign
+    totals = cx.signed_incidences()
 
     vertices = list(cx.vertices)
     edges = dict(cx.edges)
@@ -1016,7 +940,7 @@ def thicken_boundary(cx: TwoComplex) -> TwoComplex:
         edges[e_prime] = (v_prime[u], v_prime[w])
         names[("e", e_prime)] = cx.name("e", e) + "'"
         next_e += 1
-        beta = totals.get(e, 0)
+        beta = totals[e]
         if beta == 1:
             word = ((e, -1), (rung[u], 1), (e_prime, 1), (rung[w], -1))
         elif beta == -1:

@@ -46,8 +46,6 @@ from .complexes import (
     ComplexError,
     TwoComplex,
     boundary_subcomplex,
-    link_shapes,
-    links,
     surface_check,
 )
 from .words import EdgeChain, cyclic_rotations, cyclically_equal, word_inverse
@@ -82,7 +80,8 @@ FREE = ("free",)
 
 
 def polygon_order(fp: FPiece, degree):
-    """Polygon word data: [(position, polygon sign placeholder), ...]."""
+    """The word positions in the order the disc's boundary visits them:
+    ascending for sign +1, descending for sign -1."""
     if fp.sign == 1:
         return list(range(degree))
     return list(range(degree - 1, -1, -1))
@@ -96,6 +95,29 @@ def required_long_index(psign):
     # a handle traverses long0 positively and long1 negatively, so a
     # polygon side must traverse with the opposite sign
     return 0 if psign == -1 else 1
+
+
+def corner_tokens(fp: FPiece, word, k):
+    """(gap token, end token) of the disc's corner at word corner k.
+
+    Tokens are handle slots ("h", hpiece id, "s"|"t").  The corner between
+    polygon-consecutive sides X then Y satisfies succ(start slot of Y) =
+    end slot of X, and the gap after the start slot is the corner point.
+    A side on long0 is traversed negatively (it starts at the handle's tgt
+    end), a side on long1 positively, so the start slot of Y is its
+    handle's tgt end for long0 and src end for long1, and the end slot of X
+    is the src end for long0 and tgt end for long1.  For a disc of sign -1
+    the polygon runs through the word backwards, swapping the roles of the
+    two sides at the corner.
+    """
+    deg = len(word)
+    if fp.sign == 1:
+        x_pos, y_pos = k, (k + 1) % deg
+    else:
+        x_pos, y_pos = (k + 1) % deg, k
+    hx, lix = fp.sides[x_pos]
+    hy, liy = fp.sides[y_pos]
+    return ("h", hy, "t" if liy == 0 else "s"), ("h", hx, "s" if lix == 0 else "t")
 
 
 @dataclass(frozen=True)
@@ -171,6 +193,7 @@ class AdmissibleSurface:
         self._validate_boundary_words()
         self._cross_checks()
         self._find_components()
+        self._find_link_runs()
 
     # -- validation ------------------------------------------------------
 
@@ -179,12 +202,8 @@ class AdmissibleSurface:
         report = surface_check(cx)
         if not report.is_surface:
             raise SurfaceError(f"target is not a surface: {report.witnesses}")
-        totals = {}
-        for f, word in cx.faces.items():
-            for e, sign in word:
-                totals[e] = totals.get(e, 0) + sign
         bset = boundary_subcomplex(cx).edge_set
-        for e, total in totals.items():
+        for e, total in cx.signed_incidences().items():
             if e in bset:
                 if total not in (1, -1):
                     raise SurfaceError("target words are not coherently oriented")
@@ -358,10 +377,7 @@ class AdmissibleSurface:
         if not report.is_surface:
             raise SurfaceError(f"assembled complex is not a surface: {report.witnesses}")
         # coherent orientation: the all-ones 2-chain must be a relative cycle
-        totals = {}
-        for _f, word in cxs.faces.items():
-            for e, sign in word:
-                totals[e] = totals.get(e, 0) + sign
+        totals = cxs.signed_incidences()
         free_items = set()
         for vid, vp in self.vpieces.items():
             for j, slot in enumerate(vp.slots):
@@ -374,7 +390,7 @@ class AdmissibleSurface:
         self._free_items = free_items
         self._bdry_dir = {}
         for name, ix in self._edge_ix.items():
-            total = totals.get(ix, 0)
+            total = totals[ix]
             if name in free_items:
                 if total not in (1, -1):
                     raise SurfaceError(
@@ -546,6 +562,34 @@ class AdmissibleSurface:
             sum(-1 if kind == "h" else 1 for kind, _ in comp) for comp in comps
         )
 
+    def _find_link_runs(self):
+        """Each vertex disc's link in the collapsed complex, as slot runs.
+
+        Collapsing vertex discs to vertices and handles to edges makes a
+        disc's handle slots the nodes of its link, and a polygon corner at
+        the disc joins the two slots on either side of the gap it covers.
+        A run is a maximal sequence of handle slots joined by covered gaps,
+        so the runs are the link components.
+        """
+        covered = set()
+        for fp in self.fpieces.values():
+            word = self.target.faces[fp.face]
+            covered.update(corner_tokens(fp, word, k)[0] for k in range(len(word)))
+        self._link_runs = {}
+        for vid, vp in self.vpieces.items():
+            slots = vp.slots
+            handles = [j for j, slot in enumerate(slots) if slot != FREE]
+            # walk from a slot after a free slot or an uncovered gap, so a
+            # run through the last and first slots is not split; a disc
+            # whose gaps are all covered is one run
+            i = next((i for i, j in enumerate(handles) if slots[j - 1] not in covered), 0)
+            runs = []
+            for j in handles[i:] + handles[:i]:
+                if not runs or slots[j - 1] not in covered:
+                    runs.append([])
+                runs[-1].append(j)
+            self._link_runs[vid] = tuple(tuple(run) for run in runs)
+
     # -- analyses ----------------------------------------------------------
 
     def euler_characteristic(self):
@@ -597,63 +641,14 @@ class AdmissibleSurface:
         x = {f: c for f, c in x.items() if c}
         return tuple(self.degree_vector()), tuple(sorted(x.items()))
 
-    def collapse(self):
-        """Collapse vertex discs to vertices and handles to edges.
-
-        Returns (bar complex, cell map to the target): vertices are vertex
-        discs, edges are handles, faces are cellular discs.
-        """
-        if getattr(self, "_collapse_cache", None) is not None:
-            return self._collapse_cache
-        vids = sorted(self.vpieces)
-        vix = {vid: i for i, vid in enumerate(vids)}
-        hids = sorted(self.hpieces)
-        hix = {hid: i for i, hid in enumerate(hids)}
-        edges = {}
-        for hid in hids:
-            hp = self.hpieces[hid]
-            edges[hix[hid]] = (vix[hp.src[0]], vix[hp.tgt[0]])
-        faces = {}
-        fids = sorted(self.fpieces)
-        for i, fid in enumerate(fids):
-            fp = self.fpieces[fid]
-            word = self.target.faces[fp.face]
-            letters = []
-            for k in polygon_order(fp, len(word)):
-                hid, _li = fp.sides[k]
-                letters.append((hix[hid], polygon_sign(fp, word, k)))
-            faces[i] = tuple(letters)
-        names = {}
-        for vid, i in vix.items():
-            names[("v", i)] = f"vd{vid}"
-        for hid, i in hix.items():
-            names[("e", i)] = f"hd{hid}"
-        for i, fid in enumerate(fids):
-            names[("f", i)] = f"cd{fid}"
-        bar = TwoComplex(range(len(vids)), edges, faces, names)
-        cell_map = {
-            ("v", vix[vid]): ("v", self.vpieces[vid].vertex) for vid in vids
-        }
-        cell_map.update(
-            {("e", hix[hid]): ("e", self.hpieces[hid].edge) for hid in hids}
-        )
-        cell_map.update(
-            {("f", i): ("f", self.fpieces[fid].face) for i, fid in enumerate(fids)}
-        )
-        self._collapse_cache = (bar, cell_map)
-        return bar, cell_map
+    def link_runs(self, vid):
+        """The link components of a vertex disc in the collapsed complex,
+        each a run of slot indices in slot order."""
+        return self._link_runs[vid]
 
     def bar_link_components(self, vid):
         """Number of link components of a vertex disc in the collapsed complex."""
-        cache = getattr(self, "_bar_links_cache", None)
-        if cache is None:
-            bar, _ = self.collapse()
-            shapes = link_shapes(bar)
-            cache = {
-                v: shapes[ix].components for ix, v in enumerate(sorted(self.vpieces))
-            }
-            self._bar_links_cache = cache
-        return cache[vid]
+        return len(self._link_runs[vid])
 
     def standard_form_report(self) -> StandardFormReport:
         witnesses = {}
@@ -791,55 +786,6 @@ def subsurface_as_admissible(
         raise SurfaceError("the chosen cells do not form a surface")
 
     hid_of_edge = {e: i for i, e in enumerate(sub_edges)}
-    vid_of_vertex = {v: i for i, v in enumerate(sub_vertices)}
-
-    # slot order around each vertex = the link walk; the forward walk steps
-    # from a half-edge h to the other endpoint of the corner leaving along h
-    vp_slots = {}
-    slot_index = {}
-    for v, lk in links(sub_cx).items():
-        succ = {}
-        pred = {}
-        for (h1, h2), _prov in lk.links:
-            # corner (s_i, s_{i+1}): h1 = inverse of the incoming side,
-            # h2 = the outgoing side; the walk visits h2 then h1
-            key, val = (h2, h1) if sign == 1 else (h1, h2)
-            if key in succ:
-                raise SurfaceError("branched link in subsurface")
-            succ[key] = val
-            pred[val] = key
-        nodes = sorted(lk.nodes)
-        starts = [h for h in nodes if h not in pred]
-        order = []
-        if starts:
-            if len(starts) != 1:
-                raise SurfaceError("link walk with several starts")
-            cur = starts[0]
-        else:
-            cur = nodes[0]
-        seen = set()
-        while cur not in seen:
-            order.append(cur)
-            seen.add(cur)
-            if cur not in succ:
-                break
-            cur = succ[cur]
-        if len(order) != len(nodes):
-            raise SurfaceError("link walk does not cover the link")
-        slots = []
-        for h in order:
-            e, s = h
-            which = "s" if s == 1 else "t"
-            slot_index[(hid_of_edge[e], which)] = (vid_of_vertex[v], len(slots))
-            slots.append(("h", hid_of_edge[e], which))
-        if starts:
-            slots.append(FREE)
-        vp_slots[vid_of_vertex[v]] = slots
-
-    vpieces = {
-        vid_of_vertex[v]: VPiece(v, tuple(vp_slots[vid_of_vertex[v]]))
-        for v in sub_vertices
-    }
 
     # cellular discs and the handle gluing they dictate
     fpieces = {}
@@ -857,16 +803,13 @@ def subsurface_as_admissible(
             sides.append((hid, li))
         fpieces[i] = FPiece(f, sign, tuple(sides))
 
-    hpieces = {}
-    for e in sub_edges:
-        hid = hid_of_edge[e]
-        hpieces[hid] = HPiece(
-            edge=e,
-            longs=tuple(long_refs[hid]),
-            src=slot_index[(hid, "s")],
-            tgt=slot_index[(hid, "t")],
-        )
-
+    hpieces = {hid: HPiece(e, tuple(long_refs[hid]), None, None) for e, hid in hid_of_edge.items()}
+    # the corners order the slots round each vertex disc
+    vpieces, placement = derive_vpieces(target, hpieces, fpieces)
+    hpieces = {
+        hid: HPiece(hp.edge, hp.longs, placement[(hid, "s")], placement[(hid, "t")])
+        for hid, hp in hpieces.items()
+    }
     return AdmissibleSurface(target, chain, vpieces, hpieces, fpieces)
 
 
@@ -972,23 +915,19 @@ def derive_vpieces(target, hpieces, fpieces):
     """
     succ = {}
     pred = {}
-    for fid, fp in fpieces.items():
+    for fp in fpieces.values():
         word = target.faces[fp.face]
-        order = polygon_order(fp, len(word))
-        for i in range(len(order)):
-            hx, lix = fp.sides[order[i]]
-            hy, liy = fp.sides[order[(i + 1) % len(order)]]
-            start = (hy, "t" if liy == 0 else "s")
-            end = (hx, "s" if lix == 0 else "t")
+        for k in range(len(word)):
+            start, end = corner_tokens(fp, word, k)
             if start in succ or end in pred:
                 raise SurfaceError("conflicting corner adjacencies")
             succ[start] = end
             pred[end] = start
-    tokens = [(hid, end) for hid in sorted(hpieces) for end in ("s", "t")]
+    tokens = [("h", hid, end) for hid in sorted(hpieces) for end in ("s", "t")]
     vertex_of = {}
-    for hid, end in tokens:
-        s, t = target.edges[hpieces[hid].edge]
-        vertex_of[(hid, end)] = s if end == "s" else t
+    for tok in tokens:
+        s, t = target.edges[hpieces[tok[1]].edge]
+        vertex_of[tok] = s if tok[2] == "s" else t
     vpieces = {}
     placement = {}
     seen = set()
@@ -1004,8 +943,7 @@ def derive_vpieces(target, hpieces, fpieces):
                 raise SurfaceError("corner adjacency chain crosses itself")
             chain.append(nxt)
             seen.add(nxt)
-        slots = [("h", h, e) for h, e in chain] + [FREE]
-        _register_vpiece(vpieces, placement, vertex_of, vid, chain, slots)
+        _register_vpiece(vpieces, placement, vertex_of, vid, chain, chain + [FREE])
         vid += 1
     for tok in tokens:
         if tok in seen:
@@ -1015,8 +953,7 @@ def derive_vpieces(target, hpieces, fpieces):
         while succ[cyc[-1]] != tok:
             cyc.append(succ[cyc[-1]])
             seen.add(cyc[-1])
-        slots = [("h", h, e) for h, e in cyc]
-        _register_vpiece(vpieces, placement, vertex_of, vid, cyc, slots)
+        _register_vpiece(vpieces, placement, vertex_of, vid, cyc, cyc)
         vid += 1
     return vpieces, placement
 
@@ -1026,5 +963,5 @@ def _register_vpiece(vpieces, placement, vertex_of, vid, chain, slots):
     if len(verts) != 1:
         raise SurfaceError("corner chain mixes vertices")
     for j, tok in enumerate(chain):
-        placement[tok] = (vid, j)
+        placement[tok[1:]] = (vid, j)
     vpieces[vid] = VPiece(verts.pop(), tuple(slots))

@@ -2,24 +2,29 @@ from dataclasses import replace
 
 import pytest
 
+from sclkit.complexes import TwoComplex, barycentric, induced_subcomplex, links
 from sclkit.fixtures import (
+    ambient_pair,
     closed_genus3_split,
     figlnk,
     fold_fixture,
     fold_necklace,
     genus3_chain,
+    genus3_sigma_prime,
     genus3_T,
     sigma_genus1,
     t_itself,
     torus,
 )
 from sclkit.surfaces import (
+    FREE,
     AdmissibleSurface,
     SurfaceError,
     VPiece,
     disjoint_union,
     subsurface_as_admissible,
 )
+from sclkit.words import EdgeChain, cyclically_equal
 
 
 def rebuild(s, vpieces=None, hpieces=None, fpieces=None):
@@ -98,3 +103,84 @@ def test_standard_form_report_witnesses():
     report = fold_fixture().standard_form_report()
     assert report.connected_links and not report.non_folded
     assert t_itself().standard_form_report().in_standard_form()
+
+
+# -- the link walk that derive_vpieces replaced in subsurface_as_admissible,
+# kept as a reference
+
+
+def reference_subsurface_slots(target, cells, sign):
+    """Vertex -> slot list ("h", edge, "s"|"t") or FREE, by walking the
+    subsurface's vertex links: the forward walk steps from a half-edge h to
+    the other end of the corner leaving along h."""
+    sub_cx = TwoComplex(
+        sorted(i for k, i in cells if k == "v"),
+        {i: target.edges[i] for k, i in cells if k == "e"},
+        {i: target.faces[i] for k, i in cells if k == "f"},
+    )
+    out = {}
+    for v, lk in links(sub_cx).items():
+        succ = {}
+        for (h1, h2), _prov in lk.links:
+            # corner (s_i, s_{i+1}): h1 = inverse of the incoming side,
+            # h2 = the outgoing side; the walk visits h2 then h1
+            key, val = (h2, h1) if sign == 1 else (h1, h2)
+            assert key not in succ
+            succ[key] = val
+        starts = [h for h in lk.nodes if h not in succ.values()]
+        assert len(starts) <= 1
+        cur = starts[0] if starts else min(lk.nodes)
+        order = []
+        while cur is not None and cur not in order:
+            order.append(cur)
+            cur = succ.get(cur)
+        assert len(order) == len(lk.nodes)
+        out[v] = [("h", e, "s" if s == 1 else "t") for e, s in order] + ([FREE] if starts else [])
+    return out
+
+
+def genus3_case(which, sign):
+    cx = closed_genus3_split()
+    sub = genus3_T(cx) if which == "T" else genus3_sigma_prime(cx)
+    return cx, sub.cells(), genus3_chain(cx), sign
+
+
+def ambient_case(inner, outer, level, sign):
+    """T' in ambient_pair(inner, outer) subdivided level times, bounding t."""
+    cx, _ = ambient_pair(inner, outer)
+    letters = ((cx.edge_id("t"), -1),)
+    for _ in range(level):
+        cx, halves = barycentric(cx)
+        split = []
+        for e, sign in letters:
+            first, second = halves[e]
+            split += [(first, 1), (second, 1)] if sign == 1 else [(second, -1), (first, -1)]
+        letters = tuple(split)
+    t_faces = [("f", f) for f in cx.faces if cx.name("f", f).split(":")[0] == "fT"]
+    return cx, induced_subcomplex(cx, t_faces).cells(), EdgeChain.make(cx, [(1, letters)]), sign
+
+
+SUBSURFACE_CASES = {
+    **{f"{which}, sign {sign:+d}": (genus3_case, which, sign) for which in ("T", "sigma'") for sign in (1, -1)},
+    **{
+        f"ambient({inner},{outer})/L{level}, sign {sign:+d}": (ambient_case, inner, outer, level, sign)
+        for inner, outer in ((1, 2), (2, 4))
+        for level in (0, 1, 2)
+        for sign in (1, -1)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(SUBSURFACE_CASES))
+def test_subsurface_vertex_discs_match_the_link_walk(name):
+    make, *args = SUBSURFACE_CASES[name]
+    cx, cells, chain, sign = make(*args)
+    s = subsurface_as_admissible(cx, cells, chain, sign=sign)
+    expected = reference_subsurface_slots(cx, cells, sign)
+    got = {}
+    for vp in s.vpieces.values():
+        assert vp.vertex not in got, "two vertex discs over one vertex"
+        got[vp.vertex] = [slot if slot == FREE else ("h", s.hpieces[slot[1]].edge, slot[2]) for slot in vp.slots]
+    assert sorted(got) == sorted(expected) == sorted(i for k, i in cells if k == "v")
+    for v, slots in expected.items():
+        assert cyclically_equal(got[v], slots)
