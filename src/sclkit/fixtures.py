@@ -318,11 +318,7 @@ def fold_necklace(target=None, face_name="f", m=1, fold_pos=0, back_pos=1, close
         hid: HPiece(hp.edge, tuple(long_refs[hid]), None, None)
         for hid, hp in hpieces.items()
     }
-    vpieces, placement = derive_vpieces(target, hpieces, fpieces)
-    hpieces = {
-        hid: HPiece(hp.edge, hp.longs, placement[(hid, "s")], placement[(hid, "t")])
-        for hid, hp in hpieces.items()
-    }
+    vpieces, hpieces = derive_vpieces(target, hpieces, fpieces)
     return AdmissibleSurface(target, None, vpieces, hpieces, fpieces)
 
 

@@ -259,11 +259,7 @@ class ConeComplex:
 
     cx: TwoComplex
     circles: tuple  # CircleComplex per chain term
-    d2: list  # (circle vertices + X edges) x (circle edges + X faces)
-    d1: list  # (X vertices) x (circle vertices + X edges)
     kernel_basis: list  # rational basis of H2(X, c)
-    edge_index: dict
-    face_index: dict
     circle_edge_offset: tuple  # start column of each circle's edges in d2
     summary: HomologySummary
 
@@ -313,9 +309,8 @@ def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
     circles is available through ConeComplex.boundary_degrees.
     """
     circles = chain_circles(cx, terms)
-    d2x, d1x, vs, es, fs = _boundary_columns(cx)
+    d2x, d1x, vs, es, _ = _boundary_columns(cx)
     eix = {e: i for i, e in enumerate(es)}
-    fix = {f: i for i, f in enumerate(fs)}
     vix = {v: i for i, v in enumerate(vs)}
 
     n_cv = sum(c.length for c in circles)  # circle vertices = circle edges
@@ -347,8 +342,7 @@ def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
     _check_square_zero(d2, d1, "cone differential squares to nonzero")
 
     rows2, cols2, rows1 = n_cv + len(es), len(d2), len(vs)
-    d2_dense = _dense(d2, rows2)
-    kernel = kernel_q(d2_dense) if cols2 else []
+    kernel = kernel_q(_dense(d2, rows2)) if cols2 else []
     r2 = cols2 - len(kernel)
     r1, _ = _rank_torsion(d1, rows1, "Q")
     summary = HomologySummary("Q", (rows1 - r1, rows2 - r1 - r2, cols2 - r2))
@@ -356,11 +350,7 @@ def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
     cone = ConeComplex(
         cx=cx,
         circles=tuple(circles),
-        d2=d2_dense,
-        d1=_dense(d1, rows1),
         kernel_basis=kernel,
-        edge_index=eix,
-        face_index=fix,
         circle_edge_offset=tuple(offsets),
         summary=summary,
     )
@@ -452,7 +442,6 @@ class SupportVerdict:
     ok: bool
     kind: str  # 'contains-all-faces' | 'hypothesis-fails'
     h2_rank: int = 0
-    detail: str = ""
 
 
 def check_support_lemma(cx: TwoComplex, sub: Subcomplex, ring="Z") -> SupportVerdict:
@@ -475,13 +464,7 @@ def check_support_lemma(cx: TwoComplex, sub: Subcomplex, ring="Z") -> SupportVer
         if missing:
             raise HomologyError(f"support lemma violated: faces {missing} escape Y")
         return SupportVerdict(True, "contains-all-faces")
-    return SupportVerdict(
-        False,
-        "hypothesis-fails",
-        h2_rank=h2.rank(2),
-        detail=f"H2(X, Y; {ring}) has rank {h2.rank(2)}"
-        + (f" and torsion {list(h2.torsion_of(2))}" if h2.torsion_of(2) else ""),
-    )
+    return SupportVerdict(False, "hypothesis-fails", h2_rank=h2.rank(2))
 
 
 # -- chain file format -----------------------------------------------------

@@ -392,16 +392,9 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     shared = fp1.sides[shared_position][0]
 
     tokens = _Tokens(surface)
-    # check the corner registry before mutating, then glue every mirrored pair
-    pairs = []
+    # glue every mirrored pair of corners
     for k in range(deg):
-        t1, e1 = corner_tokens(fp1, word, k)
-        t2, e2 = corner_tokens(fp2, word, k)
-        if tokens.succ.get(t1) != e1 or tokens.succ.get(t2) != e2:
-            raise MoveError("corner registry out of step with the slot lists")
-        pairs.append((t1, t2))
-    for t1, t2 in pairs:
-        tokens.cross_splice(t1, t2)
+        tokens.cross_splice(corner_tokens(fp1, word, k)[0], corner_tokens(fp2, word, k)[0])
 
     hpieces = dict(surface.hpieces)
     fpieces = {k: v for k, v in surface.fpieces.items() if k not in (fid1, fid2)}

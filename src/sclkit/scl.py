@@ -268,13 +268,6 @@ class SandwichVerdict:
     upper: Fraction | None
     exact: Fraction | None
 
-    def describe(self):
-        if self.exact is not None:
-            return f"scl = {self.exact} (rot lower bound meets surface upper bound)"
-        if self.upper is not None:
-            return f"scl in [{self.lower}, {self.upper}]"
-        return f"scl >= {self.lower}"
-
 
 def bavard_sandwich(structure: RotStructure, chain: EdgeChain, witness=None) -> SandwichVerdict:
     """Lower bound rot/2 (the defect of rot is 1) against a witness bound.
@@ -291,8 +284,6 @@ def bavard_sandwich(structure: RotStructure, chain: EdgeChain, witness=None) -> 
 
 @dataclass
 class InclusionReport:
-    small_basis: tuple
-    big_basis: tuple
     small: SclResult
     big: SclResult
 
@@ -317,9 +308,4 @@ def scl_compare_under_inclusion(chain: OneChain, ambient_basis) -> InclusionRepo
         raise ChainError("chain is a boundary in only one of the two bases")
     if not small.is_infinite and big.value > small.value:
         raise ChainError("monotonicity of scl violated")
-    return InclusionReport(
-        small_basis=chain.basis,
-        big_basis=tuple(ambient_basis),
-        small=small,
-        big=big,
-    )
+    return InclusionReport(small=small, big=big)

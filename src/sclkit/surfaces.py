@@ -15,7 +15,7 @@ A surface mapping to a 2-complex S in transverse form decomposes into
 Both the surface and the target are oriented.  The target must be written
 with a coherent positive orientation: the sum of all its face words is a
 relative cycle.  Every piece's attaching word below is its counterclockwise
-boundary, and the assembly conventions make the identifications canonical:
+boundary, and these conventions make the identifications canonical:
 
 * vertex disc with m slots: corner points p_0..p_{m-1}; slot edge j runs
   p_j -> p_{j+1}; the disc's word is slot_0 ... slot_{m-1}.
@@ -30,9 +30,31 @@ boundary, and the assembly conventions make the identifications canonical:
   Cancellation forces a side with polygon sign -1 onto a long0 and a side
   with polygon sign +1 onto a long1.
 
-Validation assembles the complex, checks it is an oriented surface whose
-boundary is exactly the free items, extracts the boundary circuits and
-matches their words against the chain's circles.  Surfaces produced by
+Validation runs on the pieces; no complex is assembled.  Given the
+gluing, sign and long-index rules that ``_validate_pieces`` enforces, the
+pieces form an oriented surface whose boundary is exactly the free items,
+with one check left over:
+
+* a vertex disc runs over each slot with sign +1, and a handle runs over
+  both of its end slots with sign -1;
+* a handle runs over long0 with sign +1 and long1 with sign -1; the sign
+  rule forces a polygon side on long0 to have polygon sign -1 and one on
+  long1 to have +1, and mutual gluing gives each long at most one
+  polygon side;
+* so every glued item cancels, every free item is +-1, and the boundary
+  is exactly the free items;
+* a corner point's link has at most four half-edges: its two slot halves,
+  plus at most one long half from each of the handles in the two slots
+  beside it.  The vertex-disc corner joins the two slot halves, and each
+  handle corner joins its slot half to its long half, so these corners
+  make the link an arc.  A polygon corner joins two long halves, and each
+  long half meets at most one polygon corner; when the two halves lie at
+  one point they are the ends of its arc, which the corner closes into a
+  circle.  So every link is a circle or an arc once each polygon corner
+  joins two long halves at one point, which ``_check_corners`` checks.
+
+The boundary circuits are then walked through the free items and their
+words matched against the chain's circles.  Surfaces produced by
 homotopy moves carry a 2-chain certificate instead of literal word
 equality: the total boundary 1-chain minus the degree-weighted circle
 1-chains must equal the boundary of the certificate.
@@ -42,12 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (
-    ComplexError,
-    TwoComplex,
-    boundary_subcomplex,
-    surface_check,
-)
+from .complexes import TwoComplex, boundary_subcomplex, surface_check
 from .words import EdgeChain, cyclic_rotations, cyclically_equal, word_inverse
 
 
@@ -77,14 +94,6 @@ class FPiece:
 
 
 FREE = ("free",)
-
-
-def polygon_order(fp: FPiece, degree):
-    """The word positions in the order the disc's boundary visits them:
-    ascending for sign +1, descending for sign -1."""
-    if fp.sign == 1:
-        return list(range(degree))
-    return list(range(degree - 1, -1, -1))
 
 
 def polygon_sign(fp: FPiece, word, position):
@@ -122,7 +131,7 @@ def corner_tokens(fp: FPiece, word, k):
 
 @dataclass(frozen=True)
 class Circuit:
-    items: tuple  # ("long", h, li, dir) | ("arc", vp, slot, dir)
+    items: tuple  # ("long", h, li, dir) | ("slot", vp, slot index, dir)
     word: tuple  # signed target edges read along the circuit
     circle: int | None
     degree: int
@@ -182,8 +191,7 @@ class AdmissibleSurface:
         self.relaxed = bool(relaxed_boundary) or bool(self.homotopy)
         self._validate_target()
         self._validate_pieces()
-        self._assemble()
-        self._validate_surface()
+        self._check_corners()
         self._extract_circuits()
         if chain is None:
             self.chain, assignments = _infer_chain(target, self._raw_circuits)
@@ -204,10 +212,7 @@ class AdmissibleSurface:
             raise SurfaceError(f"target is not a surface: {report.witnesses}")
         bset = boundary_subcomplex(cx).edge_set
         for e, total in cx.signed_incidences().items():
-            if e in bset:
-                if total not in (1, -1):
-                    raise SurfaceError("target words are not coherently oriented")
-            elif total != 0:
+            if total != 0 and e not in bset:
                 raise SurfaceError(
                     "target words are not coherently oriented: "
                     f"edge {cx.name('e', e)} has signed incidence {total}"
@@ -225,7 +230,10 @@ class AdmissibleSurface:
                 raise SurfaceError(f"handle {hid} maps to unknown edge")
             if len(hp.longs) != 2:
                 raise SurfaceError(f"handle {hid} must have two long sides")
-            for which, (vpid, j) in (("s", hp.src), ("t", hp.tgt)):
+            for which, end in (("s", hp.src), ("t", hp.tgt)):
+                if not (isinstance(end, tuple) and len(end) == 2):
+                    raise SurfaceError(f"handle {hid} {which}-end is not placed on a slot")
+                vpid, j = end
                 if vpid not in self.vpieces:
                     raise SurfaceError(f"handle {hid} end on unknown vertex disc")
                 vp = self.vpieces[vpid]
@@ -263,7 +271,10 @@ class AdmissibleSurface:
                 raise SurfaceError(
                     f"cellular disc {fid} must have {len(word)} sides"
                 )
-            for k, (hid, li) in enumerate(fp.sides):
+            for k, side in enumerate(fp.sides):
+                if not (isinstance(side, tuple) and len(side) == 2):
+                    raise SurfaceError(f"cellular disc {fid} side {k} is not a (handle, long) pair")
+                hid, li = side
                 if hid not in self.hpieces or li not in (0, 1):
                     raise SurfaceError(f"cellular disc {fid} side {k} reference invalid")
                 hp = self.hpieces[hid]
@@ -294,130 +305,57 @@ class AdmissibleSurface:
                         f"handle {hid} long {li} and disc {fid} side {k} are not mutual"
                     )
 
-    def _assemble(self):
-        """Build the surface as a TwoComplex with one face per piece."""
-        vertices = []
-        vertex_ix = {}
-        for vid, vp in self.vpieces.items():
-            for j in range(len(vp.slots)):
-                vertex_ix[(vid, j)] = len(vertices)
-                vertices.append((vid, j))
+    def _check_corners(self):
+        """Every polygon corner closes at one vertex-disc corner point.
 
-        edges = {}
-        edge_names = []
-        edge_ix = {}
+        By ``corner_tokens`` the slot after the start slot of the side a
+        corner enters must be the end slot of the side it leaves.  The gap
+        tokens are the covered gaps that ``_find_link_runs`` reads.
+        """
 
-        def add_edge(name, a, b):
-            edge_ix[name] = len(edge_names)
-            edges[len(edge_names)] = (vertex_ix[a], vertex_ix[b])
-            edge_names.append(name)
+        def slot_of(token):
+            hp = self.hpieces[token[1]]
+            return hp.src if token[2] == "s" else hp.tgt
 
-        for vid, vp in self.vpieces.items():
-            m = len(vp.slots)
-            for j in range(m):
-                add_edge(("slot", vid, j), (vid, j), (vid, (j + 1) % m))
-        for hid, hp in self.hpieces.items():
-            dvid, j = hp.src
-            m = len(self.vpieces[dvid].slots)
-            s0, s1 = (dvid, j), (dvid, (j + 1) % m)
-            dvid2, j2 = hp.tgt
-            m2 = len(self.vpieces[dvid2].slots)
-            t0, t1 = (dvid2, (j2 + 1) % m2), (dvid2, j2)
-            add_edge(("long", hid, 0), s0, t0)
-            add_edge(("long", hid, 1), s1, t1)
-
-        faces = {}
-        face_names = []
-
-        def add_face(name, word):
-            faces[len(face_names)] = tuple((edge_ix[e], s) for e, s in word)
-            face_names.append(name)
-
-        for vid, vp in self.vpieces.items():
-            add_face(("vd", vid), [(("slot", vid, j), 1) for j in range(len(vp.slots))])
-        for hid, hp in self.hpieces.items():
-            svp, sj = hp.src
-            tvp, tj = hp.tgt
-            add_face(
-                ("hd", hid),
-                [
-                    (("long", hid, 0), 1),
-                    (("slot", tvp, tj), -1),
-                    (("long", hid, 1), -1),
-                    (("slot", svp, sj), -1),
-                ],
-            )
+        self._covered = set()
         for fid, fp in self.fpieces.items():
             word = self.target.faces[fp.face]
-            letters = []
-            for k in polygon_order(fp, len(word)):
-                hid, li = fp.sides[k]
-                letters.append((("long", hid, li), polygon_sign(fp, word, k)))
-            add_face(("cd", fid), letters)
+            for k in range(len(word)):
+                start, end = corner_tokens(fp, word, k)
+                vid, j = slot_of(start)
+                if slot_of(end) != (vid, (j + 1) % len(self.vpieces[vid].slots)):
+                    raise SurfaceError(
+                        f"cellular disc {fid} corner {k} does not close at vertex disc {vid}"
+                    )
+                self._covered.add(start)
 
-        names = {}
-        for (vid, j), ix in vertex_ix.items():
-            names[("v", ix)] = f"p.{vid}.{j}"
-        for name, ix in edge_ix.items():
-            names[("e", ix)] = ".".join(str(x) for x in name)
-        for i, name in enumerate(face_names):
-            names[("f", i)] = ".".join(str(x) for x in name)
+    def _extract_circuits(self):
+        """Walk the free items into boundary circuits.
 
-        try:
-            self.complex = TwoComplex(range(len(vertices)), edges, faces, names)
-        except ComplexError as exc:
-            raise SurfaceError(f"pieces do not assemble: {exc}") from exc
-        self._edge_ix = edge_ix
-        self._face_names = face_names
-        self._vertex_ix = vertex_ix
+        The points are the vertex-disc corners (vid, j).  Slot j runs from
+        (vid, j) to (vid, j+1).  For a handle glued at slots (D, j) and
+        (D', j') the walk runs along long0 from (D, j) to (D', j'+1) and
+        against long1 from (D', j') to (D, j+1): each free item is walked
+        with the sign its piece gives it.
+        """
 
-    def _validate_surface(self):
-        cxs = self.complex
-        report = surface_check(cxs)
-        if not report.is_surface:
-            raise SurfaceError(f"assembled complex is not a surface: {report.witnesses}")
-        # coherent orientation: the all-ones 2-chain must be a relative cycle
-        totals = cxs.signed_incidences()
-        free_items = set()
+        def after(vid, j):
+            return vid, (j + 1) % len(self.vpieces[vid].slots)
+
+        walk = {}  # free item -> (direction, tail point, head point)
         for vid, vp in self.vpieces.items():
             for j, slot in enumerate(vp.slots):
                 if slot == FREE:
-                    free_items.add(("slot", vid, j))
+                    walk[("slot", vid, j)] = (1, (vid, j), after(vid, j))
         for hid, hp in self.hpieces.items():
-            for li, ref in enumerate(hp.longs):
-                if ref == FREE:
-                    free_items.add(("long", hid, li))
-        self._free_items = free_items
-        self._bdry_dir = {}
-        for name, ix in self._edge_ix.items():
-            total = totals[ix]
-            if name in free_items:
-                if total not in (1, -1):
-                    raise SurfaceError(
-                        f"orientation inconsistency at free item {name}"
-                    )
-                self._bdry_dir[name] = total
-            elif total != 0:
-                raise SurfaceError(f"orientation inconsistency at glued item {name}")
-        bset = boundary_subcomplex(cxs).edge_set
-        expected = {self._edge_ix[name] for name in free_items}
-        if bset != expected:
-            raise SurfaceError("boundary does not match the free items")
-
-    def _extract_circuits(self):
-        """Walk the induced boundary orientation into circuits."""
-        cxs = self.complex
-        start_of = {}
-        for name, direction in self._bdry_dir.items():
-            ix = self._edge_ix[name]
-            s, t = cxs.edges[ix]
-            tail = s if direction == 1 else t
-            if tail in start_of:
-                raise SurfaceError("boundary is not a union of circles")
-            start_of[tail] = (name, direction)
+            if hp.longs[0] == FREE:
+                walk[("long", hid, 0)] = (1, hp.src, after(*hp.tgt))
+            if hp.longs[1] == FREE:
+                walk[("long", hid, 1)] = (-1, hp.tgt, after(*hp.src))
+        start_of = {tail: name for name, (_dir, tail, _head) in walk.items()}
         circuits = []
         used = set()
-        for name in sorted(self._bdry_dir, key=str):
+        for name in sorted(walk, key=str):
             if name in used:
                 continue
             items = []
@@ -425,15 +363,11 @@ class AdmissibleSurface:
             cur = name
             while cur not in used:
                 used.add(cur)
-                direction = self._bdry_dir[cur]
+                direction, _tail, head = walk[cur]
                 items.append((*cur, direction))
                 if cur[0] == "long":
-                    hid = cur[1]
-                    word.append((self.hpieces[hid].edge, direction))
-                ix = self._edge_ix[cur]
-                s, t = cxs.edges[ix]
-                head = t if direction == 1 else s
-                cur = start_of[head][0]
+                    word.append((self.hpieces[cur[1]].edge, direction))
+                cur = start_of[head]
             circuits.append((tuple(items), tuple(word)))
         circuits.sort(key=lambda c: min(c[0]))
         self._raw_circuits = circuits
@@ -534,10 +468,7 @@ class AdmissibleSurface:
         )
 
     def _cross_checks(self):
-        chi_pieces = len(self.vpieces) - len(self.hpieces) + len(self.fpieces)
-        if chi_pieces != self.complex.euler_characteristic():
-            raise SurfaceError("piece count and assembled Euler characteristic differ")
-        # pushforward boundary agrees with the circuit words
+        """The pushforward boundary agrees with the circuit words."""
         dz = {}
         for fp in self.fpieces.values():
             for e, sign in self.target.faces[fp.face]:
@@ -551,12 +482,34 @@ class AdmissibleSurface:
                 raise SurfaceError("pushforward boundary disagrees with circuit words")
 
     def _find_components(self):
-        """Components of the assembled complex as piece keys, and their
-        Euler characteristics; pieces never change, so once is enough."""
-        comps = []
-        for comp in self.complex.connected_components():
-            names = (self._face_names[ident] for kind, ident in comp if kind == "f")
-            comps.append(frozenset(({"vd": "v", "hd": "h", "cd": "f"}[tag], pid) for tag, pid in names))
+        """Components as frozensets of piece keys, in order of their least
+        vertex disc, and their Euler characteristics; pieces never change,
+        so once is enough.
+
+        The union-find runs on vertex discs only: a handle joins its two
+        vertex discs, and a cellular disc lies with its first handle (its
+        closed corners put all its handles in one component).
+        """
+        parent = {vid: vid for vid in self.vpieces}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for hp in self.hpieces.values():
+            rs, rt = find(hp.src[0]), find(hp.tgt[0])
+            if rs != rt:
+                parent[max(rs, rt)] = min(rs, rt)
+        groups = {}
+        for vid in self.vpieces:
+            groups.setdefault(find(vid), set()).add(("v", vid))
+        for hid, hp in self.hpieces.items():
+            groups[find(hp.src[0])].add(("h", hid))
+        for fid, fp in self.fpieces.items():
+            groups[find(self.hpieces[fp.sides[0][0]].src[0])].add(("f", fid))
+        comps = [frozenset(groups[root]) for root in sorted(groups)]
         self._components = tuple(comps)
         self._component_chis = tuple(
             sum(-1 if kind == "h" else 1 for kind, _ in comp) for comp in comps
@@ -571,10 +524,7 @@ class AdmissibleSurface:
         A run is a maximal sequence of handle slots joined by covered gaps,
         so the runs are the link components.
         """
-        covered = set()
-        for fp in self.fpieces.values():
-            word = self.target.faces[fp.face]
-            covered.update(corner_tokens(fp, word, k)[0] for k in range(len(word)))
+        covered = self._covered
         self._link_runs = {}
         for vid, vp in self.vpieces.items():
             slots = vp.slots
@@ -593,7 +543,7 @@ class AdmissibleSurface:
     # -- analyses ----------------------------------------------------------
 
     def euler_characteristic(self):
-        return self.complex.euler_characteristic()
+        return len(self.vpieces) - len(self.hpieces) + len(self.fpieces)
 
     def piece_components(self):
         """Connected components as frozensets of piece keys ('v'|'h'|'f', id)."""
@@ -805,11 +755,7 @@ def subsurface_as_admissible(
 
     hpieces = {hid: HPiece(e, tuple(long_refs[hid]), None, None) for e, hid in hid_of_edge.items()}
     # the corners order the slots round each vertex disc
-    vpieces, placement = derive_vpieces(target, hpieces, fpieces)
-    hpieces = {
-        hid: HPiece(hp.edge, hp.longs, placement[(hid, "s")], placement[(hid, "t")])
-        for hid, hp in hpieces.items()
-    }
+    vpieces, hpieces = derive_vpieces(target, hpieces, fpieces)
     return AdmissibleSurface(target, chain, vpieces, hpieces, fpieces)
 
 
@@ -910,8 +856,7 @@ def derive_vpieces(target, hpieces, fpieces):
     disc; the chains and cycles of that successor relation are the vertex
     discs, with one free arc closing each open chain.  Handle ends touching
     no corner become their own two-slot discs (end plus free arc).  Returns
-    (vpieces, placement) with placement mapping (handle id, end) to
-    (vertex disc id, slot index).
+    (vpieces, hpieces) with every handle's ends placed on their slots.
     """
     succ = {}
     pred = {}
@@ -955,7 +900,11 @@ def derive_vpieces(target, hpieces, fpieces):
             seen.add(cyc[-1])
         _register_vpiece(vpieces, placement, vertex_of, vid, cyc, cyc)
         vid += 1
-    return vpieces, placement
+    placed = {
+        hid: HPiece(hp.edge, hp.longs, placement[(hid, "s")], placement[(hid, "t")])
+        for hid, hp in hpieces.items()
+    }
+    return vpieces, placed
 
 
 def _register_vpiece(vpieces, placement, vertex_of, vid, chain, slots):

@@ -23,18 +23,15 @@ from sclkit.complexes import (
     subdivided,
     surface_check,
 )
-from sclkit.fixtures import (
-    COMPLEX_FIXTURES,
-    closed_genus,
-    double_fold_fixture,
-    figlnk,
-    fold_fixture,
-    fold_necklace,
-    sigma_genus1,
-    t_itself,
+from sclkit.fixtures import COMPLEX_FIXTURES, closed_genus, fold_fixture, fold_necklace
+from sclkit.surfaces import FREE, AdmissibleSurface, HPiece, VPiece, polygon_sign
+from test_surfaces import (
+    FOLD_NECKLACES,
+    NECKLACE_GRID,
+    polygon_order,
+    reference_validate,
+    surfaces_built_by_standard_form,
 )
-from sclkit.rewrite import MoveError, make_standard_form
-from sclkit.surfaces import FREE, AdmissibleSurface, HPiece, VPiece, polygon_order, polygon_sign
 
 
 def torus():
@@ -583,16 +580,6 @@ def test_link_shapes_on_loops_backtracks_and_free_edges():
     assert [s.kind() for s in link_shapes(BACKTRACK).values()] == ["union", "union", "arc", "point", "empty"]
 
 
-NECKLACE_GRID = [
-    (m, closed, fold_pos, back_pos)
-    for m in (1, 2)
-    for closed in (True, False)
-    for fold_pos in range(4)
-    for back_pos in range(4)
-    if fold_pos != back_pos
-]
-
-
 def reference_collapse(surface):
     """The collapsed complex of a surface: vertex discs become vertices,
     handles edges and cellular discs faces, each in ascending id order."""
@@ -613,35 +600,6 @@ def assert_bar_links_match_the_dfs(surface):
         assert sorted(j for run in surface.link_runs(vid) for j in run) == [
             j for j, slot in enumerate(surface.vpieces[vid].slots) if slot != FREE
         ]
-
-
-def surfaces_built_by_standard_form(start, monkeypatch):
-    """start and every surface make_standard_form constructs from it."""
-    built = [start]
-    init = AdmissibleSurface.__init__
-
-    def recording_init(surface, *args, **kwargs):
-        init(surface, *args, **kwargs)
-        built.append(surface)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(AdmissibleSurface, "__init__", recording_init)
-        try:
-            make_standard_form(start)
-        except MoveError:
-            pass  # the probes' and the grid's error texts are pinned elsewhere
-    return built
-
-
-# the fold_necklaces benchmark's instances and its double_fold_fixture probe
-FOLD_NECKLACES = {
-    "fold_fixture": fold_fixture,
-    "double_fold_fixture": double_fold_fixture,
-    "figlnk": figlnk,
-    "t_itself": t_itself,
-    "sigma_genus1": sigma_genus1,
-    **{f"necklace(m={m})": lambda m=m: fold_necklace(torus(), "f", m, fold_pos=0, back_pos=2) for m in (2, 3, 4, 6)},
-}
 
 
 @pytest.mark.parametrize("name", sorted(FOLD_NECKLACES))
@@ -702,7 +660,7 @@ def test_surface_check_builds_no_link_graph(which, monkeypatch):
         cx = barycentric(barycentric(closed_genus(8))[0])[0]
         assert (len(cx.vertices), len(cx.edges), len(cx.faces)) == (178, 576, 384)
     else:
-        cx = fold_fixture().complex
+        cx = reference_validate(fold_fixture()).complex
 
     def forbidden(*args):
         raise AssertionError("surface_check built a link graph")

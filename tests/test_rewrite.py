@@ -8,11 +8,19 @@ from pathlib import Path
 import pytest
 
 import sclkit
+import sclkit.rewrite
 import sclkit.surfaces
 from sclkit.complexes import TwoComplex
-from sclkit.fixtures import figlnk, fold_fixture, fold_necklace, torus
-from sclkit.rewrite import MoveError, eliminate_fold, make_standard_form
-from sclkit.surfaces import AdmissibleSurface
+from sclkit.fixtures import figlnk, fold_fixture, fold_necklace, t_itself, torus
+from sclkit.rewrite import MoveError, connect_link, make_standard_form
+from sclkit.surfaces import (
+    AdmissibleSurface,
+    FPiece,
+    HPiece,
+    derive_vpieces,
+    disjoint_union,
+    required_long_index,
+)
 
 
 def ratio(s):
@@ -90,41 +98,83 @@ def test_necklace_grid_reaches_standard_form(m, closed, fold_pos, back_pos):
 # -- single moves ----------------------------------------------------------------
 
 
-def test_fold_elimination_validates_the_new_surface_once(monkeypatch):
+def test_standard_form_checks_only_targets_and_builds_no_complex(monkeypatch):
+    s = fold_fixture()
     checked = []
-    original = sclkit.surfaces.surface_check
-
-    def counting(cx):
-        checked.append(cx)
-        return original(cx)
-
-    s = fold_fixture()
-    monkeypatch.setattr(sclkit.surfaces, "surface_check", counting)
-    out = eliminate_fold(s, 0, 1)
-    # once for the target, once for the assembled surface
-    assert len(checked) == 2 and checked[0] is s.target
-    assert out.two_chain() == s.two_chain()
-
-
-def test_standard_form_finds_components_once_per_surface(monkeypatch):
-    calls = []
     built = []
-    find = TwoComplex.connected_components
-    init = AdmissibleSurface.__init__
+    check = sclkit.surfaces.surface_check
+    init = TwoComplex.__init__
 
-    def counting_find(cx):
-        calls.append(cx)
-        return find(cx)
+    def counting_check(cx):
+        checked.append(cx)
+        return check(cx)
 
-    def counting_init(surface, *args, **kwargs):
-        init(surface, *args, **kwargs)
-        built.append(surface)
+    def counting_init(cx, *args, **kwargs):
+        built.append(cx)
+        init(cx, *args, **kwargs)
 
-    s = fold_fixture()
-    monkeypatch.setattr(TwoComplex, "connected_components", counting_find)
-    monkeypatch.setattr(AdmissibleSurface, "__init__", counting_init)
-    make_standard_form(s)
-    assert built and len(calls) <= len(built)
+    monkeypatch.setattr(sclkit.surfaces, "surface_check", counting_check)
+    monkeypatch.setattr(sclkit.rewrite, "surface_check", counting_check)
+    monkeypatch.setattr(TwoComplex, "__init__", counting_init)
+    out, log = make_standard_form(s)
+    assert log.entries and out.target is s.target
+    assert built == []
+    assert checked and all(cx is s.target for cx in checked)
+
+
+# -- trivial components ------------------------------------------------------------
+
+
+def pillow(target, face, chain):
+    """Two cellular discs of opposite sign over one face, glued along every
+    side: a sphere whose 2-chain is zero."""
+    hpieces, sides = {}, {1: [], -1: []}
+    for k, (e, eps) in enumerate(target.faces[face]):
+        longs = [None, None]
+        for fid, sign in ((0, 1), (1, -1)):
+            li = required_long_index(sign * eps)
+            longs[li] = ("f", fid, k)
+            sides[sign].append((k, li))
+        hpieces[k] = HPiece(e, tuple(longs), None, None)
+    fpieces = {0: FPiece(face, 1, tuple(sides[1])), 1: FPiece(face, -1, tuple(sides[-1]))}
+    vpieces, hpieces = derive_vpieces(target, hpieces, fpieces)
+    return AdmissibleSurface(target, chain, vpieces, hpieces, fpieces)
+
+
+def with_pillow(which):
+    """A disjoint union whose pillow component is trivial and removable."""
+    if which == "t_itself":
+        s = t_itself()
+        return disjoint_union(s, pillow(s.target, s.target.face_id("f2"), s.chain))
+    # a link connection leaves a homotopy certificate, and the pillow comes
+    # first so that the disc it sits beside is the component kept back
+    s = connect_link(figlnk(), 0)
+    assert s.homotopy
+    return disjoint_union(pillow(s.target, s.target.face_id("top"), s.chain), s)
+
+
+@pytest.mark.parametrize("which", ["t_itself", "connected figlnk"])
+def test_standard_form_removes_a_pillow(which, monkeypatch):
+    start = with_pillow(which)
+    assert sorted(start.component_euler()) == ([-3, 2] if which == "t_itself" else [1, 2])
+    solves = []
+    solve = sclkit.rewrite.solve_q
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(sclkit.rewrite, "solve_q", counting_solve)
+    out, log = make_standard_form(start)
+    removals = [e for e in log.entries if e.move == "remove_trivial_components"]
+    assert len(removals) == 1
+    pillow_index = 1 if which == "t_itself" else 0
+    assert removals[0].args.startswith(f"components=[{pillow_index}]")
+    assert removals[0].before["chi_minus"] == removals[0].after["chi_minus"] == start.reduced_euler()
+    assert out.reduced_class() == start.reduced_class()
+    assert out.reduced_euler() == start.reduced_euler()
+    # only a surface with a homotopy certificate solves for a new one
+    assert bool(solves) == bool(start.homotopy)
 
 
 # -- typed errors ----------------------------------------------------------------

@@ -1,11 +1,21 @@
+import random
 from dataclasses import replace
 
 import pytest
 
-from sclkit.complexes import TwoComplex, barycentric, induced_subcomplex, links
+from sclkit.complexes import (
+    ComplexError,
+    TwoComplex,
+    barycentric,
+    boundary_subcomplex,
+    induced_subcomplex,
+    links,
+    surface_check,
+)
 from sclkit.fixtures import (
     ambient_pair,
     closed_genus3_split,
+    double_fold_fixture,
     figlnk,
     fold_fixture,
     fold_necklace,
@@ -16,19 +26,24 @@ from sclkit.fixtures import (
     t_itself,
     torus,
 )
+from sclkit.rewrite import MoveError, make_standard_form
 from sclkit.surfaces import (
     FREE,
     AdmissibleSurface,
+    FPiece,
+    HPiece,
     SurfaceError,
     VPiece,
+    corner_tokens,
     disjoint_union,
+    polygon_sign,
     subsurface_as_admissible,
 )
 from sclkit.words import EdgeChain, cyclically_equal
 
 
-def rebuild(s, vpieces=None, hpieces=None, fpieces=None):
-    return AdmissibleSurface(
+def rebuild(s, vpieces=None, hpieces=None, fpieces=None, cls=AdmissibleSurface):
+    return cls(
         s.target,
         s.chain,
         vpieces if vpieces is not None else s.vpieces,
@@ -38,6 +53,12 @@ def rebuild(s, vpieces=None, hpieces=None, fpieces=None):
         homotopy=s.homotopy,
         relaxed_boundary=s.relaxed,
     )
+
+
+def reference_validate(s, vpieces=None, hpieces=None, fpieces=None):
+    """s rebuilt, with any pieces replaced, and validated through the
+    assembled complex."""
+    return rebuild(s, vpieces, hpieces, fpieces, cls=ReferenceSurface)
 
 
 def test_rebuild_from_pieces_keeps_the_circuits():
@@ -184,3 +205,327 @@ def test_subsurface_vertex_discs_match_the_link_walk(name):
     assert sorted(got) == sorted(expected) == sorted(i for k, i in cells if k == "v")
     for v, slots in expected.items():
         assert cyclically_equal(got[v], slots)
+
+
+# -- validation through the assembled complex, kept as a reference -----------
+
+
+def polygon_order(fp, degree):
+    """The word positions in the order the disc's boundary visits them:
+    ascending for sign +1, descending for sign -1."""
+    if fp.sign == 1:
+        return list(range(degree))
+    return list(range(degree - 1, -1, -1))
+
+
+class ReferenceSurface(AdmissibleSurface):
+    """An admissible surface validated by assembling it as a TwoComplex with
+    one vertex per slot corner and one face per piece, then checking that
+    the complex is an oriented surface whose boundary is the free items."""
+
+    def _check_corners(self):
+        self._assemble()
+        self._validate_surface()
+        self._covered = set()
+        for fp in self.fpieces.values():
+            word = self.target.faces[fp.face]
+            self._covered.update(corner_tokens(fp, word, k)[0] for k in range(len(word)))
+
+    def _assemble(self):
+        vertices = []
+        vertex_ix = {}
+        for vid, vp in self.vpieces.items():
+            for j in range(len(vp.slots)):
+                vertex_ix[(vid, j)] = len(vertices)
+                vertices.append((vid, j))
+
+        edges = {}
+        edge_names = []
+        edge_ix = {}
+
+        def add_edge(name, a, b):
+            edge_ix[name] = len(edge_names)
+            edges[len(edge_names)] = (vertex_ix[a], vertex_ix[b])
+            edge_names.append(name)
+
+        for vid, vp in self.vpieces.items():
+            m = len(vp.slots)
+            for j in range(m):
+                add_edge(("slot", vid, j), (vid, j), (vid, (j + 1) % m))
+        for hid, hp in self.hpieces.items():
+            dvid, j = hp.src
+            m = len(self.vpieces[dvid].slots)
+            s0, s1 = (dvid, j), (dvid, (j + 1) % m)
+            dvid2, j2 = hp.tgt
+            m2 = len(self.vpieces[dvid2].slots)
+            t0, t1 = (dvid2, (j2 + 1) % m2), (dvid2, j2)
+            add_edge(("long", hid, 0), s0, t0)
+            add_edge(("long", hid, 1), s1, t1)
+
+        faces = {}
+        face_names = []
+
+        def add_face(name, word):
+            faces[len(face_names)] = tuple((edge_ix[e], s) for e, s in word)
+            face_names.append(name)
+
+        for vid, vp in self.vpieces.items():
+            add_face(("vd", vid), [(("slot", vid, j), 1) for j in range(len(vp.slots))])
+        for hid, hp in self.hpieces.items():
+            svp, sj = hp.src
+            tvp, tj = hp.tgt
+            add_face(
+                ("hd", hid),
+                [
+                    (("long", hid, 0), 1),
+                    (("slot", tvp, tj), -1),
+                    (("long", hid, 1), -1),
+                    (("slot", svp, sj), -1),
+                ],
+            )
+        for fid, fp in self.fpieces.items():
+            word = self.target.faces[fp.face]
+            letters = []
+            for k in polygon_order(fp, len(word)):
+                hid, li = fp.sides[k]
+                letters.append((("long", hid, li), polygon_sign(fp, word, k)))
+            add_face(("cd", fid), letters)
+
+        names = {}
+        for (vid, j), ix in vertex_ix.items():
+            names[("v", ix)] = f"p.{vid}.{j}"
+        for name, ix in edge_ix.items():
+            names[("e", ix)] = ".".join(str(x) for x in name)
+        for i, name in enumerate(face_names):
+            names[("f", i)] = ".".join(str(x) for x in name)
+
+        try:
+            self.complex = TwoComplex(range(len(vertices)), edges, faces, names)
+        except ComplexError as exc:
+            raise SurfaceError(f"pieces do not assemble: {exc}") from exc
+        self._edge_ix = edge_ix
+        self._face_names = face_names
+
+    def _validate_surface(self):
+        cxs = self.complex
+        report = surface_check(cxs)
+        if not report.is_surface:
+            raise SurfaceError(f"assembled complex is not a surface: {report.witnesses}")
+        # coherent orientation: the all-ones 2-chain must be a relative cycle
+        totals = cxs.signed_incidences()
+        free_items = set()
+        for vid, vp in self.vpieces.items():
+            for j, slot in enumerate(vp.slots):
+                if slot == FREE:
+                    free_items.add(("slot", vid, j))
+        for hid, hp in self.hpieces.items():
+            for li, ref in enumerate(hp.longs):
+                if ref == FREE:
+                    free_items.add(("long", hid, li))
+        self._bdry_dir = {}
+        for name, ix in self._edge_ix.items():
+            total = totals[ix]
+            if name in free_items:
+                if total not in (1, -1):
+                    raise SurfaceError(f"orientation inconsistency at free item {name}")
+                self._bdry_dir[name] = total
+            elif total != 0:
+                raise SurfaceError(f"orientation inconsistency at glued item {name}")
+        bset = boundary_subcomplex(cxs).edge_set
+        if bset != {self._edge_ix[name] for name in free_items}:
+            raise SurfaceError("boundary does not match the free items")
+
+    def _extract_circuits(self):
+        cxs = self.complex
+        start_of = {}
+        for name, direction in self._bdry_dir.items():
+            s, t = cxs.edges[self._edge_ix[name]]
+            tail = s if direction == 1 else t
+            if tail in start_of:
+                raise SurfaceError("boundary is not a union of circles")
+            start_of[tail] = (name, direction)
+        circuits = []
+        used = set()
+        for name in sorted(self._bdry_dir, key=str):
+            if name in used:
+                continue
+            items = []
+            word = []
+            cur = name
+            while cur not in used:
+                used.add(cur)
+                direction = self._bdry_dir[cur]
+                items.append((*cur, direction))
+                if cur[0] == "long":
+                    word.append((self.hpieces[cur[1]].edge, direction))
+                s, t = cxs.edges[self._edge_ix[cur]]
+                cur = start_of[t if direction == 1 else s][0]
+            circuits.append((tuple(items), tuple(word)))
+        circuits.sort(key=lambda c: min(c[0]))
+        self._raw_circuits = circuits
+
+    def _cross_checks(self):
+        chi_pieces = len(self.vpieces) - len(self.hpieces) + len(self.fpieces)
+        if chi_pieces != self.complex.euler_characteristic():
+            raise SurfaceError("piece count and assembled Euler characteristic differ")
+        super()._cross_checks()
+
+    def _find_components(self):
+        comps = []
+        for comp in self.complex.connected_components():
+            names = (self._face_names[ident] for kind, ident in comp if kind == "f")
+            comps.append(frozenset(({"vd": "v", "hd": "h", "cd": "f"}[tag], pid) for tag, pid in names))
+        self._components = tuple(comps)
+        self._component_chis = tuple(sum(-1 if kind == "h" else 1 for kind, _ in comp) for comp in comps)
+
+    def euler_characteristic(self):
+        return self.complex.euler_characteristic()
+
+
+def assert_same_surface(got, ref):
+    assert got._raw_circuits == ref._raw_circuits
+    assert got.circuits == ref.circuits
+    assert got.piece_components() == ref.piece_components()
+    assert got.component_euler() == ref.component_euler()
+    assert got.euler_characteristic() == ref.euler_characteristic()
+    assert {vid: got.link_runs(vid) for vid in got.vpieces} == {vid: ref.link_runs(vid) for vid in ref.vpieces}
+
+
+NECKLACE_GRID = [
+    (m, closed, fold_pos, back_pos)
+    for m in (1, 2)
+    for closed in (True, False)
+    for fold_pos in range(4)
+    for back_pos in range(4)
+    if fold_pos != back_pos
+]
+
+# the fold_necklaces benchmark's instances and its double_fold_fixture probe
+FOLD_NECKLACES = {
+    "fold_fixture": fold_fixture,
+    "double_fold_fixture": double_fold_fixture,
+    "figlnk": figlnk,
+    "t_itself": t_itself,
+    "sigma_genus1": sigma_genus1,
+    **{f"necklace(m={m})": lambda m=m: fold_necklace(torus(), "f", m, fold_pos=0, back_pos=2) for m in (2, 3, 4, 6)},
+}
+
+
+def surfaces_built_by_standard_form(start, monkeypatch):
+    """start and every surface make_standard_form constructs from it."""
+    built = [start]
+    init = AdmissibleSurface.__init__
+
+    def recording_init(surface, *args, **kwargs):
+        init(surface, *args, **kwargs)
+        built.append(surface)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AdmissibleSurface, "__init__", recording_init)
+        try:
+            make_standard_form(start)
+        except MoveError:
+            pass  # the probes' and the grid's error texts are pinned elsewhere
+    return built
+
+
+def test_surfaces_built_by_standard_form_match_the_reference(monkeypatch):
+    starts = [make() for make in FOLD_NECKLACES.values()] + [
+        fold_necklace(torus(), "f", m, fold_pos, back_pos, closed=closed)
+        for m, closed, fold_pos, back_pos in NECKLACE_GRID
+    ]
+    starts.append(disjoint_union(t_itself(), sigma_genus1()))  # two components
+    built = [s for start in starts for s in surfaces_built_by_standard_form(start, monkeypatch)]
+    assert len(built) > 250
+    for s in built:
+        assert_same_surface(s, reference_validate(s))
+
+
+def mutated_pieces(s, rng):
+    """The pieces of s after one random slot permutation, free-slot
+    insertion or deletion, or handle-end move; handle ends follow their
+    slots, so every gluing stays mutual."""
+    slots = {vid: list(vp.slots) for vid, vp in s.vpieces.items()}
+    kind = rng.choice(["permute", "insert", "delete", "move"])
+    vid = rng.choice(sorted(slots))
+    if kind == "permute":
+        rng.shuffle(slots[vid])
+    elif kind == "insert":
+        slots[vid].insert(rng.randrange(len(slots[vid]) + 1), FREE)
+    elif kind == "delete":
+        free = [j for j, slot in enumerate(slots[vid]) if slot == FREE]
+        if free and len(slots[vid]) > 1:
+            del slots[vid][rng.choice(free)]
+    else:
+        hid = rng.choice(sorted(s.hpieces))
+        end = rng.choice(["s", "t"])
+        old = s.hpieces[hid].src if end == "s" else s.hpieces[hid].tgt
+        if len(slots[old[0]]) > 1:
+            slots[old[0]].remove(("h", hid, end))
+            over = [v for v in sorted(slots) if s.vpieces[v].vertex == s.vpieces[old[0]].vertex]
+            dest = slots[rng.choice(over)]
+            dest.insert(rng.randrange(len(dest) + 1), ("h", hid, end))
+    vpieces = {v: VPiece(s.vpieces[v].vertex, tuple(sl)) for v, sl in slots.items()}
+    where = {slot: (v, j) for v, sl in slots.items() for j, slot in enumerate(sl) if slot != FREE}
+    hpieces = {
+        hid: HPiece(hp.edge, hp.longs, where[("h", hid, "s")], where[("h", hid, "t")])
+        for hid, hp in s.hpieces.items()
+    }
+    return vpieces, hpieces
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mutated_pieces_are_accepted_and_read_as_the_reference_does(seed, monkeypatch):
+    rng = random.Random(seed)
+    bases = [b for make in (figlnk, fold_fixture, double_fold_fixture) for b in surfaces_built_by_standard_form(make(), monkeypatch)]
+    bases += [disjoint_union(t_itself(), sigma_genus1()), fold_necklace(torus(), "f", 3, fold_pos=0, back_pos=2)]
+    accepted = rejected = 0
+    for _ in range(600):
+        base = rng.choice(bases)
+        vpieces, hpieces = mutated_pieces(base, rng)
+        args = (base.target, None, vpieces, hpieces, base.fpieces)
+        try:
+            ref = ReferenceSurface(*args)
+        except SurfaceError:
+            with pytest.raises(SurfaceError):
+                AdmissibleSurface(*args)
+            rejected += 1
+            continue
+        assert_same_surface(AdmissibleSurface(*args), ref)
+        accepted += 1
+    assert accepted > 100 and rejected > 100
+
+
+def test_an_unclosed_corner_is_named():
+    s = fold_fixture()
+    vid = next(v for v, vp in s.vpieces.items() if len(vp.slots) > 2)
+    slots = list(s.vpieces[vid].slots)
+    slots[0], slots[1] = slots[1], slots[0]
+    vpieces, hpieces = dict(s.vpieces), dict(s.hpieces)
+    vpieces[vid] = VPiece(s.vpieces[vid].vertex, tuple(slots))
+    for j, slot in enumerate(slots):
+        if slot != FREE:
+            hp = hpieces[slot[1]]
+            hpieces[slot[1]] = replace(hp, src=(vid, j)) if slot[2] == "s" else replace(hp, tgt=(vid, j))
+    with pytest.raises(SurfaceError, match=r"cellular disc \d+ corner \d+ does not close at vertex disc \d+"):
+        rebuild(s, vpieces=vpieces, hpieces=hpieces)
+    with pytest.raises(SurfaceError, match="pieces do not assemble"):
+        reference_validate(s, vpieces=vpieces, hpieces=hpieces)
+
+
+def test_an_unplaced_handle_end_is_refused():
+    s = fold_fixture()
+    hpieces = dict(s.hpieces)
+    hpieces[0] = HPiece(s.hpieces[0].edge, s.hpieces[0].longs, None, s.hpieces[0].tgt)
+    with pytest.raises(SurfaceError, match="handle 0 s-end is not placed"):
+        rebuild(s, hpieces=hpieces)
+
+
+def test_a_side_that_is_not_a_handle_long_pair_is_refused():
+    s = fold_fixture()
+    fpieces = dict(s.fpieces)
+    sides = list(s.fpieces[0].sides)
+    sides[1] = (*sides[1], 0)
+    fpieces[0] = FPiece(s.fpieces[0].face, s.fpieces[0].sign, tuple(sides))
+    with pytest.raises(SurfaceError, match=r"cellular disc 0 side 1 is not a \(handle, long\) pair"):
+        rebuild(s, fpieces=fpieces)
