@@ -12,7 +12,7 @@ import sclkit.rewrite
 import sclkit.surfaces
 from sclkit.complexes import TwoComplex
 from sclkit.fixtures import figlnk, fold_fixture, fold_necklace, t_itself, torus
-from sclkit.rewrite import MoveError, connect_link, make_standard_form
+from sclkit.rewrite import MoveError, connect_link, eliminate_fold, make_standard_form
 from sclkit.surfaces import (
     AdmissibleSurface,
     FPiece,
@@ -96,6 +96,52 @@ def test_necklace_grid_reaches_standard_form(m, closed, fold_pos, back_pos):
 
 
 # -- single moves ----------------------------------------------------------------
+
+
+def test_fold_elimination_validates_the_new_surface_once(monkeypatch):
+    checked = []
+    closed = []
+    check = sclkit.surfaces.surface_check
+    corners = AdmissibleSurface._check_corners
+
+    def counting_check(cx):
+        checked.append(cx)
+        return check(cx)
+
+    def counting_corners(surface):
+        closed.append(surface)
+        return corners(surface)
+
+    s = fold_fixture()
+    monkeypatch.setattr(sclkit.surfaces, "surface_check", counting_check)
+    monkeypatch.setattr(AdmissibleSurface, "_check_corners", counting_corners)
+    out = eliminate_fold(s, 0, 1)
+    # surface_check runs once, on the target; the new surface is checked
+    # once, on its pieces
+    assert len(checked) == 1 and checked[0] is s.target
+    assert len(closed) == 1 and closed[0] is out
+    assert out.two_chain() == s.two_chain()
+
+
+def test_standard_form_finds_components_once_per_surface(monkeypatch):
+    calls = []
+    built = []
+    find = AdmissibleSurface._find_components
+    init = AdmissibleSurface.__init__
+
+    def counting_find(surface):
+        calls.append(surface)
+        return find(surface)
+
+    def counting_init(surface, *args, **kwargs):
+        init(surface, *args, **kwargs)
+        built.append(surface)
+
+    s = fold_fixture()
+    monkeypatch.setattr(AdmissibleSurface, "_find_components", counting_find)
+    monkeypatch.setattr(AdmissibleSurface, "__init__", counting_init)
+    make_standard_form(s)
+    assert built and len(calls) <= len(built)
 
 
 def test_standard_form_checks_only_targets_and_builds_no_complex(monkeypatch):
