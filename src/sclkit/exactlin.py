@@ -1,14 +1,20 @@
 """Exact linear algebra over Z and Q.
 
-Dense matrices are plain lists of lists; callers pass and receive those.
+Sparse rows are the matrix form of the exact solvers: ``kernel_q``,
+``solve_q`` and ``unit_reduce`` take a list of rows, each a dict
+{column: int | Fraction} of its nonzeros, together with the column count,
+which an all-zero matrix could not otherwise tell.  A column outside
+0 <= c < ncols raises ValueError.  Dense matrices, plain lists of lists,
+are the form of ``rank_q`` (it ranks the small dense residual that
+``unit_reduce`` returns) and of the Smith normal form and its helpers.
 Integer routines never leave Z; rational results are fractions.Fraction.
 Everything here is deterministic.
 
 Sparse elimination.  ``rank_q``, ``solve_q``, ``kernel_q`` and
-``unit_reduce`` run one routine, ``_eliminate``.  A row is a dict
-{column: int} of its nonzeros; a row with Fraction entries is first
-multiplied by the lcm of its denominators, which changes neither the row
-space nor, for an augmented row [a | b], the solutions of a . x = b.
+``unit_reduce`` run one routine, ``_eliminate``, on {column: int} rows; a
+row with Fraction entries is first multiplied by the lcm of its
+denominators, which changes neither the row space nor, for an augmented
+row [a | b], the solutions of a . x = b.
 Columns are processed left to right, and every active row waits in the
 bucket of its first nonzero column not yet processed, so bucket c holds
 exactly the active rows that are nonzero in column c.  The pivot of column
@@ -47,10 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-
-def zeros(m, n):
-    return [[0] * n for _ in range(m)]
 
 
 def identity(n):
@@ -264,14 +266,15 @@ def check_snf(mat, res: SnfResult):
 # -- sparse fraction-free elimination ------------------------------------------
 
 
-def _int_row(values):
-    """Nonzeros of a dense row as {column: int}, times the lcm of the
-    denominators when the row holds fractions."""
-    if all(type(v) is int for v in values):
-        return {j: v for j, v in enumerate(values) if v}
-    values = [Fraction(v) for v in values]
-    d = lcm(*(v.denominator for v in values))
-    return {j: v.numerator * (d // v.denominator) for j, v in enumerate(values) if v}
+def _int_row(row):
+    """A sparse row as {column: int} without zero entries, times the lcm of
+    the denominators when the row holds fractions.  An integer row without
+    zeros is returned as it is; ``_eliminate`` never modifies its input."""
+    if all(type(v) is int and v for v in row.values()):
+        return row
+    row = {j: Fraction(v) for j, v in row.items() if v}
+    d = lcm(*(v.denominator for v in row.values()))
+    return {j: v.numerator * (d // v.denominator) for j, v in row.items()}
 
 
 def _combine(row, s, a, prow):
@@ -286,15 +289,28 @@ def _combine(row, s, a, prow):
     return new
 
 
+def _check_columns(rows, ncols):
+    """Raise ValueError naming the first row with a column outside
+    0 <= c < ``ncols``."""
+    for i, row in enumerate(rows):
+        if row:
+            low = min(row)
+            bad = low if low < 0 else max(row)
+            if not 0 <= bad < ncols:
+                raise ValueError(f"row {i} has column {bad} outside 0 <= c < {ncols}")
+
+
 def _eliminate(rows, ncols, units_only=False):
     """Sparse fraction-free elimination, columns left to right.
 
-    ``rows`` are {column: int} dicts with columns below ``ncols``; they are
-    not modified.  Returns (pivots, rest): ``pivots`` lists (column, row) in
-    column order, the row having no nonzero in an earlier pivot column;
-    ``rest`` lists the nonzero rows that got no pivot, which is empty unless
-    ``units_only`` restricts pivots to entries +-1.
+    ``rows`` are {column: int} dicts without zero entries; they are not
+    modified.  A column outside 0 <= c < ``ncols`` raises ValueError.
+    Returns (pivots, rest): ``pivots`` lists (column, row) in column order,
+    the row having no nonzero in an earlier pivot column; ``rest`` lists the
+    nonzero rows that got no pivot, which is empty unless ``units_only``
+    restricts pivots to entries +-1.
     """
+    _check_columns(rows, ncols)
     # bucket c holds the rows whose first nonzero past the columns already
     # processed is c, i.e. every active row that is nonzero in column c
     buckets = [[] for _ in range(ncols)]
@@ -357,25 +373,23 @@ def unit_reduce(rows, ncols):
 
 
 def rank_q(mat) -> int:
-    """Rank over Q."""
+    """Rank over Q of a dense matrix."""
     cols = len(mat[0]) if mat else 0
-    return len(_eliminate([_int_row(row) for row in mat], cols)[0])
+    rows = [_int_row({j: v for j, v in enumerate(row) if v}) for row in mat]
+    return len(_eliminate(rows, cols)[0])
 
 
-def kernel_q(mat):
-    """Basis of the rational kernel of ``mat`` (list of Fraction vectors):
-    one vector per free column j, with free part e_j, as read off the
-    reduced row echelon form."""
-    cols = len(mat[0]) if mat else 0
-    if cols == 0:
-        return []
-    pivots, _ = _eliminate([_int_row(row) for row in mat], cols)
+def kernel_q(rows, ncols):
+    """Basis of the rational kernel of the matrix with the given sparse rows
+    and ``ncols`` columns (list of Fraction vectors): one vector per free
+    column j, with free part e_j, as read off the reduced row echelon form."""
+    pivots, _ = _eliminate([_int_row(row) for row in rows], ncols)
     pivot_cols = {c for c, _ in pivots}
     basis = []
-    for j in range(cols):
+    for j in range(ncols):
         if j in pivot_cols:
             continue
-        vec = [Fraction(0)] * cols
+        vec = [Fraction(0)] * ncols
         vec[j] = Fraction(1)
         for c, row in reversed(pivots):
             s = sum(v * vec[k] for k, v in row.items() if k != c and vec[k])
@@ -385,20 +399,21 @@ def kernel_q(mat):
     return basis
 
 
-def solve_q(mat, rhs):
-    """One exact solution of mat * x = rhs over Q, or None if inconsistent.
+def solve_q(rows, ncols, rhs):
+    """One exact solution x of A x = rhs over Q, or None if inconsistent,
+    where A has the given sparse rows and ``ncols`` columns.
 
     Free variables are 0, so this is the solution read off the reduced row
-    echelon form of [mat | rhs].
+    echelon form of [A | rhs].
     """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    pivots, _ = _eliminate([_int_row([*mat[i], rhs[i]]) for i in range(rows)], cols + 1)
-    if pivots and pivots[-1][0] == cols:
+    _check_columns(rows, ncols)
+    augmented = [_int_row({**row, ncols: b} if b else row) for row, b in zip(rows, rhs, strict=True)]
+    pivots, _ = _eliminate(augmented, ncols + 1)
+    if pivots and pivots[-1][0] == ncols:
         return None
-    x = [Fraction(0)] * cols
+    x = [Fraction(0)] * ncols
     for c, row in reversed(pivots):
-        s = row.get(cols, 0) - sum(v * x[k] for k, v in row.items() if k != c and k < cols and x[k])
+        s = row.get(ncols, 0) - sum(v * x[k] for k, v in row.items() if k != c and k < ncols and x[k])
         x[c] = Fraction(s) / row[c]
     return x
 

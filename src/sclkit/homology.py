@@ -9,7 +9,10 @@ disjoint union of cellulated circles into X.
 Boundary maps are built sparsely from the face words and edge ends: one
 {row index: coefficient} dict per cell, i.e. per column of the map, with
 at most deg(f) nonzeros for a face.  d1 d2 = 0 is checked on these
-columns in O(nnz).
+columns in O(nnz).  No dense boundary matrix is ever formed: where a map
+meets ``kernel_q`` or ``solve_q``, which read sparse rows, its columns are
+transposed into rows ({column index: coefficient} per edge of d2, per
+vertex of d1) in O(nnz), and ``boundary_matrices`` returns those rows.
 
 Rank and torsion.  A boundary map is reduced by ``exactlin.unit_reduce``,
 which eliminates on pivots +-1 only (columns are fed as rows; rank and
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import exactlin
 from .complexes import ComplexError, Subcomplex, TwoComplex, boundary_subcomplex
 from .exactlin import kernel_q, rank_q, smith_normal_form, unit_reduce
 
@@ -137,28 +139,27 @@ def _boundary_columns(cx: TwoComplex, sub: Subcomplex | None = None):
     return d2, d1, vs, es, fs
 
 
-def _dense(columns, nrows):
-    mat = exactlin.zeros(nrows, len(columns))
+def _transpose(columns, nrows):
+    """The rows of the map with the given sparse columns, in O(nnz); each
+    row lists its columns in ascending order."""
+    rows = [{} for _ in range(nrows)]
     for j, col in enumerate(columns):
         for i, c in col.items():
-            mat[i][j] = c
-    return mat
+            rows[i][j] = c
+    return rows
 
 
-def boundary_matrices(cx: TwoComplex, ring="Z"):
-    """(d2, d1) with d1 * d2 = 0, as dense matrices.
+def boundary_matrices(cx: TwoComplex):
+    """(d2, d1) with d1 * d2 = 0, as integer sparse rows.
 
-    d2 is edges x faces (signed side counts), d1 is vertices x edges
-    (target minus source).  Row and column order is ascending cell id.
+    d2 has one row per edge, {face index: signed side count}; d1 has one
+    row per vertex, {edge index: +1 at the target, -1 at the source}.  Rows
+    and columns are indexed in ascending cell id, and zero entries are left
+    out, so these are exactly the rows that ``kernel_q`` and ``solve_q``
+    take, with len(cx.faces) and len(cx.edges) columns.
     """
-    check_ring(ring)
     d2c, d1c, vs, es, _ = _boundary_columns(cx)
-    d2 = _dense(d2c, len(es))
-    d1 = _dense(d1c, len(vs))
-    if ring == "Q":
-        d2 = [[Fraction(x) for x in row] for row in d2]
-        d1 = [[Fraction(x) for x in row] for row in d1]
-    return d2, d1
+    return _transpose(d2c, len(es)), _transpose(d1c, len(vs))
 
 
 @dataclass
@@ -213,6 +214,12 @@ def homology(cx: TwoComplex, ring="Z") -> HomologySummary:
     check_ring(ring)
     d2, d1, vs, es, fs = _boundary_columns(cx)
     return _complex_homology(d2, d1, len(fs), len(es), len(vs), ring)
+
+
+def h2_rank_q(cx: TwoComplex) -> int:
+    """rank H2(X; Q) = #faces - rank d2, with d1 left unreduced."""
+    d2, _, _, es, fs = _boundary_columns(cx)
+    return len(fs) - _rank_torsion(d2, len(es), "Q")[0]
 
 
 def relative_homology(cx: TwoComplex, sub: Subcomplex, ring="Z") -> HomologySummary:
@@ -342,7 +349,7 @@ def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
     _check_square_zero(d2, d1, "cone differential squares to nonzero")
 
     rows2, cols2, rows1 = n_cv + len(es), len(d2), len(vs)
-    kernel = kernel_q(_dense(d2, rows2)) if cols2 else []
+    kernel = kernel_q(_transpose(d2, rows2), cols2)
     r2 = cols2 - len(kernel)
     r1, _ = _rank_torsion(d1, rows1, "Q")
     summary = HomologySummary("Q", (rows1 - r1, rows2 - r1 - r2, cols2 - r2))
@@ -392,13 +399,10 @@ def is_orientable(cx: TwoComplex, ring="Z"):
     if not cx.faces:
         return ChainVec.make(ring, {})
     d2, _, _, es, fs = _boundary_columns(cx, boundary_subcomplex(cx))
-    if es:
-        basis = []
-        for vec in kernel_q(_dense(d2, len(es))):
-            d = lcm(*(x.denominator for x in vec))
-            basis.append([x.numerator * (d // x.denominator) for x in vec])
-    else:
-        basis = [[1 if i == j else 0 for j in range(len(fs))] for i in range(len(fs))]
+    basis = []
+    for vec in kernel_q(_transpose(d2, len(es)), len(fs)):
+        d = lcm(*(x.denominator for x in vec))
+        basis.append([x.numerator * (d // x.denominator) for x in vec])
     covered = set()
     for vec in basis:
         for j, x in enumerate(vec):

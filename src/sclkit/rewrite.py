@@ -315,11 +315,11 @@ def _without_components(surface: AdmissibleSurface, dead_indices):
                 for e, sign in surface.chain.circle_words()[circ.circle]:
                     words[e] = words.get(e, 0) - circ.degree * sign
         cx = surface.target
-        d2, _ = boundary_matrices(cx, "Z")
-        sol = solve_q(d2, [words.get(e, 0) for e in cx.edges])
+        d2, _ = boundary_matrices(cx)
+        fs = list(cx.faces)
+        sol = solve_q(d2, len(fs), [words.get(e, 0) for e in cx.edges])
         if sol is None:
             raise MoveError("removal leaves a boundary with no homotopy certificate")
-        fs = list(cx.faces)
         homotopy = {fs[j]: sol[j] for j in range(len(fs)) if sol[j]}
     return AdmissibleSurface(
         surface.target,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import ComplexError, TwoComplex
-from .homology import boundary_matrices, homology
+from .homology import boundary_matrices, h2_rank_q
 from .exactlin import solve_q
 from .lp import LpResult, solve_lp
 from .words import ChainError, EdgeChain, OneChain, letter_inverse, word_inverse
@@ -218,7 +218,7 @@ class RotStructure:
     weights: dict  # face id -> positive Fraction
 
     def __post_init__(self):
-        if homology(self.cx, "Q").rank(2) != 0:
+        if h2_rank_q(self.cx) != 0:
             raise ComplexError("rot structure needs H2(S; Q) = 0")
         if set(self.weights) != set(self.cx.faces):
             raise ComplexError("rot structure must weight every face")
@@ -254,9 +254,9 @@ def rot_value(structure: RotStructure, chain: EdgeChain) -> Fraction:
     vec = chain.one_chain_vector(cx)
     es = list(cx.edges)
     fs = list(cx.faces)
-    d2, _ = boundary_matrices(cx, "Z")
+    d2, _ = boundary_matrices(cx)
     rhs = [vec.get(e, 0) for e in es]
-    sol = solve_q(d2, rhs)
+    sol = solve_q(d2, len(fs), rhs)
     if sol is None:
         raise ComplexError("chain is not a cellular 1-boundary")
     return sum(sol[j] * Fraction(structure.weights[f]) for j, f in enumerate(fs)) / 2

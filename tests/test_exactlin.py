@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +88,12 @@ def dense_solve_q(mat, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x
+
+
+def sparse(mat):
+    """The sparse rows of a dense matrix and its column count: the form
+    ``kernel_q`` and ``solve_q`` take."""
+    return [{j: v for j, v in enumerate(row) if v} for row in mat], len(mat[0]) if mat else 0
 
 
 def minors_gcd(mat, k):
@@ -208,7 +215,7 @@ def test_kernels_agree_over_q():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 6)
         m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        kq = kernel_q(m)
+        kq = kernel_q(*sparse(m))
         kz = kernel_z(m)
         assert len(kq) == len(kz) == cols - rank_q(m)
         for vec in kz:
@@ -225,22 +232,45 @@ def test_solve_q_roundtrip():
         m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
         b = mat_vec(m, x)
-        sol = solve_q(m, b)
+        sol = solve_q(*sparse(m), b)
         assert sol is not None
         assert mat_vec(m, sol) == b
 
 
 def test_solve_q_inconsistent():
-    assert solve_q([[1, 1], [1, 1]], [0, 1]) is None
+    assert solve_q([{0: 1, 1: 1}, {0: 1, 1: 1}], 2, [0, 1]) is None
+
+
+def test_an_empty_matrix_keeps_its_column_count():
+    # no nonzero entry: every column is free, and a solution has free variables 0
+    assert kernel_q([], 2) == [[1, 0], [0, 1]]
+    assert solve_q([{}, {}], 3, [0, 0]) == [0, 0, 0]
+    assert solve_q([{}], 1, [Fraction(1, 2)]) is None
+
+
+@pytest.mark.parametrize(
+    "call, row, column",
+    [
+        (lambda: kernel_q([{0: 1}, {-1: 2, 0: 1}], 2), 1, -1),
+        (lambda: kernel_q([{2: Fraction(1, 2)}], 2), 0, 2),
+        (lambda: kernel_q([{0: 1}], 0), 0, 0),
+        # column 2 is where solve_q puts the right-hand side
+        (lambda: solve_q([{0: 1}, {1: 1}, {0: 1, 2: 1}], 2, [1, 1, 1]), 2, 2),
+        (lambda: solve_q([{-3: 1}], 2, [0]), 0, -3),
+        (lambda: unit_reduce([{0: 1, 5: 1}], 3), 0, 5),
+    ],
+)
+def test_a_column_outside_the_matrix_is_named(call, row, column):
+    with pytest.raises(ValueError, match=rf"^row {row} has column {column} outside 0 <= c < \d+$"):
+        call()
 
 
 def coords_in_basis(basis, vec):
     """Coordinates of ``vec`` in the span of ``basis`` (None if outside)."""
     if not basis:
         return [] if all(x == 0 for x in vec) else None
-    cols = len(basis)
-    mat = [[basis[j][i] for j in range(cols)] for i in range(len(vec))]
-    return solve_q(mat, vec)
+    rows = [{j: b[i] for j, b in enumerate(basis) if b[i]} for i in range(len(vec))]
+    return solve_q(rows, len(basis), vec)
 
 
 def test_coords_in_basis():
@@ -287,19 +317,24 @@ def vectors(n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(matrices(), st.data())
-def test_sparse_elimination_matches_dense_gauss_jordan(m, data):
+@given(matrices(), st.booleans(), st.data())
+def test_sparse_elimination_matches_dense_gauss_jordan(m, backwards, data):
+    # the solvers read sparse rows, int or Fraction, in any key order
+    rows, cols = sparse(m)
+    if backwards:
+        rows = [dict(reversed(row.items())) for row in rows]
+    before = [dict(row) for row in rows]
     assert rank_q(m) == dense_rank_q(m)
-    assert kernel_q(m) == dense_kernel_q(m)
+    assert kernel_q(rows, cols) == dense_kernel_q(m)
     # an arbitrary right-hand side (often inconsistent) and a consistent one
     rhs = data.draw(vectors(len(m)))
-    assert solve_q(m, rhs) == dense_solve_q(m, rhs)
-    cols = len(m[0]) if m else 0
+    assert solve_q(rows, cols, rhs) == dense_solve_q(m, rhs)
     x = data.draw(vectors(cols))
     rhs = mat_vec(m, x) if cols else [0] * len(m)
-    sol = solve_q(m, rhs)
+    sol = solve_q(rows, cols, rhs)
     assert sol == dense_solve_q(m, rhs)
     assert sol is not None and mat_vec(m, sol) == rhs
+    assert rows == before  # input untouched
 
 
 @settings(max_examples=200, deadline=None)
