@@ -4,7 +4,10 @@ Coefficients are Z or Q, selected by the ring tag "Z" / "Q".  Z carries
 torsion via Smith normal form; Q is rank data only.  The homology of a
 pair (X, c), where c is an integral 1-chain of loops on the 1-skeleton,
 is computed through the algebraic mapping cone of the chain map from a
-disjoint union of cellulated circles into X.
+disjoint union of circles into X.  Each circle has one vertex and one
+edge, and the edge of a term (n, w) maps to the loop word w^n, so a
+degree-2 cone chain is a winding per circle together with a 2-chain of X:
+the coordinates of ``AdmissibleSurface.reduced_class``.
 
 Boundary maps are built sparsely from the face words and edge ends: one
 {row index: coefficient} dict per cell, i.e. per column of the map, with
@@ -241,55 +244,32 @@ def relative_homology(cx: TwoComplex, sub: Subcomplex, ring="Z") -> HomologySumm
 
 
 @dataclass
-class CircleComplex:
-    """A cellulated circle subdivided into len(letters) edges.
-
-    Edge k runs from circle vertex k to vertex k+1 (mod length) and maps to
-    the signed complex edge letters[k].
-    """
-
-    letters: tuple  # signed edges of the target complex
-
-    @property
-    def length(self):
-        return len(self.letters)
-
-
-@dataclass
 class ConeComplex:
     """Algebraic mapping cone of circles -> X for a chain of loops.
 
     Degree n of the cone is C_(n-1)(circles) + C_n(X); the differential is
-    (a, x) -> (-d a, d x - gamma a).  With no 3-cells anywhere, H2 of the
-    cone is exactly the kernel of its degree-2 differential.
+    (a, x) -> (-d a, d x - gamma a).  Each circle has one vertex and one
+    edge, so a degree-2 chain is a winding per circle followed by a 2-chain
+    of X.  With no 3-cells anywhere, H2 of the cone is exactly the kernel
+    of its degree-2 differential.
     """
 
-    cx: TwoComplex
-    circles: tuple  # CircleComplex per chain term
+    circles: int  # one per chain term; the first coordinates of a 2-chain
     kernel_basis: list  # rational basis of H2(X, c)
-    circle_edge_offset: tuple  # start column of each circle's edges in d2
     summary: HomologySummary
 
     def boundary_degrees(self, coords):
         """Image of a class (in kernel-basis coordinates) in H1 of the circles."""
-        vec = [Fraction(0)] * (len(self.kernel_basis[0]) if self.kernel_basis else 0)
-        for c, basis_vec in zip(coords, self.kernel_basis):
-            if c:
-                vec = [a + c * b for a, b in zip(vec, basis_vec)]
-        degs = []
-        for i, circle in enumerate(self.circles):
-            off = self.circle_edge_offset[i]
-            degs.append(vec[off] if circle.length else Fraction(0))
+        degs = [Fraction(0)] * self.circles
+        for c, vec in zip(coords, self.kernel_basis):
+            degs = [d + c * x for d, x in zip(degs, vec)]
         return degs
 
 
 def chain_circles(cx: TwoComplex, terms):
-    """Cellulated circles for integral chain terms (coeff, loop word).
-
-    The circle of a term (n, w) is subdivided into |w| * |n| edges and reads
-    the loop w traversed n times (reversed when n < 0).
-    """
-    circles = []
+    """The loop word w^n of each integral chain term (n, w): w traversed n
+    times, reversed when n < 0.  Its circle's one edge maps to that word."""
+    words = []
     for coeff, word in terms:
         if coeff == 0:
             raise ComplexError("chain term with zero coefficient")
@@ -301,12 +281,10 @@ def chain_circles(cx: TwoComplex, terms):
             if here != there:
                 raise ComplexError("chain loop is not a closed edge path")
         if coeff > 0:
-            letters = tuple(word) * coeff
+            words.append(tuple(word) * coeff)
         else:
-            rev = tuple((e, -s) for e, s in reversed(word))
-            letters = rev * (-coeff)
-        circles.append(CircleComplex(letters))
-    return circles
+            words.append(tuple((e, -s) for e, s in reversed(word)) * -coeff)
+    return words
 
 
 def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
@@ -315,74 +293,37 @@ def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
     The summary carries H_*(X, c; Q); the connecting map to H1 of the
     circles is available through ConeComplex.boundary_degrees.
     """
-    circles = chain_circles(cx, terms)
+    words = chain_circles(cx, terms)
     d2x, d1x, vs, es, _ = _boundary_columns(cx)
     eix = {e: i for i, e in enumerate(es)}
     vix = {v: i for i, v in enumerate(vs)}
+    k = len(words)
 
-    n_cv = sum(c.length for c in circles)  # circle vertices = circle edges
-    offsets = []
-    off = 0
-    for c in circles:
-        offsets.append(off)
-        off += c.length
-
-    # degree 2: circle edges then X faces; rows circle vertices then X edges
+    # degree 2: circle edges then X faces; rows circle vertices then X edges.
+    # A one-edge loop has d = 0, so a circle edge column is -gamma alone.
     d2 = []
-    for off, c in zip(offsets, circles):
-        for k, (e, sign) in enumerate(c.letters):
-            col = {}
-            # -d_circle: circle edge k runs vertex k -> vertex k+1
-            _add(col, off + k, 1)
-            _add(col, off + (k + 1) % c.length, -1)
-            # -gamma_1: circle edge k maps to the signed letter
-            _add(col, n_cv + eix[e], -sign)
-            d2.append(col)
-    d2.extend({n_cv + i: x for i, x in col.items()} for col in d2x)
-    # degree 1: circle vertices then X edges; rows X vertices
-    d1 = []
-    for c in circles:
-        for k in range(c.length):
-            # -gamma_0: circle vertex k maps to the start of letter k
-            d1.append({vix[cx.endpoint(c.letters[k], 0)]: -1})
+    for word in words:
+        col = {}
+        for e, sign in word:
+            _add(col, k + eix[e], -sign)
+        d2.append(col)
+    d2.extend({k + i: x for i, x in col.items()} for col in d2x)
+    # degree 1: circle vertices then X edges; rows X vertices.  -gamma_0
+    # sends a circle's vertex to the start of its word.
+    d1 = [{vix[cx.endpoint(word[0], 0)]: -1} for word in words]
     d1.extend(d1x)
     _check_square_zero(d2, d1, "cone differential squares to nonzero")
 
-    rows2, cols2, rows1 = n_cv + len(es), len(d2), len(vs)
+    rows2, cols2, rows1 = k + len(es), len(d2), len(vs)
     kernel = kernel_q(_transpose(d2, rows2), cols2)
+    # certificate: every kernel vector is a cone 2-cycle
+    _check_square_zero(
+        [{j: x for j, x in enumerate(vec) if x} for vec in kernel], d2, "cone kernel vector is not a cycle"
+    )
     r2 = cols2 - len(kernel)
     r1, _ = _rank_torsion(d1, rows1, "Q")
     summary = HomologySummary("Q", (rows1 - r1, rows2 - r1 - r2, cols2 - r2))
-
-    cone = ConeComplex(
-        cx=cx,
-        circles=tuple(circles),
-        kernel_basis=kernel,
-        circle_edge_offset=tuple(offsets),
-        summary=summary,
-    )
-    _assert_cone_rank_identity(cone)
-    return cone
-
-
-def _assert_cone_rank_identity(cone: ConeComplex):
-    """rank H2(X,c) = rank H2(X) + dim ker(H1(circles) -> H1(X))."""
-    d2x, _, _, es, fs = _boundary_columns(cone.cx)
-    eix = {e: i for i, e in enumerate(es)}
-    # image of each circle's fundamental cycle in C1(X)
-    gamma = []
-    for c in cone.circles:
-        col = {}
-        for e, sign in c.letters:
-            _add(col, eix[e], sign)
-        gamma.append(col)
-    # gamma's columns are cycles, so the rank of Q^circles -> H1(X) =
-    # ker d1 / im d2 is rank([gamma | d2]) - rank(d2)
-    rank_d2, _ = _rank_torsion(d2x, len(es), "Q")
-    rank_with, _ = _rank_torsion(gamma + d2x, len(es), "Q")
-    expected = (len(fs) - rank_d2) + len(gamma) - (rank_with - rank_d2)
-    if cone.summary.rank(2) != expected:
-        raise HomologyError(f"cone rank identity failed: {cone.summary.rank(2)} != {expected}")
+    return ConeComplex(circles=k, kernel_basis=kernel, summary=summary)
 
 
 # -- orientability ---------------------------------------------------------
@@ -456,9 +397,7 @@ def check_support_lemma(cx: TwoComplex, sub: Subcomplex, ring="Z") -> SupportVer
     reports the nonvanishing H2 rank.
     """
     check_ring(ring)
-    bsub = boundary_subcomplex(cx)
-    bsub_sub = Subcomplex(cx, bsub.vertex_set, bsub.edge_set, bsub.face_set)
-    if not bsub_sub.is_subset_of(sub):
+    if not boundary_subcomplex(cx).is_subset_of(sub):
         raise ComplexError("precondition: boundary of X must lie in Y")
     if is_orientable(cx, ring) is None:
         raise ComplexError("precondition: X must be orientable over the ring")

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import TwoComplex, boundary_subcomplex, link_graph, link_shapes, surface_check
-from .exactlin import solve_q
-from .homology import boundary_matrices, homology
+from .homology import homology
 from .surfaces import (
     FREE,
     AdmissibleSurface,
@@ -301,26 +300,15 @@ def _without_components(surface: AdmissibleSurface, dead_indices):
         if owner in dead_pieces:
             continue
         assignments.append((item[:-1], circ.circle, circ.degree))
-    homotopy = surface.homotopy
+    # each dropped component bounds its own 2-chain, so taking that off the
+    # certificate leaves one for the kept boundary; dropped circuits that do
+    # not wind 0 in total change the degree vector, and the class check in
+    # remove_trivial_components rejects the removal
+    homotopy = dict(surface.homotopy)
     if homotopy:
-        words = {}
-        for circ in surface.circuits:
-            item = circ.items[0]
-            owner = ("h", item[1]) if item[0] == "long" else ("v", item[1])
-            if owner in dead_pieces:
-                continue
-            for e, sign in circ.word:
-                words[e] = words.get(e, 0) + sign
-            if circ.circle is not None:
-                for e, sign in surface.chain.circle_words()[circ.circle]:
-                    words[e] = words.get(e, 0) - circ.degree * sign
-        cx = surface.target
-        d2, _ = boundary_matrices(cx)
-        fs = list(cx.faces)
-        sol = solve_q(d2, len(fs), [words.get(e, 0) for e in cx.edges])
-        if sol is None:
-            raise MoveError("removal leaves a boundary with no homotopy certificate")
-        homotopy = {fs[j]: sol[j] for j in range(len(fs)) if sol[j]}
+        for k, fp in surface.fpieces.items():
+            if ("f", k) in dead_pieces:
+                homotopy[fp.face] = homotopy.get(fp.face, 0) - fp.sign
     return AdmissibleSurface(
         surface.target,
         surface.chain,

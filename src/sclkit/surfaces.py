@@ -581,7 +581,8 @@ class AdmissibleSurface:
 
         A 2-complex target means the cone has no 3-chains, so the class of
         the surface is literally its cone cycle: the circle winding vector
-        together with the 2-chain minus the homotopy certificate.  Two
+        together with the 2-chain minus the homotopy certificate, the same
+        coordinates as a degree-2 chain of ``homology.ConeComplex``.  Two
         surfaces over the same target and chain represent the same class
         iff these agree.
         """

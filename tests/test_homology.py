@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sclkit
 
@@ -19,7 +21,7 @@ from sclkit.complexes import (
     surface_check,
 )
 from sclkit.complexes import barycentric
-from sclkit.exactlin import rank_q, smith_normal_form, unit_reduce
+from sclkit.exactlin import kernel_q, rank_q, smith_normal_form, unit_reduce
 from sclkit.fixtures import (
     ambient_pair,
     closed_genus,
@@ -129,6 +131,14 @@ def test_cone_one_holed_boundary_loop():
     assert degs[0] != 0
 
 
+def test_cone_boundary_degrees_without_classes():
+    # H2(X, c) = 0: the only class is 0, whose degree on the one circle is 0
+    cx = one_holed(1)
+    cone = cone_complex(cx, [(1, loop(cx, "a1"))])
+    assert cone.summary.rank(2) == 0
+    assert cone.boundary_degrees([]) == [0]
+
+
 def test_cone_zero_chain_is_absolute():
     cx = closed_genus(1)
     cone = cone_complex(cx, [])
@@ -150,6 +160,71 @@ def test_cone_open_path_rejected():
 def test_cone_empty_loop_rejected():
     with pytest.raises(ComplexError):
         cone_complex(torus(), [(1, ())])
+
+
+def _subdivided_cone(cx, terms):
+    """H_*(X, c; Q) ranks and the image of H2(X, c) in H1 of the circles,
+    from a mapping cone whose circle for a term (n, w) is subdivided into
+    |w| * |n| edges reading w^n: edge k runs from circle vertex k to k + 1
+    and maps to letter k, and vertex k maps to the start of letter k."""
+    words = [tuple(w) * n if n > 0 else tuple((e, -s) for e, s in reversed(w)) * -n for n, w in terms]
+    offsets = [sum(len(w) for w in words[:i]) for i in range(len(words))]
+    n_c = sum(len(w) for w in words)
+    eix = {e: n_c + i for i, e in enumerate(cx.edges)}
+    vix = {v: i for i, v in enumerate(cx.vertices)}
+    # degree 2: columns circle edges then faces; rows circle vertices then edges
+    d2 = [[0] * (n_c + len(cx.faces)) for _ in range(n_c + len(cx.edges))]
+    # degree 1: columns circle vertices then edges; rows vertices
+    d1 = [[0] * (n_c + len(cx.edges)) for _ in cx.vertices]
+    for off, word in zip(offsets, words):
+        for k, (e, sign) in enumerate(word):
+            d2[off + k][off + k] += 1
+            d2[off + (k + 1) % len(word)][off + k] -= 1
+            d2[eix[e]][off + k] -= sign
+            d1[vix[cx.endpoint((e, sign), 0)]][off + k] -= 1
+    for j, f in enumerate(cx.faces):
+        for e, sign in cx.faces[f]:
+            d2[eix[e]][n_c + j] += sign
+    for e, (a, b) in cx.edges.items():
+        d1[vix[b]][eix[e]] += 1
+        d1[vix[a]][eix[e]] -= 1
+    r2, r1 = rank_q(d2), rank_q(d1)
+    ranks = (len(d1) - r1, len(d2) - r1 - r2, len(d2[0]) - r2)
+    rows = [{j: c for j, c in enumerate(row) if c} for row in d2]
+    degrees = [[vec[off] for off in offsets] for vec in kernel_q(rows, len(d2[0]))]
+    return ranks, degrees
+
+
+CONE_FIXTURES = {
+    "torus": torus,
+    "closed genus 2": lambda: closed_genus(2),
+    "one-holed genus 1": lambda: one_holed(1),
+    "one-holed genus 2": lambda: one_holed(2),
+    "closed genus 3 split": closed_genus3_split,
+    "ambient pair (1, 2)": lambda: ambient_pair(1, 2)[0],
+    "subdivided one-holed genus 1": lambda: barycentric(one_holed(1))[0],
+    "disc": disc,
+    "rp2": rp2,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_edge_cone_matches_subdivided_cone(data):
+    cx = CONE_FIXTURES[data.draw(st.sampled_from(sorted(CONE_FIXTURES)))]()
+    loops = [tuple(word) for word in cx.faces.values()]
+    loops += [((e, 1),) for e, (a, b) in cx.edges.items() if a == b]
+    terms = data.draw(
+        st.lists(st.tuples(st.sampled_from((-2, -1, 1, 2, 3)), st.sampled_from(loops)), max_size=3)
+    )
+    cone = cone_complex(cx, terms)
+    ranks, degrees = _subdivided_cone(cx, terms)
+    assert cone.summary.ranks == ranks
+    assert cone.boundary_degrees([]) == [0] * len(terms)
+    n = len(cone.kernel_basis)
+    ours = [cone.boundary_degrees([int(i == j) for i in range(n)]) for j in range(n)]
+    # the two images in Q^terms span the same subspace
+    assert rank_q(ours) == rank_q(degrees) == rank_q(ours + degrees)
 
 
 def test_orientable_closed_genus2():
@@ -250,8 +325,6 @@ def test_excision_injectivity_random():
     # relative 2-cycles of the small pair stay independent in the big pair
     rng = random.Random(31)
     pool = [closed_genus(2), closed_genus3_split(), one_holed(2), torus()]
-    from sclkit.exactlin import kernel_q
-
     for _ in range(40):
         cx = rng.choice(pool)
         y = _random_subcomplex(rng, cx)
@@ -417,7 +490,19 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
     assert rot_value(structure, chain) == 3
     witness = is_orientable(cx)
     assert witness is not None and witness.support() == set(cx.faces)
+    # the cone reuses X's boundary columns and reduces only its own d1; its
+    # d2 rank is read off the kernel
+    reduced.clear()
+    builds = []
+    boundary_columns = sclkit.homology._boundary_columns
+
+    def counting_boundary_columns(*args):
+        builds.append(args)
+        return boundary_columns(*args)
+
+    monkeypatch.setattr(sclkit.homology, "_boundary_columns", counting_boundary_columns)
     assert cone_complex(cx, chain.terms).summary.rank(2) == 1
+    assert reduced == [len(cx.vertices)] and len(builds) == 1
     # every row the solvers read is sparse: an edge meets at most two faces,
     # plus one entry for a right-hand side or a circle edge
     assert rows_seen and all(type(row) is dict and all(row.values()) for row in rows_seen)
@@ -447,18 +532,21 @@ def test_guards_raise_typed_errors_under_optimize():
         cx.faces[0] = cx.faces[0][:-1]
         expect("d1d2", H.HomologyError, lambda: H.boundary_matrices(cx))
 
-        # a circle that is an open path: the cone differential squares to nonzero
+        # a circle word that is an open path: the cone differential squares
+        # to nonzero
         cx = disc()
         chain_circles = H.chain_circles
-        H.chain_circles = lambda cx, terms: [H.CircleComplex(((0, 1),))]
+        H.chain_circles = lambda cx, terms: [((0, 1),)]
         expect("cone d2", H.HomologyError, lambda: H.cone_complex(cx, []))
         H.chain_circles = chain_circles
 
+        # a kernel vector on the circle edge alone: its image -c is no cycle
         cx = one_holed(1)
-        cone = H.cone_complex(cx, [(1, ((cx.edge_id("c"), 1),))])
-        b0, b1, b2 = cone.summary.ranks
-        cone.summary = H.HomologySummary("Q", (b0, b1, b2 + 1))
-        expect("cone rank", H.HomologyError, lambda: H._assert_cone_rank_identity(cone))
+        kernel_q = H.kernel_q
+        H.kernel_q = lambda rows, ncols: [[1] + [0] * (ncols - 1)]
+        expect("cone cycle", H.HomologyError,
+               lambda: H.cone_complex(cx, [(1, ((cx.edge_id("c"), 1),))]))
+        H.kernel_q = kernel_q
 
         cx = torus()
         expect("witness support", H.HomologyError,
@@ -486,5 +574,5 @@ def test_guards_raise_typed_errors_under_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == [
-        "d1d2", "cone_d2", "cone_rank", "witness_support", "witness_leak", "support", "ring"
+        "d1d2", "cone_d2", "cone_cycle", "witness_support", "witness_leak", "support", "ring"
     ]
