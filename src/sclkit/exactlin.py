@@ -11,7 +11,7 @@ Integer routines never leave Z; rational results are fractions.Fraction.
 Everything here is deterministic.
 
 Sparse elimination.  ``rank_q``, ``solve_q``, ``kernel_q`` and
-``unit_reduce`` run one routine, ``_eliminate``, on {column: int} rows; a
+``unit_reduce`` end in one routine, ``_eliminate``, on {column: int} rows; a
 row with Fraction entries is first multiplied by the lcm of its
 denominators, which changes neither the row space nor, for an augmented
 row [a | b], the solutions of a . x = b.
@@ -32,6 +32,27 @@ leftmost column basis, the pivot columns of the reduced row echelon form.
 Given them, the solution with free variables 0 and the kernel vector whose
 free part is e_j are unique, so back substitution through the echelon rows
 returns exactly the vectors read off the RREF.
+
+Peeling singletons.  ``kernel_q``, ``solve_q`` and ``unit_reduce`` first
+run ``_peel``, and ``_eliminate`` sees only the rows it leaves.  A row whose
+only nonzero is a in column c says a x_c = b, so x_c = b / a in every
+solution (0 in every kernel vector); the peel pivots on it and takes
+column c out of every other row, touching only that column and the
+right-hand side, and repeats while singletons appear.  Such a column is a
+pivot column of the RREF: were column c in the span of columns 0..c-1,
+the kernel would hold a vector with x_c = 1.  The other pivot columns are
+those of the rows left, since a kernel vector has x_c = 0 anyway; so the
+pivot columns, and with them the kernel vectors and the solution with free
+variables 0, are exactly those of elimination alone.  Back substitution
+stays in integers: the entries of x are numerators over one running
+denominator, which grows only when a pivot does not divide its row's sum,
+and a Fraction is formed only at return.  ``unit_reduce`` peels unit
+row singletons only, and also a column whose only nonzero is +-1: column
+operations clear that pivot's row, so the row leaves while the rank and
+the invariant factors stay.  Column singletons are for rank and torsion
+only: their row gives x_c in terms of the other columns, column c need
+not be a pivot column of the RREF, and pivoting there would change the
+kernel vectors and the solution that ``kernel_q`` and ``solve_q`` return.
 
 Unit pivots over Z.  ``unit_reduce`` accepts only pivots +-1, leaves a
 column without one alone (its rows move on to their next column) and never
@@ -300,17 +321,94 @@ def _check_columns(rows, ncols):
                 raise ValueError(f"row {i} has column {bad} outside 0 <= c < {ncols}")
 
 
+def _peel(rows, ncols, units_only=False):
+    """Pivot on singletons before elimination.
+
+    ``rows`` are {column: int} dicts without zero entries; they are not
+    modified.  A row may also hold column ``ncols``, a right-hand side that
+    is never pivoted on.  A row whose only nonzero below ``ncols`` is in
+    column c is a pivot; every other row with entry f there becomes
+    row - (f / a) pivot, which changes it in column c and the right-hand
+    side only (it is scaled by the pivot entry a first when a != +-1 and
+    the pivot has a right-hand side b).  With ``units_only`` a pivot must be
+    +-1, and a column whose only nonzero is +-1 in some row also pivots,
+    removing that row.  Returns (pivots, rest) as ``_eliminate`` does:
+    (column, row) pairs, each row as it was when it became a pivot, and the
+    nonzero rows left, in input order, with no entry in a pivot column.
+    """
+    live = [row for row in rows if row]
+    row_todo = [i for i, row in enumerate(live) if len(row) - (ncols in row) == 1]
+    if not (row_todo or units_only):
+        return [], live
+    at = [[] for _ in range(ncols + 1)]  # column -> the live rows nonzero there
+    for i, row in enumerate(live):
+        for k in row:
+            at[k].append(i)
+    col_todo = [c for c in range(ncols) if len(at[c]) == 1] if units_only else []
+    owned = [False] * len(live)  # rows copied here, safe to change in place
+    pivots = []
+    while row_todo or col_todo:
+        if row_todo:
+            i = row_todo.pop()
+            prow = live[i]
+            if not prow or len(prow) - (ncols in prow) != 1:
+                continue
+            c = min(prow)
+            a = prow[c]
+            if units_only and a * a != 1:
+                continue
+            b = prow.get(ncols, 0)
+            for j in at[c]:
+                if j == i:
+                    continue
+                row = live[j]
+                if not owned[j]:
+                    row = live[j] = dict(row)
+                    owned[j] = True
+                f = row.pop(c)
+                if b:
+                    scale = a * a != 1
+                    if scale:  # a row - f pivot stays integral
+                        for k in row:
+                            row[k] *= a
+                    x = row.get(ncols, 0) - (f * b if scale else f * a * b)
+                    if x:
+                        row[ncols] = x
+                    else:
+                        row.pop(ncols)
+                    g = gcd(*row.values()) if scale else 1
+                    if g > 1:
+                        live[j] = row = {k: v // g for k, v in row.items()}
+                if len(row) - (ncols in row) == 1:
+                    row_todo.append(j)
+            at[c] = []
+        else:
+            c = col_todo.pop()
+            if len(at[c]) != 1:
+                continue
+            i = at[c][0]
+            prow = live[i]
+            if prow[c] * prow[c] != 1:
+                continue
+            for k in prow:
+                at[k].remove(i)
+                if len(at[k]) == 1 and k != c:
+                    col_todo.append(k)
+        pivots.append((c, prow))
+        live[i] = None
+    return pivots, [row for row in live if row]
+
+
 def _eliminate(rows, ncols, units_only=False):
     """Sparse fraction-free elimination, columns left to right.
 
-    ``rows`` are {column: int} dicts without zero entries; they are not
-    modified.  A column outside 0 <= c < ``ncols`` raises ValueError.
-    Returns (pivots, rest): ``pivots`` lists (column, row) in column order,
-    the row having no nonzero in an earlier pivot column; ``rest`` lists the
-    nonzero rows that got no pivot, which is empty unless ``units_only``
-    restricts pivots to entries +-1.
+    ``rows`` are {column: int} dicts without zero entries, every column in
+    0 <= c < ``ncols``; they are not modified.  Returns (pivots, rest):
+    ``pivots`` lists (column, row) in column order, the row having no
+    nonzero in an earlier pivot column; ``rest`` lists the nonzero rows that
+    got no pivot, which is empty unless ``units_only`` restricts pivots to
+    entries +-1.
     """
-    _check_columns(rows, ncols)
     # bucket c holds the rows whose first nonzero past the columns already
     # processed is c, i.e. every active row that is nonzero in column c
     buckets = [[] for _ in range(ncols)]
@@ -355,12 +453,15 @@ def _eliminate(rows, ncols, units_only=False):
 def unit_reduce(rows, ncols):
     """Split an integer matrix as I_k + R up to unimodular equivalence.
 
-    ``rows`` are {column: int} dicts.  Eliminates on pivots +-1 only and
-    returns (k, R): k pivots were units, and R is the dense residual (the
-    rows that got no pivot, on the columns that got none).  The rank is
-    k + rank R and the invariant factors are k ones followed by those of R.
+    ``rows`` are {column: int} dicts.  Peels unit singletons, then
+    eliminates on pivots +-1 only, and returns (k, R): k pivots were units,
+    and R is the dense residual (the rows that got no pivot, on the columns
+    that got none).  The rank is k + rank R and the invariant factors are k
+    ones followed by those of R.
     """
-    pivots, rest = _eliminate(rows, ncols, units_only=True)
+    _check_columns(rows, ncols)
+    peeled, rest = _peel(rows, ncols, units_only=True)
+    pivots, rest = _eliminate(rest, ncols, units_only=True)
     cols = sorted(set().union(*rest))
     at = {c: j for j, c in enumerate(cols)}
     residual = []
@@ -369,7 +470,7 @@ def unit_reduce(rows, ncols):
         for k, v in row.items():
             dense[at[k]] = v
         residual.append(dense)
-    return len(pivots), residual
+    return len(peeled) + len(pivots), residual
 
 
 def rank_q(mat) -> int:
@@ -379,24 +480,43 @@ def rank_q(mat) -> int:
     return len(_eliminate(rows, cols)[0])
 
 
+def _back_substitute(pivots, ncols, x):
+    """Complete a solution through the pivot rows, last pivot first.
+
+    ``x`` holds {column: int} numerators over one running denominator,
+    which starts at 1 and grows only when a pivot entry does not divide its
+    row's sum; a row's right-hand side sits in column ``ncols``.  Returns
+    the vector of Fractions, formed only here.
+    """
+    d = 1
+    for c, row in reversed(pivots):
+        s = row.get(ncols, 0) * d - sum(v * x[k] for k, v in row.items() if k != c and k in x)
+        if not s:
+            continue
+        a = row[c]
+        m = abs(a) // gcd(s, a)
+        if m > 1:
+            d *= m
+            s *= m
+            for k in x:
+                x[k] *= m
+        x[c] = s // a
+    vec = [Fraction(0)] * ncols
+    for k, v in x.items():
+        vec[k] = Fraction(v, d)
+    return vec
+
+
 def kernel_q(rows, ncols):
     """Basis of the rational kernel of the matrix with the given sparse rows
     and ``ncols`` columns (list of Fraction vectors): one vector per free
     column j, with free part e_j, as read off the reduced row echelon form."""
-    pivots, _ = _eliminate([_int_row(row) for row in rows], ncols)
-    pivot_cols = {c for c, _ in pivots}
-    basis = []
-    for j in range(ncols):
-        if j in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        for c, row in reversed(pivots):
-            s = sum(v * vec[k] for k, v in row.items() if k != c and vec[k])
-            if s:
-                vec[c] = -s / row[c]
-        basis.append(vec)
-    return basis
+    _check_columns(rows, ncols)
+    peeled, rest = _peel([_int_row(row) for row in rows], ncols)
+    pivots, _ = _eliminate(rest, ncols)
+    # a peeled column is 0 in every kernel vector
+    pivot_cols = {c for c, _ in peeled} | {c for c, _ in pivots}
+    return [_back_substitute(pivots, ncols, {j: 1}) for j in range(ncols) if j not in pivot_cols]
 
 
 def solve_q(rows, ncols, rhs):
@@ -408,14 +528,11 @@ def solve_q(rows, ncols, rhs):
     """
     _check_columns(rows, ncols)
     augmented = [_int_row({**row, ncols: b} if b else row) for row, b in zip(rows, rhs, strict=True)]
-    pivots, _ = _eliminate(augmented, ncols + 1)
+    peeled, rest = _peel(augmented, ncols)
+    pivots, _ = _eliminate(rest, ncols + 1)
     if pivots and pivots[-1][0] == ncols:
         return None
-    x = [Fraction(0)] * ncols
-    for c, row in reversed(pivots):
-        s = row.get(ncols, 0) - sum(v * x[k] for k, v in row.items() if k != c and k < ncols and x[k])
-        x[c] = Fraction(s) / row[c]
-    return x
+    return _back_substitute(peeled + pivots, ncols, {})
 
 
 def kernel_z(mat):

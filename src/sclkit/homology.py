@@ -26,6 +26,15 @@ of R.  Over Z the torsion of H_(n-1) is read from ``smith_normal_form(R)``
 of d_n; over Q the rank is ``rank_q(R)``.  On surfaces almost every pivot
 is a unit; RP^2 leaves R = [[2]], which is its Z/2.
 
+Collapse.  The exact solvers peel singletons before they eliminate (see
+``exactlin``).  On a surface with boundary the free edges, those on one
+face side only, are d2's singleton rows: peeling one removes its face,
+which frees the face's other edges, so the peel is the cellular collapse
+of the surface through its boundary.  A surface that collapses onto a
+graph, as the subdivided ambient pairs do, leaves no row of d2 to
+eliminate; a complex without free edges, such as RP^2 or a surface rel
+its boundary, goes on to the elimination unchanged.
+
 Every guard here raises ``HomologyError`` (a ``ComplexError``), so the
 checks also run under ``python -O``.
 """
@@ -219,12 +228,6 @@ def homology(cx: TwoComplex, ring="Z") -> HomologySummary:
     return _complex_homology(d2, d1, len(fs), len(es), len(vs), ring)
 
 
-def h2_rank_q(cx: TwoComplex) -> int:
-    """rank H2(X; Q) = #faces - rank d2, with d1 left unreduced."""
-    d2, _, _, es, fs = _boundary_columns(cx)
-    return len(fs) - _rank_torsion(d2, len(es), "Q")[0]
-
-
 def relative_homology(cx: TwoComplex, sub: Subcomplex, ring="Z") -> HomologySummary:
     """Homology of the quotient chain complex C_*(X)/C_*(Y)."""
     check_ring(ring)
@@ -337,9 +340,15 @@ def is_orientable(cx: TwoComplex, ring="Z"):
     integers, gives an integer witness whenever a rational one exists.
     """
     check_ring(ring)
+    return _orientation_witness(cx, boundary_subcomplex(cx), ring)
+
+
+def _orientation_witness(cx: TwoComplex, bsub: Subcomplex, ring):
+    """``is_orientable`` with the boundary subcomplex ``bsub`` of ``cx``
+    already at hand."""
     if not cx.faces:
         return ChainVec.make(ring, {})
-    d2, _, _, es, fs = _boundary_columns(cx, boundary_subcomplex(cx))
+    d2, _, _, es, fs = _boundary_columns(cx, bsub)
     basis = []
     for vec in kernel_q(_transpose(d2, len(es)), len(fs)):
         d = lcm(*(x.denominator for x in vec))
@@ -363,16 +372,15 @@ def is_orientable(cx: TwoComplex, ring="Z"):
             w *= base
         if all(combo[j] != 0 for j in range(len(fs))):
             chain = ChainVec.make(ring, {fs[j]: combo[j] for j in range(len(fs))})
-            _assert_orientation_witness(cx, chain)
+            _assert_orientation_witness(cx, chain, bsub)
             return chain
     raise HomologyError("orientation witness combination failed unexpectedly")
 
 
-def _assert_orientation_witness(cx: TwoComplex, chain: ChainVec):
+def _assert_orientation_witness(cx: TwoComplex, chain: ChainVec, bsub: Subcomplex):
     coeffs = chain.as_dict()
     if set(coeffs) != set(cx.faces):
         raise HomologyError("witness must be supported on every face")
-    bsub = boundary_subcomplex(cx)
     totals = {}
     for f, c in coeffs.items():
         for e, sign in cx.faces[f]:
@@ -397,9 +405,10 @@ def check_support_lemma(cx: TwoComplex, sub: Subcomplex, ring="Z") -> SupportVer
     reports the nonvanishing H2 rank.
     """
     check_ring(ring)
-    if not boundary_subcomplex(cx).is_subset_of(sub):
+    bsub = boundary_subcomplex(cx)
+    if not bsub.is_subset_of(sub):
         raise ComplexError("precondition: boundary of X must lie in Y")
-    if is_orientable(cx, ring) is None:
+    if _orientation_witness(cx, bsub, ring) is None:
         raise ComplexError("precondition: X must be orientable over the ring")
     h2 = relative_homology(cx, sub, ring)
     if h2.is_zero(2):

@@ -20,12 +20,12 @@ cycle decomposition arises this way.  All arithmetic is exact rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import ComplexError, TwoComplex
-from .homology import boundary_matrices, h2_rank_q
-from .exactlin import solve_q
+from .homology import boundary_matrices
+from .exactlin import rank_q, solve_q, unit_reduce
 from .lp import LpResult, solve_lp
 from .words import ChainError, EdgeChain, OneChain, letter_inverse, word_inverse
 
@@ -211,14 +211,18 @@ class RotStructure:
     """Per-face positive area weights, in units of pi, totalling -2 chi.
 
     Requires H2(S; Q) = 0, so a cellular 1-boundary has a unique bounding
-    2-chain and the enclosed area is well defined.
+    2-chain and the enclosed area is well defined.  The rows of d2 that
+    certify it are kept for ``rot_value``.
     """
 
     cx: TwoComplex
     weights: dict  # face id -> positive Fraction
+    d2: list = field(init=False, repr=False, compare=False)  # edge rows {face index: count}
 
     def __post_init__(self):
-        if h2_rank_q(self.cx) != 0:
+        self.d2, _ = boundary_matrices(self.cx)
+        units, residual = unit_reduce(self.d2, len(self.cx.faces))
+        if units + rank_q(residual) != len(self.cx.faces):
             raise ComplexError("rot structure needs H2(S; Q) = 0")
         if set(self.weights) != set(self.cx.faces):
             raise ComplexError("rot structure must weight every face")
@@ -252,11 +256,9 @@ def rot_value(structure: RotStructure, chain: EdgeChain) -> Fraction:
     """rot(c) = enclosed area / 2 pi for a cellular 1-boundary c."""
     cx = structure.cx
     vec = chain.one_chain_vector(cx)
-    es = list(cx.edges)
     fs = list(cx.faces)
-    d2, _ = boundary_matrices(cx)
-    rhs = [vec.get(e, 0) for e in es]
-    sol = solve_q(d2, len(fs), rhs)
+    rhs = [vec.get(e, 0) for e in cx.edges]
+    sol = solve_q(structure.d2, len(fs), rhs)
     if sol is None:
         raise ComplexError("chain is not a cellular 1-boundary")
     return sum(sol[j] * Fraction(structure.weights[f]) for j, f in enumerate(fs)) / 2

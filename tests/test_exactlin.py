@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import sclkit
 from sclkit.exactlin import (
+    _eliminate,
+    _int_row,
     smith_normal_form,
     check_snf,
     det_int,
@@ -258,6 +260,11 @@ def test_an_empty_matrix_keeps_its_column_count():
         (lambda: solve_q([{0: 1}, {1: 1}, {0: 1, 2: 1}], 2, [1, 1, 1]), 2, 2),
         (lambda: solve_q([{-3: 1}], 2, [0]), 0, -3),
         (lambda: unit_reduce([{0: 1, 5: 1}], 3), 0, 5),
+        # singletons outside the matrix: the peel would index them
+        (lambda: kernel_q([{0: 1}, {5: 1}], 2), 1, 5),
+        (lambda: solve_q([{0: 1}, {7: 2}], 3, [1, 1]), 1, 7),
+        (lambda: unit_reduce([{0: 1}, {4: -1}], 2), 1, 4),
+        (lambda: unit_reduce([{-2: 1}], 2), 0, -2),
     ],
 )
 def test_a_column_outside_the_matrix_is_named(call, row, column):
@@ -352,3 +359,115 @@ def test_unit_reduce_splits_off_an_identity(rows, cols, data):
 def test_unit_reduce_keeps_a_non_unit_block():
     # one unit pivot, after which the second row is left as [-2]
     assert unit_reduce([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) == (1, [[-2]])
+
+
+# -- the peel against elimination alone ------------------------------------------
+
+
+def reference_kernel_q(rows, ncols):
+    """``kernel_q`` by elimination alone, with Fraction back substitution."""
+    pivots, _ = _eliminate([_int_row(row) for row in rows], ncols)
+    pivot_cols = {c for c, _ in pivots}
+    basis = []
+    for j in range(ncols):
+        if j in pivot_cols:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[j] = Fraction(1)
+        for c, row in reversed(pivots):
+            s = sum(v * vec[k] for k, v in row.items() if k != c and vec[k])
+            if s:
+                vec[c] = -s / row[c]
+        basis.append(vec)
+    return basis
+
+
+def reference_solve_q(rows, ncols, rhs):
+    """``solve_q`` by elimination alone, with Fraction back substitution."""
+    augmented = [_int_row({**row, ncols: b} if b else row) for row, b in zip(rows, rhs, strict=True)]
+    pivots, _ = _eliminate(augmented, ncols + 1)
+    if pivots and pivots[-1][0] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for c, row in reversed(pivots):
+        s = row.get(ncols, 0) - sum(v * x[k] for k, v in row.items() if k != c and k < ncols and x[k])
+        x[c] = Fraction(s) / row[c]
+    return x
+
+
+def reference_unit_reduce(rows, ncols):
+    """``unit_reduce`` by elimination on unit pivots alone."""
+    pivots, rest = _eliminate(rows, ncols, units_only=True)
+    cols = sorted(set().union(*rest))
+    at = {c: j for j, c in enumerate(cols)}
+    residual = []
+    for row in rest:
+        dense = [0] * len(cols)
+        for k, v in row.items():
+            dense[at[k]] = v
+        residual.append(dense)
+    return len(pivots), residual
+
+
+@st.composite
+def peelable(draw, max_cols=8):
+    """Sparse integer rows with planted singleton chains: row t of a chain
+    is nonzero in its own column and, at random, in columns of earlier rows
+    of the chain, so peeling one singleton exposes the next.  Entries are
+    units and non-units; extra rows are random; the rows are shuffled."""
+    ncols = draw(st.integers(1, max_cols))
+    entry = st.sampled_from((1, -1, 1, -1, 2, -2, 3, -5))
+    order = draw(st.permutations(range(ncols)))
+    chain = order[: draw(st.integers(0, ncols))]
+    rows = []
+    for t, c in enumerate(chain):
+        earlier = draw(st.lists(st.sampled_from(chain[:t]), max_size=2)) if t else []
+        rows.append({k: draw(entry) for k in [*earlier, c]})
+    for _ in range(draw(st.integers(0, 4))):
+        support = draw(st.lists(st.integers(0, ncols - 1), max_size=4))
+        rows.append({k: draw(entry) for k in support})
+    # a singleton repeated with another value makes some right-hand sides
+    # inconsistent
+    if chain and draw(st.booleans()):
+        (c, a), = rows[0].items()
+        rows.append({c: 2 * a})
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(peelable(), st.data())
+def test_peeling_matches_elimination_alone(matrix, data):
+    rows, ncols = matrix
+    before = [dict(row) for row in rows]
+    assert kernel_q(rows, ncols) == reference_kernel_q(rows, ncols)
+    # an arbitrary right-hand side, often inconsistent, and a consistent one
+    rhs = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    assert solve_q(rows, ncols, rhs) == reference_solve_q(rows, ncols, rhs)
+    x = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=ncols, max_size=ncols))
+    rhs = [sum(v * x[k] for k, v in row.items()) for row in rows]
+    sol = solve_q(rows, ncols, rhs)
+    assert sol == reference_solve_q(rows, ncols, rhs) and sol is not None
+    # unit_reduce keeps rank and invariant factors, not its residual block
+    units, residual = unit_reduce(rows, ncols)
+    ref_units, ref_residual = reference_unit_reduce(rows, ncols)
+    assert units + rank_q(residual) == ref_units + rank_q(ref_residual)
+    assert smith_normal_form(residual).torsion == smith_normal_form(ref_residual).torsion
+    assert rows == before  # input untouched
+
+
+def test_a_singleton_chain_is_peeled_before_elimination(monkeypatch):
+    # a triangular chain with a non-unit pivot: every row is peeled in turn
+    rows = [{0: 2, 1: 1, 2: -1}, {1: 1, 2: 3}, {2: -1}]
+    eliminated = []
+    eliminate = sclkit.exactlin._eliminate
+
+    def recording_eliminate(rows, ncols, units_only=False):
+        eliminated.append(list(rows))
+        return eliminate(rows, ncols, units_only)
+
+    monkeypatch.setattr(sclkit.exactlin, "_eliminate", recording_eliminate)
+    assert kernel_q(rows, 3) == []
+    assert solve_q(rows, 3, [1, 2, 1]) == [Fraction(-5, 2), 5, -1]
+    # unit_reduce peels the unit pivots and leaves the 2 to elimination
+    assert unit_reduce(rows, 3) == (2, [[2]])
+    assert eliminated == [[], [], [{0: 2}]]

@@ -317,7 +317,7 @@ def test_subcomplex_orientability_stability():
             chain = ChainVec.make("Z", restricted)
             from sclkit.homology import _assert_orientation_witness
 
-            _assert_orientation_witness(sub_cx, chain)
+            _assert_orientation_witness(sub_cx, chain, boundary_subcomplex(sub_cx))
 
 
 def test_excision_injectivity_random():
@@ -456,6 +456,7 @@ def test_closed_genus8_twice_subdivided():
 def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
     import sclkit.exactlin
     import sclkit.homology
+    import sclkit.scl
     from sclkit.scl import RotStructure, rot_value
     from sclkit.words import EdgeChain
 
@@ -469,38 +470,48 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
     rest = len(cx.faces) - len(t_faces)
     weights = {f: Fraction(6, len(t_faces)) if f in t_faces else Fraction(8, rest) for f in cx.faces}
 
-    rows_seen, reduced = [], []
-    int_row, unit_reduce = sclkit.exactlin._int_row, sclkit.homology.unit_reduce
+    rows_seen, builds, eliminated, reduced = [], [], [], []
+    int_row, eliminate = sclkit.exactlin._int_row, sclkit.exactlin._eliminate
+    boundary_columns, unit_reduce = sclkit.homology._boundary_columns, sclkit.exactlin.unit_reduce
 
     def recording_int_row(row):
         rows_seen.append(row)
         return int_row(row)
+
+    def recording_eliminate(rows, ncols, units_only=False):
+        eliminated.append(list(rows))
+        return eliminate(rows, ncols, units_only)
+
+    def counting_boundary_columns(*args):
+        builds.append(args)
+        return boundary_columns(*args)
 
     def recording_unit_reduce(rows, ncols):
         reduced.append(ncols)
         return unit_reduce(rows, ncols)
 
     monkeypatch.setattr(sclkit.exactlin, "_int_row", recording_int_row)
+    monkeypatch.setattr(sclkit.exactlin, "_eliminate", recording_eliminate)
+    monkeypatch.setattr(sclkit.homology, "_boundary_columns", counting_boundary_columns)
     monkeypatch.setattr(sclkit.homology, "unit_reduce", recording_unit_reduce)
+    monkeypatch.setattr(sclkit.scl, "unit_reduce", recording_unit_reduce)
+    # the rot structure builds d2 once, ranks it and solves on the same rows;
+    # every face collapses through a free edge, so no d2 row is left to
+    # eliminate
     structure = RotStructure(cx, weights)
-    # one reduction, of d2, whose face columns have an entry per edge; d1's
-    # edge columns would have one per vertex
-    assert len(cx.edges) != len(cx.vertices)
-    assert reduced == [len(cx.edges)]
     assert rot_value(structure, chain) == 3
+    assert len(builds) == 1
+    assert eliminated and not any(eliminated)
+    # one reduction, of d2, whose edge rows have an entry per face; d1's
+    # vertex rows would have one per edge
+    assert len(cx.faces) != len(cx.edges)
+    assert reduced == [len(cx.faces)]
     witness = is_orientable(cx)
     assert witness is not None and witness.support() == set(cx.faces)
     # the cone reuses X's boundary columns and reduces only its own d1; its
     # d2 rank is read off the kernel
     reduced.clear()
-    builds = []
-    boundary_columns = sclkit.homology._boundary_columns
-
-    def counting_boundary_columns(*args):
-        builds.append(args)
-        return boundary_columns(*args)
-
-    monkeypatch.setattr(sclkit.homology, "_boundary_columns", counting_boundary_columns)
+    builds.clear()
     assert cone_complex(cx, chain.terms).summary.rank(2) == 1
     assert reduced == [len(cx.vertices)] and len(builds) == 1
     # every row the solvers read is sparse: an edge meets at most two faces,
@@ -516,7 +527,7 @@ def test_guards_raise_typed_errors_under_optimize():
     script = textwrap.dedent(
         """
         import sclkit.homology as H
-        from sclkit.complexes import barycentric, induced_subcomplex
+        from sclkit.complexes import barycentric, boundary_subcomplex, induced_subcomplex
         from sclkit.fixtures import closed_genus, disc, one_holed, torus
 
         caught = []
@@ -550,12 +561,12 @@ def test_guards_raise_typed_errors_under_optimize():
 
         cx = torus()
         expect("witness support", H.HomologyError,
-               lambda: H._assert_orientation_witness(cx, H.ChainVec.make("Z", {})))
+               lambda: H._assert_orientation_witness(cx, H.ChainVec.make("Z", {}), boundary_subcomplex(cx)))
         cx = barycentric(closed_genus(1))[0]
         witness = H.is_orientable(cx).as_dict()
         witness[0] += 1
         expect("witness leak", H.HomologyError,
-               lambda: H._assert_orientation_witness(cx, H.ChainVec.make("Z", witness)))
+               lambda: H._assert_orientation_witness(cx, H.ChainVec.make("Z", witness), boundary_subcomplex(cx)))
 
         # a tampered H2(X, Y) = 0 for a Y that misses the face
         cx = closed_genus(1)
