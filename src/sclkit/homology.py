@@ -11,11 +11,13 @@ the coordinates of ``AdmissibleSurface.reduced_class``.
 
 Boundary maps are built sparsely from the face words and edge ends: one
 {row index: coefficient} dict per cell, i.e. per column of the map, with
-at most deg(f) nonzeros for a face.  d1 d2 = 0 is checked on these
-columns in O(nnz).  No dense boundary matrix is ever formed: where a map
-meets ``kernel_q`` or ``solve_q``, which read sparse rows, its columns are
-transposed into rows ({column index: coefficient} per edge of d2, per
-vertex of d1) in O(nnz), and ``boundary_matrices`` returns those rows.
+at most deg(f) nonzeros for a face.  Wherever d1 is built, d1 d2 = 0 is
+checked on these columns in O(nnz).  No dense boundary matrix is ever
+formed: where a map meets ``kernel_q`` or ``solve_q``, which read sparse
+rows, its columns are transposed into rows ({column index: coefficient}
+per edge of d2, per vertex of d1) in O(nnz).  ``boundary_matrices``
+returns both maps' rows; ``d2_rows`` builds d2 alone, for the orientation
+witness and the rot structure, which read no d1.
 
 Rank and torsion.  A boundary map is reduced by ``exactlin.unit_reduce``,
 which eliminates on pivots +-1 only (columns are fed as rows; rank and
@@ -32,8 +34,19 @@ face side only, are d2's singleton rows: peeling one removes its face,
 which frees the face's other edges, so the peel is the cellular collapse
 of the surface through its boundary.  A surface that collapses onto a
 graph, as the subdivided ambient pairs do, leaves no row of d2 to
-eliminate; a complex without free edges, such as RP^2 or a surface rel
-its boundary, goes on to the elimination unchanged.
+eliminate; a complex without free edges, such as RP^2, goes on to the
+elimination unchanged.
+
+Contraction.  Rel its boundary a surface has no free edge, so the
+orientation witness, a kernel vector of d2 rel boundary, contracts faces
+instead (``_contract_faces``).  An interior edge on two face sides is a
+row {f: +-1, g: +-1}, which says x_g = +-x_f; one pass of a signed
+union-find over these rows leaves one unknown per class of faces, or
+forces a class to 0 through a one-entry row (RP^2's {0: 2}) or a parity
+conflict (a Moebius band).  Only the other rows, edges on three or more
+face sides or with a non-unit entry, are rewritten over the classes and
+reach ``kernel_q``; on a surface there are none, and each component
+becomes one unknown of a kernel with no row to eliminate.
 
 Every guard here raises ``HomologyError`` (a ``ComplexError``), so the
 checks also run under ``python -O``.
@@ -77,6 +90,10 @@ class ChainVec:
             c = mapping[cell]
             if ring == "Q" and not isinstance(c, Fraction):
                 c = Fraction(c)
+            elif ring == "Z" and isinstance(c, Fraction):
+                if c.denominator != 1:
+                    raise RingError(f"Z chain coefficient {c} on cell {cell} is not an integer")
+                c = c.numerator
             if c:
                 items.append((cell, c))
         return cls(ring, tuple(items))
@@ -119,17 +136,14 @@ def _check_square_zero(d2, d1, what):
             raise HomologyError(what)
 
 
-def _boundary_columns(cx: TwoComplex, sub: Subcomplex | None = None):
-    """Sparse boundary maps of C_*(X), or of C_*(X)/C_*(Y) for Y = ``sub``.
+def _d2_columns(cx: TwoComplex, sub: Subcomplex | None = None):
+    """Sparse d2 of C_*(X), or of C_*(X)/C_*(Y) for Y = ``sub``.
 
-    Returns (d2, d1, vs, es, fs): the cells outside Y in ascending id, d2 as
-    one {edge index: coefficient} per face (signed side counts) and d1 as
-    one {vertex index: coefficient} per edge (target minus source).
+    Returns (d2, es, fs): the edges and faces outside Y in ascending id, and
+    d2 as one {edge index: signed side count} per face.
     """
-    vs = [v for v in cx.vertices if sub is None or v not in sub.vertex_set]
     es = [e for e in cx.edges if sub is None or e not in sub.edge_set]
     fs = [f for f in cx.faces if sub is None or f not in sub.face_set]
-    vix = {v: i for i, v in enumerate(vs)}
     eix = {e: i for i, e in enumerate(es)}
     d2 = []
     for f in fs:
@@ -138,6 +152,19 @@ def _boundary_columns(cx: TwoComplex, sub: Subcomplex | None = None):
             if e in eix:
                 _add(col, eix[e], sign)
         d2.append(col)
+    return d2, es, fs
+
+
+def _boundary_columns(cx: TwoComplex, sub: Subcomplex | None = None):
+    """Sparse boundary maps of C_*(X), or of C_*(X)/C_*(Y) for Y = ``sub``.
+
+    Returns (d2, d1, vs, es, fs): the cells outside Y in ascending id, d2 as
+    in ``_d2_columns`` and d1 as one {vertex index: coefficient} per edge
+    (target minus source), checked to give d1 d2 = 0.
+    """
+    d2, es, fs = _d2_columns(cx, sub)
+    vs = [v for v in cx.vertices if sub is None or v not in sub.vertex_set]
+    vix = {v: i for i, v in enumerate(vs)}
     d1 = []
     for e in es:
         s, t = cx.edges[e]
@@ -159,6 +186,18 @@ def _transpose(columns, nrows):
         for i, c in col.items():
             rows[i][j] = c
     return rows
+
+
+def d2_rows(cx: TwoComplex, sub: Subcomplex | None = None):
+    """(rows, fs): d2 of C_*(X), or of C_*(X)/C_*(Y) for Y = ``sub``, as one
+    sparse row {face index: signed side count} per edge outside Y, with one
+    column per face of ``fs``, the faces outside Y in ascending id.
+
+    No d1 is built: a ``TwoComplex`` checks that every face word closes up,
+    which is d1 d2 = 0.
+    """
+    d2, es, fs = _d2_columns(cx, sub)
+    return _transpose(d2, len(es)), fs
 
 
 def boundary_matrices(cx: TwoComplex):
@@ -263,6 +302,10 @@ class ConeComplex:
 
     def boundary_degrees(self, coords):
         """Image of a class (in kernel-basis coordinates) in H1 of the circles."""
+        if len(coords) != len(self.kernel_basis):
+            raise HomologyError(
+                f"{len(coords)} coordinates for a kernel basis of {len(self.kernel_basis)} vectors"
+            )
         degs = [Fraction(0)] * self.circles
         for c, vec in zip(coords, self.kernel_basis):
             degs = [d + c * x for d, x in zip(degs, vec)]
@@ -335,12 +378,89 @@ def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
 def is_orientable(cx: TwoComplex, ring="Z"):
     """Search a relative 2-cycle (mod boundary) supported on every face.
 
-    Returns the witness ChainVec, or None when impossible.  Over Z and Q
-    the answer agrees: the rational kernel basis, each vector scaled to
-    integers, gives an integer witness whenever a rational one exists.
+    Returns the witness ChainVec, or None when impossible.  The kernel of
+    d2 rel boundary is found by contracting faces across every edge that
+    ties two of them (``_contract_faces``); only the rows the contraction
+    cannot read, edges on three or more face sides or with a non-unit
+    entry, go to ``kernel_q``, over one unknown per class of faces.  Over
+    Z and Q the answer agrees: the rational kernel basis, each vector scaled
+    to integers, gives an integer witness whenever a rational one exists.
     """
     check_ring(ring)
     return _orientation_witness(cx, boundary_subcomplex(cx), ring)
+
+
+def _contract_faces(rows, nfaces):
+    """Contract faces across the rows of d2 that each tie two of them.
+
+    ``rows`` are sparse rows {face index: coefficient} without zeros, over
+    ``nfaces`` columns.  A row {f: a, g: b} with a, b = +-1 says
+    x_g = -a b x_f and joins f and g in one class of a signed union-find; a
+    row with one entry, or a second route inside a class with the other
+    sign, forces that class to 0.  Every other row is rewritten over the
+    classes that are left, one column each.
+
+    Returns (face_class, rest, k): per face (column, sign), or (None, 0) in
+    a class forced to 0, and the rewritten rows over k columns, so that the
+    kernel of ``rows`` is exactly {x : x_f = sign * y[column]} for y in the
+    kernel of ``rest``.
+    """
+    parent = list(range(nfaces))
+    sign = [1] * nfaces  # x_j = sign[j] * x_parent[j]
+    size = [1] * nfaces
+    zero = [False] * nfaces  # at a root: the class is forced to 0
+
+    def find(j):
+        """(root of j, x_j / x_root), compressing the path to the root."""
+        p = parent[j]
+        if parent[p] == p:
+            return p, sign[j]
+        path = []
+        while parent[j] != j:
+            path.append(j)
+            j = parent[j]
+        s = 1
+        for k in reversed(path):
+            s *= sign[k]
+            parent[k], sign[k] = j, s
+        return j, s
+
+    rest = []
+    for row in rows:
+        if len(row) == 1:
+            zero[find(next(iter(row)))[0]] = True
+            continue
+        if len(row) == 2:
+            (f, a), (g, b) = row.items()
+            if a * a == 1 and b * b == 1:
+                (rf, sf), (rg, sg) = find(f), find(g)
+                s = -a * b * sf * sg  # x_rg = s * x_rf
+                if rf == rg:
+                    zero[rf] = zero[rf] or s != 1
+                else:
+                    if size[rf] < size[rg]:
+                        rf, rg = rg, rf
+                    parent[rg], sign[rg] = rf, s
+                    size[rf] += size[rg]
+                    zero[rf] = zero[rf] or zero[rg]
+                continue
+        rest.append(row)
+
+    columns = {}
+    face_class = []
+    for j in range(nfaces):
+        r, s = find(j)
+        face_class.append((None, 0) if zero[r] else (columns.setdefault(r, len(columns)), s))
+    rewritten = []
+    for row in rest:
+        new = {}
+        for j, a in row.items():
+            k, s = face_class[j]
+            if k is not None:
+                _add(new, k, s * a)
+        if new:
+            rewritten.append(new)
+    return face_class, rewritten, len(columns)
 
 
 def _orientation_witness(cx: TwoComplex, bsub: Subcomplex, ring):
@@ -348,11 +468,13 @@ def _orientation_witness(cx: TwoComplex, bsub: Subcomplex, ring):
     already at hand."""
     if not cx.faces:
         return ChainVec.make(ring, {})
-    d2, _, _, es, fs = _boundary_columns(cx, bsub)
+    rows, fs = d2_rows(cx, bsub)
+    face_class, rest, k = _contract_faces(rows, len(fs))
     basis = []
-    for vec in kernel_q(_transpose(d2, len(es)), len(fs)):
+    for vec in kernel_q(rest, k):
         d = lcm(*(x.denominator for x in vec))
-        basis.append([x.numerator * (d // x.denominator) for x in vec])
+        ints = [x.numerator * (d // x.denominator) for x in vec]
+        basis.append([0 if col is None else s * ints[col] for col, s in face_class])
     covered = set()
     for vec in basis:
         for j, x in enumerate(vec):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import ComplexError, TwoComplex
-from .homology import boundary_matrices
+from .homology import d2_rows
 from .exactlin import rank_q, solve_q, unit_reduce
 from .lp import LpResult, solve_lp
 from .words import ChainError, EdgeChain, OneChain, letter_inverse, word_inverse
@@ -220,7 +220,7 @@ class RotStructure:
     d2: list = field(init=False, repr=False, compare=False)  # edge rows {face index: count}
 
     def __post_init__(self):
-        self.d2, _ = boundary_matrices(self.cx)
+        self.d2, _ = d2_rows(self.cx)
         units, residual = unit_reduce(self.d2, len(self.cx.faces))
         if units + rank_q(residual) != len(self.cx.faces):
             raise ComplexError("rot structure needs H2(S; Q) = 0")

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -36,9 +37,14 @@ from sclkit.fixtures import (
 from sclkit.homology import (
     ChainVec,
     HomologyError,
+    RingError,
+    _assert_orientation_witness,
+    _boundary_columns,
+    _transpose,
     boundary_matrices,
     check_support_lemma,
     cone_complex,
+    d2_rows,
     homology,
     is_orientable,
     parse_chain_file,
@@ -220,8 +226,8 @@ def test_one_edge_cone_matches_subdivided_cone(data):
     cone = cone_complex(cx, terms)
     ranks, degrees = _subdivided_cone(cx, terms)
     assert cone.summary.ranks == ranks
-    assert cone.boundary_degrees([]) == [0] * len(terms)
     n = len(cone.kernel_basis)
+    assert cone.boundary_degrees([0] * n) == [0] * len(terms)
     ours = [cone.boundary_degrees([int(i == j) for i in range(n)]) for j in range(n)]
     # the two images in Q^terms span the same subspace
     assert rank_q(ours) == rank_q(degrees) == rank_q(ours + degrees)
@@ -243,8 +249,48 @@ def test_orientable_disc():
     assert w is not None
 
 
+def mobius_band():
+    """A square with its left side glued to its right side reversed, cut by
+    the diagonal d into two triangles.  Rel the boundary b c, the rows of
+    a and d are {lower: -1, upper: -1} and {lower: -1, upper: 1}: a parity
+    conflict with no one-entry row."""
+    return TwoComplex.build(
+        ["p", "q"],
+        [("a", "p", "q"), ("b", "p", "q"), ("c", "q", "p"), ("d", "p", "p")],
+        [("lower", [("b", 1), ("a", -1), ("d", -1)]), ("upper", [("d", 1), ("c", -1), ("a", -1)])],
+    )
+
+
+def klein_bottle():
+    """The square a b a^-1 b on one vertex, cut by the diagonal d = a b into
+    two triangles; b meets them with equal signs, a and d with opposite."""
+    return TwoComplex.build(
+        ["v"],
+        [("a", "v", "v"), ("b", "v", "v"), ("d", "v", "v")],
+        [("lower", [("a", 1), ("b", 1), ("d", -1)]), ("upper", [("d", 1), ("a", -1), ("b", 1)])],
+    )
+
+
+def test_a_parity_conflict_makes_mobius_band_and_klein_bottle_non_orientable():
+    for cx in (mobius_band(), klein_bottle()):
+        rep = surface_check(cx)
+        assert rep.is_surface
+        # every row of d2 rel boundary ties the two faces with unit entries
+        rows, _ = d2_rows(cx, boundary_subcomplex(cx))
+        assert rows and all(len(row) == 2 and set(map(abs, row.values())) == {1} for row in rows)
+        for ring in ("Z", "Q"):
+            assert is_orientable(cx, ring) is None
+            assert reference_orientation_witness(cx, ring) is None
+
+
+def test_support_lemma_refuses_a_mobius_band():
+    cx = mobius_band()
+    with pytest.raises(ComplexError, match="X must be orientable"):
+        check_support_lemma(cx, induced_subcomplex(cx, cx.cells()))
+
+
 def test_orientable_iff_b2_for_connected_closed_surface():
-    for cx in (torus(), rp2(), closed_genus(2), sphere_two_triangles()):
+    for cx in (torus(), rp2(), closed_genus(2), sphere_two_triangles(), klein_bottle()):
         rep = surface_check(cx)
         assert rep.is_surface and not rep.boundary_vertices
         b2 = homology(cx, "Q").rank(2)
@@ -315,8 +361,6 @@ def test_subcomplex_orientability_stability():
         if sub.face_set:
             restricted = {f: c for f, c in beta.as_dict().items() if f in sub.face_set}
             chain = ChainVec.make("Z", restricted)
-            from sclkit.homology import _assert_orientation_witness
-
             _assert_orientation_witness(sub_cx, chain, boundary_subcomplex(sub_cx))
 
 
@@ -443,6 +487,108 @@ def test_rp2_torsion_comes_from_the_non_unit_residual():
     assert homology(rp2(), "Z").torsion == ((), (2,), ())
 
 
+# -- orientation witness against the kernel-based oracle ---------------------
+
+
+def reference_orientation_witness(cx, ring):
+    """``is_orientable`` as it was before faces were contracted: a kernel
+    basis of all of d2 rel boundary from ``kernel_q``, each vector scaled
+    to integers, weighted so that supports cannot cancel."""
+    if not cx.faces:
+        return ChainVec.make(ring, {})
+    bsub = boundary_subcomplex(cx)
+    d2, _, _, es, fs = _boundary_columns(cx, bsub)
+    basis = []
+    for vec in kernel_q(_transpose(d2, len(es)), len(fs)):
+        d = lcm(*(x.denominator for x in vec))
+        basis.append([x.numerator * (d // x.denominator) for x in vec])
+    covered = {j for vec in basis for j, x in enumerate(vec) if x}
+    if covered != set(range(len(fs))):
+        return None
+    max_entry = max((abs(x) for vec in basis for x in vec), default=0)
+    for base in (3, 2 * max_entry * max(3, len(basis)) + 3):
+        combo = [0] * len(fs)
+        w = 1
+        for vec in basis:
+            for j, x in enumerate(vec):
+                combo[j] += w * x
+            w *= base
+        if all(combo):
+            chain = ChainVec.make(ring, dict(zip(fs, combo)))
+            _assert_orientation_witness(cx, chain, bsub)
+            return chain
+    raise AssertionError("reference witness combination failed")
+
+
+def _witness_agrees_with_reference(cx):
+    """Compare ``is_orientable`` with the oracle over Z and Q, check every
+    witness, and return whether ``cx`` is orientable."""
+    answers = set()
+    for ring in ("Z", "Q"):
+        witness = is_orientable(cx, ring)
+        assert (witness is None) == (reference_orientation_witness(cx, ring) is None)
+        if witness is not None:
+            assert all(type(c) is (int if ring == "Z" else Fraction) for _, c in witness.coeffs)
+            _assert_orientation_witness(cx, witness, boundary_subcomplex(cx))
+        answers.add(witness is not None)
+    assert len(answers) == 1
+    return answers.pop()
+
+
+SUBDIVIDED_FIXTURES = {
+    "rp2": rp2,
+    "torus": torus,
+    "disc": disc,
+    "sphere": sphere_two_triangles,
+    "one-holed genus 2": lambda: one_holed(2),
+    "closed genus 3 split": closed_genus3_split,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_contracted_witness_matches_the_kernel_witness(data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    if data.draw(st.booleans()):
+        cx = _random_complex(random.Random(seed))
+    else:
+        # an induced subcomplex of a subdivided fixture: pieces of surfaces,
+        # Moebius bands among the pieces of RP^2
+        big = barycentric(SUBDIVIDED_FIXTURES[data.draw(st.sampled_from(sorted(SUBDIVIDED_FIXTURES)))]())[0]
+        keep = data.draw(st.sampled_from((0.3, 0.6, 0.9)))
+        rng = random.Random(seed)
+        cx = induced_subcomplex(big, [c for c in big.cells() if rng.random() < keep]).as_complex()
+    _witness_agrees_with_reference(cx)
+
+
+def test_rows_the_contraction_cannot_read_reach_the_kernel(monkeypatch):
+    import sclkit.homology
+
+    handed = []
+    solve = sclkit.homology.kernel_q
+
+    def recording_kernel_q(rows, ncols):
+        handed.append(any(rows))
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(sclkit.homology, "kernel_q", recording_kernel_q)
+    rng = random.Random(47)
+    orientable = three_faces = run_twice = 0
+    for _ in range(400):
+        cx = _random_complex(rng)
+        handed.clear()
+        orientable += _witness_agrees_with_reference(cx)
+        if any(handed):
+            rows, _ = d2_rows(cx, boundary_subcomplex(cx))
+            # an edge on the sides of three or more faces, and an edge that
+            # one face runs twice the same way and another face runs once
+            three_faces += any(len(row) >= 3 for row in rows)
+            run_twice += any(len(row) == 2 and {1} != set(map(abs, row.values())) for row in rows)
+    # both answers occur, and both kinds of row are handed to kernel_q
+    assert 40 < orientable < 360
+    assert three_faces > 20 and run_twice > 20
+
+
 def test_closed_genus8_twice_subdivided():
     cx = barycentric(barycentric(closed_genus(8))[0])[0]
     assert (len(cx.vertices), len(cx.edges), len(cx.faces)) == (178, 576, 384)
@@ -451,6 +597,14 @@ def test_closed_genus8_twice_subdivided():
     assert homology(cx, "Q").ranks == (1, 16, 1)
     witness = is_orientable(cx, "Z")
     assert witness is not None and witness.support() == set(cx.faces)
+
+
+def test_z_chains_hold_integers():
+    with pytest.raises(RingError, match="not an integer"):
+        ChainVec.make("Z", {0: Fraction(1, 2)})
+    chain = ChainVec.make("Z", {0: Fraction(4, 2), 1: Fraction(0), 2: -3})
+    assert chain.coeffs == ((0, 2), (2, -3))
+    assert all(type(c) is int for _, c in chain.coeffs)
 
 
 def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
@@ -495,19 +649,24 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
     monkeypatch.setattr(sclkit.homology, "_boundary_columns", counting_boundary_columns)
     monkeypatch.setattr(sclkit.homology, "unit_reduce", recording_unit_reduce)
     monkeypatch.setattr(sclkit.scl, "unit_reduce", recording_unit_reduce)
-    # the rot structure builds d2 once, ranks it and solves on the same rows;
-    # every face collapses through a free edge, so no d2 row is left to
-    # eliminate
+    # the rot structure builds d2 alone, ranks it and solves on the same
+    # rows; with no d1 it builds no boundary columns, and every face
+    # collapses through a free edge, so no d2 row is left to eliminate
     structure = RotStructure(cx, weights)
     assert rot_value(structure, chain) == 3
-    assert len(builds) == 1
+    assert builds == []
     assert eliminated and not any(eliminated)
     # one reduction, of d2, whose edge rows have an entry per face; d1's
     # vertex rows would have one per edge
     assert len(cx.faces) != len(cx.edges)
     assert reduced == [len(cx.faces)]
+    # rel its boundary every face contracts into one class: the witness
+    # builds no d1 and leaves kernel_q no row to eliminate
+    eliminated.clear()
     witness = is_orientable(cx)
     assert witness is not None and witness.support() == set(cx.faces)
+    assert builds == []
+    assert eliminated and not any(eliminated)
     # the cone reuses X's boundary columns and reduces only its own d1; its
     # d2 rank is read off the kernel
     reduced.clear()
@@ -526,6 +685,8 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
 def test_guards_raise_typed_errors_under_optimize():
     script = textwrap.dedent(
         """
+        from fractions import Fraction
+
         import sclkit.homology as H
         from sclkit.complexes import barycentric, boundary_subcomplex, induced_subcomplex
         from sclkit.fixtures import closed_genus, disc, one_holed, torus
@@ -559,6 +720,10 @@ def test_guards_raise_typed_errors_under_optimize():
                lambda: H.cone_complex(cx, [(1, ((cx.edge_id("c"), 1),))]))
         H.kernel_q = kernel_q
 
+        # more coordinates than kernel basis vectors
+        cone = H.cone_complex(cx, [(1, ((cx.edge_id("c"), 1),))])
+        expect("cone coordinates", H.HomologyError, lambda: cone.boundary_degrees([1, 5, 7]))
+
         cx = torus()
         expect("witness support", H.HomologyError,
                lambda: H._assert_orientation_witness(cx, H.ChainVec.make("Z", {}), boundary_subcomplex(cx)))
@@ -576,6 +741,7 @@ def test_guards_raise_typed_errors_under_optimize():
 
         z, q = H.ChainVec.make("Z", {0: 1}), H.ChainVec.make("Q", {0: 1})
         expect("ring", H.RingError, lambda: z + q)
+        expect("z fraction", H.RingError, lambda: H.ChainVec.make("Z", {0: Fraction(1, 2)}))
         print(" ".join(name.replace(" ", "_") for name in caught))
         """
     )
@@ -585,5 +751,13 @@ def test_guards_raise_typed_errors_under_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == [
-        "d1d2", "cone_d2", "cone_cycle", "witness_support", "witness_leak", "support", "ring"
+        "d1d2",
+        "cone_d2",
+        "cone_cycle",
+        "cone_coordinates",
+        "witness_support",
+        "witness_leak",
+        "support",
+        "ring",
+        "z_fraction",
     ]
