@@ -8,14 +8,15 @@ connected sits over a boundary vertex.  All moves return new surfaces
 
 The surgery engine works on a global successor map over slot tokens:
 every vertex disc contributes a cyclic list of tokens (handle ends and
-free arcs); gluing the mirrored polygon corners of a fold is the
-cross-splice
+free arcs), and every corner either move glues is the cross-splice
 
     succ(t1), succ(t2)  :=  succ(t2), succ(t1)
 
-and vertex discs are recovered as the cycles of the final map.  Handle
-pairs whose freed long sides become glued to each other fuse end to end
-into single handles.
+A fold splices the two tokens of each mirrored pair of corners; a link
+connection splices the y of each new corner (y, x) with the predecessor
+of x, which makes succ(y) = x.  Vertex discs are recovered as the cycles
+of the final map.  Handle pairs whose freed long sides become glued to
+each other fuse end to end into single handles.
 
 Boundary words are only changed by the link-connection move; it records a
 2-chain certificate (the faces the boundary was pushed across) so that the
@@ -157,8 +158,9 @@ class _Tokens:
 
     def add_handle_token(self, hid, end, vertex):
         tok = ("h", hid, end)
-        self.kind[tok] = ("h", hid, end)
+        self.kind[tok] = tok
         self.vertex[tok] = vertex
+        self.succ[tok] = tok
         return tok
 
     def cross_splice(self, t1, t2):
@@ -169,20 +171,6 @@ class _Tokens:
         del self.succ[tok]
         del self.kind[tok]
         del self.vertex[tok]
-
-    def drop_free_run(self, a, b):
-        """Delete the tokens strictly between a and b, which must all be free."""
-        cur = self.succ[a]
-        guard = 0
-        while cur != b:
-            if self.kind[cur] != FREE:
-                raise MoveError("free run to replace contains glued slots")
-            nxt = self.succ[cur]
-            self.delete(cur)
-            cur = nxt
-            guard += 1
-            if guard > len(self.succ) + 2:
-                raise MoveError("degenerate link connection; unsupported")
 
     def fuse(self, toks, new_tok):
         """Replace the tokens of ``toks``, one consecutive run, by new_tok."""
@@ -295,9 +283,9 @@ def _without_components(surface: AdmissibleSurface, dead_indices):
     for circ in surface.circuits:
         if circ.circle is None:
             continue
+        # a lettered circuit starts at its least item, a long side
         item = circ.items[0]
-        owner = ("h", item[1]) if item[0] == "long" else ("v", item[1])
-        if owner in dead_pieces:
+        if ("h", item[1]) in dead_pieces:
             continue
         assignments.append((item[:-1], circ.circle, circ.degree))
     # each dropped component bounds its own 2-chain, so taking that off the
@@ -654,6 +642,47 @@ def _carry_by_items(old: AdmissibleSurface, new_raw):
     return out
 
 
+def _glue_corners(tokens: _Tokens, new_tokens, corners):
+    """Glue every corner (y, x) of the new discs by the cross-splice that
+    makes succ(y) = x.
+
+    Each token of ``new_tokens`` starts as a cycle of its own.  After the
+    splices the free stretch the fan replaces is a cycle of free tokens,
+    which is deleted, and a cycle made only of new handle ends meets the
+    boundary: it gets one fresh free arc after its unglued end.
+    """
+    pred = {s: t for t, s in tokens.succ.items()}
+    glued = set()
+    touched = []
+    for y, x in corners:
+        p = pred[x]
+        if y in glued or p in glued:
+            raise MoveError("conflicting corner equations")
+        s = tokens.succ[y]
+        tokens.cross_splice(y, p)
+        pred[x], pred[s] = y, p
+        glued.add(y)
+        touched += [y, p]
+    seen = set()
+    open_ends = []
+    for tok in touched:
+        if tok in seen:
+            continue
+        cyc = [tok]
+        while tokens.succ[cyc[-1]] != tok:
+            cyc.append(tokens.succ[cyc[-1]])
+        seen.update(cyc)
+        if all(tokens.kind[t] == FREE for t in cyc):
+            for t in cyc:
+                tokens.delete(t)
+        elif new_tokens.issuperset(cyc):
+            open_ends += [(tokens.succ[t], t) for t in cyc if t not in glued]
+    for head, end in sorted(open_ends, key=lambda pair: str(pair[0])):
+        free = tokens.new_free(tokens.vertex[head])
+        tokens.succ[end] = free
+        tokens.succ[free] = head
+
+
 def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, separator=0):
     """Connect the collapsed link of a vertex disc by pushing the boundary
     across a fan of target faces.
@@ -662,9 +691,10 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
     disconnected collapsed link.  A free stretch of its boundary between two
     link components is replaced by a path of new positive cellular discs,
     together with the fresh handles and vertex discs the crossed faces
-    require; the negative discs are left as they are.  The boundary is
-    moved by a homotopy, so the class in H2(S, c) is unchanged; the faces
-    crossed are added to the homotopy certificate.
+    require; the negative discs are left as they are.  Every corner of the
+    new discs is glued by one cross-splice (``_glue_corners``).  The
+    boundary is moved by a homotopy, so the class in H2(S, c) is unchanged;
+    the faces crossed are added to the homotopy certificate.
     """
     if vid not in surface.vpieces:
         raise MoveError("unknown vertex disc")
@@ -713,7 +743,7 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
         hpieces[hid] = HPiece(half[0], [None, None], None, None)
         n_handles.append(hid)
 
-    new_fids = []
+    new_corners = []  # (y, x) tokens of every corner of the new discs
     new_handle_sides = {}  # hid -> {li: ("f", fid, k)}
     new_faces_crossed = []
     # when the arrival side cannot take the far handle's free long (both ends
@@ -721,18 +751,14 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
     # handle instead; the link does not reconnect, but the first disc folds
     # against the handle's other side and the next fold elimination makes
     # the progress, as in the alternation that proves termination
-    fallback = False
-    last = len(corners) - 1
-    face_last, leave_last = corners[last]
+    face_last, leave_last = corners[-1]
     li_last = required_long_index(surface.target.faces[face_last][leave_last][1])
-    if li_last != xS or hS_hid == hE_hid:
-        fallback = True
+    fallback = li_last != xS or hS_hid == hE_hid
     for t, (face, kidx) in enumerate(corners):
         word = surface.target.faces[face]
         deg = len(word)
         fid = next_f
         next_f += 1
-        new_fids.append(fid)
         new_faces_crossed.append(face)
         enter_pos, leave_pos = (kidx + 1) % deg, kidx
         sides = [None] * deg
@@ -758,6 +784,7 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
             sides[q] = (hid, li)
             new_handle_sides.setdefault(hid, {})[li] = ("f", fid, q)
         fpieces[fid] = FPiece(face, 1, tuple(sides))
+        new_corners += (corner_tokens(fpieces[fid], word, k) for k in range(deg))
 
     # finalise the long sides of touched handles
     for hid, per_side in new_handle_sides.items():
@@ -774,81 +801,16 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
             longs = [per_side.get(0, FREE), per_side.get(1, FREE)]
             hpieces[hid] = HPiece(hp.edge, tuple(longs), None, None)
 
-    # token surgery from the corner equations of the new discs
+    # token surgery: glue every corner of the new discs
     tokens = _Tokens(surface)
     target = surface.target
-    new_token_set = set()
+    new_tokens = set()
     for hid in new_handle_sides:
         if hid in (hE_hid, hS_hid):
             continue
-        hp = hpieces[hid]
-        src_v, tgt_v = target.edges[hp.edge]
-        tokens.add_handle_token(hid, "s", src_v)
-        tokens.add_handle_token(hid, "t", tgt_v)
-        new_token_set.add(("h", hid, "s"))
-        new_token_set.add(("h", hid, "t"))
-
-    overrides = {}
-    for fid in new_fids:
-        fp = fpieces[fid]
-        word = target.faces[fp.face]
-        for k in range(len(word)):
-            y_tok, x_tok = corner_tokens(fp, word, k)
-            if y_tok in overrides:
-                raise MoveError("conflicting corner equations")
-            overrides[y_tok] = x_tok
-
-    incoming = {}
-    for x, y in overrides.items():
-        if y in incoming:
-            raise MoveError("conflicting corner equations")
-        incoming[y] = x
-
-    processed = set()
-
-    def chain_from(head):
-        chain = [head]
-        while overrides.get(chain[-1]) in new_token_set:
-            chain.append(overrides[chain[-1]])
-        return chain
-
-    # existing -> existing overrides (a single corner closing the free run)
-    for x, y in list(overrides.items()):
-        if x not in new_token_set and y not in new_token_set:
-            tokens.drop_free_run(x, y)
-            tokens.succ[x] = y
-
-    heads = [
-        n
-        for n in sorted(new_token_set, key=str)
-        if incoming.get(n) not in new_token_set
-    ]
-    for head in heads:
-        if head in processed:
-            continue
-        chain = chain_from(head)
-        processed.update(chain)
-        start_anchor = incoming.get(head)
-        tail = chain[-1]
-        end_anchor = overrides.get(tail)
-        for a, b in zip(chain, chain[1:]):
-            tokens.succ[a] = b
-        if start_anchor is not None and end_anchor is not None:
-            tokens.drop_free_run(start_anchor, end_anchor)
-            tokens.succ[start_anchor] = head
-            tokens.succ[tail] = end_anchor
-        elif end_anchor is not None:
-            prev = next(t for t, s in tokens.succ.items() if s == end_anchor)
-            tokens.succ[prev] = head
-            tokens.succ[tail] = end_anchor
-        elif start_anchor is not None:
-            w = tokens.succ[start_anchor]
-            tokens.succ[start_anchor] = head
-            tokens.succ[tail] = w
-        else:
-            free = tokens.new_free(tokens.vertex[head])
-            tokens.succ[tail] = free
-            tokens.succ[free] = head
+        for end, vertex in zip("st", target.edges[hpieces[hid].edge]):
+            new_tokens.add(tokens.add_handle_token(hid, end, vertex))
+    _glue_corners(tokens, new_tokens, new_corners)
 
     homotopy = dict(surface.homotopy)
     for face in new_faces_crossed:
@@ -1006,14 +968,13 @@ def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
                 before = _metrics(s)
                 new_target = thicken_boundary(s.target)
                 s = retarget(s, new_target)
-                if log is not None:
-                    log.record(
-                        "thicken_boundary",
-                        "",
-                        before,
-                        _metrics(s),
-                        note="target re-cellulated; collar added",
-                    )
+                log.record(
+                    "thicken_boundary",
+                    "",
+                    before,
+                    _metrics(s),
+                    note="target re-cellulated; collar added",
+                )
                 continue
             done = False
             last_exc = None

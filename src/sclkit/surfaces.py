@@ -801,12 +801,9 @@ def disjoint_union(*surfaces) -> AdmissibleSurface:
         for circ in s.circuits:
             if circ.circle is None:
                 continue
-            kind, ident, rest = circ.items[0][0], circ.items[0][1], circ.items[0][2]
-            if kind == "long":
-                anchor = ("long", hmap[ident], rest)
-            else:
-                anchor = ("arc", vmap[ident], rest)
-            assignments.append((anchor, circ.circle, circ.degree))
+            # a lettered circuit starts at its least item, a long side
+            item = circ.items[0]
+            assignments.append((("long", hmap[item[1]], item[2]), circ.circle, circ.degree))
         for f, c in s.homotopy.items():
             homotopy[f] = homotopy.get(f, 0) + c
         voff = max(vpieces, default=-1) + 1

@@ -300,14 +300,14 @@ def test_orientable_iff_b2_for_connected_closed_surface():
 def test_support_lemma_missing_face_fails():
     cx = closed_genus(1)
     sub = induced_subcomplex(cx, [("e", e) for e in cx.edges])
-    verdict = check_support_lemma(cx, sub, "Q")
+    verdict = check_support_lemma(cx, sub)
     assert not verdict.ok
     assert verdict.h2_rank == 1
 
 
 def test_support_lemma_disc_full():
     cx = disc()
-    verdict = check_support_lemma(cx, induced_subcomplex(cx, cx.cells()), "Z")
+    verdict = check_support_lemma(cx, induced_subcomplex(cx, cx.cells()))
     assert verdict.ok and verdict.kind == "contains-all-faces"
 
 
@@ -317,19 +317,33 @@ def test_support_lemma_precondition_boundary():
     cx = one_holed(2)
     sub = induced_subcomplex(cx, [("v", 0)])
     with pytest.raises(ComplexError, match="boundary"):
-        check_support_lemma(cx, sub, "Q")
+        check_support_lemma(cx, sub)
 
 
 def test_support_lemma_closed_surface_specialisation():
     # orientable closed surface, H2(S, T) = 0 forces S = T
     cx = closed_genus(2)
-    verdict = check_support_lemma(cx, induced_subcomplex(cx, cx.cells()), "Q")
+    verdict = check_support_lemma(cx, induced_subcomplex(cx, cx.cells()))
     assert verdict.ok
 
 
 def _random_subcomplex(rng, cx):
     cells = [c for c in cx.cells() if rng.random() < 0.5]
     return induced_subcomplex(cx, cells)
+
+
+def test_support_lemma_rank_matches_relative_homology():
+    rng = random.Random(37)
+    pool = [torus(), disc(), closed_genus(2), one_holed(2), closed_genus3_split()]
+    for _ in range(40):
+        cx = rng.choice(pool)
+        cells = [c for c in cx.cells() if rng.random() < 0.5]
+        y = induced_subcomplex(cx, cells + list(boundary_subcomplex(cx).cells()))
+        h2 = relative_homology(cx, y, "Z")
+        assert h2.torsion_of(2) == () and h2.rank(2) == relative_homology(cx, y, "Q").rank(2)
+        verdict = check_support_lemma(cx, y)
+        assert verdict.ok == h2.is_zero(2)
+        assert verdict.h2_rank == h2.rank(2)
 
 
 def test_euler_poincare_relative_random():
@@ -733,11 +747,14 @@ def test_guards_raise_typed_errors_under_optimize():
         expect("witness leak", H.HomologyError,
                lambda: H._assert_orientation_witness(cx, H.ChainVec.make("Z", witness), boundary_subcomplex(cx)))
 
-        # a tampered H2(X, Y) = 0 for a Y that misses the face
+        # a tampered H2(X, Y) = 0 for a Y that misses the face: every face
+        # column of d2 rel Y reduces to a unit pivot
         cx = closed_genus(1)
         sub = induced_subcomplex(cx, [("e", e) for e in cx.edges])
-        H.relative_homology = lambda cx, sub, ring: H.HomologySummary(ring, (0, 0, 0))
-        expect("support", H.HomologyError, lambda: H.check_support_lemma(cx, sub, "Q"))
+        unit_reduce = H.unit_reduce
+        H.unit_reduce = lambda columns, nrows: (len(columns), [])
+        expect("support", H.HomologyError, lambda: H.check_support_lemma(cx, sub))
+        H.unit_reduce = unit_reduce
 
         z, q = H.ChainVec.make("Z", {0: 1}), H.ChainVec.make("Q", {0: 1})
         expect("ring", H.RingError, lambda: z + q)

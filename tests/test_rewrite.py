@@ -1,7 +1,9 @@
+import copy
 import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,12 +13,22 @@ import sclkit
 import sclkit.rewrite
 import sclkit.surfaces
 from sclkit.complexes import TwoComplex
-from sclkit.fixtures import figlnk, fold_fixture, fold_necklace, t_itself, torus
+from sclkit.fixtures import (
+    double_fold_fixture,
+    figlnk,
+    fold_fixture,
+    fold_necklace,
+    sigma_genus1,
+    t_itself,
+    torus,
+)
 from sclkit.rewrite import MoveError, connect_link, eliminate_fold, make_standard_form
 from sclkit.surfaces import (
+    FREE,
     AdmissibleSurface,
     FPiece,
     HPiece,
+    VPiece,
     derive_vpieces,
     disjoint_union,
     required_long_index,
@@ -166,6 +178,151 @@ def test_standard_form_checks_only_targets_and_builds_no_complex(monkeypatch):
     assert log.entries and out.target is s.target
     assert built == []
     assert checked and all(cx is s.target for cx in checked)
+
+
+# -- the link connection's corner splice -------------------------------------------
+
+
+def one_handle_annulus(slots):
+    """An annulus over the torus: one vertex disc with the given slots and
+    one handle over ``a`` whose long sides are both free."""
+    cx = torus()
+    tgt = slots.index(("h", 0, "t"))
+    vpieces = {0: VPiece(cx.vertex_id("v"), slots)}
+    hpieces = {0: HPiece(cx.edge_id("a"), (FREE, FREE), (0, 0), (0, tgt))}
+    return AdmissibleSurface(cx, None, vpieces, hpieces, {})
+
+
+ANNULI = {
+    "annulus(s,_,t,_)": (("h", 0, "s"), FREE, ("h", 0, "t"), FREE),
+    "annulus(s,t,_)": (("h", 0, "s"), ("h", 0, "t"), FREE),
+}
+
+
+@pytest.mark.parametrize("slots", list(ANNULI.values()), ids=list(ANNULI))
+def test_link_connection_fallback_on_an_annulus(slots):
+    # both ends of the one handle flank every free stretch, so the fan leaves
+    # on a fresh handle; the boundary circuits it reroutes lose their winding
+    s = one_handle_annulus(slots)
+    assert len(s.link_runs(0)) == 2
+    for separator in (0, 1):
+        with pytest.raises(MoveError, match="winding lost with its boundary circuits"):
+            connect_link(s, 0, separator=separator)
+
+
+def reference_link_splice(tokens, new_tokens, corners, cases):
+    """The link connection's splice built from corner overrides.
+
+    Each corner (y, x) asks for succ(y) = x.  Overrides chain through new
+    handle ends; a chain hangs onto the old tokens by one of four anchor
+    cases, and a corner from an old token to an old token closes the free
+    stretch between them, which is dropped.  ``cases`` counts the five
+    cases reached.
+    """
+    overrides = {}
+    for y, x in corners:
+        if y in overrides:
+            raise MoveError("conflicting corner equations")
+        overrides[y] = x
+    incoming = {}
+    for y, x in overrides.items():
+        if x in incoming:
+            raise MoveError("conflicting corner equations")
+        incoming[x] = y
+
+    def drop_free_run(a, b):
+        cur = tokens.succ[a]
+        guard = 0
+        while cur != b:
+            if tokens.kind[cur] != FREE:
+                raise MoveError("free run to replace contains glued slots")
+            nxt = tokens.succ[cur]
+            tokens.delete(cur)
+            cur = nxt
+            guard += 1
+            if guard > len(tokens.succ) + 2:
+                raise MoveError("degenerate link connection; unsupported")
+
+    for y, x in list(overrides.items()):
+        if y not in new_tokens and x not in new_tokens:
+            cases["old to old"] += 1
+            drop_free_run(y, x)
+            tokens.succ[y] = x
+    processed = set()
+    heads = [t for t in sorted(new_tokens, key=str) if incoming.get(t) not in new_tokens]
+    for head in heads:
+        if head in processed:
+            continue
+        chain = [head]
+        while overrides.get(chain[-1]) in new_tokens:
+            chain.append(overrides[chain[-1]])
+        processed.update(chain)
+        start, end = incoming.get(head), overrides.get(chain[-1])
+        for a, b in zip(chain, chain[1:]):
+            tokens.succ[a] = b
+        if start is not None and end is not None:
+            cases["both anchors"] += 1
+            drop_free_run(start, end)
+            tokens.succ[start] = head
+            tokens.succ[chain[-1]] = end
+        elif end is not None:
+            cases["end anchor"] += 1
+            prev = next(t for t, s in tokens.succ.items() if s == end)
+            tokens.succ[prev] = head
+            tokens.succ[chain[-1]] = end
+        elif start is not None:
+            cases["start anchor"] += 1
+            tokens.succ[chain[-1]] = tokens.succ[start]
+            tokens.succ[start] = head
+        else:
+            cases["no anchor"] += 1
+            free = tokens.new_free(tokens.vertex[head])
+            tokens.succ[chain[-1]] = free
+            tokens.succ[free] = head
+
+
+def splice_inputs():
+    for m in (1, 2, 3):
+        for closed in (True, False):
+            for fold_pos in range(4):
+                for back_pos in range(4):
+                    if fold_pos != back_pos:
+                        yield fold_necklace(torus(), "f", m, fold_pos, back_pos, closed=closed)
+    yield from (fold_fixture(), figlnk(), t_itself(), sigma_genus1(), double_fold_fixture())
+    for m in range(1, 7):
+        yield fold_necklace(torus(), "f", m, fold_pos=0, back_pos=2)
+    yield disjoint_union(t_itself(), sigma_genus1())
+    for slots in ANNULI.values():
+        yield one_handle_annulus(slots)
+
+
+def test_corner_splice_matches_the_override_reference(monkeypatch):
+    glue = sclkit.rewrite._glue_corners
+    cases = Counter()
+
+    def outcome(splice, tokens, new_tokens, corners):
+        try:
+            splice(tokens, new_tokens, corners)
+        except MoveError as exc:
+            return str(exc)
+        return tokens.succ, tokens.kind
+
+    def compared(tokens, new_tokens, corners):
+        want = outcome(
+            lambda *args: reference_link_splice(*args, cases), copy.deepcopy(tokens), new_tokens, corners
+        )
+        got = outcome(glue, tokens, new_tokens, corners)
+        assert got == want
+        if isinstance(got, str):
+            raise MoveError(got)
+
+    monkeypatch.setattr(sclkit.rewrite, "_glue_corners", compared)
+    for surface in splice_inputs():
+        try:
+            make_standard_form(surface)
+        except MoveError:
+            pass
+    assert set(cases) == {"old to old", "both anchors", "end anchor", "start anchor", "no anchor"}
 
 
 # -- trivial components ------------------------------------------------------------
