@@ -181,7 +181,6 @@ from .surfaces import (  # noqa: E402
     FREE,
     AdmissibleSurface,
     FPiece,
-    HPiece,
     VPiece,
     subsurface_as_admissible,
 )
@@ -233,14 +232,7 @@ def figlnk() -> AdmissibleSurface:
         3: VPiece(cx.vertex_id("u3"), (("h", 5, "s"), ("h", 2, "t"), FREE)),
         4: VPiece(cx.vertex_id("u4"), (("h", 3, "t"), ("h", 5, "t"), FREE)),
     }
-    hpieces = {
-        0: HPiece(s1, (("f", 0, 2), FREE), (0, 1), (1, 0)),
-        1: HPiece(s2, (FREE, ("f", 0, 0)), (0, 0), (2, 1)),
-        2: HPiece(s3, (FREE, ("f", 1, 2)), (0, 3), (3, 1)),
-        3: HPiece(s4, (("f", 1, 0), FREE), (0, 4), (4, 0)),
-        4: HPiece(r12, (("f", 0, 1), FREE), (1, 1), (2, 0)),
-        5: HPiece(r34, (FREE, ("f", 1, 1)), (3, 0), (4, 1)),
-    }
+    handles = dict(enumerate((s1, s2, s3, s4, r12, r34)))
     fpieces = {
         0: FPiece(left, 1, ((1, 1), (4, 0), (0, 0))),
         1: FPiece(right, -1, ((3, 0), (5, 1), (2, 1))),
@@ -249,7 +241,7 @@ def figlnk() -> AdmissibleSurface:
         cx,
         [(1, ((s2, 1), (r12, -1), (s1, -1), (s3, 1), (r34, 1), (s4, -1)))],
     )
-    return AdmissibleSurface(cx, chain, vpieces, hpieces, fpieces)
+    return AdmissibleSurface(cx, chain, vpieces, handles, fpieces)
 
 
 def fold_necklace(target=None, face_name="f", m=1, fold_pos=0, back_pos=1, closed=True) -> AdmissibleSurface:
@@ -271,55 +263,32 @@ def fold_necklace(target=None, face_name="f", m=1, fold_pos=0, back_pos=1, close
         raise ValueError("necklace needs distinct positions on a face of degree >= 2")
 
     n_discs = 2 * m
-    hpieces = {}
-    fpieces = {}
+    handles = {}
     sides = {i: [None] * deg for i in range(n_discs)}
-    next_h = 0
 
     def disc_sign(i):
         return 1 if i % 2 == 0 else -1
 
-    def li_of(i, pos):
-        return required_long_index(disc_sign(i) * word[pos][1])
+    def glue(pos, *discs):
+        # one new handle over the edge at pos, glued to each disc's side there
+        hid = len(handles)
+        handles[hid] = word[pos][0]
+        for i in discs:
+            sides[i][pos] = (hid, required_long_index(disc_sign(i) * word[pos][1]))
 
     for j in range(m):
-        a, b = 2 * j, 2 * j + 1
-        hid = next_h
-        next_h += 1
-        hpieces[hid] = HPiece(word[fold_pos][0], [None, None], None, None)
-        sides[a][fold_pos] = (hid, li_of(a, fold_pos))
-        sides[b][fold_pos] = (hid, li_of(b, fold_pos))
+        glue(fold_pos, 2 * j, 2 * j + 1)
     back_pairs = m if closed else m - 1
     for j in range(back_pairs):
-        a, b = 2 * j + 1, (2 * j + 2) % n_discs
-        bpos = backs[j % len(backs)]
-        hid = next_h
-        next_h += 1
-        hpieces[hid] = HPiece(word[bpos][0], [None, None], None, None)
-        sides[a][bpos] = (hid, li_of(a, bpos))
-        sides[b][bpos] = (hid, li_of(b, bpos))
+        glue(backs[j % len(backs)], 2 * j + 1, (2 * j + 2) % n_discs)
     for i in range(n_discs):
         for pos in range(deg):
-            if pos == fold_pos or sides[i][pos] is not None:
-                continue
-            hid = next_h
-            next_h += 1
-            hpieces[hid] = HPiece(word[pos][0], [None, None], None, None)
-            sides[i][pos] = (hid, li_of(i, pos))
+            if pos != fold_pos and sides[i][pos] is None:
+                glue(pos, i)
 
-    long_refs = {hid: [FREE, FREE] for hid in hpieces}
-    for i in range(n_discs):
-        fpieces[i] = FPiece(face, disc_sign(i), tuple(sides[i]))
-        for pos, (hid, li) in enumerate(sides[i]):
-            if long_refs[hid][li] != FREE:
-                raise ValueError("necklace wiring collision")
-            long_refs[hid][li] = ("f", i, pos)
-    hpieces = {
-        hid: HPiece(hp.edge, tuple(long_refs[hid]), None, None)
-        for hid, hp in hpieces.items()
-    }
-    vpieces, hpieces = derive_vpieces(target, hpieces, fpieces)
-    return AdmissibleSurface(target, None, vpieces, hpieces, fpieces)
+    fpieces = {i: FPiece(face, disc_sign(i), tuple(sides[i])) for i in range(n_discs)}
+    vpieces = derive_vpieces(target, handles, fpieces)
+    return AdmissibleSurface(target, None, vpieces, handles, fpieces)
 
 
 def fold_fixture() -> AdmissibleSurface:

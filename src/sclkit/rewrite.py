@@ -35,7 +35,6 @@ from .surfaces import (
     FREE,
     AdmissibleSurface,
     FPiece,
-    HPiece,
     SurfaceError,
     VPiece,
     corner_tokens,
@@ -215,37 +214,27 @@ class _Tokens:
         return out
 
     def rebuild_vpieces(self):
-        """Vertex discs from the cycles; returns (vpieces, slot index map)."""
+        """Vertex discs from the cycles."""
         vpieces = {}
-        where = {}
         for vid, cyc in enumerate(self.cycles()):
             verts = {self.vertex[t] for t in cyc}
             if len(verts) != 1:
                 raise MoveError("surgery produced a vertex disc over several vertices")
-            slots = []
-            for j, tok in enumerate(cyc):
-                slot = self.kind[tok]
-                slots.append(slot)
-                if slot != FREE:
-                    where[(slot[1], slot[2])] = (vid, j)
-            vpieces[vid] = VPiece(verts.pop(), tuple(slots))
-        return vpieces, where
+            vpieces[vid] = VPiece(verts.pop(), tuple(self.kind[tok] for tok in cyc))
+        return vpieces
 
 
-def _rebuild(surface: AdmissibleSurface, tokens: _Tokens, hpieces, fpieces, carry, homotopy=None):
+def _rebuild(surface: AdmissibleSurface, tokens: _Tokens, handles, fpieces, carry, homotopy=None):
     """The surface after a token surgery, validated once.
 
-    ``carry(surface, raw circuits)`` gives the (circle, degree) of every
-    new circuit, or None for a letterless one: ``_carry_assignments`` for
-    moves that keep every boundary word, ``_carry_by_items`` for moves that
-    reroute boundary arcs.
+    ``handles`` maps each handle id to its edge.  ``carry(surface, raw
+    circuits)`` gives the (circle, degree) of every new circuit, or None for
+    a letterless one: ``_carry_assignments`` for moves that keep every
+    boundary word, ``_carry_by_items`` for moves that reroute boundary arcs.
     """
-    vpieces, where = tokens.rebuild_vpieces()
-    fixed = {}
-    for hid, hp in hpieces.items():
-        if (hid, "s") not in where or (hid, "t") not in where:
-            raise MoveError("handle lost an end during surgery")
-        fixed[hid] = HPiece(hp.edge, tuple(hp.longs), where[(hid, "s")], where[(hid, "t")])
+    vpieces = tokens.rebuild_vpieces()
+    if any(("h", hid, end) not in tokens.kind for hid in handles for end in "st"):
+        raise MoveError("handle lost an end during surgery")
 
     def assignments(raw):
         return [
@@ -258,7 +247,7 @@ def _rebuild(surface: AdmissibleSurface, tokens: _Tokens, hpieces, fpieces, carr
         surface.target,
         surface.chain,
         vpieces,
-        fixed,
+        handles,
         fpieces,
         assignments=assignments,
         homotopy=surface.homotopy if homotopy is None else homotopy,
@@ -277,17 +266,10 @@ def _without_components(surface: AdmissibleSurface, dead_indices):
     if len(dead_pieces) == sum(len(c) for c in comps):
         raise MoveError("refusing to remove every component")
     vpieces = {k: v for k, v in surface.vpieces.items() if ("v", k) not in dead_pieces}
-    hpieces = {k: v for k, v in surface.hpieces.items() if ("h", k) not in dead_pieces}
+    handles = {k: v.edge for k, v in surface.hpieces.items() if ("h", k) not in dead_pieces}
     fpieces = {k: v for k, v in surface.fpieces.items() if ("f", k) not in dead_pieces}
-    assignments = []
-    for circ in surface.circuits:
-        if circ.circle is None:
-            continue
-        # a lettered circuit starts at its least item, a long side
-        item = circ.items[0]
-        if ("h", item[1]) in dead_pieces:
-            continue
-        assignments.append((item[:-1], circ.circle, circ.degree))
+    # a lettered circuit's anchor is its least item, a long side
+    assignments = [entry for entry in surface.assignment_list() if ("h", entry[0][1]) not in dead_pieces]
     # each dropped component bounds its own 2-chain, so taking that off the
     # certificate leaves one for the kept boundary; dropped circuits that do
     # not wind 0 in total change the degree vector, and the class check in
@@ -301,7 +283,7 @@ def _without_components(surface: AdmissibleSurface, dead_indices):
         surface.target,
         surface.chain,
         vpieces,
-        hpieces,
+        handles,
         fpieces,
         assignments=assignments,
         homotopy=homotopy,
@@ -372,7 +354,7 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     for k in range(deg):
         tokens.cross_splice(corner_tokens(fp1, word, k)[0], corner_tokens(fp2, word, k)[0])
 
-    hpieces = dict(surface.hpieces)
+    handles = {hid: hp.edge for hid, hp in surface.hpieces.items()}
     fpieces = {k: v for k, v in surface.fpieces.items() if k not in (fid1, fid2)}
 
     for end in ("s", "t"):
@@ -380,7 +362,7 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
         if tokens.succ.get(tok) != tok:
             raise MoveError("shared handle did not close off during the splice")
         tokens.delete(tok)
-    del hpieces[shared]
+    del handles[shared]
 
     # handles freed by the deleted discs merge in chains; group them
     parent = {}
@@ -410,7 +392,7 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     for hid in parent:
         groups.setdefault(find(hid), []).append(hid)
 
-    next_id = max(hpieces, default=-1) + 1
+    next_id = max(handles, default=-1) + 1
     side_map = {}
     for root in sorted(groups):
         members = sorted(groups[root])
@@ -428,7 +410,6 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
             raise MoveError("merged handle chain with unexpected free sides")
         cid = next_id
         next_id += 1
-        longs = [None, None]
         taken = set()
         for h, li, ref in survivors:
             if ref == FREE:
@@ -439,17 +420,10 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
             if want in taken:
                 raise MoveError("merged handle cannot host both survivors")
             taken.add(want)
-            longs[want] = ref
             side_map[(h, li)] = (cid, want)
-        for h, li, ref in survivors:
-            if ref != FREE:
-                continue
-            want = next(i for i in (0, 1) if longs[i] is None)
-            taken.add(want)
-            longs[want] = FREE
-        hpieces[cid] = HPiece(edge, tuple(longs), None, None)
+        handles[cid] = edge
         for h in members:
-            del hpieces[h]
+            del handles[h]
         # fuse the members' end tokens, one run per end label
         for label in ("s", "t"):
             tokens.fuse({("h", h, label) for h in members}, ("h", cid, label))
@@ -463,18 +437,7 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
         )
         for fid, fp in fpieces.items()
     }
-    patched = {}
-    for hid, hp in hpieces.items():
-        longs = []
-        for ref in hp.longs:
-            if ref == FREE or ref is None:
-                longs.append(ref if ref is not None else FREE)
-            elif ref[1] in (fid1, fid2):
-                raise MoveError("a surviving handle still references a deleted disc")
-            else:
-                longs.append(ref)
-        patched[hid] = HPiece(hp.edge, tuple(longs), hp.src, hp.tgt)
-    return tokens, patched, fpieces
+    return tokens, handles, fpieces
 
 
 def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog | None = None):
@@ -510,8 +473,8 @@ def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog | None =
     old_chain = surface.two_chain()
     old_words = sorted(canonical_rotation(c.word) for c in surface.circuits)
 
-    tokens, hpieces, fpieces = _mirror_surgery(surface, fid1, fid2, k)
-    out = _rebuild(surface, tokens, hpieces, fpieces, _carry_assignments)
+    tokens, handles, fpieces = _mirror_surgery(surface, fid1, fid2, k)
+    out = _rebuild(surface, tokens, handles, fpieces, _carry_assignments)
 
     delta = out.euler_characteristic() - surface.euler_characteristic()
     if delta < 0 or delta % 2:
@@ -731,20 +694,17 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
     corners, halves = _walk_link_until(surface, v, half_E, half_S)
 
     # build the new pieces
-    hpieces = dict(surface.hpieces)
+    handles = {hid: hp.edge for hid, hp in surface.hpieces.items()}
     fpieces = dict(surface.fpieces)
-    next_h = max(hpieces, default=-1) + 1
     next_f = max(fpieces, default=-1) + 1
 
-    n_handles = []  # intermediate handles over the crossed half-edges
-    for half in halves:
-        hid = next_h
-        next_h += 1
-        hpieces[hid] = HPiece(half[0], [None, None], None, None)
-        n_handles.append(hid)
+    def new_handle(edge):
+        hid = max(handles, default=-1) + 1
+        handles[hid] = edge
+        return hid
 
+    n_handles = [new_handle(half[0]) for half in halves]  # over the crossed half-edges
     new_corners = []  # (y, x) tokens of every corner of the new discs
-    new_handle_sides = {}  # hid -> {li: ("f", fid, k)}
     new_faces_crossed = []
     # when the arrival side cannot take the far handle's free long (both ends
     # of one handle flank the stretch, say), the last disc leaves on a fresh
@@ -772,51 +732,30 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
                 if t == len(corners) - 1 and not fallback:
                     hid = hS_hid
                 elif t == len(corners) - 1:
-                    hid = next_h
-                    next_h += 1
-                    hpieces[hid] = HPiece(word[q][0], [None, None], None, None)
+                    hid = new_handle(word[q][0])
                 else:
                     hid = n_handles[t]
             else:
-                hid = next_h
-                next_h += 1
-                hpieces[hid] = HPiece(word[q][0], [None, None], None, None)
+                hid = new_handle(word[q][0])
             sides[q] = (hid, li)
-            new_handle_sides.setdefault(hid, {})[li] = ("f", fid, q)
         fpieces[fid] = FPiece(face, 1, tuple(sides))
         new_corners += (corner_tokens(fpieces[fid], word, k) for k in range(deg))
 
-    # finalise the long sides of touched handles
-    for hid, per_side in new_handle_sides.items():
-        if hid in (hE_hid, hS_hid):
-            hp = hpieces[hid]
-            longs = list(hp.longs)
-            for li, ref in per_side.items():
-                if longs[li] != FREE:
-                    raise MoveError("new disc glued onto an occupied long side")
-                longs[li] = ref
-            hpieces[hid] = HPiece(hp.edge, tuple(longs), hp.src, hp.tgt)
-        else:
-            hp = hpieces[hid]
-            longs = [per_side.get(0, FREE), per_side.get(1, FREE)]
-            hpieces[hid] = HPiece(hp.edge, tuple(longs), None, None)
-
     # token surgery: glue every corner of the new discs
     tokens = _Tokens(surface)
-    target = surface.target
-    new_tokens = set()
-    for hid in new_handle_sides:
-        if hid in (hE_hid, hS_hid):
-            continue
-        for end, vertex in zip("st", target.edges[hpieces[hid].edge]):
-            new_tokens.add(tokens.add_handle_token(hid, end, vertex))
+    new_tokens = {
+        tokens.add_handle_token(hid, end, vertex)
+        for hid, edge in handles.items()
+        if hid not in surface.hpieces
+        for end, vertex in zip("st", surface.target.edges[edge])
+    }
     _glue_corners(tokens, new_tokens, new_corners)
 
     homotopy = dict(surface.homotopy)
     for face in new_faces_crossed:
         homotopy[face] = homotopy.get(face, 0) + 1
 
-    out = _rebuild(surface, tokens, hpieces, fpieces, _carry_by_items, homotopy=homotopy)
+    out = _rebuild(surface, tokens, handles, fpieces, _carry_by_items, homotopy=homotopy)
 
     if out.reduced_class() != old_coords:
         raise MoveError("link connection changed the class in H2(S, c)")
@@ -914,7 +853,7 @@ def retarget(surface: AdmissibleSurface, new_target: TwoComplex) -> AdmissibleSu
         new_target,
         chain,
         surface.vpieces,
-        surface.hpieces,
+        {hid: hp.edge for hid, hp in surface.hpieces.items()},
         surface.fpieces,
         assignments=surface.assignment_list(),
         homotopy=surface.homotopy,

@@ -289,12 +289,6 @@ class InclusionReport:
     small: SclResult
     big: SclResult
 
-    @property
-    def gap(self):
-        if self.small.is_infinite or self.big.is_infinite:
-            return None
-        return self.small.value - self.big.value
-
 
 def scl_compare_under_inclusion(chain: OneChain, ambient_basis) -> InclusionReport:
     """scl of the chain in its own free group and in a larger one.

@@ -12,6 +12,12 @@ A surface mapping to a 2-complex S in transverse form decomposes into
   faces, carrying an orientation sign, with one side per position of the
   face's attaching word, each glued to a handle long side.
 
+Each gluing is given once: a surface is built from its vertex discs, its
+handles as a map from handle id to edge, and its cellular discs.  A
+handle's ends are the slots that hold them and its long sides the disc
+sides glued to them; ``hpieces`` holds the ``HPiece`` values read off that
+way.
+
 Both the surface and the target are oriented.  The target must be written
 with a coherent positive orientation: the sum of all its face words is a
 relative cycle.  Every piece's attaching word below is its counterclockwise
@@ -39,8 +45,7 @@ with one check left over:
   both of its end slots with sign -1;
 * a handle runs over long0 with sign +1 and long1 with sign -1; the sign
   rule forces a polygon side on long0 to have polygon sign -1 and one on
-  long1 to have +1, and mutual gluing gives each long at most one
-  polygon side;
+  long1 to have +1, and no long takes two polygon sides;
 * so every glued item cancels, every free item is +-1, and the boundary
   is exactly the free items;
 * a corner point's link has at most four half-edges: its two slot halves,
@@ -136,9 +141,6 @@ class Circuit:
     circle: int | None
     degree: int
 
-    def key(self):
-        return min(self.items)
-
 
 @dataclass
 class StandardFormReport:
@@ -156,8 +158,13 @@ class StandardFormReport:
 class AdmissibleSurface:
     """A validated transverse admissible surface over a cellulated surface.
 
-    Construction runs every check once.  ``assignments`` says which circle
-    each lettered boundary circuit winds around, and how often:
+    ``vpieces`` and ``fpieces`` map ids to ``VPiece`` and ``FPiece`` values,
+    and ``handles`` maps each handle id to its edge.  Construction runs
+    every check once and reads each handle's ends and long sides off the
+    slots and disc sides that hold them, as ``hpieces``.
+
+    ``assignments`` says which circle each lettered boundary circuit winds
+    around, and how often:
 
     * None: match each circuit word against the chain's circles;
     * a list of (anchor item, circle, degree) entries, as made by
@@ -176,7 +183,7 @@ class AdmissibleSurface:
         target: TwoComplex,
         chain: EdgeChain,
         vpieces: dict,
-        hpieces: dict,
+        handles: dict,
         fpieces: dict,
         assignments=None,
         homotopy=None,
@@ -185,12 +192,11 @@ class AdmissibleSurface:
         self.target = target
         self.chain = chain
         self.vpieces = {k: vpieces[k] for k in sorted(vpieces)}
-        self.hpieces = {k: hpieces[k] for k in sorted(hpieces)}
         self.fpieces = {k: fpieces[k] for k in sorted(fpieces)}
         self.homotopy = {f: c for f, c in (homotopy or {}).items() if c}
         self.relaxed = bool(relaxed_boundary) or bool(self.homotopy)
         self._validate_target()
-        self._validate_pieces()
+        self._validate_pieces(handles)
         self._check_corners()
         self._extract_circuits()
         if chain is None:
@@ -218,49 +224,42 @@ class AdmissibleSurface:
                     f"edge {cx.name('e', e)} has signed incidence {total}"
                 )
 
-    def _validate_pieces(self):
+    def _validate_pieces(self, handles):
+        """Check the pieces and read off each handle's gluing.
+
+        A handle's ends are the slots that hold them, and each long side is
+        the cellular-disc side glued to it, or FREE where no side is; each
+        end must sit in exactly one slot, over the vertex its edge runs
+        from or to, and each long side takes at most one disc side.
+        """
         cx = self.target
+        ends = {}
         for vid, vp in self.vpieces.items():
             if vp.vertex not in cx.vertices:
                 raise SurfaceError(f"vertex disc {vid} maps to unknown vertex")
             if not vp.slots:
                 raise SurfaceError(f"vertex disc {vid} has no slots")
-        for hid, hp in self.hpieces.items():
-            if hp.edge not in cx.edges:
-                raise SurfaceError(f"handle {hid} maps to unknown edge")
-            if len(hp.longs) != 2:
-                raise SurfaceError(f"handle {hid} must have two long sides")
-            for which, end in (("s", hp.src), ("t", hp.tgt)):
-                if not (isinstance(end, tuple) and len(end) == 2):
-                    raise SurfaceError(f"handle {hid} {which}-end is not placed on a slot")
-                vpid, j = end
-                if vpid not in self.vpieces:
-                    raise SurfaceError(f"handle {hid} end on unknown vertex disc")
-                vp = self.vpieces[vpid]
-                if not (0 <= j < len(vp.slots)):
-                    raise SurfaceError(f"handle {hid} end on missing slot")
-                if vp.slots[j] != ("h", hid, which):
-                    raise SurfaceError(
-                        f"handle {hid} {which}-end and slot {j} of disc {vpid} "
-                        "are not mutual"
-                    )
-                want = cx.edges[hp.edge][0 if which == "s" else 1]
-                if vp.vertex != want:
-                    raise SurfaceError(
-                        f"handle {hid} {which}-end sits on a disc over the wrong vertex"
-                    )
-        for vid, vp in self.vpieces.items():
             for j, slot in enumerate(vp.slots):
                 if slot == FREE:
                     continue
                 kind, hid, which = slot
-                if kind != "h" or hid not in self.hpieces:
+                if kind != "h" or hid not in handles or which not in ("s", "t"):
                     raise SurfaceError(f"disc {vid} slot {j} references a missing handle")
-                end = self.hpieces[hid].src if which == "s" else self.hpieces[hid].tgt
-                if end != (vid, j):
+                if (hid, which) in ends:
+                    raise SurfaceError(f"handle {hid} {which}-end is held by two slots")
+                ends[(hid, which)] = (vid, j)
+        longs = {}
+        for hid in sorted(handles):
+            if handles[hid] not in cx.edges:
+                raise SurfaceError(f"handle {hid} maps to unknown edge")
+            for which, vertex in zip("st", cx.edges[handles[hid]]):
+                if (hid, which) not in ends:
+                    raise SurfaceError(f"handle {hid} {which}-end is not placed on a slot")
+                if self.vpieces[ends[(hid, which)][0]].vertex != vertex:
                     raise SurfaceError(
-                        f"disc {vid} slot {j} and handle {hid} are not mutual"
+                        f"handle {hid} {which}-end sits on a disc over the wrong vertex"
                     )
+            longs[hid] = [FREE, FREE]
         for fid, fp in self.fpieces.items():
             if fp.face not in cx.faces:
                 raise SurfaceError(f"cellular disc {fid} maps to unknown face")
@@ -275,17 +274,11 @@ class AdmissibleSurface:
                 if not (isinstance(side, tuple) and len(side) == 2):
                     raise SurfaceError(f"cellular disc {fid} side {k} is not a (handle, long) pair")
                 hid, li = side
-                if hid not in self.hpieces or li not in (0, 1):
+                if hid not in handles or li not in (0, 1):
                     raise SurfaceError(f"cellular disc {fid} side {k} reference invalid")
-                hp = self.hpieces[hid]
-                if hp.edge != word[k][0]:
+                if handles[hid] != word[k][0]:
                     raise SurfaceError(
                         f"cellular disc {fid} side {k} glued to a handle over the wrong edge"
-                    )
-                if hp.longs[li] != ("f", fid, k):
-                    raise SurfaceError(
-                        f"cellular disc {fid} side {k} and handle {hid} long {li} "
-                        "are not mutual"
                     )
                 psign = polygon_sign(fp, word, k)
                 if required_long_index(psign) != li:
@@ -293,17 +286,13 @@ class AdmissibleSurface:
                         f"orientation inconsistency: disc {fid} side {k} "
                         f"(polygon sign {psign}) cannot glue to long {li}"
                     )
-        for hid, hp in self.hpieces.items():
-            for li, ref in enumerate(hp.longs):
-                if ref == FREE:
-                    continue
-                kind, fid, k = ref
-                if kind != "f" or fid not in self.fpieces:
-                    raise SurfaceError(f"handle {hid} long {li} references missing disc")
-                if self.fpieces[fid].sides[k] != (hid, li):
-                    raise SurfaceError(
-                        f"handle {hid} long {li} and disc {fid} side {k} are not mutual"
-                    )
+                if longs[hid][li] != FREE:
+                    raise SurfaceError(f"handle {hid} long {li} is claimed by two disc sides")
+                longs[hid][li] = ("f", fid, k)
+        self.hpieces = {
+            hid: HPiece(handles[hid], tuple(refs), ends[(hid, "s")], ends[(hid, "t")])
+            for hid, refs in longs.items()
+        }
 
     def _check_corners(self):
         """Every polygon corner closes at one vertex-disc corner point.
@@ -736,28 +725,19 @@ def subsurface_as_admissible(
     if not report.is_surface:
         raise SurfaceError("the chosen cells do not form a surface")
 
-    hid_of_edge = {e: i for i, e in enumerate(sub_edges)}
-
-    # cellular discs and the handle gluing they dictate
-    fpieces = {}
-    long_refs = {hid_of_edge[e]: [FREE, FREE] for e in sub_edges}
-    for i, f in enumerate(sub_faces):
-        word = target.faces[f]
-        sides = []
-        for k, (e, eps) in enumerate(word):
-            psign = sign * eps
-            li = required_long_index(psign)
-            hid = hid_of_edge[e]
-            if long_refs[hid][li] != FREE:
-                raise SurfaceError("edge side over-glued; cells are not a surface")
-            long_refs[hid][li] = ("f", i, k)
-            sides.append((hid, li))
-        fpieces[i] = FPiece(f, sign, tuple(sides))
-
-    hpieces = {hid: HPiece(e, tuple(long_refs[hid]), None, None) for e, hid in hid_of_edge.items()}
+    handles = dict(enumerate(sub_edges))
+    hid_of_edge = {e: i for i, e in handles.items()}
+    fpieces = {
+        i: FPiece(
+            f,
+            sign,
+            tuple((hid_of_edge[e], required_long_index(sign * eps)) for e, eps in target.faces[f]),
+        )
+        for i, f in enumerate(sub_faces)
+    }
     # the corners order the slots round each vertex disc
-    vpieces, hpieces = derive_vpieces(target, hpieces, fpieces)
-    return AdmissibleSurface(target, chain, vpieces, hpieces, fpieces)
+    vpieces = derive_vpieces(target, handles, fpieces)
+    return AdmissibleSurface(target, chain, vpieces, handles, fpieces)
 
 
 def disjoint_union(*surfaces) -> AdmissibleSurface:
@@ -770,50 +750,36 @@ def disjoint_union(*surfaces) -> AdmissibleSurface:
             raise SurfaceError("disjoint union needs a common target")
         if s.chain != first.chain:
             raise SurfaceError("disjoint union needs a common chain")
-    vpieces, hpieces, fpieces = {}, {}, {}
+    vpieces, handles, fpieces = {}, {}, {}
     assignments = []
     homotopy = {}
     voff = hoff = foff = 0
     for s in surfaces:
-        vmap = {vid: vid + voff for vid in s.vpieces}
         hmap = {hid: hid + hoff for hid in s.hpieces}
-        fmap = {fid: fid + foff for fid in s.fpieces}
         for vid, vp in s.vpieces.items():
             slots = tuple(
                 FREE if slot == FREE else ("h", hmap[slot[1]], slot[2])
                 for slot in vp.slots
             )
-            vpieces[vmap[vid]] = VPiece(vp.vertex, slots)
+            vpieces[vid + voff] = VPiece(vp.vertex, slots)
         for hid, hp in s.hpieces.items():
-            longs = tuple(
-                FREE if ref == FREE else ("f", fmap[ref[1]], ref[2])
-                for ref in hp.longs
-            )
-            hpieces[hmap[hid]] = HPiece(
-                hp.edge,
-                longs,
-                (vmap[hp.src[0]], hp.src[1]),
-                (vmap[hp.tgt[0]], hp.tgt[1]),
-            )
+            handles[hmap[hid]] = hp.edge
         for fid, fp in s.fpieces.items():
             sides = tuple((hmap[hid], li) for hid, li in fp.sides)
-            fpieces[fmap[fid]] = FPiece(fp.face, fp.sign, sides)
-        for circ in s.circuits:
-            if circ.circle is None:
-                continue
+            fpieces[fid + foff] = FPiece(fp.face, fp.sign, sides)
+        for anchor, circle, degree in s.assignment_list():
             # a lettered circuit starts at its least item, a long side
-            item = circ.items[0]
-            assignments.append((("long", hmap[item[1]], item[2]), circ.circle, circ.degree))
+            assignments.append((("long", hmap[anchor[1]], anchor[2]), circle, degree))
         for f, c in s.homotopy.items():
             homotopy[f] = homotopy.get(f, 0) + c
         voff = max(vpieces, default=-1) + 1
-        hoff = max(hpieces, default=-1) + 1
+        hoff = max(handles, default=-1) + 1
         foff = max(fpieces, default=-1) + 1
     return AdmissibleSurface(
         first.target,
         first.chain,
         vpieces,
-        hpieces,
+        handles,
         fpieces,
         assignments=assignments,
         homotopy=homotopy,
@@ -847,14 +813,14 @@ def _infer_chain(target, circuits):
     return EdgeChain.make(target, [(1, w) for w in terms]), assignments
 
 
-def derive_vpieces(target, hpieces, fpieces):
+def derive_vpieces(target, handles, fpieces):
     """Vertex discs implied by the cellular discs' corner adjacencies.
 
-    Every polygon corner forces one slot to follow another around a vertex
-    disc; the chains and cycles of that successor relation are the vertex
-    discs, with one free arc closing each open chain.  Handle ends touching
-    no corner become their own two-slot discs (end plus free arc).  Returns
-    (vpieces, hpieces) with every handle's ends placed on their slots.
+    ``handles`` maps each handle id to its edge.  Every polygon corner
+    forces one slot to follow another around a vertex disc; the chains and
+    cycles of that successor relation are the vertex discs, with one free
+    arc closing each open chain.  Handle ends touching no corner become
+    their own two-slot discs (end plus free arc).
     """
     succ = {}
     pred = {}
@@ -862,19 +828,19 @@ def derive_vpieces(target, hpieces, fpieces):
         word = target.faces[fp.face]
         for k in range(len(word)):
             start, end = corner_tokens(fp, word, k)
+            # each token names one long side, and each side starts one
+            # corner and ends another
             if start in succ or end in pred:
-                raise SurfaceError("conflicting corner adjacencies")
+                raise SurfaceError("two disc sides claim one handle long side")
             succ[start] = end
             pred[end] = start
-    tokens = [("h", hid, end) for hid in sorted(hpieces) for end in ("s", "t")]
+    tokens = [("h", hid, end) for hid in sorted(handles) for end in ("s", "t")]
     vertex_of = {}
     for tok in tokens:
-        s, t = target.edges[hpieces[tok[1]].edge]
+        s, t = target.edges[handles[tok[1]]]
         vertex_of[tok] = s if tok[2] == "s" else t
     vpieces = {}
-    placement = {}
     seen = set()
-    vid = 0
     for tok in tokens:
         if tok in seen or tok in pred:
             continue
@@ -886,8 +852,7 @@ def derive_vpieces(target, hpieces, fpieces):
                 raise SurfaceError("corner adjacency chain crosses itself")
             chain.append(nxt)
             seen.add(nxt)
-        _register_vpiece(vpieces, placement, vertex_of, vid, chain, chain + [FREE])
-        vid += 1
+        _register_vpiece(vpieces, vertex_of, chain, chain + [FREE])
     for tok in tokens:
         if tok in seen:
             continue
@@ -896,19 +861,12 @@ def derive_vpieces(target, hpieces, fpieces):
         while succ[cyc[-1]] != tok:
             cyc.append(succ[cyc[-1]])
             seen.add(cyc[-1])
-        _register_vpiece(vpieces, placement, vertex_of, vid, cyc, cyc)
-        vid += 1
-    placed = {
-        hid: HPiece(hp.edge, hp.longs, placement[(hid, "s")], placement[(hid, "t")])
-        for hid, hp in hpieces.items()
-    }
-    return vpieces, placed
+        _register_vpiece(vpieces, vertex_of, cyc, cyc)
+    return vpieces
 
 
-def _register_vpiece(vpieces, placement, vertex_of, vid, chain, slots):
+def _register_vpiece(vpieces, vertex_of, chain, slots):
     verts = {vertex_of[t] for t in chain}
     if len(verts) != 1:
         raise SurfaceError("corner chain mixes vertices")
-    for j, tok in enumerate(chain):
-        placement[tok[1:]] = (vid, j)
-    vpieces[vid] = VPiece(verts.pop(), tuple(slots))
+    vpieces[len(vpieces)] = VPiece(verts.pop(), tuple(slots))

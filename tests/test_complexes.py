@@ -24,10 +24,11 @@ from sclkit.complexes import (
     surface_check,
 )
 from sclkit.fixtures import COMPLEX_FIXTURES, closed_genus, fold_fixture, fold_necklace
-from sclkit.surfaces import FREE, AdmissibleSurface, HPiece, VPiece, polygon_sign
+from sclkit.surfaces import FREE, AdmissibleSurface, VPiece, polygon_sign
 from test_surfaces import (
     FOLD_NECKLACES,
     NECKLACE_GRID,
+    handle_edges,
     polygon_order,
     reference_validate,
     surfaces_built_by_standard_form,
@@ -626,12 +627,7 @@ def rotated(surface, r):
     for vid, vp in surface.vpieces.items():
         k = r % len(vp.slots)
         vpieces[vid] = VPiece(vp.vertex, vp.slots[k:] + vp.slots[:k])
-
-    def moved(vid, j):
-        return vid, (j - r) % len(vpieces[vid].slots)
-
-    hpieces = {hid: HPiece(hp.edge, hp.longs, moved(*hp.src), moved(*hp.tgt)) for hid, hp in surface.hpieces.items()}
-    return AdmissibleSurface(surface.target, surface.chain, vpieces, hpieces, surface.fpieces)
+    return AdmissibleSurface(surface.target, surface.chain, vpieces, handle_edges(surface), surface.fpieces)
 
 
 @pytest.mark.parametrize("name", ["fold_fixture", "double_fold_fixture", "figlnk", "necklace(m=2)"])

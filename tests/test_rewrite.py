@@ -14,6 +14,7 @@ import sclkit.rewrite
 import sclkit.surfaces
 from sclkit.complexes import TwoComplex
 from sclkit.fixtures import (
+    disc,
     double_fold_fixture,
     figlnk,
     fold_fixture,
@@ -22,12 +23,11 @@ from sclkit.fixtures import (
     t_itself,
     torus,
 )
-from sclkit.rewrite import MoveError, connect_link, eliminate_fold, make_standard_form
+from sclkit.rewrite import MoveError, connect_link, eliminate_fold, make_standard_form, thicken_boundary
 from sclkit.surfaces import (
     FREE,
     AdmissibleSurface,
     FPiece,
-    HPiece,
     VPiece,
     derive_vpieces,
     disjoint_union,
@@ -187,10 +187,8 @@ def one_handle_annulus(slots):
     """An annulus over the torus: one vertex disc with the given slots and
     one handle over ``a`` whose long sides are both free."""
     cx = torus()
-    tgt = slots.index(("h", 0, "t"))
     vpieces = {0: VPiece(cx.vertex_id("v"), slots)}
-    hpieces = {0: HPiece(cx.edge_id("a"), (FREE, FREE), (0, 0), (0, tgt))}
-    return AdmissibleSurface(cx, None, vpieces, hpieces, {})
+    return AdmissibleSurface(cx, None, vpieces, {0: cx.edge_id("a")}, {})
 
 
 ANNULI = {
@@ -331,17 +329,14 @@ def test_corner_splice_matches_the_override_reference(monkeypatch):
 def pillow(target, face, chain):
     """Two cellular discs of opposite sign over one face, glued along every
     side: a sphere whose 2-chain is zero."""
-    hpieces, sides = {}, {1: [], -1: []}
-    for k, (e, eps) in enumerate(target.faces[face]):
-        longs = [None, None]
-        for fid, sign in ((0, 1), (1, -1)):
-            li = required_long_index(sign * eps)
-            longs[li] = ("f", fid, k)
-            sides[sign].append((k, li))
-        hpieces[k] = HPiece(e, tuple(longs), None, None)
-    fpieces = {0: FPiece(face, 1, tuple(sides[1])), 1: FPiece(face, -1, tuple(sides[-1]))}
-    vpieces, hpieces = derive_vpieces(target, hpieces, fpieces)
-    return AdmissibleSurface(target, chain, vpieces, hpieces, fpieces)
+    word = target.faces[face]
+    handles = {k: e for k, (e, _eps) in enumerate(word)}
+    fpieces = {
+        fid: FPiece(face, sign, tuple((k, required_long_index(sign * eps)) for k, (_e, eps) in enumerate(word)))
+        for fid, sign in ((0, 1), (1, -1))
+    }
+    vpieces = derive_vpieces(target, handles, fpieces)
+    return AdmissibleSurface(target, chain, vpieces, handles, fpieces)
 
 
 def with_pillow(which):
@@ -370,6 +365,19 @@ def test_standard_form_removes_a_pillow(which):
     assert out.reduced_euler() == start.reduced_euler()
     # the pillow's 2-chain comes off an integral certificate, with no solve
     assert all(type(c) is int for c in out.homotopy.values())
+
+
+# -- boundary thickening ----------------------------------------------------------
+
+
+def test_thickening_a_disc_collars_edges_of_incidence_plus_one():
+    cx = disc()
+    assert set(cx.signed_incidences().values()) == {1}
+    out = thicken_boundary(cx)
+    assert (len(out.vertices), len(out.edges), len(out.faces)) == (6, 9, 4)
+    # each collar runs against its old edge, so the old edges become interior
+    totals = out.signed_incidences()
+    assert all(totals[e] == 0 for e in cx.edges)
 
 
 # -- typed errors ----------------------------------------------------------------

@@ -86,6 +86,14 @@ def test_scl_homogeneity_on_corpus():
         assert v2 == 2 * v1
 
 
+@pytest.mark.parametrize("text", ["[a,b]", "ab + BA"])
+def test_scl_scales_with_the_chain(text):
+    chain = parse_chain(text, "ab")
+    value = scl_lp(chain).value
+    for k in (2, 3):
+        assert scl_lp(chain.scaled(k)).value == k * value
+
+
 def test_scl_compare_under_basis_inclusion():
     report = scl_compare_under_inclusion(parse_chain("[a,b]", "ab"), "abcd")
     assert report.small.value == report.big.value == Fraction(1, 2)

@@ -22,6 +22,7 @@ from sclkit.fixtures import (
     genus3_chain,
     genus3_sigma_prime,
     genus3_T,
+    rp2,
     sigma_genus1,
     t_itself,
     torus,
@@ -31,7 +32,6 @@ from sclkit.surfaces import (
     FREE,
     AdmissibleSurface,
     FPiece,
-    HPiece,
     SurfaceError,
     VPiece,
     corner_tokens,
@@ -42,12 +42,17 @@ from sclkit.surfaces import (
 from sclkit.words import EdgeChain, cyclically_equal
 
 
-def rebuild(s, vpieces=None, hpieces=None, fpieces=None, cls=AdmissibleSurface):
+def handle_edges(s):
+    """The handles of s as AdmissibleSurface takes them: id -> edge."""
+    return {hid: hp.edge for hid, hp in s.hpieces.items()}
+
+
+def rebuild(s, vpieces=None, handles=None, fpieces=None, cls=AdmissibleSurface):
     return cls(
         s.target,
         s.chain,
         vpieces if vpieces is not None else s.vpieces,
-        hpieces if hpieces is not None else s.hpieces,
+        handles if handles is not None else handle_edges(s),
         fpieces if fpieces is not None else s.fpieces,
         assignments=s.assignment_list(),
         homotopy=s.homotopy,
@@ -55,10 +60,10 @@ def rebuild(s, vpieces=None, hpieces=None, fpieces=None, cls=AdmissibleSurface):
     )
 
 
-def reference_validate(s, vpieces=None, hpieces=None, fpieces=None):
+def reference_validate(s, vpieces=None, handles=None, fpieces=None):
     """s rebuilt, with any pieces replaced, and validated through the
     assembled complex."""
-    return rebuild(s, vpieces, hpieces, fpieces, cls=ReferenceSurface)
+    return rebuild(s, vpieces, handles, fpieces, cls=ReferenceSurface)
 
 
 def test_rebuild_from_pieces_keeps_the_circuits():
@@ -69,31 +74,21 @@ def test_rebuild_from_pieces_keeps_the_circuits():
         assert again.euler_characteristic() == s.euler_characteristic()
 
 
-def test_non_mutual_slot_is_refused():
-    s = figlnk()
-    slots = list(s.vpieces[0].slots)
-    slots[0], slots[1] = slots[1], slots[0]
-    vpieces = dict(s.vpieces)
-    vpieces[0] = VPiece(s.vpieces[0].vertex, tuple(slots))
-    with pytest.raises(SurfaceError, match="not mutual"):
-        rebuild(s, vpieces=vpieces)
-
-
 def test_handle_over_the_wrong_edge_is_refused():
     # over the one-vertex torus both edges join v to v, so only the side
     # check of the cellular disc can see the swap
     s = fold_fixture()
     a, b = s.target.edge_id("a"), s.target.edge_id("b")
     hid = next(h for h, hp in s.hpieces.items() if hp.edge == a and hp.longs[0] != ("free",))
-    hpieces = dict(s.hpieces)
-    hpieces[hid] = replace(s.hpieces[hid], edge=b)
+    handles = handle_edges(s)
+    handles[hid] = b
     with pytest.raises(SurfaceError, match="wrong edge"):
-        rebuild(s, hpieces=hpieces)
+        rebuild(s, handles=handles)
 
 
 def test_inferred_chain_reads_the_boundary():
     s = fold_necklace(torus(), "f", 2, fold_pos=0, back_pos=2)
-    again = AdmissibleSurface(s.target, None, s.vpieces, s.hpieces, s.fpieces)
+    again = AdmissibleSurface(s.target, None, s.vpieces, handle_edges(s), s.fpieces)
     assert again.chain == s.chain
     assert again.circuits == s.circuits
     assert s.degree_vector() == [2]
@@ -111,6 +106,13 @@ def test_subsurface_and_its_mirror():
     assert report.in_standard_form()
     assert not report.monotone and not report.orientation_perfect
     assert report.witnesses["orientation_mixed_face"] == [cx.face_id("f1")]
+
+
+def test_a_non_orientable_subsurface_is_refused():
+    # both sides of the face a a want long 1 of the one handle over a
+    cx = rp2()
+    with pytest.raises(SurfaceError, match="two disc sides claim one handle long side"):
+        subsurface_as_admissible(cx, cx.cells(), EdgeChain.make(cx, []))
 
 
 def test_disjoint_union_of_nothing_is_refused():
@@ -441,10 +443,9 @@ def test_surfaces_built_by_standard_form_match_the_reference(monkeypatch):
         assert_same_surface(s, reference_validate(s))
 
 
-def mutated_pieces(s, rng):
-    """The pieces of s after one random slot permutation, free-slot
-    insertion or deletion, or handle-end move; handle ends follow their
-    slots, so every gluing stays mutual."""
+def mutated_vpieces(s, rng):
+    """The vertex discs of s after one random slot permutation, free-slot
+    insertion or deletion, or handle-end move."""
     slots = {vid: list(vp.slots) for vid, vp in s.vpieces.items()}
     kind = rng.choice(["permute", "insert", "delete", "move"])
     vid = rng.choice(sorted(slots))
@@ -465,13 +466,7 @@ def mutated_pieces(s, rng):
             over = [v for v in sorted(slots) if s.vpieces[v].vertex == s.vpieces[old[0]].vertex]
             dest = slots[rng.choice(over)]
             dest.insert(rng.randrange(len(dest) + 1), ("h", hid, end))
-    vpieces = {v: VPiece(s.vpieces[v].vertex, tuple(sl)) for v, sl in slots.items()}
-    where = {slot: (v, j) for v, sl in slots.items() for j, slot in enumerate(sl) if slot != FREE}
-    hpieces = {
-        hid: HPiece(hp.edge, hp.longs, where[("h", hid, "s")], where[("h", hid, "t")])
-        for hid, hp in s.hpieces.items()
-    }
-    return vpieces, hpieces
+    return {v: VPiece(s.vpieces[v].vertex, tuple(sl)) for v, sl in slots.items()}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -482,8 +477,7 @@ def test_mutated_pieces_are_accepted_and_read_as_the_reference_does(seed, monkey
     accepted = rejected = 0
     for _ in range(600):
         base = rng.choice(bases)
-        vpieces, hpieces = mutated_pieces(base, rng)
-        args = (base.target, None, vpieces, hpieces, base.fpieces)
+        args = (base.target, None, mutated_vpieces(base, rng), handle_edges(base), base.fpieces)
         try:
             ref = ReferenceSurface(*args)
         except SurfaceError:
@@ -501,24 +495,46 @@ def test_an_unclosed_corner_is_named():
     vid = next(v for v, vp in s.vpieces.items() if len(vp.slots) > 2)
     slots = list(s.vpieces[vid].slots)
     slots[0], slots[1] = slots[1], slots[0]
-    vpieces, hpieces = dict(s.vpieces), dict(s.hpieces)
+    vpieces = dict(s.vpieces)
     vpieces[vid] = VPiece(s.vpieces[vid].vertex, tuple(slots))
-    for j, slot in enumerate(slots):
-        if slot != FREE:
-            hp = hpieces[slot[1]]
-            hpieces[slot[1]] = replace(hp, src=(vid, j)) if slot[2] == "s" else replace(hp, tgt=(vid, j))
     with pytest.raises(SurfaceError, match=r"cellular disc \d+ corner \d+ does not close at vertex disc \d+"):
-        rebuild(s, vpieces=vpieces, hpieces=hpieces)
+        rebuild(s, vpieces=vpieces)
     with pytest.raises(SurfaceError, match="pieces do not assemble"):
-        reference_validate(s, vpieces=vpieces, hpieces=hpieces)
+        reference_validate(s, vpieces=vpieces)
+
+
+def with_slot(s, vid, j, slot):
+    """The vertex discs of s with slot j of disc vid replaced."""
+    slots = list(s.vpieces[vid].slots)
+    slots[j] = slot
+    return {**s.vpieces, vid: VPiece(s.vpieces[vid].vertex, tuple(slots))}
 
 
 def test_an_unplaced_handle_end_is_refused():
     s = fold_fixture()
-    hpieces = dict(s.hpieces)
-    hpieces[0] = HPiece(s.hpieces[0].edge, s.hpieces[0].longs, None, s.hpieces[0].tgt)
+    vid, j = s.hpieces[0].src
     with pytest.raises(SurfaceError, match="handle 0 s-end is not placed"):
-        rebuild(s, hpieces=hpieces)
+        rebuild(s, vpieces=with_slot(s, vid, j, FREE))
+
+
+def test_a_handle_end_held_by_two_slots_is_refused():
+    s = figlnk()
+    j = s.vpieces[0].slots.index(FREE)
+    with pytest.raises(SurfaceError, match="handle 0 s-end is held by two slots"):
+        rebuild(s, vpieces=with_slot(s, 0, j, ("h", 0, "s")))
+
+
+def test_a_long_side_claimed_by_two_disc_sides_is_refused():
+    # over the torus word a b A B, side 0 of the positive disc and side 2 of
+    # the negative one both want long 1 of a handle over a
+    s = fold_fixture()
+    plus, minus = (next(fid for fid, fp in s.fpieces.items() if fp.sign == sign) for sign in (1, -1))
+    hid, li = s.fpieces[plus].sides[0]
+    sides = list(s.fpieces[minus].sides)
+    sides[2] = (hid, li)
+    fpieces = {**s.fpieces, minus: replace(s.fpieces[minus], sides=tuple(sides))}
+    with pytest.raises(SurfaceError, match=f"handle {hid} long {li} is claimed by two disc sides"):
+        rebuild(s, fpieces=fpieces)
 
 
 def test_a_side_that_is_not_a_handle_long_pair_is_refused():
