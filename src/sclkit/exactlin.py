@@ -98,10 +98,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in a]
-
-
 def det_int(a):
     """Determinant of a square integer matrix (Bareiss, exact)."""
     n = len(a)

@@ -31,26 +31,41 @@ primitive integer vector with b_i >= 0 (so positive rescalings of a row give
 the same problem).  Every tableau row is a list of Python ints whose implicit
 denominator is its entry in its basic column; that entry is kept positive.
 Pivoting on (r, c) with p = T[r][c] > 0 leaves row r alone and replaces each
-row i with f = T[i][c] != 0 by (p T[i] - f T[r]) / gcd, in the manner of
-Edmonds (1967) and Avis's lrs; the basic entry of row i becomes a positive
-multiple of the old one.  The objective row is held the same way, with its
-positive scale in an extra column that is zero in every constraint row and
-is never a pivot column.
+row i with f = T[i][c] != 0 by p T[i] - f T[r], in the manner of Edmonds
+(1967) and Avis's lrs; the basic entry of row i becomes a positive multiple
+of the old one.  When p != 1 the new row is divided by the gcd of its
+entries; when p == 1 no factor was brought in, and a common factor that the
+subtraction leaves stays until the row's next pivot with p != 1.  The
+objective row is held the same way, with its positive scale in an extra
+column that is zero in every constraint row and is never a pivot column.
+Phase 1 runs on n + m columns, the m artificials included.  Once it ends,
+no artificial can enter again, so the artificial columns and the phase 1
+objective row are cut out of the tableau before the drive-out pivots and
+phase 2.  A row still basic in its artificial is then redundant: it has
+zeros in every original column, and a pivot may cancel it to all zeros,
+whose gcd is 0 and which is left as it is.
 
 Same pivots as rational arithmetic.  Row i stands for T[i] / T[i][basis[i]],
-a positive multiple of the rational tableau row, so every sign test (which
-reduced cost is negative, which entry is positive, which leaving row has
-rhs 0) reads the same.  Every reduced cost is its objective-row entry over
-the one positive scale of that row, so the most negative entry, and the
-first of equal entries, pick the same column as the rational reduced costs.
-The ratio of row i is T[i][-1] / T[i][c], in which the denominator cancels;
-the ratio test compares T[i][-1] * a_best with best * a_i.  Hence the basis
-sequence, the solution and the pivot count are those of the Fraction
-tableau on the same primitive rows.
+a positive multiple of the rational tableau row, whatever common factor it
+still carries, so every sign test (which reduced cost is negative, which
+entry is positive, which leaving row has rhs 0) reads the same.  Every
+reduced cost is its objective-row entry over the one positive scale of that
+row, so the most negative entry, and the first of equal entries, pick the
+same column as the rational reduced costs.  The ratio of row i is
+T[i][-1] / T[i][c], in which the denominator cancels; the ratio test
+compares T[i][-1] * a_best with best * a_i.  Cutting columns that are never
+read again changes none of these numbers.  Hence the basis sequence, the
+solution and the pivot count are those of the Fraction tableau on the same
+primitive rows, artificial columns kept.
 
-Certificate.  The artificial columns of phase 1 stay in the tableau through
-phase 2 but may never enter there.  At the optimum the dual of row k is
-y_k = -(reduced cost of artificial k), mapped back through the sign and
+Certificate.  At the optimum the dual y of the primitive rows solves
+A_B^T y = c_B over the basic original columns, with y_k = 0 for each
+artificial n + k still basic (k is its artificial's row, which need not be
+the tableau row that holds it).  With those artificials the basis is
+nonsingular, so this y is unique: it is the y that makes every basic
+reduced cost zero, the one read off the artificial columns' reduced costs
+(y_k = -reduced cost of artificial k) had they been kept.  One sparse
+``exactlin.solve_q`` finds it, and y_k is mapped back through the sign and
 scale applied to row k.  ``replay_check`` verifies x >= 0, A x = b,
 A^T y <= c and b . y = c . x against the caller's own data.
 """
@@ -60,6 +75,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+from .exactlin import solve_q
 
 
 # a run of this many degenerate pivots switches the entering rule to Bland's
@@ -118,12 +135,15 @@ def _primitive(values):
 
 
 def _eliminate(r, p, f, support):
-    """(p * r - f * t) / gcd, where ``support`` lists the nonzeros (j, t_j)."""
+    """p * r - f * t, divided by its gcd unless p == 1, where ``support``
+    lists the nonzeros (j, t_j)."""
     new = r[:] if p == 1 else [p * v for v in r]
     for j, v in support:
         new[j] -= f * v
-    g = gcd(*new)
-    return new if g == 1 else [v // g for v in new]
+    if p == 1:
+        return new
+    g = gcd(*new)  # 0 when a redundant row cancels to zeros
+    return [v // g for v in new] if g > 1 else new
 
 
 def _support(row):
@@ -217,6 +237,10 @@ def solve_lp(objective, a_rows, b_vals) -> LpResult:
     if status != "optimal" or tab[-1][-1] != 0:
         return LpResult("infeasible", None, None, p1, bland_pivots=b1)
 
+    # artificials never enter again: cut their columns and the phase 1
+    # objective row; columns are now n originals, the objective scale, the rhs
+    tab = [t[:n] + t[-2:] for t in tab[:-1]]
+
     # drive leftover artificials out of the basis where possible; a row
     # still basic in its artificial is redundant and has all zeros in the
     # original columns, so it never enters a ratio test again
@@ -228,29 +252,41 @@ def solve_lp(objective, a_rows, b_vals) -> LpResult:
 
     # phase 2 objective, reduced against the current basis
     ints, d = _common_denominator(objective)
-    obj = ints + [0] * (m + 2)
-    obj[scale] = d
+    obj = ints + [d, 0]
     for i, bj in enumerate(basis):
-        if obj[bj]:
+        if bj < n and obj[bj]:
             obj = _eliminate(obj, tab[i][bj], obj[bj], _support(tab[i]))
-    tab[-1] = obj
+    tab.append(obj)
     status, p2, b2 = _simplex_phase(tab, basis, n)
     if status == "unbounded":
         return LpResult("unbounded", None, None, p1 + p2, bland_pivots=b1 + b2)
 
     obj = tab[-1]
-    s = obj[scale]
+    s = obj[n]
     x = [Fraction(0)] * n
     for i, bj in enumerate(basis):
         if bj < n:
             x[bj] = Fraction(tab[i][-1], tab[i][bj])
-    dual = [
-        Fraction(-obj[n + k] * lam.numerator, s * lam.denominator)
-        for k, lam in enumerate(row_scale)
-    ]
+    y = _dual(objective, rows, basis, n)
+    dual = [yk * lam for yk, lam in zip(y, row_scale)]
     result = LpResult("optimal", Fraction(-obj[-1], s), x, p1 + p2, dual, b1 + b2)
     replay_check(objective, a_rows, b_vals, result)
     return result
+
+
+def _dual(objective, rows, basis, n):
+    """The dual of the primitive integer ``rows`` at an optimal basis: y with
+    A_B^T y = c_B on the basic original columns and y_k = 0 for each
+    artificial n + k still basic, unique because that whole basis is
+    nonsingular."""
+    cols = [bj for bj in basis if bj < n]
+    basic = set(basis)
+    live = [k for k in range(len(rows)) if k + n not in basic]
+    eqs = [{k: rows[k][j] for k in live if rows[k][j]} for j in cols]
+    y = solve_q(eqs, len(rows), [objective[j] for j in cols])
+    if y is None:
+        raise LpError("optimal basis is singular")
+    return y
 
 
 def replay_check(objective, a_rows, b_vals, result: LpResult):

@@ -24,9 +24,12 @@ from sclkit.exactlin import (
     kernel_z,
     solve_q,
     mat_mul,
-    mat_vec,
     unit_reduce,
 )
+
+
+def mat_vec(a, v):
+    return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in a]
 
 
 # -- dense Fraction Gauss-Jordan: the reference the sparse routines must match --

@@ -143,11 +143,15 @@ def test_tampered_certificate_raises_under_optimize():
 def _reference_solve(objective, a_rows, b_vals, bland_after):
     """The Fraction tableau with Dantzig's rule, falling back to Bland's rule
     after ``bland_after`` degenerate pivots in a row until the next
-    nondegenerate one (``bland_after=0`` is Bland's rule throughout):
-    (status, solution, pivots, pivots chosen by Bland's rule)."""
+    nondegenerate one (``bland_after=0`` is Bland's rule throughout).  The
+    artificial columns stay through phase 2 but never enter there, and the
+    dual is read off them: y_k = -(reduced cost of artificial k), with the
+    sign of row k restored.  Returns (status, solution, dual, pivots, pivots
+    chosen by Bland's rule)."""
     m, n = len(a_rows), len(objective)
     rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(a_rows, b_vals)]
-    rows = [[-v for v in r] if r[-1] < 0 else r for r in rows]
+    signs = [-1 if r[-1] < 0 else 1 for r in rows]
+    rows = [[s * v for v in r] for s, r in zip(signs, rows)]
 
     def pivot(tab, basis, r, c):
         tab[r] = [v / tab[r][c] for v in tab[r]]
@@ -178,25 +182,24 @@ def _reference_solve(objective, a_rows, b_vals, bland_after):
     basis = [n + i for i in range(m)]
     status, p1, b1 = phase(tab, basis, n + m)
     if status != "optimal" or tab[-1][-1] != 0:
-        return "infeasible", None, p1, b1
+        return "infeasible", None, None, p1, b1
     for i in range(m):
         col = next((j for j in range(n) if tab[i][j]), None) if basis[i] >= n else None
         if col is not None:
             pivot(tab, basis, i, col)
-    keep = [i for i in range(m) if basis[i] < n]
-    tab2 = [tab[i][:n] + [tab[i][-1]] for i in keep]
-    basis2 = [basis[i] for i in keep]
-    obj = [Fraction(v) for v in objective] + [Fraction(0)]
-    for i, bj in enumerate(basis2):
-        obj = [a - obj[bj] * b for a, b in zip(obj, tab2[i])]
-    tab2.append(obj)
-    status, p2, b2 = phase(tab2, basis2, n)
+    obj = [Fraction(v) for v in objective] + [Fraction(0)] * (m + 1)
+    for i, bj in enumerate(basis):
+        obj = [a - obj[bj] * b for a, b in zip(obj, tab[i])]
+    tab[-1] = obj
+    status, p2, b2 = phase(tab, basis, n)
     if status == "unbounded":
-        return status, None, p1 + p2, b1 + b2
+        return status, None, None, p1 + p2, b1 + b2
     x = [Fraction(0)] * n
-    for i, bj in enumerate(basis2):
-        x[bj] = tab2[i][-1]
-    return status, x, p1 + p2, b1 + b2
+    for i, bj in enumerate(basis):
+        if bj < n:
+            x[bj] = tab[i][-1]
+    y = [-tab[-1][n + k] * signs[k] for k in range(m)]
+    return status, x, y, p1 + p2, b1 + b2
 
 
 def _primitive_rows(rows, rhs):
@@ -225,14 +228,29 @@ def small_lps(draw):
 
 def _assert_matches_references(objective, rows, rhs):
     res = solve_lp(objective, rows, rhs)
-    status, x, pivots, bland = _reference_solve(objective, rows, rhs, lp.BLAND_AFTER)
-    assert (res.status, res.solution, res.pivots, res.bland_pivots) == (status, x, pivots, bland)
+    reference = _reference_solve(objective, rows, rhs, lp.BLAND_AFTER)
+    assert (res.status, res.solution, res.dual, res.pivots, res.bland_pivots) == reference
     # Bland's rule alone may reach another optimal vertex, but not another value
-    bland_status, bland_x, _, _ = _reference_solve(objective, rows, rhs, 0)
+    bland_status, bland_x, _, _, _ = _reference_solve(objective, rows, rhs, 0)
     assert res.status == bland_status
     if res.status == "optimal":
         assert res.value == sum(c * v for c, v in zip(objective, bland_x))
         replay_check(objective, rows, rhs, res)
+
+
+# rows still basic in an artificial after phase 1: a pivot cancels the
+# second row to all zeros, whose gcd is 0, by a unit pivot and by a pivot
+# p = 2; and artificial 1 ends basic in row 3, re-entered off its own row
+REDUNDANT_ROWS = {
+    "zero_row_unit": ([0, 0], [[1, 0], [-1, 0]], [0, 0]),
+    "zero_row_non_unit": ([0, 0], [[2, 1], [-2, -1]], [0, 0]),
+    "artificial_off_its_row": ([-1, -1, 2], [[2, 1, 1], [-3, 1, -3], [-2, -1, 2], [-1, 3, -1]], [4, -5, -1, 1]),
+}
+
+
+@pytest.mark.parametrize("name", REDUNDANT_ROWS)
+def test_redundant_rows_match_the_fraction_tableau(name):
+    _assert_matches_references(*REDUNDANT_ROWS[name])
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sclkit.complexes import ComplexError
 from sclkit.fixtures import one_holed, closed_genus3_split
@@ -13,7 +15,7 @@ from sclkit.scl import (
     scl_compare_under_inclusion,
     scl_lp,
 )
-from sclkit.words import ChainError, EdgeChain, parse_chain, parse_edge_chain
+from sclkit.words import ChainError, EdgeChain, OneChain, cyclic_reduce, letter_inverse, parse_chain, parse_edge_chain
 
 
 def scl(text, basis):
@@ -92,6 +94,64 @@ def test_scl_scales_with_the_chain(text):
     value = scl_lp(chain).value
     for k in (2, 3):
         assert scl_lp(chain.scaled(k)).value == k * value
+
+
+LETTERS = (("a", 1), ("a", -1), ("b", 1), ("b", -1))
+
+
+@st.composite
+def boundary_chains(draw, max_letters):
+    """Nonzero 1-boundaries in F2 with at most ``max_letters`` letters: one
+    or two random reduced words, and the word a^-i b^-j that cancels their
+    exponent sums i in a and j in b."""
+    words = []
+    for _ in range(draw(st.integers(1, 2))):
+        word = [draw(st.sampled_from(LETTERS))]
+        for _ in range(draw(st.integers(0, max_letters - 2))):
+            word.append(draw(st.sampled_from([x for x in LETTERS if x != letter_inverse(word[-1])])))
+        words.append(word)
+    balance = []
+    for g in "ab":
+        e = sum(sign for word in words for h, sign in word if h == g)
+        balance += [(g, -1 if e > 0 else 1)] * abs(e)
+    words.append(balance)
+    assume(sum(map(len, words)) <= max_letters)
+    chain = OneChain.make("ab", [(1, w) for w in words if cyclic_reduce(tuple(w))])
+    assume(not chain.is_zero())
+    return chain
+
+
+def _relettered(chain, f):
+    return OneChain.make(chain.basis, [(c, [f(x) for x in w]) for c, w in chain.terms])
+
+
+@settings(max_examples=40, deadline=None)
+@given(boundary_chains(10), st.data())
+def test_scl_is_invariant_under_rotation_conjugation_and_automorphisms(chain, data):
+    # each variant is a different colour-flow LP for the same scl
+    value = scl_lp(chain).value
+    i = data.draw(st.integers(0, len(chain.terms) - 1))
+    coeff, word = chain.terms[i]
+    k = data.draw(st.integers(1, len(word)))
+    x = data.draw(st.sampled_from(LETTERS))
+
+    def with_term(new):
+        return OneChain.make(chain.basis, [*chain.terms[:i], (coeff, new), *chain.terms[i + 1 :]])
+
+    variants = {
+        "term rotated": with_term(word[k:] + word[:k]),
+        "term conjugated by a letter": with_term((x, *word, letter_inverse(x))),
+        "a and b swapped": _relettered(chain, lambda y: ("b" if y[0] == "a" else "a", y[1])),
+        "a inverted": _relettered(chain, lambda y: (y[0], -y[1]) if y[0] == "a" else y),
+    }
+    for name, other in variants.items():
+        assert scl_lp(other).value == value, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(boundary_chains(6))
+def test_scl_of_twice_a_random_chain_is_twice_its_scl(chain):
+    assert scl_lp(chain.scaled(2)).value == 2 * scl_lp(chain).value
 
 
 def test_scl_compare_under_basis_inclusion():
@@ -177,7 +237,7 @@ PINNED_PIVOTS = [
     ("[a,b][a,B]", Fraction(1, 2), 39),
     ("[a,b][a,b][a,B]", Fraction(1, 2), 141),
     ("[a,b][a,b][a,b][a,b]", Fraction(2), 253),
-    # about 5 s; Bland's rule alone takes 4532 pivots and about a minute
+    # about 3 s; Bland's rule alone takes 4532 pivots and about a minute
     ("[a,b][a,b][a,b][a,b][a,b]", Fraction(5, 2), 677),
 ]
 
