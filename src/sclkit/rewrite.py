@@ -22,12 +22,19 @@ Boundary words are only changed by the link-connection move; it records a
 2-chain certificate (the faces the boundary was pushed across) so that the
 class in H2(S, c) is computed from an honest relative cycle and can be
 checked unchanged.
+
+A move carries each circuit's (circle, degree) by its anchor, the free
+long side it starts at.  A fold keeps every free long side, renamed onto
+the handle it merges into; a link connection reroutes boundary arcs, so
+it clusters old and new circuits by shared items.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .complexes import TwoComplex, boundary_subcomplex, link_graph, link_shapes, surface_check
 from .homology import homology
@@ -38,7 +45,6 @@ from .surfaces import (
     SurfaceError,
     VPiece,
     corner_tokens,
-    polygon_sign,
     required_long_index,
 )
 from .words import EdgeChain, canonical_rotation
@@ -97,29 +103,6 @@ class MoveLog:
 
     def text(self):
         return "\n".join(e.line() for e in self.entries) + ("\n" if self.entries else "")
-
-
-def _carry_assignments(old: AdmissibleSurface, new_raw_words):
-    """Match new circuit words against old circuits to carry (circle, degree).
-
-    Both moves that use this keep every boundary word intact, so matching by
-    cyclic word classes is faithful; ties are resolved in order.
-    """
-    pool = [(canonical_rotation(c.word), c.circle, c.degree) for c in old.circuits]
-    out = []
-    for items, word in new_raw_words:
-        if not word:
-            out.append(None)
-            continue
-        key = canonical_rotation(word)
-        for i, (k, circle, degree) in enumerate(pool):
-            if k == key:
-                out.append((circle, degree))
-                pool.pop(i)
-                break
-        else:
-            raise MoveError("cannot carry a circuit assignment across the move")
-    return out
 
 
 # -- the token surgery engine ------------------------------------------------
@@ -224,25 +207,16 @@ class _Tokens:
         return vpieces
 
 
-def _rebuild(surface: AdmissibleSurface, tokens: _Tokens, handles, fpieces, carry, homotopy=None):
+def _rebuild(surface: AdmissibleSurface, tokens: _Tokens, handles, fpieces, assignments, homotopy=None):
     """The surface after a token surgery, validated once.
 
-    ``handles`` maps each handle id to its edge.  ``carry(surface, raw
-    circuits)`` gives the (circle, degree) of every new circuit, or None for
-    a letterless one: ``_carry_assignments`` for moves that keep every
-    boundary word, ``_carry_by_items`` for moves that reroute boundary arcs.
+    ``handles`` maps each handle id to its edge, and ``assignments`` is
+    what ``AdmissibleSurface`` takes: a fold renames the old anchors, and a
+    link connection clusters circuits by items (``_carry_by_items``).
     """
     vpieces = tokens.rebuild_vpieces()
     if any(("h", hid, end) not in tokens.kind for hid in handles for end in "st"):
         raise MoveError("handle lost an end during surgery")
-
-    def assignments(raw):
-        return [
-            (items[0][:-1], *found)
-            for (items, _word), found in zip(raw, carry(surface, raw))
-            if found is not None
-        ]
-
     return AdmissibleSurface(
         surface.target,
         surface.chain,
@@ -338,7 +312,8 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     the fold share.  Handles whose freed long sides become glued to each
     other merge in chains; a chain closing onto itself would be a circle
     bundle over an edge, which the transverse model cannot express, and is
-    rejected.
+    rejected.  ``rename`` maps each long side left over to the merged
+    handle, under the same long index.
     """
     fp1 = surface.fpieces[fid1]
     fp2 = surface.fpieces[fid2]
@@ -393,34 +368,25 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
         groups.setdefault(find(hid), []).append(hid)
 
     next_id = max(handles, default=-1) + 1
-    side_map = {}
+    rename = {}
     for root in sorted(groups):
         members = sorted(groups[root])
         edge = surface.hpieces[members[0]].edge
         if any(surface.hpieces[h].edge != edge for h in members):
             raise MoveError("merged handles sit over different edges")
-        survivors = []
-        for h in members:
-            for li, ref in enumerate(surface.hpieces[h].longs):
-                if ref == FREE:
-                    survivors.append((h, li, FREE))
-                elif ref[1] not in (fid1, fid2):
-                    survivors.append((h, li, ref))
+        survivors = [
+            (h, li)
+            for h in members
+            for li, ref in enumerate(surface.hpieces[h].longs)
+            if ref == FREE or ref[1] not in (fid1, fid2)
+        ]
         if len(survivors) != 2:
             raise MoveError("merged handle chain with unexpected free sides")
+        if survivors[0][1] == survivors[1][1]:
+            raise MoveError("merged handle cannot host both survivors")
         cid = next_id
         next_id += 1
-        taken = set()
-        for h, li, ref in survivors:
-            if ref == FREE:
-                continue
-            other = surface.fpieces[ref[1]]
-            oword = surface.target.faces[other.face]
-            want = required_long_index(polygon_sign(other, oword, ref[2]))
-            if want in taken:
-                raise MoveError("merged handle cannot host both survivors")
-            taken.add(want)
-            side_map[(h, li)] = (cid, want)
+        rename.update((side, (cid, side[1])) for side in survivors)
         handles[cid] = edge
         for h in members:
             del handles[h]
@@ -428,16 +394,11 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
         for label in ("s", "t"):
             tokens.fuse({("h", h, label) for h in members}, ("h", cid, label))
 
-    # rewrite surviving references through the merges
     fpieces = {
-        fid: FPiece(
-            fp.face,
-            fp.sign,
-            tuple(side_map.get(side, side) for side in fp.sides),
-        )
+        fid: FPiece(fp.face, fp.sign, tuple(rename.get(side, side) for side in fp.sides))
         for fid, fp in fpieces.items()
     }
-    return tokens, handles, fpieces
+    return tokens, handles, fpieces, rename
 
 
 def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog | None = None):
@@ -473,8 +434,13 @@ def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog | None =
     old_chain = surface.two_chain()
     old_words = sorted(canonical_rotation(c.word) for c in surface.circuits)
 
-    tokens, handles, fpieces = _mirror_surgery(surface, fid1, fid2, k)
-    out = _rebuild(surface, tokens, handles, fpieces, _carry_assignments)
+    tokens, handles, fpieces, rename = _mirror_surgery(surface, fid1, fid2, k)
+    # every free long side survives, so each circuit keeps its anchor
+    assignments = [
+        (("long", *rename.get(anchor[1:], anchor[1:])), circle, degree)
+        for anchor, circle, degree in surface.assignment_list()
+    ]
+    out = _rebuild(surface, tokens, handles, fpieces, assignments)
 
     delta = out.euler_characteristic() - surface.euler_characteristic()
     if delta < 0 or delta % 2:
@@ -535,7 +501,8 @@ def _walk_link_until(surface, v, start_half, stop_half):
 
 
 def _carry_by_items(old: AdmissibleSurface, new_raw):
-    """Carry (circle, degree) across a move that reroutes boundary arcs.
+    """Anchor entries carrying (circle, degree) across a move that reroutes
+    boundary arcs.
 
     Circuits exchange arcs, merge and split, so individual windings are not
     determined by item overlap; only the total winding per overlap cluster
@@ -577,7 +544,7 @@ def _carry_by_items(old: AdmissibleSurface, new_raw):
     for j in range(len(new_raw)):
         clusters.setdefault(find(("new", j)), [[], []])[1].append(j)
 
-    out = [None] * len(new_raw)
+    out = []
     spare = []
     for key in sorted(clusters, key=str):
         olds, news = clusters[key]
@@ -599,7 +566,7 @@ def _carry_by_items(old: AdmissibleSurface, new_raw):
             continue
         main = max(lettered_new, key=lambda j: (len(new_raw[j][1]), -j))
         for j in lettered_new:
-            out[j] = (circle, total if j == main else 0)
+            out.append((new_raw[j][0][0][:-1], circle, total if j == main else 0))
     if spare:
         raise MoveError("new boundary circuits with no ancestry")
     return out
@@ -755,7 +722,8 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
     for face in new_faces_crossed:
         homotopy[face] = homotopy.get(face, 0) + 1
 
-    out = _rebuild(surface, tokens, handles, fpieces, _carry_by_items, homotopy=homotopy)
+    carry = partial(_carry_by_items, surface)
+    out = _rebuild(surface, tokens, handles, fpieces, carry, homotopy=homotopy)
 
     if out.reduced_class() != old_coords:
         raise MoveError("link connection changed the class in H2(S, c)")
@@ -865,23 +833,18 @@ def retarget(surface: AdmissibleSurface, new_target: TwoComplex) -> AdmissibleSu
 
 
 def _find_fold_pairs(surface: AdmissibleSurface):
-    out = []
-    for fid1 in sorted(surface.fpieces):
-        fp1 = surface.fpieces[fid1]
-        for fid2 in sorted(surface.fpieces):
-            if fid2 <= fid1:
-                continue
-            fp2 = surface.fpieces[fid2]
-            if fp2.face != fp1.face or fp2.sign + fp1.sign != 0:
-                continue
-            shared = [
-                k
-                for k in range(len(fp1.sides))
-                if fp1.sides[k][0] == fp2.sides[k][0]
-            ]
-            if len(shared) == 1:
-                out.append((fid1, fid2))
-    return out
+    """Opposite discs over one face sharing a handle at exactly one word
+    position, in order; each handle with both long sides at one position
+    is one shared position of its pair."""
+    shared = Counter()
+    for hp in surface.hpieces.values():
+        a, b = hp.longs
+        if a == FREE or b == FREE or a[2] != b[2]:
+            continue
+        fa, fb = surface.fpieces[a[1]], surface.fpieces[b[1]]
+        if fa.face == fb.face and fa.sign + fb.sign == 0:
+            shared[min(a[1], b[1]), max(a[1], b[1])] += 1
+    return sorted(pair for pair, n in shared.items() if n == 1)
 
 
 def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):

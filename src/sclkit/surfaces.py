@@ -168,7 +168,8 @@ class AdmissibleSurface:
 
     * None: match each circuit word against the chain's circles;
     * a list of (anchor item, circle, degree) entries, as made by
-      ``assignment_list``;
+      ``assignment_list``, with each anchor given once and lying on a
+      boundary circuit;
     * a function of the raw boundary circuits, a list of (items, word)
       pairs, that returns such a list; moves carry the assignments of the
       surface they rewrite this way.
@@ -382,11 +383,16 @@ class AdmissibleSurface:
         else:
             by_anchor = {}
             for anchor, circle, degree in assignments:
-                by_anchor[tuple(anchor)] = (circle, degree)
+                anchor = tuple(anchor)
+                if anchor in by_anchor:
+                    raise SurfaceError(f"assignment anchor {anchor} is given twice")
+                by_anchor[anchor] = (circle, degree)
+            unplaced = set(by_anchor)
             for items, word in self._raw_circuits:
                 found = None
                 for item in items:
                     if item[:-1] in by_anchor:
+                        unplaced.discard(item[:-1])
                         if found is not None and found != by_anchor[item[:-1]]:
                             raise SurfaceError("conflicting assignments on one circuit")
                         found = by_anchor[item[:-1]]
@@ -401,6 +407,9 @@ class AdmissibleSurface:
                         # must wind at least once around its circle
                         raise SurfaceError("lettered circuit assigned degree 0")
                     resolved.append(Circuit(items, word, circle, degree))
+            if unplaced:
+                anchor = min(unplaced, key=str)
+                raise SurfaceError(f"assignment anchor {anchor} lies on no boundary circuit")
         for circ in resolved:
             if circ.circle is not None and not (
                 0 <= circ.circle < len(circle_words)

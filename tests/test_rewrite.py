@@ -33,6 +33,7 @@ from sclkit.surfaces import (
     disjoint_union,
     required_long_index,
 )
+from sclkit.words import canonical_rotation
 
 
 def ratio(s):
@@ -105,6 +106,117 @@ def test_necklace_grid_reaches_standard_form(m, closed, fold_pos, back_pos):
     assert ratio(after) <= ratio(before)
     report = after.standard_form_report()
     assert report.connected_links and report.non_folded
+
+
+# -- the fold carry and the fold-pair search against their oracles ---------------
+
+
+def word_matching_carry(old, raw):
+    """Anchor entries for the circuits after a fold, matched by word class:
+    each lettered circuit takes the (circle, degree) of the first unused old
+    circuit with a cyclically equal word (how folds carried assignments
+    before they renamed anchors)."""
+    pool = [(canonical_rotation(c.word), c.circle, c.degree) for c in old.circuits]
+    out = []
+    for items, word in raw:
+        if word:
+            i = next(i for i, entry in enumerate(pool) if entry[0] == canonical_rotation(word))
+            _key, circle, degree = pool.pop(i)
+            out.append((items[0][:-1], circle, degree))
+    return out
+
+
+def pairwise_fold_pairs(surface):
+    """Fold pairs by comparing every pair of discs: opposite discs over one
+    face with a common handle at exactly one word position."""
+    out = []
+    for fid1, fp1 in surface.fpieces.items():
+        for fid2, fp2 in surface.fpieces.items():
+            if fid2 <= fid1 or fp2.face != fp1.face or fp2.sign + fp1.sign != 0:
+                continue
+            shared = [k for k in range(len(fp1.sides)) if fp1.sides[k][0] == fp2.sides[k][0]]
+            if len(shared) == 1:
+                out.append((fid1, fid2))
+    return out
+
+
+NECKLACE_SWEEP = [
+    (m, closed, fold_pos, back_pos)
+    for m in range(1, 5)
+    for closed in (True, False)
+    for fold_pos in range(4)
+    for back_pos in range(4)
+    if fold_pos != back_pos
+]
+
+
+def test_folds_and_fold_pairs_match_their_oracles_on_the_necklace_sweep(monkeypatch):
+    fold = sclkit.rewrite.eliminate_fold
+    init = AdmissibleSurface.__init__
+    built = []
+    folds = shared_words = 0
+
+    def checked_fold(surface, fid1, fid2, log=None):
+        nonlocal folds, shared_words
+        out = fold(surface, fid1, fid2, log)
+        oracle = AdmissibleSurface(
+            out.target,
+            out.chain,
+            out.vpieces,
+            {hid: hp.edge for hid, hp in out.hpieces.items()},
+            out.fpieces,
+            assignments=lambda raw: word_matching_carry(surface, raw),
+            homotopy=out.homotopy,
+            relaxed_boundary=out.relaxed,
+        )
+        # the class starts with the degree vector
+        assert out.reduced_class() == oracle.reduced_class()
+        classes = Counter(canonical_rotation(c.word) for c in out.circuits)
+        for mine, theirs in zip(out.circuits, oracle.circuits):
+            assert mine.items == theirs.items
+            if classes[canonical_rotation(mine.word)] == 1:
+                assert (mine.circle, mine.degree) == (theirs.circle, theirs.degree)
+            elif mine.word:
+                shared_words += 1
+        # a handle the fold does not merge keeps its id and its free long
+        # sides, so a circuit through an old anchor there keeps its winding
+        anchored = {c.items[0][:-1]: (c.circle, c.degree) for c in surface.circuits if c.circle is not None}
+        for mine in out.circuits:
+            for item in mine.items:
+                if item[:-1] in anchored:
+                    assert (mine.circle, mine.degree) == anchored[item[:-1]]
+        folds += 1
+        return out
+
+    def recording_init(surface, *args, **kwargs):
+        init(surface, *args, **kwargs)
+        built.append(surface)
+
+    monkeypatch.setattr(sclkit.rewrite, "eliminate_fold", checked_fold)
+    monkeypatch.setattr(AdmissibleSurface, "__init__", recording_init)
+    finished = 0
+    for m, closed, fold_pos, back_pos in NECKLACE_SWEEP:
+        before = fold_necklace(torus(), "f", m, fold_pos, back_pos, closed=closed)
+        try:
+            after, _log = make_standard_form(before)
+        except MoveError as exc:
+            assert str(exc) in (
+                "component remains folded without an eligible fold pair",
+                "no link connection applies: separator index out of range",
+            )
+            continue
+        assert after.reduced_class() == before.reduced_class()
+        assert ratio(after) <= ratio(before)
+        report = after.standard_form_report()
+        assert report.connected_links and report.non_folded
+        finished += 1
+    for s in built:
+        assert sclkit.rewrite._find_fold_pairs(s) == pairwise_fold_pairs(s)
+    assert len(NECKLACE_SWEEP) == 96 and finished > 50
+    # some folds leave two circuits with one word class, where the word
+    # matching may hand out the degrees in either order
+    assert folds > 100 and shared_words > 0
+    assert any(pairwise_fold_pairs(s) for s in built)
 
 
 # -- single moves ----------------------------------------------------------------

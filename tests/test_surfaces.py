@@ -47,14 +47,14 @@ def handle_edges(s):
     return {hid: hp.edge for hid, hp in s.hpieces.items()}
 
 
-def rebuild(s, vpieces=None, handles=None, fpieces=None, cls=AdmissibleSurface):
+def rebuild(s, vpieces=None, handles=None, fpieces=None, cls=AdmissibleSurface, assignments=None):
     return cls(
         s.target,
         s.chain,
         vpieces if vpieces is not None else s.vpieces,
         handles if handles is not None else handle_edges(s),
         fpieces if fpieces is not None else s.fpieces,
-        assignments=s.assignment_list(),
+        assignments=assignments if assignments is not None else s.assignment_list(),
         homotopy=s.homotopy,
         relaxed_boundary=s.relaxed,
     )
@@ -72,6 +72,23 @@ def test_rebuild_from_pieces_keeps_the_circuits():
         assert again.circuits == s.circuits
         assert again.reduced_class() == s.reduced_class()
         assert again.euler_characteristic() == s.euler_characteristic()
+
+
+@pytest.mark.parametrize("duplicate_first", [False, True])
+def test_an_anchor_given_twice_is_refused(duplicate_first):
+    s = t_itself()
+    (entry,) = s.assignment_list()
+    again = (entry[0], entry[1], 2)
+    entries = [again, entry] if duplicate_first else [entry, again]
+    with pytest.raises(SurfaceError, match=r"assignment anchor \('long', 4, 1\) is given twice"):
+        rebuild(s, assignments=entries)
+
+
+def test_an_anchor_on_no_circuit_is_refused():
+    s = t_itself()
+    stray = s.assignment_list() + [(("long", 999, 0), 0, 1)]
+    with pytest.raises(SurfaceError, match=r"assignment anchor \('long', 999, 0\) lies on no boundary circuit"):
+        rebuild(s, assignments=stray)
 
 
 def test_handle_over_the_wrong_edge_is_refused():
