@@ -1,7 +1,7 @@
 """Exact linear algebra over Z and Q.
 
 Sparse rows are the matrix form of the exact solvers: ``kernel_q``,
-``solve_q`` and ``unit_reduce`` take a list of rows, each a dict
+``solve_q``, ``peel`` and ``unit_reduce`` take a list of rows, each a dict
 {column: int | Fraction} of its nonzeros, together with the column count,
 which an all-zero matrix could not otherwise tell.  A column outside
 0 <= c < ncols raises ValueError.  Dense matrices, plain lists of lists,
@@ -9,6 +9,16 @@ are the form of ``rank_q`` (it ranks the small dense residual that
 ``unit_reduce`` returns) and of the Smith normal form and its helpers.
 Integer routines never leave Z; rational results are fractions.Fraction.
 Everything here is deterministic.
+
+Integer form.  A rational vector is kept as (x, d): {column: int}
+numerators of its nonzero entries over one denominator d > 0.  Every
+solver works in this form, with no Fraction formed on the way, and
+``solve_q`` and ``kernel_q`` return its Fraction view.  Substitution
+solves one column from one row whose other columns are known; the
+denominator grows only when the pivot entry does not divide the row's sum,
+and then every numerator is scaled with it.  ``solve_peeled`` hands the
+integer form to callers that want one exact sum at the end, such as the
+cellular area of ``scl.rot_value``.
 
 Sparse elimination.  ``rank_q``, ``solve_q``, ``kernel_q`` and
 ``unit_reduce`` end in one routine, ``_eliminate``, on {column: int} rows; a
@@ -34,25 +44,27 @@ free part is e_j are unique, so back substitution through the echelon rows
 returns exactly the vectors read off the RREF.
 
 Peeling singletons.  ``kernel_q``, ``solve_q`` and ``unit_reduce`` first
-run ``_peel``, and ``_eliminate`` sees only the rows it leaves.  A row whose
-only nonzero is a in column c says a x_c = b, so x_c = b / a in every
-solution (0 in every kernel vector); the peel pivots on it and takes
-column c out of every other row, touching only that column and the
-right-hand side, and repeats while singletons appear.  Such a column is a
-pivot column of the RREF: were column c in the span of columns 0..c-1,
-the kernel would hold a vector with x_c = 1.  The other pivot columns are
-those of the rows left, since a kernel vector has x_c = 0 anyway; so the
-pivot columns, and with them the kernel vectors and the solution with free
-variables 0, are exactly those of elimination alone.  Back substitution
-stays in integers: the entries of x are numerators over one running
-denominator, which grows only when a pivot does not divide its row's sum,
-and a Fraction is formed only at return.  ``unit_reduce`` peels unit
-row singletons only, and also a column whose only nonzero is +-1: column
-operations clear that pivot's row, so the row leaves while the rank and
-the invariant factors stay.  Column singletons are for rank and torsion
-only: their row gives x_c in terms of the other columns, column c need
-not be a pivot column of the RREF, and pivoting there would change the
-kernel vectors and the solution that ``kernel_q`` and ``solve_q`` return.
+run ``peel``, and ``_eliminate`` sees only the rows it leaves.  A row with
+one column c left says a x_c = b - (the columns already solved), so x_c
+is fixed in every solution (0 in every kernel vector); the peel pivots on
+it, takes column c out of every other row and repeats while singletons
+appear.  Only columns leave rows, so the peel reads no entry but the
+pivots' and reports its order, (column, row index) per pivot, which holds
+for every right-hand side: ``solve_peeled`` substitutes a right-hand side
+through that order, row by row, checks each row the peel emptied, and
+eliminates only the rows left, so one peel serves many right-hand sides.
+A peeled column is a pivot column of the RREF: were column c in the span
+of columns 0..c-1, the kernel would hold a vector with x_c = 1.  The other
+pivot columns are those of the rows left, since a kernel vector has
+x_c = 0 anyway; so the pivot columns, and with them the kernel vectors and
+the solution with free variables 0, are exactly those of elimination
+alone.  ``unit_reduce`` peels unit row singletons only, and also a column
+whose only nonzero is +-1: column operations clear that pivot's row, so
+the row leaves while the rank and the invariant factors stay.  Column
+singletons are for rank and torsion only: their row gives x_c in terms of
+the other columns, column c need not be a pivot column of the RREF, and
+pivoting there would change the kernel vectors and the solution that
+``kernel_q`` and ``solve_q`` return.
 
 Unit pivots over Z.  ``unit_reduce`` accepts only pivots +-1, leaves a
 column without one alone (its rows move on to their next column) and never
@@ -317,82 +329,74 @@ def _check_columns(rows, ncols):
                 raise ValueError(f"row {i} has column {bad} outside 0 <= c < {ncols}")
 
 
-def _peel(rows, ncols, units_only=False):
-    """Pivot on singletons before elimination.
+def peel(rows, ncols, units_only=False):
+    """Pivot on singletons before elimination, and report their order.
 
     ``rows`` are {column: int} dicts without zero entries; they are not
     modified.  A row may also hold column ``ncols``, a right-hand side that
-    is never pivoted on.  A row whose only nonzero below ``ncols`` is in
-    column c is a pivot; every other row with entry f there becomes
-    row - (f / a) pivot, which changes it in column c and the right-hand
-    side only (it is scaled by the pivot entry a first when a != +-1 and
-    the pivot has a right-hand side b).  With ``units_only`` a pivot must be
-    +-1, and a column whose only nonzero is +-1 in some row also pivots,
-    removing that row.  Returns (pivots, rest) as ``_eliminate`` does:
-    (column, row) pairs, each row as it was when it became a pivot, and the
-    nonzero rows left, in input order, with no entry in a pivot column.
+    is never pivoted on.  A row with one column left below ``ncols``, c,
+    is a pivot: it solves x_c once every other column it holds is solved,
+    and column c leaves every other row.  Only columns leave rows, so which
+    rows pivot, and in which order, does not depend on the entries.  With
+    ``units_only`` a pivot must be +-1, and a column left in one row only,
+    with +-1 there, also pivots, taking that row out.
+
+    Returns (order, rest): ``order`` lists (column, input row index) of the
+    pivots in the order found, so each row's other columns pivot before it;
+    ``rest`` maps the index of every other row that still has a column
+    without pivot to that row on those columns alone (no right-hand side),
+    in input order.  A row that is neither has lost all its columns: on a
+    right-hand side it is a consistency condition.
     """
-    live = [row for row in rows if row]
-    row_todo = [i for i, row in enumerate(live) if len(row) - (ncols in row) == 1]
-    if not (row_todo or units_only):
-        return [], live
-    at = [[] for _ in range(ncols + 1)]  # column -> the live rows nonzero there
-    for i, row in enumerate(live):
-        for k in row:
-            at[k].append(i)
-    col_todo = [c for c in range(ncols) if len(at[c]) == 1] if units_only else []
-    owned = [False] * len(live)  # rows copied here, safe to change in place
-    pivots = []
-    while row_todo or col_todo:
-        if row_todo:
-            i = row_todo.pop()
-            prow = live[i]
-            if not prow or len(prow) - (ncols in prow) != 1:
-                continue
-            c = min(prow)
-            a = prow[c]
-            if units_only and a * a != 1:
-                continue
-            b = prow.get(ncols, 0)
-            for j in at[c]:
-                if j == i:
+    left = [len(row) - (ncols in row) for row in rows]  # columns without pivot
+    done = [False] * ncols + [True]  # pivot columns, and the right-hand side
+    row_todo = [i for i, k in enumerate(left) if k == 1]
+    order = []
+    if row_todo or units_only:
+        at = [[] for _ in range(ncols + 1)]  # column -> the rows nonzero there
+        for i, row in enumerate(rows):
+            for k in row:
+                at[k].append(i)
+        count = [len(a) for a in at]  # rows per column, less those a column pivot took out
+        col_todo = [c for c in range(ncols) if count[c] == 1] if units_only else []
+        while row_todo or col_todo:
+            if row_todo:
+                i = row_todo.pop()
+                if left[i] != 1:
                     continue
-                row = live[j]
-                if not owned[j]:
-                    row = live[j] = dict(row)
-                    owned[j] = True
-                f = row.pop(c)
-                if b:
-                    scale = a * a != 1
-                    if scale:  # a row - f pivot stays integral
-                        for k in row:
-                            row[k] *= a
-                    x = row.get(ncols, 0) - (f * b if scale else f * a * b)
-                    if x:
-                        row[ncols] = x
-                    else:
-                        row.pop(ncols)
-                    g = gcd(*row.values()) if scale else 1
-                    if g > 1:
-                        live[j] = row = {k: v // g for k, v in row.items()}
-                if len(row) - (ncols in row) == 1:
-                    row_todo.append(j)
-            at[c] = []
-        else:
-            c = col_todo.pop()
-            if len(at[c]) != 1:
-                continue
-            i = at[c][0]
-            prow = live[i]
-            if prow[c] * prow[c] != 1:
-                continue
-            for k in prow:
-                at[k].remove(i)
-                if len(at[k]) == 1 and k != c:
-                    col_todo.append(k)
-        pivots.append((c, prow))
-        live[i] = None
-    return pivots, [row for row in live if row]
+                row = rows[i]
+                for c in row:
+                    if not done[c]:
+                        break
+                if units_only and row[c] * row[c] != 1:
+                    continue
+                for j in at[c]:
+                    if left[j]:
+                        left[j] -= 1
+                        if left[j] == 1:
+                            row_todo.append(j)
+            else:
+                c = col_todo.pop()
+                if done[c] or count[c] != 1:
+                    continue
+                for i in at[c]:
+                    if left[i]:
+                        break
+                if rows[i][c] * rows[i][c] != 1:
+                    continue
+                left[i] = 0
+                for k in rows[i]:
+                    count[k] -= 1
+                    if count[k] == 1 and not done[k]:
+                        col_todo.append(k)
+            done[c] = True
+            order.append((c, i))
+    rest = {
+        i: row if k == len(row) else {c: v for c, v in row.items() if not done[c]}
+        for i, (row, k) in enumerate(zip(rows, left))
+        if k
+    }
+    return order, rest
 
 
 def _eliminate(rows, ncols, units_only=False):
@@ -456,8 +460,8 @@ def unit_reduce(rows, ncols):
     ones followed by those of R.
     """
     _check_columns(rows, ncols)
-    peeled, rest = _peel(rows, ncols, units_only=True)
-    pivots, rest = _eliminate(rest, ncols, units_only=True)
+    order, rest = peel(rows, ncols, units_only=True)
+    pivots, rest = _eliminate(list(rest.values()), ncols, units_only=True)
     cols = sorted(set().union(*rest))
     at = {c: j for j, c in enumerate(cols)}
     residual = []
@@ -466,7 +470,7 @@ def unit_reduce(rows, ncols):
         for k, v in row.items():
             dense[at[k]] = v
         residual.append(dense)
-    return len(peeled) + len(pivots), residual
+    return len(order) + len(pivots), residual
 
 
 def rank_q(mat) -> int:
@@ -476,17 +480,22 @@ def rank_q(mat) -> int:
     return len(_eliminate(rows, cols)[0])
 
 
-def _back_substitute(pivots, ncols, x):
-    """Complete a solution through the pivot rows, last pivot first.
+def _substitute(steps, ncols, x):
+    """Solve each step's column in turn from its row.
 
-    ``x`` holds {column: int} numerators over one running denominator,
+    ``steps`` are (column c, row) pairs, each row's other columns solved
+    before it (or free) and c not; a row's right-hand side sits in column
+    ``ncols``.  ``x`` holds {column: int} numerators, of the free columns
+    at first, and is completed in place over one running denominator d,
     which starts at 1 and grows only when a pivot entry does not divide its
-    row's sum; a row's right-hand side sits in column ``ncols``.  Returns
-    the vector of Fractions, formed only here.
+    row's sum.  Returns the integer form (x, d), zero entries left out.
     """
     d = 1
-    for c, row in reversed(pivots):
-        s = row.get(ncols, 0) * d - sum(v * x[k] for k, v in row.items() if k != c and k in x)
+    for c, row in steps:
+        s = row.get(ncols, 0) * d
+        for k, v in row.items():
+            if k in x:
+                s -= v * x[k]
         if not s:
             continue
         a = row[c]
@@ -497,10 +506,51 @@ def _back_substitute(pivots, ncols, x):
             for k in x:
                 x[k] *= m
         x[c] = s // a
+    return x, d
+
+
+def _fractions(x, d, ncols):
+    """The Fraction vector of the integer form (x, d)."""
     vec = [Fraction(0)] * ncols
     for k, v in x.items():
         vec[k] = Fraction(v, d)
     return vec
+
+
+def solve_peeled(rows, ncols, order, rest):
+    """The solution of the integer ``rows`` with right-hand sides in column
+    ``ncols``, given their ``peel`` (order, rest), or None if inconsistent.
+
+    Each pivot of the peel solves its column from its own row, in order; the
+    other rows are checked against that partial solution, those of ``rest``
+    on what they have left are eliminated, and free variables are 0.  So
+    the same peel serves every right-hand side.  Returns the integer form
+    (x, d): {column: int} numerators of the nonzero entries over one
+    denominator d > 0.
+    """
+    x, d = _substitute(((c, rows[i]) for c, i in order), ncols, {})
+    pivot_rows = {i for _, i in order}
+    left = []
+    for i, row in enumerate(rows):
+        if i in pivot_rows:
+            continue
+        r = row.get(ncols, 0) * d
+        for k, v in row.items():
+            if k in x:
+                r -= v * x[k]
+        if i in rest:
+            # in y = d x, the row says (row on its columns left) . y = r
+            left.append({**rest[i], ncols: r} if r else rest[i])
+        elif r:
+            return None
+    pivots, _ = _eliminate(left, ncols + 1)
+    if pivots and pivots[-1][0] == ncols:
+        return None
+    y, e = _substitute(reversed(pivots), ncols, {})
+    if e > 1:
+        x = {k: v * e for k, v in x.items()}
+    x.update(y)
+    return x, d * e
 
 
 def kernel_q(rows, ncols):
@@ -508,11 +558,12 @@ def kernel_q(rows, ncols):
     and ``ncols`` columns (list of Fraction vectors): one vector per free
     column j, with free part e_j, as read off the reduced row echelon form."""
     _check_columns(rows, ncols)
-    peeled, rest = _peel([_int_row(row) for row in rows], ncols)
-    pivots, _ = _eliminate(rest, ncols)
+    order, rest = peel([_int_row(row) for row in rows], ncols)
+    pivots, _ = _eliminate(list(rest.values()), ncols)
     # a peeled column is 0 in every kernel vector
-    pivot_cols = {c for c, _ in peeled} | {c for c, _ in pivots}
-    return [_back_substitute(pivots, ncols, {j: 1}) for j in range(ncols) if j not in pivot_cols]
+    pivot_cols = {c for c, _ in order} | {c for c, _ in pivots}
+    steps = pivots[::-1]
+    return [_fractions(*_substitute(steps, ncols, {j: 1}), ncols) for j in range(ncols) if j not in pivot_cols]
 
 
 def solve_q(rows, ncols, rhs):
@@ -524,11 +575,8 @@ def solve_q(rows, ncols, rhs):
     """
     _check_columns(rows, ncols)
     augmented = [_int_row({**row, ncols: b} if b else row) for row, b in zip(rows, rhs, strict=True)]
-    peeled, rest = _peel(augmented, ncols)
-    pivots, _ = _eliminate(rest, ncols + 1)
-    if pivots and pivots[-1][0] == ncols:
-        return None
-    return _back_substitute(peeled + pivots, ncols, {})
+    sol = solve_peeled(augmented, ncols, *peel(augmented, ncols))
+    return None if sol is None else _fractions(*sol, ncols)
 
 
 def kernel_z(mat):

@@ -35,7 +35,8 @@ which frees the face's other edges, so the peel is the cellular collapse
 of the surface through its boundary.  A surface that collapses onto a
 graph, as the subdivided ambient pairs do, leaves no row of d2 to
 eliminate; a complex without free edges, such as RP^2, goes on to the
-elimination unchanged.
+elimination unchanged.  The peel reports the collapse order, which
+``scl.RotStructure`` keeps to solve every chain it is given.
 
 Contraction.  Rel its boundary a surface has no free edge, so the
 orientation witness, a kernel vector of d2 rel boundary, contracts faces
@@ -45,8 +46,9 @@ union-find over these rows leaves one unknown per class of faces, or
 forces a class to 0 through a one-entry row (RP^2's {0: 2}) or a parity
 conflict (a Moebius band).  Only the other rows, edges on three or more
 face sides or with a non-unit entry, are rewritten over the classes and
-reach ``kernel_q``; on a surface there are none, and each component
-becomes one unknown of a kernel with no row to eliminate.
+reach ``kernel_q``.  On a surface there are none: the kernel then has
+one vector per class left free, on disjoint supports, and the witness is
+the contraction's sign on each face, with no kernel solved.
 
 Every guard here raises ``HomologyError`` (a ``ComplexError``), so the
 checks also run under ``python -O``.
@@ -131,8 +133,8 @@ def _check_square_zero(d2, d1, what):
         total = {}
         for i, c in col.items():
             for v, a in d1[i].items():
-                _add(total, v, c * a)
-        if total:
+                total[v] = total.get(v, 0) + c * a
+        if any(total.values()):
             raise HomologyError(what)
 
 
@@ -149,9 +151,10 @@ def _d2_columns(cx: TwoComplex, sub: Subcomplex | None = None):
     for f in fs:
         col = {}
         for e, sign in cx.faces[f]:
-            if e in eix:
-                _add(col, eix[e], sign)
-        d2.append(col)
+            i = eix.get(e)
+            if i is not None:
+                col[i] = col.get(i, 0) + sign
+        d2.append(col if all(col.values()) else {i: c for i, c in col.items() if c})
     return d2, es, fs
 
 
@@ -380,7 +383,8 @@ def is_orientable(cx: TwoComplex, ring="Z"):
 
     Returns the witness ChainVec, or None when impossible.  The kernel of
     d2 rel boundary is found by contracting faces across every edge that
-    ties two of them (``_contract_faces``); only the rows the contraction
+    ties two of them (``_contract_faces``); with no row left, each face's
+    coefficient is its sign in its class.  Only the rows the contraction
     cannot read, edges on three or more face sides or with a non-unit
     entry, go to ``kernel_q``, over one unknown per class of faces.  Over
     Z and Q the answer agrees: the rational kernel basis, each vector scaled
@@ -470,6 +474,14 @@ def _orientation_witness(cx: TwoComplex, bsub: Subcomplex, ring):
         return ChainVec.make(ring, {})
     rows, fs = d2_rows(cx, bsub)
     face_class, rest, k = _contract_faces(rows, len(fs))
+    if not rest:
+        # the kernel has one vector per class, on disjoint supports: the
+        # contraction's sign on each face of a class left free
+        if any(col is None for col, _ in face_class):
+            return None
+        chain = ChainVec.make(ring, {f: s for f, (_, s) in zip(fs, face_class)})
+        _assert_orientation_witness(cx, chain, bsub)
+        return chain
     basis = []
     for vec in kernel_q(rest, k):
         d = lcm(*(x.denominator for x in vec))

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .complexes import ComplexError, TwoComplex
 from .homology import d2_rows
-from .exactlin import rank_q, solve_q, unit_reduce
+from .exactlin import peel, rank_q, solve_peeled, unit_reduce
 from .lp import LpResult, solve_lp
 from .words import ChainError, EdgeChain, OneChain, letter_inverse, word_inverse
 
@@ -204,6 +205,15 @@ def scl_upper_from_surface(surface) -> Fraction:
 
 
 # -- rotation number via cellular area -------------------------------------
+#
+# Positive face weights w_f, in units of pi and totalling -2 chi, make S a
+# surface of constant area; rot(c) is the area a cellular 1-boundary c
+# encloses over 2 pi, that is sum w_f x_f / 2 for the 2-chain x with
+# d2 x = c.  H2(S; Q) = 0 makes x unique.  A complete collapse of S through
+# its free edges certifies it, since each collapse step solves one face, and
+# the same order then solves x for every c.  The area is one integer dot
+# product: the weights are numerators over one denominator D, x is
+# numerators over one denominator d, and one Fraction is formed at the end.
 
 
 @dataclass
@@ -211,31 +221,50 @@ class RotStructure:
     """Per-face positive area weights, in units of pi, totalling -2 chi.
 
     Requires H2(S; Q) = 0, so a cellular 1-boundary has a unique bounding
-    2-chain and the enclosed area is well defined.  The rows of d2 that
-    certify it are kept for ``rot_value``.
+    2-chain and the enclosed area is well defined.  The rows of d2, one per
+    edge, are peeled once (``exactlin.peel``): each free edge solves the one
+    face it has left, which is the cellular collapse of S through its free
+    edges.  A complete collapse, which every surface with boundary has,
+    solves every face, so rank d2 = #faces, i.e. H2(S; Q) = 0, with nothing
+    eliminated; only the rows a collapse leaves are ranked by elimination.
+    The order and the rows left are kept for ``rot_value``.  The weights,
+    each an int or a Fraction, are kept as integer numerators over one
+    denominator.
     """
 
     cx: TwoComplex
-    weights: dict  # face id -> positive Fraction
+    weights: dict  # face id -> positive int or Fraction
     d2: list = field(init=False, repr=False, compare=False)  # edge rows {face index: count}
+    order: list = field(init=False, repr=False, compare=False)  # (face index, edge row) solved in turn
+    rest: dict = field(init=False, repr=False, compare=False)  # edge row -> its faces the collapse left
+    area: list = field(init=False, repr=False, compare=False)  # per face index, over ``denominator``
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.d2, _ = d2_rows(self.cx)
-        units, residual = unit_reduce(self.d2, len(self.cx.faces))
-        if units + rank_q(residual) != len(self.cx.faces):
+        self.d2, fs = d2_rows(self.cx)
+        self.order, self.rest = peel(self.d2, len(fs))
+        rank = len(self.order)
+        if self.rest:
+            units, residual = unit_reduce(list(self.rest.values()), len(fs))
+            rank += units + rank_q(residual)
+        if rank != len(fs):
             raise ComplexError("rot structure needs H2(S; Q) = 0")
-        if set(self.weights) != set(self.cx.faces):
+        if set(self.weights) != set(fs):
             raise ComplexError("rot structure must weight every face")
-        total = Fraction(0)
-        for f, w in self.weights.items():
-            w = Fraction(w)
-            if w <= 0:
-                raise ComplexError("area weights must be positive")
-            total += w
-        expected = Fraction(-2 * self.cx.euler_characteristic())
-        if total != expected:
+        weights = [self.weights[f] for f in fs]
+        for f, w in zip(fs, weights):
+            if not isinstance(w, (int, Fraction)):
+                raise ComplexError(
+                    f"area weight of face {self.cx.name('f', f)} is {w!r}, not an int or a Fraction"
+                )
+        self.denominator = lcm(*(w.denominator for w in weights))
+        self.area = [w.numerator * (self.denominator // w.denominator) for w in weights]
+        if any(a <= 0 for a in self.area):
+            raise ComplexError("area weights must be positive")
+        expected = -2 * self.cx.euler_characteristic()
+        if sum(self.area) != expected * self.denominator:
             raise ComplexError(
-                f"area weights total {total} pi but -2 chi = {expected} pi"
+                f"area weights total {Fraction(sum(self.area), self.denominator)} pi but -2 chi = {expected} pi"
             )
 
 
@@ -253,15 +282,26 @@ def default_rot_structure(cx: TwoComplex) -> RotStructure:
 
 
 def rot_value(structure: RotStructure, chain: EdgeChain) -> Fraction:
-    """rot(c) = enclosed area / 2 pi for a cellular 1-boundary c."""
+    """rot(c) = enclosed area / 2 pi for a cellular 1-boundary c.
+
+    The chain's edge vector b is substituted through the structure's
+    collapse order, face by face, on integer numerators over one running
+    denominator d, and the rows the collapse left are eliminated.  Each edge
+    row that solved a face holds by construction, and every other one is
+    checked against b, which certifies d2 x = b.  The area is then one
+    integer dot product: sum of w_f x_f over 2 D d, with the weights w_f
+    over their denominator D.
+    """
     cx = structure.cx
     vec = chain.one_chain_vector(cx)
-    fs = list(cx.faces)
-    rhs = [vec.get(e, 0) for e in cx.edges]
-    sol = solve_q(structure.d2, len(fs), rhs)
+    n = len(structure.area)
+    rows = [{**row, n: vec[e]} if e in vec else row for row, e in zip(structure.d2, cx.edges)]
+    sol = solve_peeled(rows, n, structure.order, structure.rest)
     if sol is None:
         raise ComplexError("chain is not a cellular 1-boundary")
-    return sum(sol[j] * Fraction(structure.weights[f]) for j, f in enumerate(fs)) / 2
+    x, d = sol
+    area = structure.area
+    return Fraction(sum(area[k] * v for k, v in x.items()), 2 * structure.denominator * d)
 
 
 @dataclass

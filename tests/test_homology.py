@@ -36,7 +36,6 @@ from sclkit.fixtures import (
 )
 from sclkit.homology import (
     ChainVec,
-    HomologyError,
     RingError,
     _assert_orientation_witness,
     _boundary_columns,
@@ -603,6 +602,26 @@ def test_rows_the_contraction_cannot_read_reach_the_kernel(monkeypatch):
     assert three_faces > 20 and run_twice > 20
 
 
+def test_disjoint_triangles_get_a_unit_witness_without_kernel_q(monkeypatch):
+    import sclkit.homology
+
+    # 400 triangles: rel its boundary each is a class of its own, and no
+    # row is left for kernel_q
+    edges, faces = {}, {}
+    for t in range(400):
+        a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
+        edges.update({a: (a, b), b: (b, c), c: (c, a)})
+        faces[t] = ((a, 1), (b, 1), (c, 1))
+    cx = TwoComplex(range(1200), edges, faces)
+    handed = []
+    monkeypatch.setattr(sclkit.homology, "kernel_q", lambda rows, ncols: handed.append(rows))
+    for ring in ("Z", "Q"):
+        witness = is_orientable(cx, ring)
+        assert witness is not None and witness.support() == set(cx.faces)
+        assert {abs(c) for _, c in witness.coeffs} == {1}
+    assert handed == []
+
+
 def test_closed_genus8_twice_subdivided():
     cx = barycentric(barycentric(closed_genus(8))[0])[0]
     assert (len(cx.vertices), len(cx.edges), len(cx.faces)) == (178, 576, 384)
@@ -663,24 +682,23 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
     monkeypatch.setattr(sclkit.homology, "_boundary_columns", counting_boundary_columns)
     monkeypatch.setattr(sclkit.homology, "unit_reduce", recording_unit_reduce)
     monkeypatch.setattr(sclkit.scl, "unit_reduce", recording_unit_reduce)
-    # the rot structure builds d2 alone, ranks it and solves on the same
-    # rows; with no d1 it builds no boundary columns, and every face
-    # collapses through a free edge, so no d2 row is left to eliminate
+    # the rot structure builds d2 alone and solves on the same rows; with
+    # no d1 it builds no boundary columns, and every face collapses through
+    # a free edge, which ranks d2 without unit_reduce and leaves no d2 row
+    # to eliminate
     structure = RotStructure(cx, weights)
     assert rot_value(structure, chain) == 3
     assert builds == []
-    assert eliminated and not any(eliminated)
-    # one reduction, of d2, whose edge rows have an entry per face; d1's
-    # vertex rows would have one per edge
-    assert len(cx.faces) != len(cx.edges)
-    assert reduced == [len(cx.faces)]
+    assert len(structure.order) == len(cx.faces) and not structure.rest
+    assert not any(eliminated)
+    assert reduced == []
     # rel its boundary every face contracts into one class: the witness
-    # builds no d1 and leaves kernel_q no row to eliminate
+    # builds no d1 and is read off the contraction, with nothing eliminated
     eliminated.clear()
     witness = is_orientable(cx)
     assert witness is not None and witness.support() == set(cx.faces)
     assert builds == []
-    assert eliminated and not any(eliminated)
+    assert eliminated == []
     # the cone reuses X's boundary columns and reduces only its own d1; its
     # d2 rank is read off the kernel
     reduced.clear()

@@ -1,21 +1,40 @@
+import functools
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sclkit.complexes import ComplexError
-from sclkit.fixtures import one_holed, closed_genus3_split
+import sclkit.scl
+from sclkit.complexes import ComplexError, TwoComplex, barycentric
+from sclkit.exactlin import rank_q, solve_q, unit_reduce
+from sclkit.fixtures import ambient_pair, one_holed, closed_genus3_split
+from sclkit.homology import d2_rows
 from sclkit.scl import (
     RotStructure,
     SclResult,
+    _scl_full_lp,
     bavard_sandwich,
     default_rot_structure,
     rot_value,
     scl_compare_under_inclusion,
     scl_lp,
 )
-from sclkit.words import ChainError, EdgeChain, OneChain, cyclic_reduce, letter_inverse, parse_chain, parse_edge_chain
+from sclkit.words import (
+    ChainError,
+    EdgeChain,
+    OneChain,
+    cyclic_reduce,
+    letter_inverse,
+    parse_chain,
+    parse_edge_chain,
+    word_inverse,
+)
 
 
 def scl(text, basis):
@@ -154,6 +173,54 @@ def test_scl_of_twice_a_random_chain_is_twice_its_scl(chain):
     assert scl_lp(chain.scaled(2)).value == 2 * scl_lp(chain).value
 
 
+def _full_lp_of_forced(chain, npos, edges):
+    """``_scl_full_lp`` on the arguments of a ``_scl_forced`` call: the pair
+    of edge k // 2 is read off the far ends of its two edges."""
+    ends = {}
+    for _, dst, idx in edges:
+        ends.setdefault(idx, []).append(dst)
+    pairs = [tuple(sorted(ends[idx])) for idx in range(len(ends))]
+    partners = {u: [idx for idx, pair in enumerate(pairs) if u in pair] for u in range(npos)}
+    return _scl_full_lp(chain, npos, pairs, partners, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(boundary_chains(10))
+def test_scl_of_a_random_chain_meets_duncan_howie_and_the_forced_path_meets_the_lp(chain):
+    forced = sclkit.scl._scl_forced
+
+    def forced_checked_by_lp(chain, npos, edges):
+        result = forced(chain, npos, edges)
+        assert result.value == _full_lp_of_forced(chain, npos, edges).value
+        return result
+
+    # the product of the chain's words, each taken c times, is one word
+    # with zero exponent sums: Duncan-Howie gives it scl >= 1/2 unless it
+    # is trivial
+    word = [x for c, w in chain.terms for x in (w if c > 0 else word_inverse(w)) * abs(c)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sclkit.scl, "_scl_forced", forced_checked_by_lp)
+        scl_lp(chain)
+        if cyclic_reduce(tuple(word)):
+            assert scl_lp(OneChain.make("ab", [(1, word)])).value >= Fraction(1, 2)
+
+
+REDUCED_WORDS = st.lists(st.sampled_from(LETTERS), min_size=1, max_size=4).filter(
+    lambda w: all(w[i + 1] != letter_inverse(w[i]) for i in range(len(w) - 1))
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(REDUCED_WORDS, REDUCED_WORDS)
+def test_scl_of_a_pair_of_pants_boundary_is_at_most_a_half(g, h):
+    # g, h and (gh)^-1 bound a pair of pants, -chi = 1; a circle whose word
+    # reduces to 1 is capped off with a disc
+    words = [w for w in (g, h, word_inverse(tuple(g + h))) if cyclic_reduce(tuple(w))]
+    chain = OneChain.make("ab", [(1, w) for w in words])
+    value = scl_lp(chain).value
+    assert 0 <= value <= Fraction(1, 2)
+
+
 def test_scl_compare_under_basis_inclusion():
     report = scl_compare_under_inclusion(parse_chain("[a,b]", "ab"), "abcd")
     assert report.small.value == report.big.value == Fraction(1, 2)
@@ -202,6 +269,188 @@ def test_rot_independent_of_weight_split():
     r1 = rot_value(RotStructure(s, w1), chain)
     r2 = rot_value(RotStructure(s, w2), chain)
     assert r1 == r2 == 3  # -chi = 3
+
+
+def test_rot_structure_refuses_weights_that_are_not_rational():
+    s, _ = ambient_pair(1, 2)
+    for bad in (0.1, 3.0):
+        weights = {f: bad for f in s.faces}
+        with pytest.raises(ComplexError, match=r"area weight of face fT is .*, not an int or a Fraction"):
+            RotStructure(s, weights)
+    # an int and a Fraction are both exact
+    weights = {s.face_id("fT"): 2, s.face_id("fR"): Fraction(4)}
+    assert rot_value(RotStructure(s, weights), parse_edge_chain("c-", s)) == 3
+
+
+def test_rot_refusals_are_typed_under_optimize():
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+
+        from sclkit.complexes import ComplexError
+        from sclkit.fixtures import ambient_pair, closed_genus3_split
+        from sclkit.scl import RotStructure, rot_value
+        from sclkit.words import parse_edge_chain
+
+        s, _ = ambient_pair(1, 2)
+        t, r = s.face_id("fT"), s.face_id("fR")
+        cases = {
+            "float": lambda: RotStructure(s, {t: 0.1, r: 5.9}),
+            "exact_float": lambda: RotStructure(s, {t: 3.0, r: 3.0}),
+            "h2": lambda: RotStructure(closed_genus3_split(), {0: 4, 1: 4}),
+            "positive": lambda: RotStructure(s, {t: 0, r: 6}),
+            "total": lambda: RotStructure(s, {t: 1, r: 1}),
+            "boundary": lambda: rot_value(RotStructure(s, {t: 3, r: 3}), parse_edge_chain("a1+", s)),
+        }
+        for name, call in cases.items():
+            try:
+                call()
+            except ComplexError as exc:
+                print(name, "|", exc)
+        """
+    )
+    src = str(Path(sclkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "float | area weight of face fT is 0.1, not an int or a Fraction",
+        "exact_float | area weight of face fT is 3.0, not an int or a Fraction",
+        "h2 | rot structure needs H2(S; Q) = 0",
+        "positive | area weights must be positive",
+        "total | area weights total 2 pi but -2 chi = 6 pi",
+        "boundary | chain is not a cellular 1-boundary",
+    ]
+
+
+# -- the rot path against a solve of all of d2 ------------------------------
+
+
+def reference_rot_value(cx, weights, chain):
+    """rot by ``solve_q`` on every row of d2 and a Fraction sum."""
+    d2, fs = d2_rows(cx)
+    vec = chain.one_chain_vector(cx)
+    sol = solve_q(d2, len(fs), [vec.get(e, 0) for e in cx.edges])
+    if sol is None:
+        raise ComplexError("chain is not a cellular 1-boundary")
+    return sum(sol[j] * Fraction(weights[f]) for j, f in enumerate(fs)) / 2
+
+
+def reference_rot_refusal(cx, weights):
+    """The message ``RotStructure`` refuses rational weights with, ranking
+    all of d2 by ``unit_reduce`` and ``rank_q``, or None."""
+    d2, fs = d2_rows(cx)
+    units, residual = unit_reduce(d2, len(fs))
+    if units + rank_q(residual) != len(fs):
+        return "rot structure needs H2(S; Q) = 0"
+    if set(weights) != set(fs):
+        return "rot structure must weight every face"
+    if any(w <= 0 for w in weights.values()):
+        return "area weights must be positive"
+    total = sum(map(Fraction, weights.values()))
+    expected = Fraction(-2 * cx.euler_characteristic())
+    if total != expected:
+        return f"area weights total {total} pi but -2 chi = {expected} pi"
+    return None
+
+
+def _collapse_stops():
+    """Loops a and b with faces a a b and a b b, wedged onto one_holed(2):
+    the collapse takes the one-holed face through c and stops, since a and
+    b each lie on three face sides.  H2 = 0 (det [[2, 1], [1, 2]] = 3) and
+    chi = -3; a and b bound over Q, a1 does not."""
+    base = one_holed(2)
+    edges = [(base.name("e", e), "v", "v") for e in base.edges] + [("a", "v", "v"), ("b", "v", "v")]
+    word = [(base.name("e", e), sign) for e, sign in base.faces[base.face_id("f")]]
+    faces = [("f", word), ("aab", [("a", 1), ("a", 1), ("b", 1)]), ("abb", [("a", 1), ("b", 1), ("b", 1)])]
+    cx = TwoComplex.build(["v"], edges, faces)
+    return cx, [((cx.edge_id(name), 1),) for name in ("a", "b", "a1")]
+
+
+def _ambient(inner, outer, level):
+    """ambient_pair(inner, outer) subdivided ``level`` times, with the loop
+    a1, which bounds nothing, carried through the halves."""
+    cx, _ = ambient_pair(inner, outer)
+    loop = ((cx.edge_id("a1"), 1),)
+    for _ in range(level):
+        cx, halves = barycentric(cx)
+        loop = tuple(
+            x
+            for e, sign in loop
+            for x in (((halves[e][0], 1), (halves[e][1], 1)) if sign == 1 else ((halves[e][1], -1), (halves[e][0], -1)))
+        )
+    return cx, [loop]
+
+
+ROT_COMPLEXES = {
+    **{
+        f"ambient({i},{o})/L{level}": functools.partial(_ambient, i, o, level)
+        for i, o in ((1, 2), (2, 4))
+        for level in (0, 1, 2)
+    },
+    "aab + abb on one_holed(2)": _collapse_stops,
+    "closed genus 3 split": lambda: (closed_genus3_split(), []),
+}
+
+
+@functools.cache
+def _rot_complex(name):
+    return ROT_COMPLEXES[name]()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(ROT_COMPLEXES)), st.data())
+def test_rot_value_matches_a_solve_of_all_of_d2(name, data):
+    cx, loops = _rot_complex(name)
+    fs = list(cx.faces)
+    parts = data.draw(st.lists(st.integers(1, 6), min_size=len(fs), max_size=len(fs)))
+    target = -2 * cx.euler_characteristic()
+    weights = {f: Fraction(p * target, sum(parts)) for f, p in zip(fs, parts)}
+    if data.draw(st.booleans()):
+        weights = {f: int(w) if w.denominator == 1 else w for f, w in weights.items()}
+    f = data.draw(st.sampled_from(fs))
+    broken = data.draw(st.sampled_from((None, None, None, "zero", "total", "missing")))
+    if broken == "zero":
+        weights[f] = 0
+    elif broken == "total":
+        weights[f] += 1
+    elif broken == "missing":
+        del weights[f]
+    refusal = reference_rot_refusal(cx, weights)
+    if refusal is not None:
+        with pytest.raises(ComplexError) as exc:
+            RotStructure(cx, weights)
+        assert str(exc.value) == refusal
+        return
+    structure = RotStructure(cx, weights)
+    # a small integer sum of face words, and now and then of other loops
+    faces = data.draw(st.lists(st.tuples(st.sampled_from(fs), st.integers(-2, 2)), max_size=4))
+    extra = data.draw(st.lists(st.tuples(st.sampled_from(loops), st.integers(-2, 2)), max_size=2)) if loops else []
+    chain = EdgeChain.make(cx, [(k, cx.faces[f]) for f, k in faces] + [(k, loop) for loop, k in extra])
+    try:
+        expected = reference_rot_value(cx, weights, chain)
+    except ComplexError:
+        with pytest.raises(ComplexError, match="chain is not a cellular 1-boundary"):
+            rot_value(structure, chain)
+        return
+    assert rot_value(structure, chain) == expected
+    if not any(k for _, k in extra):
+        # H2 = 0: the face words bound exactly the faces they came from
+        assert expected == sum(k * Fraction(weights[f]) for f, k in faces) / 2
+
+
+def test_a_collapse_that_stops_leaves_rows_to_eliminate():
+    cx, (a, b, a1) = _collapse_stops()
+    structure = default_rot_structure(cx)
+    assert len(structure.order) == 1 and len(structure.rest) == 2
+    # the face f, then 2 x + y = 1 and x + 2 y = 0 on the faces a a b and
+    # a b b: thirds, which scale the numerator of f found before them
+    f, aab, abb = (cx.face_id(name) for name in ("f", "aab", "abb"))
+    chain = EdgeChain.make(cx, [(1, cx.faces[f]), (1, a)])
+    weights = structure.weights
+    area = weights[f] + Fraction(2, 3) * weights[aab] - Fraction(1, 3) * weights[abb]
+    assert rot_value(structure, chain) == area / 2
+    with pytest.raises(ComplexError, match="chain is not a cellular 1-boundary"):
+        rot_value(structure, EdgeChain.make(cx, [(1, a1)]))
 
 
 def test_bavard_sandwich_lower_only():
