@@ -198,11 +198,10 @@ class LinkGraph:
 
     Each corner of a face word passing through the vertex contributes one
     edge between the inverse of the incoming side and the outgoing side,
-    tagged by (face id, corner index).  ``links`` builds the links of all
-    vertices of a complex in one pass; ``link_graph`` reads one from it.
-    Only ``rewrite._walk_link_until`` still walks link graphs: questions
-    about the shape of a link are answered by ``link_shapes`` without
-    building them.
+    tagged by (face id, corner index).  ``link_graph`` builds the link of
+    one vertex.  Only ``rewrite._walk_link_until`` still walks link graphs:
+    questions about the shape of a link are answered by ``link_shapes``
+    without building them.
     """
 
     vertex: int
@@ -242,36 +241,23 @@ class LinkShape(NamedTuple):
         return "arc" if self.ones else "circle"
 
 
-def links(cx: TwoComplex) -> dict:
-    """Links of all vertices: vertex id -> LinkGraph, in vertex id order.
-
-    One pass over the edges files the half-edges at their endpoints, and one
-    pass over the face words files each corner at the vertex it passes.
-    """
-    nodes = {v: [] for v in cx.vertices}
-    corners = {v: [] for v in cx.vertices}
-    # edges run in ascending id and (e, -1) < (e, 1): every node list is sorted
-    for e, (s, t) in cx.edges.items():
-        nodes[t].append((e, -1))
-        nodes[s].append((e, 1))
-    for f, word in cx.faces.items():
-        n = len(word)
-        for k, side in enumerate(word):
-            corners[cx.endpoint(side, 1)].append(
-                ((inv(side), word[(k + 1) % n]), (f, k))
-            )
-    return {
-        v: LinkGraph(vertex=v, nodes=tuple(nodes[v]), links=tuple(corners[v]))
-        for v in cx.vertices
-    }
-
-
 def link_graph(cx: TwoComplex, v) -> LinkGraph:
-    """Link of vertex v in cx, read from the table of ``links(cx)``."""
-    table = links(cx)
-    if v not in table:
+    """Link of vertex v in cx: the half-edges at v in edge order, (e, -1)
+    before (e, 1), and the corners at v in face order."""
+    if v not in cx.vertices:
         raise ComplexError(f"unknown vertex id {v}")
-    return table[v]
+    nodes = []
+    for e, (s, t) in cx.edges.items():
+        if t == v:
+            nodes.append((e, -1))
+        if s == v:
+            nodes.append((e, 1))
+    corners = []
+    for f, word in cx.faces.items():
+        for k, side in enumerate(word):
+            if cx.endpoint(side, 1) == v:
+                corners.append(((inv(side), word[(k + 1) % len(word)]), (f, k)))
+    return LinkGraph(vertex=v, nodes=tuple(nodes), links=tuple(corners))
 
 
 def link_shapes(cx: TwoComplex) -> dict:
@@ -374,9 +360,9 @@ class Subcomplex:
             s, t = cx.edges[e]
             if s not in self.vertex_set or t not in self.vertex_set:
                 raise ComplexError("subcomplex not closed: edge endpoint missing")
-        for v in self.vertex_set:
-            if v not in cx.vertices:
-                raise ComplexError(f"unknown vertex id {v}")
+        unknown = self.vertex_set.difference(cx.vertices)
+        if unknown:
+            raise ComplexError(f"unknown vertex id {min(unknown)}")
 
     def as_complex(self) -> TwoComplex:
         """The subcomplex as a TwoComplex, keeping the parent's cell ids."""
@@ -416,9 +402,10 @@ class Subcomplex:
 def induced_subcomplex(cx: TwoComplex, cells) -> Subcomplex:
     """Close a cell set under face boundaries and edge endpoints."""
     vs, es, fs = set(), set(), set()
+    vertices = set(cx.vertices)
     for kind, ident in cells:
         if kind == "v":
-            if ident not in cx.vertices:
+            if ident not in vertices:
                 raise ComplexError(f"unknown vertex id {ident}")
             vs.add(ident)
         elif kind == "e":

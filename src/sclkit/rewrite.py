@@ -3,8 +3,9 @@
 ``make_standard_form`` reaches standard form by one route: it drops
 trivial components, connects disconnected vertex-disc links and
 eliminates folds, thickening the target's boundary when a link to be
-connected sits over a boundary vertex.  All moves return new surfaces
-(full revalidation included) plus log entries.
+connected sits over a boundary vertex of the ``Target``.  All moves return
+new surfaces, validated on their pieces, over their input's target, plus
+log entries; thickening makes the one new target, checked once.
 
 The surgery engine works on a global successor map over slot tokens:
 every vertex disc contributes a cyclic list of tokens (handle ends and
@@ -36,13 +37,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .complexes import TwoComplex, boundary_subcomplex, link_graph, link_shapes, surface_check
+from .complexes import TwoComplex, link_graph
 from .homology import homology
 from .surfaces import (
     FREE,
     AdmissibleSurface,
     FPiece,
     SurfaceError,
+    Target,
     VPiece,
     corner_tokens,
     required_long_index,
@@ -633,7 +635,7 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
     runs = surface.link_runs(vid)
     if len(runs) <= 1:
         raise MoveError("vertex disc already has a connected link")
-    if link_shapes(surface.target)[v].kind() != "circle":
+    if v in surface.target.boundary_vertices:
         raise MoveError(
             "vertex disc maps to a boundary vertex; thicken the target first"
         )
@@ -747,19 +749,17 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
 # -- boundary thickening -------------------------------------------------------
 
 
-def thicken_boundary(cx: TwoComplex) -> TwoComplex:
+def thicken_boundary(cx: TwoComplex) -> Target:
     """Glue a cellulated annulus collar to each boundary circuit.
 
-    The result is homeomorphic to the input (same Euler characteristic and
+    The input and the result are each checked once, as a ``Target``.  The
+    result is homeomorphic to the input (same Euler characteristic and
     homology, checked); every old boundary vertex becomes interior.  Old
     cells keep their ids, so complexes, chains and surfaces over the old
     cellulation remain valid over the new one.
     """
-    report = surface_check(cx)
-    if not report.is_surface:
-        raise MoveError("thickening needs a cellulated surface")
-    bsub = boundary_subcomplex(cx)
-    if not bsub.edge_set:
+    cx = Target.of(cx)
+    if not cx.boundary_edges:
         return cx
     totals = cx.signed_incidences()
 
@@ -774,42 +774,37 @@ def thicken_boundary(cx: TwoComplex) -> TwoComplex:
 
     v_prime = {}
     rung = {}
-    for v in sorted(bsub.vertex_set):
+    for v in sorted(cx.boundary_vertices):
         v_prime[v] = next_v
         names[("v", next_v)] = cx.name("v", v) + "'"
         vertices.append(next_v)
         next_v += 1
-    for v in sorted(bsub.vertex_set):
         rung[v] = next_e
         edges[next_e] = (v, v_prime[v])
         names[("e", next_e)] = "|" + cx.name("v", v)
         next_e += 1
-    for e in sorted(bsub.edge_set):
+    for e in sorted(cx.boundary_edges):
         u, w = cx.edges[e]
         e_prime = next_e
         edges[e_prime] = (v_prime[u], v_prime[w])
         names[("e", e_prime)] = cx.name("e", e) + "'"
         next_e += 1
-        beta = totals[e]
-        if beta == 1:
+        # a boundary edge of a coherently oriented surface has one face
+        # side, so its signed incidence is +1 or -1
+        if totals[e] == 1:
             word = ((e, -1), (rung[u], 1), (e_prime, 1), (rung[w], -1))
-        elif beta == -1:
-            word = ((e, 1), (rung[w], 1), (e_prime, -1), (rung[u], -1))
         else:
-            raise MoveError("boundary edge with unexpected orientation count")
+            word = ((e, 1), (rung[w], 1), (e_prime, -1), (rung[u], -1))
         faces[next_f] = word
         names[("f", next_f)] = "collar_" + cx.name("e", e)
         next_f += 1
 
-    out = TwoComplex(vertices, edges, faces, names)
-    rep = surface_check(out)
-    if not rep.is_surface:
-        raise MoveError("thickening broke the surface")
+    out = Target.of(TwoComplex(vertices, edges, faces, names))
     if out.euler_characteristic() != cx.euler_characteristic():
         raise MoveError("thickening changed the Euler characteristic")
     if homology(out, "Q").ranks != homology(cx, "Q").ranks:
         raise MoveError("thickening changed the homology")
-    if bsub.vertex_set & set(rep.boundary_vertices):
+    if cx.boundary_vertices & out.boundary_vertices:
         raise MoveError("old boundary vertex still on the boundary")
     return out
 
@@ -865,8 +860,7 @@ def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
             raise MoveError("standard-form loop exceeded its potential bound")
         vids = [v for v in sorted(s.vpieces) if s.bar_link_components(v) > 1]
         if vids:
-            shapes = link_shapes(s.target)
-            if any(shapes[s.vpieces[v].vertex].kind() != "circle" for v in vids):
+            if any(s.vpieces[v].vertex in s.target.boundary_vertices for v in vids):
                 before = _metrics(s)
                 new_target = thicken_boundary(s.target)
                 s = retarget(s, new_target)

@@ -18,10 +18,11 @@ handle's ends are the slots that hold them and its long sides the disc
 sides glued to them; ``hpieces`` holds the ``HPiece`` values read off that
 way.
 
-Both the surface and the target are oriented.  The target must be written
-with a coherent positive orientation: the sum of all its face words is a
-relative cycle.  Every piece's attaching word below is its counterclockwise
-boundary, and these conventions make the identifications canonical:
+Both the surface and the target are oriented.  The target is a ``Target``,
+a surface checked once to have a coherent positive orientation: the sum of
+all its face words is a relative cycle.  Every piece's attaching word below
+is its counterclockwise boundary, and these conventions make the
+identifications canonical:
 
 * vertex disc with m slots: corner points p_0..p_{m-1}; slot edge j runs
   p_j -> p_{j+1}; the disc's word is slot_0 ... slot_{m-1}.
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import TwoComplex, boundary_subcomplex, surface_check
+from .complexes import TwoComplex, surface_check
 from .words import EdgeChain, cyclic_rotations, cyclically_equal, word_inverse
 
 
@@ -155,13 +156,40 @@ class StandardFormReport:
         return self.disc_sphere_free and self.connected_links and self.non_folded
 
 
+class Target(TwoComplex):
+    """A coherently oriented cellulated surface, checked once by ``of``,
+    which passes a ``Target`` through unchecked.  It shares the cells of the
+    complex it is made from and keeps ``boundary_vertices`` (arc links) and
+    ``boundary_edges`` (one face side)."""
+
+    @classmethod
+    def of(cls, cx: TwoComplex) -> Target:
+        if isinstance(cx, Target):
+            return cx
+        report = surface_check(cx)
+        if not report.is_surface:
+            raise SurfaceError(f"target is not a surface: {report.witnesses}")
+        target = cls.__new__(cls)
+        target.__dict__.update(vars(cx))
+        target.boundary_vertices = frozenset(report.boundary_vertices)
+        target.boundary_edges = frozenset(e for e, n in cx.side_incidences().items() if n == 1)
+        for e, total in cx.signed_incidences().items():
+            if total and e not in target.boundary_edges:
+                raise SurfaceError(
+                    "target words are not coherently oriented: "
+                    f"edge {cx.name('e', e)} has signed incidence {total}"
+                )
+        return target
+
+
 class AdmissibleSurface:
     """A validated transverse admissible surface over a cellulated surface.
 
-    ``vpieces`` and ``fpieces`` map ids to ``VPiece`` and ``FPiece`` values,
-    and ``handles`` maps each handle id to its edge.  Construction runs
-    every check once and reads each handle's ends and long sides off the
-    slots and disc sides that hold them, as ``hpieces``.
+    ``target`` goes through ``Target.of``.  ``vpieces`` and ``fpieces`` map
+    ids to ``VPiece`` and ``FPiece`` values, and ``handles`` maps each handle
+    id to its edge.  Construction runs every check once and reads each
+    handle's ends and long sides off the slots and disc sides that hold them,
+    as ``hpieces``.
 
     ``assignments`` says which circle each lettered boundary circuit winds
     around, and how often:
@@ -190,13 +218,12 @@ class AdmissibleSurface:
         homotopy=None,
         relaxed_boundary=False,
     ):
-        self.target = target
+        self.target = target = Target.of(target)
         self.chain = chain
         self.vpieces = {k: vpieces[k] for k in sorted(vpieces)}
         self.fpieces = {k: fpieces[k] for k in sorted(fpieces)}
         self.homotopy = {f: c for f, c in (homotopy or {}).items() if c}
         self.relaxed = bool(relaxed_boundary) or bool(self.homotopy)
-        self._validate_target()
         self._validate_pieces(handles)
         self._check_corners()
         self._extract_circuits()
@@ -211,19 +238,6 @@ class AdmissibleSurface:
         self._find_link_runs()
 
     # -- validation ------------------------------------------------------
-
-    def _validate_target(self):
-        cx = self.target
-        report = surface_check(cx)
-        if not report.is_surface:
-            raise SurfaceError(f"target is not a surface: {report.witnesses}")
-        bset = boundary_subcomplex(cx).edge_set
-        for e, total in cx.signed_incidences().items():
-            if total != 0 and e not in bset:
-                raise SurfaceError(
-                    "target words are not coherently oriented: "
-                    f"edge {cx.name('e', e)} has signed incidence {total}"
-                )
 
     def _validate_pieces(self, handles):
         """Check the pieces and read off each handle's gluing.

@@ -8,6 +8,7 @@ import sclkit.complexes
 from sclkit.complexes import (
     ComplexError,
     LinkGraph,
+    Subcomplex,
     SurfaceReport,
     TwoComplex,
     barycentric,
@@ -16,7 +17,6 @@ from sclkit.complexes import (
     inv,
     link_graph,
     link_shapes,
-    links,
     parse_complex,
     print_complex,
     reduced_euler,
@@ -313,6 +313,23 @@ def test_induced_subcomplex_unknown_id():
         induced_subcomplex(torus(), [("f", 9)])
 
 
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (({0}, {0, 1}, {9}), "unknown face id 9"),
+        (({0}, {0, 9}, set()), "unknown edge id 9"),
+        (({0, 9}, {0, 1}, set()), "unknown vertex id 9"),
+        (({0}, {0}, {0}), "face edge missing"),
+        ((set(), {0}, set()), "edge endpoint missing"),
+    ],
+)
+def test_subcomplex_refuses_unknown_cells_and_open_cell_sets(cells, message):
+    # torus(): vertex 0, loops a = 0 and b = 1, face 0 = a b A B
+    vs, es, fs = map(frozenset, cells)
+    with pytest.raises(ComplexError, match=message):
+        Subcomplex(torus(), vs, es, fs)
+
+
 def test_connected_components():
     assert len(torus().connected_components()) == 1
     assert len(disjoint_union(torus(), rp2()).connected_components()) == 2
@@ -354,8 +371,8 @@ def test_parse_errors():
         parse_complex("widget w\n")
 
 
-# -- the per-vertex scans that ``links``, ``link_shapes`` and the vertex
-# union-find replaced, kept as references
+# -- per-vertex scans, kept as references for ``link_graph`` and for the
+# ``link_shapes`` and vertex union-find passes that replaced them
 
 
 def reference_link_graph(cx, v):
@@ -481,12 +498,8 @@ def assert_shapes_match_the_dfs(cx):
 
 
 def assert_matches_references(cx):
-    table = links(cx)
-    assert list(table) == list(cx.vertices)
     for v in cx.vertices:
-        expected = reference_link_graph(cx, v)
-        assert table[v] == expected
-        assert link_graph(cx, v) == expected
+        assert link_graph(cx, v) == reference_link_graph(cx, v)
     assert surface_check(cx) == reference_surface_check(cx)
     assert_shapes_match_the_dfs(cx)
     assert cx.connected_components() == reference_components(cx)
@@ -595,9 +608,9 @@ def reference_collapse(surface):
 
 
 def assert_bar_links_match_the_dfs(surface):
-    table = links(reference_collapse(surface))
+    collapsed = reference_collapse(surface)
     for ix, vid in enumerate(surface.vpieces):
-        assert surface.bar_link_components(vid) == len(reference_link_components(table[ix]))
+        assert surface.bar_link_components(vid) == len(reference_link_components(link_graph(collapsed, ix)))
         assert sorted(j for run in surface.link_runs(vid) for j in run) == [
             j for j, slot in enumerate(surface.vpieces[vid].slots) if slot != FREE
         ]
@@ -661,7 +674,6 @@ def test_surface_check_builds_no_link_graph(which, monkeypatch):
     def forbidden(*args):
         raise AssertionError("surface_check built a link graph")
 
-    monkeypatch.setattr(sclkit.complexes, "links", forbidden)
     monkeypatch.setattr(sclkit.complexes, "link_graph", forbidden)
     report = surface_check(cx)
     assert report == reference_surface_check(cx)

@@ -240,9 +240,9 @@ def test_fold_elimination_validates_the_new_surface_once(monkeypatch):
     monkeypatch.setattr(sclkit.surfaces, "surface_check", counting_check)
     monkeypatch.setattr(AdmissibleSurface, "_check_corners", counting_corners)
     out = eliminate_fold(s, 0, 1)
-    # surface_check runs once, on the target; the new surface is checked
-    # once, on its pieces
-    assert len(checked) == 1 and checked[0] is s.target
+    # the target was checked when s was built, and the fold reuses it; the
+    # new surface is checked once, on its pieces
+    assert checked == [] and out.target is s.target
     assert len(closed) == 1 and closed[0] is out
     assert out.two_chain() == s.two_chain()
 
@@ -284,12 +284,11 @@ def test_standard_form_checks_only_targets_and_builds_no_complex(monkeypatch):
         init(cx, *args, **kwargs)
 
     monkeypatch.setattr(sclkit.surfaces, "surface_check", counting_check)
-    monkeypatch.setattr(sclkit.rewrite, "surface_check", counting_check)
     monkeypatch.setattr(TwoComplex, "__init__", counting_init)
     out, log = make_standard_form(s)
+    # every move reuses the target checked when s was built
     assert log.entries and out.target is s.target
-    assert built == []
-    assert checked and all(cx is s.target for cx in checked)
+    assert built == [] and checked == []
 
 
 # -- the link connection's corner splice -------------------------------------------

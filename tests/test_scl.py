@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sclkit.scl
@@ -122,22 +122,34 @@ LETTERS = (("a", 1), ("a", -1), ("b", 1), ("b", -1))
 def boundary_chains(draw, max_letters):
     """Nonzero 1-boundaries in F2 with at most ``max_letters`` letters: one
     or two random reduced words, and the word a^-i b^-j that cancels their
-    exponent sums i in a and j in b."""
+    exponent sums i in a and j in b.
+
+    Both hold by construction.  A letter moves one exponent sum by one, so
+    it adds 2 to the letters of the words and the balance together, or 0
+    when it moves the sum towards 0; a letter that adds 2 is drawn only
+    while 2 letters are left.  The first word has a letter, and terms merge
+    only by adding coefficients 1, so the chain is not zero.
+    """
+    sums = {"a": 0, "b": 0}
+    room = max_letters
     words = []
     for _ in range(draw(st.integers(1, 2))):
-        word = [draw(st.sampled_from(LETTERS))]
-        for _ in range(draw(st.integers(0, max_letters - 2))):
-            word.append(draw(st.sampled_from([x for x in LETTERS if x != letter_inverse(word[-1])])))
+        word = []
+        for _ in range(draw(st.integers(1, max_letters - 1))):
+            fits = [
+                x
+                for x in LETTERS
+                if (room >= 2 or sums[x[0]] * x[1] < 0) and not (word and x == letter_inverse(word[-1]))
+            ]
+            if not fits:
+                break
+            x = draw(st.sampled_from(fits))
+            room -= 0 if sums[x[0]] * x[1] < 0 else 2
+            sums[x[0]] += x[1]
+            word.append(x)
         words.append(word)
-    balance = []
-    for g in "ab":
-        e = sum(sign for word in words for h, sign in word if h == g)
-        balance += [(g, -1 if e > 0 else 1)] * abs(e)
-    words.append(balance)
-    assume(sum(map(len, words)) <= max_letters)
-    chain = OneChain.make("ab", [(1, w) for w in words if cyclic_reduce(tuple(w))])
-    assume(not chain.is_zero())
-    return chain
+    words.append([(g, -1 if e > 0 else 1) for g, e in sums.items() for _ in range(abs(e))])
+    return OneChain.make("ab", [(1, w) for w in words if cyclic_reduce(tuple(w))])
 
 
 def _relettered(chain, f):
@@ -171,6 +183,26 @@ def test_scl_is_invariant_under_rotation_conjugation_and_automorphisms(chain, da
 @given(boundary_chains(6))
 def test_scl_of_twice_a_random_chain_is_twice_its_scl(chain):
     assert scl_lp(chain.scaled(2)).value == 2 * scl_lp(chain).value
+
+
+@settings(max_examples=20, deadline=None)
+@given(boundary_chains(10))
+def test_scl_of_the_negated_chain_is_its_scl(chain):
+    # -c lists every word with coefficient -1, which the LP reads backwards
+    assert scl_lp(chain.scaled(-1)).value == scl_lp(chain).value
+
+
+def _a_to_ab(chain):
+    """The image of a chain under the automorphism a -> ab of F2."""
+    image = {("a", 1): [("a", 1), ("b", 1)], ("a", -1): [("b", -1), ("a", -1)]}
+    return OneChain.make(chain.basis, [(c, [y for x in w for y in image.get(x, [x])]) for c, w in chain.terms])
+
+
+@settings(max_examples=30, deadline=None)
+@given(boundary_chains(6))
+def test_scl_is_invariant_under_the_nielsen_move_a_to_ab(chain):
+    # each image has at most twice the letters: 12
+    assert scl_lp(_a_to_ab(chain)).value == scl_lp(chain).value
 
 
 def _full_lp_of_forced(chain, npos, edges):

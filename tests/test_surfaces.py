@@ -9,12 +9,13 @@ from sclkit.complexes import (
     barycentric,
     boundary_subcomplex,
     induced_subcomplex,
-    links,
+    link_graph,
     surface_check,
 )
 from sclkit.fixtures import (
     ambient_pair,
     closed_genus3_split,
+    disc,
     double_fold_fixture,
     figlnk,
     fold_fixture,
@@ -33,6 +34,7 @@ from sclkit.surfaces import (
     AdmissibleSurface,
     FPiece,
     SurfaceError,
+    Target,
     VPiece,
     corner_tokens,
     disjoint_union,
@@ -132,6 +134,19 @@ def test_a_non_orientable_subsurface_is_refused():
         subsurface_as_admissible(cx, cx.cells(), EdgeChain.make(cx, []))
 
 
+def test_a_target_is_checked_once_and_keeps_its_boundary():
+    target = Target.of(disc())
+    assert Target.of(target) is target
+    assert target.boundary_vertices == frozenset(target.vertices)
+    assert target.boundary_edges == frozenset(target.edges)
+    assert Target.of(torus()).boundary_vertices == Target.of(torus()).boundary_edges == frozenset()
+    with pytest.raises(SurfaceError, match="target is not a surface"):
+        Target.of(TwoComplex.build(["p", "q"], [("a", "p", "q")], []))
+    # RP2's face runs over a twice in the same direction
+    with pytest.raises(SurfaceError, match="not coherently oriented: edge a has signed incidence 2"):
+        Target.of(rp2())
+
+
 def test_disjoint_union_of_nothing_is_refused():
     with pytest.raises(SurfaceError, match="at least one surface"):
         disjoint_union()
@@ -159,7 +174,8 @@ def reference_subsurface_slots(target, cells, sign):
         {i: target.faces[i] for k, i in cells if k == "f"},
     )
     out = {}
-    for v, lk in links(sub_cx).items():
+    for v in sub_cx.vertices:
+        lk = link_graph(sub_cx, v)
         succ = {}
         for (h1, h2), _prov in lk.links:
             # corner (s_i, s_{i+1}): h1 = inverse of the incoming side,
