@@ -156,35 +156,6 @@ class TwoComplex:
         out += [("f", f) for f in self.faces]
         return out
 
-    def connected_components(self):
-        """Partition of cells by 1-skeleton plus face incidence connectivity.
-
-        Components are sorted cell lists, ordered by their least cell.  The
-        union-find runs on vertices only: an edge lies with its endpoints,
-        and a face with the start of its first side (its word is a closed
-        path, so all its sides lie in one component).
-        """
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for s, t in self.edges.values():
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[max(rs, rt)] = min(rs, rt)
-        groups = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), []).append(("v", v))
-        for e, (s, _) in self.edges.items():
-            groups[find(s)].append(("e", e))
-        for f, word in self.faces.items():
-            groups[find(self.endpoint(word[0], 0))].append(("f", f))
-        return sorted(sorted(cells) for cells in groups.values())
-
     def __repr__(self):
         return (
             f"TwoComplex({len(self.vertices)} vertices, "
@@ -443,24 +414,6 @@ def boundary_subcomplex(cx: TwoComplex) -> Subcomplex:
     return Subcomplex(cx, frozenset(vs), frozenset(es), frozenset())
 
 
-def reduced_euler(cx: TwoComplex):
-    """Sum of min(0, euler characteristic) over connected components.
-
-    Only defined for cellulated surfaces; discs and spheres are discarded
-    by the min.
-    """
-    report = surface_check(cx)
-    if not report.is_surface:
-        raise ComplexError(f"reduced Euler characteristic needs a surface: {report.witnesses}")
-    total = 0
-    for comp in cx.connected_components():
-        chi = sum(1 for kind, _ in comp if kind == "v")
-        chi -= sum(1 for kind, _ in comp if kind == "e")
-        chi += sum(1 for kind, _ in comp if kind == "f")
-        total += min(0, chi)
-    return total
-
-
 # -- text format ---------------------------------------------------------
 #
 #   # comment
@@ -517,42 +470,6 @@ def print_complex(cx: TwoComplex) -> str:
         )
         lines.append(f"face {cx.name('f', f)} = {sides}")
     return "\n".join(lines) + "\n"
-
-
-def subdivided(cx: TwoComplex) -> TwoComplex:
-    """Coned subdivision: each face becomes a fan of triangles.
-
-    A barycentre vertex is added per face, with one spoke per polygon
-    corner; face words of length 1 or 2 subdivide like the rest (the spokes
-    make every triangle word length 3).  Old cells keep their ids, so
-    chains and subcomplex cell sets remain meaningful.
-    """
-    vertices = list(cx.vertices)
-    edges = dict(cx.edges)
-    faces = {}
-    names = {k: v for k, v in cx.names.items() if k[0] != "f"}
-    next_v = max(cx.vertices, default=-1) + 1
-    next_e = max(cx.edges, default=-1) + 1
-    next_f = 0
-    for f, word in cx.faces.items():
-        deg = len(word)
-        beta = next_v
-        next_v += 1
-        vertices.append(beta)
-        names[("v", beta)] = f"{cx.name('f', f)}*"
-        spokes = []
-        for i in range(deg):
-            corner = cx.endpoint(word[i], 0)
-            spokes.append(next_e)
-            edges[next_e] = (corner, beta)
-            names[("e", next_e)] = f"{cx.name('f', f)}*{i}"
-            next_e += 1
-        for i in range(deg):
-            tri = (word[i], (spokes[(i + 1) % deg], 1), (spokes[i], -1))
-            faces[next_f] = tri
-            names[("f", next_f)] = f"{cx.name('f', f)}.{i}"
-            next_f += 1
-    return TwoComplex(vertices, edges, faces, names)
 
 
 def barycentric(cx: TwoComplex):

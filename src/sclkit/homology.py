@@ -9,24 +9,30 @@ edge, and the edge of a term (n, w) maps to the loop word w^n, so a
 degree-2 cone chain is a winding per circle together with a 2-chain of X:
 the coordinates of ``AdmissibleSurface.reduced_class``.
 
-Boundary maps are built sparsely from the face words and edge ends: one
-{row index: coefficient} dict per cell, i.e. per column of the map, with
-at most deg(f) nonzeros for a face.  Wherever d1 is built, d1 d2 = 0 is
-checked on these columns in O(nnz).  No dense boundary matrix is ever
-formed: where a map meets ``kernel_q`` or ``solve_q``, which read sparse
-rows, its columns are transposed into rows ({column index: coefficient}
-per edge of d2, per vertex of d1) in O(nnz).  ``boundary_matrices``
-returns both maps' rows; ``d2_rows`` builds d2 alone, for the orientation
-witness and the rot structure, which read no d1.
+Boundary maps are built sparsely from the face words and edge ends.
+``d2_rows`` reads d2 straight off the face words as one {face index:
+coefficient} row per edge, at most deg(f) nonzeros per face, for the
+orientation witness, the support lemma and the rot structure, which read
+no d1.  Homology and the cone build both maps as one {row index:
+coefficient} dict per cell, i.e. per column, and check d1 d2 = 0 on these
+columns in O(nnz) wherever d1 is built.  No dense boundary matrix is ever
+formed: where a map in columns meets ``kernel_q`` or ``solve_q``, which
+read sparse rows, it is transposed into rows in O(nnz), and
+``boundary_matrices`` returns both maps' rows.
 
-Rank and torsion.  A boundary map is reduced by ``exactlin.unit_reduce``,
-which eliminates on pivots +-1 only (columns are fed as rows; rank and
-invariant factors do not see the transpose).  Each step is unimodular, so
-the map is equivalent over Z to I_k + R with R the small residual block:
-rank = k + rank R, and the invariant factors are k ones followed by those
-of R.  Over Z the torsion of H_(n-1) is read from ``smith_normal_form(R)``
-of d_n; over Q the rank is ``rank_q(R)``.  On surfaces almost every pivot
-is a unit; RP^2 leaves R = [[2]], which is its Z/2.
+Rank and torsion.  Each map is ranked by the shape it has.  d1 is the
+incidence matrix of a graph, less the row of one extra node that stands
+for the ends outside it (in Y, or a cone circle's missing end), so its
+rank is the number of merges of a union-find over its columns, a spanning
+forest (``_graph_rank``); an incidence matrix is totally unimodular, so
+H0 has no torsion.  d2 is reduced by ``exactlin.unit_reduce``, which
+eliminates on pivots +-1 only (columns are fed as rows; rank and invariant
+factors do not see the transpose).  Each step is unimodular, so the map is
+equivalent over Z to I_k + R with R the small residual block: rank = k +
+rank R, and the invariant factors are k ones followed by those of R.  Over
+Z the torsion of H1 is read from ``smith_normal_form(R)``, checked to give
+U R V = D; over Q the rank is ``rank_q(R)``.  On surfaces almost every
+pivot is a unit; RP^2 leaves R = [[2]], which is its Z/2.
 
 Collapse.  The exact solvers peel singletons before they eliminate (see
 ``exactlin``).  On a surface with boundary the free edges, those on one
@@ -45,10 +51,13 @@ row {f: +-1, g: +-1}, which says x_g = +-x_f; one pass of a signed
 union-find over these rows leaves one unknown per class of faces, or
 forces a class to 0 through a one-entry row (RP^2's {0: 2}) or a parity
 conflict (a Moebius band).  Only the other rows, edges on three or more
-face sides or with a non-unit entry, are rewritten over the classes and
-reach ``kernel_q``.  On a surface there are none: the kernel then has
-one vector per class left free, on disjoint supports, and the witness is
-the contraction's sign on each face, with no kernel solved.
+face sides or with a non-unit entry, are rewritten over the classes.  On
+a surface there are none: the kernel then has one vector per class left
+free, on disjoint supports, and the witness is the contraction's sign on
+each face, with no kernel solved; rows that are left reach ``kernel_q``.
+The support lemma contracts d2 rel Y the same way and needs only the
+kernel's dimension: the classes left free less the rank of the rows left,
+which ``unit_reduce`` and ``rank_q`` rank.
 
 Every guard here raises ``HomologyError`` (a ``ComplexError``), so the
 checks also run under ``python -O``.
@@ -61,7 +70,7 @@ from fractions import Fraction
 from math import lcm
 
 from .complexes import ComplexError, Subcomplex, TwoComplex, boundary_subcomplex
-from .exactlin import kernel_q, rank_q, smith_normal_form, unit_reduce
+from .exactlin import check_snf, kernel_q, rank_q, smith_normal_form, unit_reduce
 
 
 class RingError(ValueError):
@@ -193,14 +202,25 @@ def _transpose(columns, nrows):
 
 def d2_rows(cx: TwoComplex, sub: Subcomplex | None = None):
     """(rows, fs): d2 of C_*(X), or of C_*(X)/C_*(Y) for Y = ``sub``, as one
-    sparse row {face index: signed side count} per edge outside Y, with one
-    column per face of ``fs``, the faces outside Y in ascending id.
+    sparse row {face index: signed side count} per edge outside Y, in
+    ascending edge id, with one column per face of ``fs``, the faces outside
+    Y in ascending id.
 
-    No d1 is built: a ``TwoComplex`` checks that every face word closes up,
-    which is d1 d2 = 0.
+    The rows are read straight off the face words, each face adding its
+    signed sides to the rows of their edges, so each row lists its columns
+    in ascending order.  No d1 is built: a ``TwoComplex`` checks that every
+    face word closes up, which is d1 d2 = 0.
     """
-    d2, es, fs = _d2_columns(cx, sub)
-    return _transpose(d2, len(es)), fs
+    eix = {e: i for i, e in enumerate(e for e in cx.edges if sub is None or e not in sub.edge_set)}
+    fs = [f for f in cx.faces if sub is None or f not in sub.face_set]
+    rows = [{} for _ in eix]
+    for j, f in enumerate(fs):
+        for e, sign in cx.faces[f]:
+            i = eix.get(e)
+            if i is not None:
+                row = rows[i]
+                row[j] = row.get(j, 0) + sign
+    return [row if all(row.values()) else {j: c for j, c in row.items() if c} for row in rows], fs
 
 
 def boundary_matrices(cx: TwoComplex):
@@ -244,24 +264,62 @@ class HomologySummary:
 
 def _rank_torsion(columns, nrows, ring):
     """(rank, torsion) of the map whose sparse columns are given; the
-    torsion (invariant factors > 1) is () over Q."""
+    torsion (invariant factors > 1) is () over Q.  Over Z the Smith normal
+    form of the residual is checked, U R V = D, before it is read."""
     units, residual = unit_reduce(columns, nrows)
     if ring == "Q":
         return units + rank_q(residual), ()
     snf = smith_normal_form(residual)
+    check_snf(residual, snf)
     return units + snf.rank, tuple(snf.torsion)
+
+
+def _graph_rank(d1, n0):
+    """Rank of d1, given as sparse columns over ``n0`` vertex rows, by a
+    spanning forest.
+
+    Each column is an edge of a graph on the n0 vertices and one extra
+    node: +1 at one end and -1 at the other, an end without a row (in Y,
+    or a cone circle's missing end) being the extra node, and no entry for
+    a loop.  So d1 is the incidence matrix of that graph less the extra
+    node's row, and its rank is n0 + 1 less the number of components: the
+    number of merges of a union-find over the columns.
+    """
+    parent = list(range(n0 + 1))
+    rank = 0
+    for col in d1:
+        if len(col) == 2:
+            (a, x), (b, y) = col.items()
+        elif len(col) == 1:
+            ((a, x),) = col.items()
+            b, y = n0, -x
+        elif not col:
+            continue
+        else:
+            raise HomologyError(f"d1 column {col} is not an edge of a graph")
+        if x * x != 1 or x + y:
+            raise HomologyError(f"d1 column {col} is not an edge of a graph")
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
 
 
 def _complex_homology(d2, d1, n2, n1, n0, ring):
     """Homology of  0 -> Z^n2 --d2--> Z^n1 --d1--> Z^n0 -> 0  over ``ring``."""
     r2, t1 = _rank_torsion(d2, n1, ring)
-    r1, t0 = _rank_torsion(d1, n0, ring)
+    r1 = _graph_rank(d1, n0)
     ranks = (n0 - r1, n1 - r1 - r2, n2 - r2)
     if ring == "Q":
         return HomologySummary("Q", ranks)
-    # torsion of H_(n-1) comes from the invariant factors of d_n; the top
-    # degree is a subgroup of a free module, so it has none
-    return HomologySummary("Z", ranks, (t0, t1, ()))
+    # torsion of H1 comes from the invariant factors of d2; d1 is an
+    # incidence matrix, totally unimodular, so H0 has none, and the top
+    # degree is a subgroup of a free module, so it has none either
+    return HomologySummary("Z", ranks, ((), t1, ()))
 
 
 def homology(cx: TwoComplex, ring="Z") -> HomologySummary:
@@ -370,7 +428,7 @@ def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
         [{j: x for j, x in enumerate(vec) if x} for vec in kernel], d2, "cone kernel vector is not a cycle"
     )
     r2 = cols2 - len(kernel)
-    r1, _ = _rank_torsion(d1, rows1, "Q")
+    r1 = _graph_rank(d1, rows1)
     summary = HomologySummary("Q", (rows1 - r1, rows2 - r1 - r2, cols2 - r2))
     return ConeComplex(circles=k, kernel_basis=kernel, summary=summary)
 
@@ -524,6 +582,19 @@ def _assert_orientation_witness(cx: TwoComplex, chain: ChainVec, bsub: Subcomple
             raise HomologyError("witness boundary leaks outside the complex boundary")
 
 
+def _h2_rank(cx: TwoComplex, sub: Subcomplex):
+    """rank H2(X, Y), the dimension of the kernel of d2 rel Y.
+
+    The rows of d2 rel Y are contracted as for the orientation witness
+    (``_contract_faces``), so the kernel is that of the rows the contraction
+    cannot read, over one unknown per class of faces left free: rank H2 =
+    (classes left free) - (rank of those rows).
+    """
+    rows, fs = d2_rows(cx, sub)
+    _, rest, k = _contract_faces(rows, len(fs))
+    return k - _rank_torsion(rest, k, "Q")[0]
+
+
 @dataclass
 class SupportVerdict:
     ok: bool
@@ -538,16 +609,15 @@ def check_support_lemma(cx: TwoComplex, sub: Subcomplex) -> SupportVerdict:
     Verifies the preconditions, then either asserts the conclusion or
     reports the nonvanishing H2 rank.  H2 of a 2-complex pair is free and an
     orientation exists over Z exactly when it exists over Q, so the verdict
-    needs no ring: rank H2(X, Y) is the number of faces outside Y minus the
-    rank of d2 rel Y, and no d1 is built.
+    needs no ring: rank H2(X, Y) is the dimension of the kernel of d2 rel Y
+    (``_h2_rank``), and no d1 is built.
     """
     bsub = boundary_subcomplex(cx)
     if not bsub.is_subset_of(sub):
         raise ComplexError("precondition: boundary of X must lie in Y")
     if _orientation_witness(cx, bsub, "Z") is None:
         raise ComplexError("precondition: X must be orientable")
-    d2, es, fs = _d2_columns(cx, sub)
-    h2_rank = len(fs) - _rank_torsion(d2, len(es), "Q")[0]
+    h2_rank = _h2_rank(cx, sub)
     if not h2_rank:
         missing = sorted(set(cx.faces) - sub.face_set)
         if missing:

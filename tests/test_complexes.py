@@ -19,8 +19,6 @@ from sclkit.complexes import (
     link_shapes,
     parse_complex,
     print_complex,
-    reduced_euler,
-    subdivided,
     surface_check,
 )
 from sclkit.fixtures import COMPLEX_FIXTURES, closed_genus, fold_fixture, fold_necklace
@@ -65,27 +63,6 @@ def one_holed_genus(g):
     edges.append(("c", "v", "v"))
     word.append(("c", -1))
     return TwoComplex.build(["v"], edges, [("f", word)])
-
-
-def disjoint_union(b1, b2):
-    verts = [f"1.{b1.name('v', v)}" for v in b1.vertices] + [
-        f"2.{b2.name('v', v)}" for v in b2.vertices
-    ]
-    edges = [
-        (f"1.{b1.name('e', e)}", f"1.{b1.name('v', s)}", f"1.{b1.name('v', t)}")
-        for e, (s, t) in b1.edges.items()
-    ] + [
-        (f"2.{b2.name('e', e)}", f"2.{b2.name('v', s)}", f"2.{b2.name('v', t)}")
-        for e, (s, t) in b2.edges.items()
-    ]
-    faces = [
-        (f"1.{b1.name('f', f)}", [(f"1.{b1.name('e', e)}", s) for e, s in word])
-        for f, word in b1.faces.items()
-    ] + [
-        (f"2.{b2.name('f', f)}", [(f"2.{b2.name('e', e)}", s) for e, s in word])
-        for f, word in b2.faces.items()
-    ]
-    return TwoComplex.build(verts, edges, faces)
 
 
 def test_build_torus():
@@ -266,32 +243,6 @@ def test_euler_one_holed_genus2():
     assert one_holed_genus(2).euler_characteristic() == -3
 
 
-def test_reduced_euler_sphere():
-    sphere = TwoComplex.build(
-        ["p", "q", "r"],
-        [("a", "p", "q"), ("b", "q", "r"), ("c", "r", "p")],
-        [
-            ("up", [("a", 1), ("b", 1), ("c", 1)]),
-            ("down", [("c", -1), ("b", -1), ("a", -1)]),
-        ],
-    )
-    assert sphere.euler_characteristic() == 2
-    assert reduced_euler(sphere) == 0
-
-
-def test_reduced_euler_discards_disc_component():
-    cx = disjoint_union(torus(), disc())
-    assert reduced_euler(cx) == 0
-
-
-def test_reduced_euler_requires_surface():
-    verts = ["p", "q"]
-    edges = [("m", "p", "q"), ("x0", "q", "p"), ("x1", "q", "p"), ("x2", "q", "p")]
-    faces = [(f"f{i}", [("m", 1), (f"x{i}", 1)]) for i in range(3)]
-    with pytest.raises(ComplexError):
-        reduced_euler(TwoComplex.build(verts, edges, faces))
-
-
 def test_induced_subcomplex_closure():
     cx = one_holed_genus(2)
     sub = induced_subcomplex(cx, [("f", 0)])
@@ -330,12 +281,6 @@ def test_subcomplex_refuses_unknown_cells_and_open_cell_sets(cells, message):
         Subcomplex(torus(), vs, es, fs)
 
 
-def test_connected_components():
-    assert len(torus().connected_components()) == 1
-    assert len(disjoint_union(torus(), rp2()).connected_components()) == 2
-    assert TwoComplex([], {}, {}).connected_components() == []
-
-
 def test_corner_accounting():
     # total link edges over all vertices equals total face degree
     for cx in (torus(), rp2(), disc(), one_holed_genus(3)):
@@ -371,24 +316,34 @@ def test_parse_errors():
         parse_complex("widget w\n")
 
 
-# -- per-vertex scans, kept as references for ``link_graph`` and for the
-# ``link_shapes`` and vertex union-find passes that replaced them
+# -- references for ``link_graph``, ``surface_check`` and ``link_shapes``:
+# every link read off the face words in one pass, its shape by depth-first
+# search
 
 
-def reference_link_graph(cx, v):
-    """Link of v from a scan of every edge and every face corner."""
-    nodes = []
+def reference_links(cx):
+    """Every vertex link at once, read off the edge table and the face words.
+
+    Each half-edge sits where the edge table puts it, (e, 1) at the source
+    of e and (e, -1) at its target.  Each corner of a face word joins the
+    half-edge that its side arrives along with the one the next side leaves
+    along, and lies where the latter sits, which must be where the former
+    sits.  One pass over the words, with no per-vertex scan and no
+    ``cx.endpoint``.
+    """
+    home = {}
     for e, (s, t) in cx.edges.items():
-        if s == v:
-            nodes.append((e, 1))
-        if t == v:
-            nodes.append((e, -1))
-    corners = []
+        home[(e, 1)], home[(e, -1)] = s, t
+    nodes = {v: [] for v in cx.vertices}
+    for half in sorted(home):
+        nodes[home[half]].append(half)
+    corners = {v: [] for v in cx.vertices}
     for f, word in cx.faces.items():
-        for k in range(len(word)):
-            if cx.endpoint(word[k], 1) == v:
-                corners.append(((inv(word[k]), word[(k + 1) % len(word)]), (f, k)))
-    return LinkGraph(vertex=v, nodes=tuple(sorted(nodes)), links=tuple(corners))
+        for k, (e, sign) in enumerate(word):
+            arrive, leave = (e, -sign), word[(k + 1) % len(word)]
+            assert home[arrive] == home[leave]
+            corners[home[leave]].append(((arrive, leave), (f, k)))
+    return {v: LinkGraph(vertex=v, nodes=tuple(nodes[v]), links=tuple(corners[v])) for v in cx.vertices}
 
 
 def reference_node_degrees(lk):
@@ -446,8 +401,8 @@ def reference_link_kind(lk):
 
 def reference_surface_check(cx):
     boundary, bad = [], []
-    for v in cx.vertices:
-        kind = reference_link_kind(reference_link_graph(cx, v))
+    for v, lk in reference_links(cx).items():
+        kind = reference_link_kind(lk)
         if kind == "arc":
             boundary.append(v)
         elif kind != "circle":
@@ -455,37 +410,10 @@ def reference_surface_check(cx):
     return SurfaceReport(not bad, tuple(boundary), tuple(bad))
 
 
-def reference_components(cx):
-    """Union-find over all cells, tagged ('v'|'e'|'f', id)."""
-    parent = {c: c for c in cx.cells()}
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for e, (s, t) in cx.edges.items():
-        union(("e", e), ("v", s))
-        union(("e", e), ("v", t))
-    for f, word in cx.faces.items():
-        for e, _ in word:
-            union(("f", f), ("e", e))
-    groups = {}
-    for c in cx.cells():
-        groups.setdefault(find(c), []).append(c)
-    return [sorted(groups[r]) for r in sorted(groups)]
-
-
 def assert_shapes_match_the_dfs(cx):
     shapes = link_shapes(cx)
     assert list(shapes) == list(cx.vertices)
-    for v in cx.vertices:
-        lk = reference_link_graph(cx, v)
+    for v, lk in reference_links(cx).items():
         degrees = list(reference_node_degrees(lk).values())
         assert shapes[v] == (
             len(lk.nodes),
@@ -498,11 +426,25 @@ def assert_shapes_match_the_dfs(cx):
 
 
 def assert_matches_references(cx):
-    for v in cx.vertices:
-        assert link_graph(cx, v) == reference_link_graph(cx, v)
+    for v, lk in reference_links(cx).items():
+        assert link_graph(cx, v) == lk
     assert surface_check(cx) == reference_surface_check(cx)
     assert_shapes_match_the_dfs(cx)
-    assert cx.connected_components() == reference_components(cx)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_FIXTURES))
+def test_a_link_graph_that_drops_a_corner_fails_the_references(name, monkeypatch):
+    cx = COMPLEX_FIXTURES[name]()
+    assert_matches_references(cx)
+    original = link_graph
+
+    def dropping(cx, v):
+        lk = original(cx, v)
+        return LinkGraph(lk.vertex, lk.nodes, lk.links[1:])
+
+    monkeypatch.setitem(globals(), "link_graph", dropping)
+    with pytest.raises(AssertionError):
+        assert_matches_references(cx)
 
 
 @st.composite
@@ -533,6 +475,42 @@ def small_complexes(draw):
             walk += [inv(side) for side in reversed(walk)]
         faces[draw(st.integers(0, 3)) + 4 * f] = walk
     return TwoComplex(vertices, edges, faces)
+
+
+def subdivided(cx: TwoComplex) -> TwoComplex:
+    """Coned subdivision: each face becomes a fan of triangles.
+
+    A barycentre vertex is added per face, with one spoke per polygon
+    corner; face words of length 1 or 2 subdivide like the rest (the spokes
+    make every triangle word length 3).  Old cells keep their ids, so
+    chains and subcomplex cell sets remain meaningful.
+    """
+    vertices = list(cx.vertices)
+    edges = dict(cx.edges)
+    faces = {}
+    names = {k: v for k, v in cx.names.items() if k[0] != "f"}
+    next_v = max(cx.vertices, default=-1) + 1
+    next_e = max(cx.edges, default=-1) + 1
+    next_f = 0
+    for f, word in cx.faces.items():
+        deg = len(word)
+        beta = next_v
+        next_v += 1
+        vertices.append(beta)
+        names[("v", beta)] = f"{cx.name('f', f)}*"
+        spokes = []
+        for i in range(deg):
+            corner = cx.endpoint(word[i], 0)
+            spokes.append(next_e)
+            edges[next_e] = (corner, beta)
+            names[("e", next_e)] = f"{cx.name('f', f)}*{i}"
+            next_e += 1
+        for i in range(deg):
+            tri = (word[i], (spokes[(i + 1) % deg], 1), (spokes[i], -1))
+            faces[next_f] = tri
+            names[("f", next_f)] = f"{cx.name('f', f)}.{i}"
+            next_f += 1
+    return TwoComplex(vertices, edges, faces, names)
 
 
 def union_of(a, b):
@@ -652,15 +630,6 @@ def test_bar_link_components_do_not_depend_on_where_slot_lists_start(name):
         turned = rotated(surface, r)
         assert [turned.bar_link_components(vid) for vid in turned.vpieces] == counts
         assert_bar_links_match_the_dfs(turned)
-
-
-def test_connected_components_order_and_cells():
-    cx = union_of(disc(), union_of(TwoComplex([0], {}, {}), rp2()))
-    assert cx.connected_components() == [
-        [("e", 0), ("e", 1), ("e", 2), ("f", 0), ("v", 0), ("v", 1), ("v", 2)],
-        [("e", 3), ("f", 1), ("v", 4)],
-        [("v", 3)],
-    ]
 
 
 @pytest.mark.parametrize("which", ["genus 8", "fold_fixture"])

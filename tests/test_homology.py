@@ -39,6 +39,9 @@ from sclkit.homology import (
     RingError,
     _assert_orientation_witness,
     _boundary_columns,
+    _contract_faces,
+    _graph_rank,
+    _h2_rank,
     _transpose,
     boundary_matrices,
     check_support_lemma,
@@ -500,6 +503,103 @@ def test_rp2_torsion_comes_from_the_non_unit_residual():
     assert homology(rp2(), "Z").torsion == ((), (2,), ())
 
 
+# -- ranks by the shape of the map against elimination ------------------------
+
+
+def reference_rank_torsion(columns, nrows, ring):
+    """(rank, torsion) by elimination, as every map was ranked before d1 got
+    a spanning forest and the support lemma a contraction: ``unit_reduce``,
+    then ``rank_q`` over Q or the Smith normal form over Z."""
+    units, residual = unit_reduce(columns, nrows)
+    if ring == "Q":
+        return units + rank_q(residual), ()
+    snf = smith_normal_form(residual)
+    return units + snf.rank, tuple(snf.torsion)
+
+
+def reference_h2_rank(cx, sub):
+    """rank H2(X, Y) = #faces outside Y - rank of d2 rel Y, by elimination."""
+    d2, _, _, es, fs = _boundary_columns(cx, sub)
+    return len(fs) - reference_rank_torsion(d2, len(es), "Q")[0]
+
+
+def book():
+    """Three triangles m x_i y_i on one edge m, whose row ties three faces."""
+    return TwoComplex.build(
+        ["p", "q", "r0", "r1", "r2"],
+        [("m", "p", "q")]
+        + [(f"x{i}", "q", f"r{i}") for i in range(3)]
+        + [(f"y{i}", f"r{i}", "p") for i in range(3)],
+        [(f"f{i}", [("m", 1), (f"x{i}", 1), (f"y{i}", 1)]) for i in range(3)],
+    )
+
+
+def test_graph_rank_reads_loops_ends_in_y_and_circle_columns():
+    # a loop, an edge with both ends in Y, an edge with one end in Y, and
+    # two circle columns on one vertex: one merge each for the last two kinds
+    cx = TwoComplex(range(4), {0: (0, 0), 1: (2, 3), 2: (1, 3), 3: (0, 1)}, {})
+    sub = induced_subcomplex(cx, [("v", 2), ("v", 3)])
+    _, d1, vs, _, _ = _boundary_columns(cx, sub)
+    assert vs == [0, 1] and d1 == [{}, {}, {1: -1}, {1: 1, 0: -1}]
+    columns = [{0: -1}, {0: -1}] + d1
+    assert _graph_rank(columns, 2) == reference_rank_torsion(columns, 2, "Q")[0] == 2
+    assert reference_rank_torsion(columns, 2, "Z")[1] == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_graph_rank_matches_elimination_on_d1(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    cx = _random_complex(rng)
+    sub = _random_subcomplex(rng, cx) if data.draw(st.booleans()) else None
+    _, d1, vs, _, _ = _boundary_columns(cx, sub)
+    # a cone circle's column: -1 at the start of its word, no row for its end
+    circles = data.draw(st.lists(st.integers(0, len(vs) - 1), max_size=2)) if vs else []
+    columns = [{v: -1} for v in circles] + d1
+    rank, _ = reference_rank_torsion(columns, len(vs), "Q")
+    assert _graph_rank(columns, len(vs)) == rank
+    # an incidence matrix is totally unimodular: no torsion in H0
+    assert reference_rank_torsion(columns, len(vs), "Z") == (rank, ())
+
+
+def test_contraction_leaves_rows_or_forces_classes_on_the_named_shapes():
+    # rel its x and y edges, the book's row of m is left to elimination
+    cx = book()
+    sub = induced_subcomplex(cx, [("e", e) for e in cx.edges if cx.name("e", e) != "m"])
+    rows, fs = d2_rows(cx, sub)
+    assert _contract_faces(rows, len(fs))[1:] == ([{0: 1, 1: 1, 2: 1}], 3)
+    assert _h2_rank(cx, sub) == reference_h2_rank(cx, sub) == 2
+    # RP^2's entry 2 and the Moebius band's parity conflict force their
+    # classes to 0
+    for cx in (rp2(), mobius_band()):
+        sub = boundary_subcomplex(cx)
+        rows, fs = d2_rows(cx, sub)
+        assert _contract_faces(rows, len(fs)) == ([(None, 0)] * len(fs), [], 0)
+        assert _h2_rank(cx, sub) == reference_h2_rank(cx, sub) == 0
+
+
+RANK_SHAPES = {"book": book, "rp2": rp2, "mobius band": mobius_band, "klein bottle": klein_bottle}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_h2_rank_by_contraction_matches_elimination(data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    kind = data.draw(st.sampled_from(("random", "shape", "subdivided")))
+    if kind == "random":
+        # faces run twice or three times, and edges on three or more sides
+        cx = _random_complex(rng)
+    elif kind == "shape":
+        cx = RANK_SHAPES[data.draw(st.sampled_from(sorted(RANK_SHAPES)))]()
+    else:
+        cx = barycentric(SUBDIVIDED_FIXTURES[data.draw(st.sampled_from(sorted(SUBDIVIDED_FIXTURES)))]())[0]
+    sub = _random_subcomplex(rng, cx)
+    d2, _, _, es, fs = _boundary_columns(cx, sub)
+    assert d2_rows(cx, sub) == (_transpose(d2, len(es)), fs)
+    assert _h2_rank(cx, sub) == reference_h2_rank(cx, sub)
+
+
 # -- orientation witness against the kernel-based oracle ---------------------
 
 
@@ -699,12 +799,12 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
     assert witness is not None and witness.support() == set(cx.faces)
     assert builds == []
     assert eliminated == []
-    # the cone reuses X's boundary columns and reduces only its own d1; its
-    # d2 rank is read off the kernel
+    # the cone reuses X's boundary columns and reduces nothing: its d1 is
+    # ranked by a spanning forest and its d2 rank is read off the kernel
     reduced.clear()
     builds.clear()
     assert cone_complex(cx, chain.terms).summary.rank(2) == 1
-    assert reduced == [len(cx.vertices)] and len(builds) == 1
+    assert reduced == [] and len(builds) == 1
     # every row the solvers read is sparse: an edge meets at most two faces,
     # plus one entry for a right-hand side or a circle edge
     assert rows_seen and all(type(row) is dict and all(row.values()) for row in rows_seen)
@@ -721,7 +821,8 @@ def test_guards_raise_typed_errors_under_optimize():
 
         import sclkit.homology as H
         from sclkit.complexes import barycentric, boundary_subcomplex, induced_subcomplex
-        from sclkit.fixtures import closed_genus, disc, one_holed, torus
+        from sclkit.exactlin import SnfError, SnfResult
+        from sclkit.fixtures import closed_genus, disc, one_holed, rp2, torus
 
         caught = []
 
@@ -765,14 +866,29 @@ def test_guards_raise_typed_errors_under_optimize():
         expect("witness leak", H.HomologyError,
                lambda: H._assert_orientation_witness(cx, H.ChainVec.make("Z", witness), boundary_subcomplex(cx)))
 
-        # a tampered H2(X, Y) = 0 for a Y that misses the face: every face
-        # column of d2 rel Y reduces to a unit pivot
+        # a tampered H2(X, Y) = 0 for a Y that misses the face: the support
+        # lemma's contraction, which follows the orientation witness's, forces
+        # every face to 0
         cx = closed_genus(1)
         sub = induced_subcomplex(cx, [("e", e) for e in cx.edges])
-        unit_reduce = H.unit_reduce
-        H.unit_reduce = lambda columns, nrows: (len(columns), [])
+        contract_faces, calls = H._contract_faces, []
+        def tampered(rows, nfaces):
+            calls.append(rows)
+            if len(calls) == 1:
+                return contract_faces(rows, nfaces)
+            return [(None, 0)] * nfaces, [], 0
+        H._contract_faces = tampered
         expect("support", H.HomologyError, lambda: H.check_support_lemma(cx, sub))
-        H.unit_reduce = unit_reduce
+        H._contract_faces = contract_faces
+
+        # a Smith normal form whose D is not U M V: RP^2's residual [[2]]
+        smith_normal_form = H.smith_normal_form
+        def doubled(mat):
+            snf = smith_normal_form(mat)
+            return SnfResult(snf.U, [[2 * x for x in row] for row in snf.D], snf.V)
+        H.smith_normal_form = doubled
+        expect("snf", SnfError, lambda: H.homology(rp2(), "Z"))
+        H.smith_normal_form = smith_normal_form
 
         z, q = H.ChainVec.make("Z", {0: 1}), H.ChainVec.make("Q", {0: 1})
         expect("ring", H.RingError, lambda: z + q)
@@ -793,6 +909,7 @@ def test_guards_raise_typed_errors_under_optimize():
         "witness_support",
         "witness_leak",
         "support",
+        "snf",
         "ring",
         "z_fraction",
     ]

@@ -407,7 +407,7 @@ class ReferenceSurface(AdmissibleSurface):
 
     def _find_components(self):
         comps = []
-        for comp in self.complex.connected_components():
+        for comp in reference_components(self.complex):
             names = (self._face_names[ident] for kind, ident in comp if kind == "f")
             comps.append(frozenset(({"vd": "v", "hd": "h", "cd": "f"}[tag], pid) for tag, pid in names))
         self._components = tuple(comps)
@@ -415,6 +415,34 @@ class ReferenceSurface(AdmissibleSurface):
 
     def euler_characteristic(self):
         return self.complex.euler_characteristic()
+
+
+def reference_components(cx):
+    """The connected components of a complex, as sorted lists of cells
+    tagged ('v'|'e'|'f', id) and ordered by their least cell: a union-find
+    over all cells."""
+    parent = {c: c for c in cx.cells()}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for e, (s, t) in cx.edges.items():
+        union(("e", e), ("v", s))
+        union(("e", e), ("v", t))
+    for f, word in cx.faces.items():
+        for e, _ in word:
+            union(("f", f), ("e", e))
+    groups = {}
+    for c in cx.cells():
+        groups.setdefault(find(c), []).append(c)
+    return [sorted(groups[r]) for r in sorted(groups)]
 
 
 def assert_same_surface(got, ref):
