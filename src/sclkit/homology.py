@@ -328,17 +328,21 @@ def homology(cx: TwoComplex, ring="Z") -> HomologySummary:
     return _complex_homology(d2, d1, len(fs), len(es), len(vs), ring)
 
 
+def _check_lives_in(cx: TwoComplex, sub: Subcomplex):
+    """Refuse a subcomplex whose cells are not cells of ``cx``; one of a
+    rebuilt complex with the same cell ids passes."""
+    if sub.parent is not cx and not (
+        sub.vertex_set <= set(cx.vertices)
+        and sub.edge_set <= set(cx.edges)
+        and sub.face_set <= set(cx.faces)
+    ):
+        raise ComplexError("subcomplex does not live in the given complex")
+
+
 def relative_homology(cx: TwoComplex, sub: Subcomplex, ring="Z") -> HomologySummary:
     """Homology of the quotient chain complex C_*(X)/C_*(Y)."""
     check_ring(ring)
-    if sub.parent is not cx:
-        # allow equal-by-content subcomplexes of a rebuilt complex
-        if not (
-            sub.vertex_set <= set(cx.vertices)
-            and sub.edge_set <= set(cx.edges)
-            and sub.face_set <= set(cx.faces)
-        ):
-            raise ComplexError("subcomplex does not live in the given complex")
+    _check_lives_in(cx, sub)
     d2, d1, vs, es, fs = _boundary_columns(cx, sub)
     return _complex_homology(d2, d1, len(fs), len(es), len(vs), ring)
 
@@ -612,6 +616,7 @@ def check_support_lemma(cx: TwoComplex, sub: Subcomplex) -> SupportVerdict:
     needs no ring: rank H2(X, Y) is the dimension of the kernel of d2 rel Y
     (``_h2_rank``), and no d1 is built.
     """
+    _check_lives_in(cx, sub)
     bsub = boundary_subcomplex(cx)
     if not bsub.is_subset_of(sub):
         raise ComplexError("precondition: boundary of X must lie in Y")

@@ -5,6 +5,16 @@ Problems are given in equality standard form:
 
     minimise c . x   subject to   A x = b,  x >= 0.
 
+The objective c is a dense list of n values, one per column.  Each row of A
+is sparse: a list of (column, coefficient) pairs in strictly ascending
+column order, every column in range(n) and every coefficient nonzero.  The
+right-hand sides b are one value per row.  Every value is an int or a
+``Fraction``; anything else raises ``LpError``.  Checking the rows, scaling
+them to primitive integers, seeding the tableau and the phase 1 objective,
+transposing the basic columns for the dual, and replaying A x = b and
+A^T y <= c all run in O(nnz), the number of input pairs.  The tableau is
+dense: only the pivots, the drive-out and the phase 2 objective read it.
+
 The solver is a two-phase primal simplex.  No floating point is used
 anywhere, and every choice is deterministic.
 
@@ -122,16 +132,42 @@ def _common_denominator(values):
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _primitive(values):
-    """``values`` times a rational lam != 0, as a primitive integer vector
-    whose last entry is >= 0; returns (integers, lam)."""
-    ints, d = _common_denominator(values)
+def _check_problem(objective, a_rows, b_vals):
+    """Refuse rows that are not sorted (column, nonzero coefficient) pairs
+    over the objective's columns, values that are not int or Fraction, and
+    a rhs count other than the row count."""
+    if len(a_rows) != len(b_vals):
+        raise LpError(f"{len(a_rows)} rows but {len(b_vals)} right-hand sides")
+    _common_denominator(objective)
+    _common_denominator(b_vals)
+    n = len(objective)
+    try:
+        for i, row in enumerate(a_rows):
+            last = -1
+            for j, v in row:
+                if type(j) is not int or not 0 <= j < n:
+                    raise LpError(f"row {i}: column {j!r} outside range({n})")
+                if j <= last:
+                    raise LpError(f"row {i}: column {j} out of ascending order or repeated")
+                if not isinstance(v, (int, Fraction)):
+                    raise LpError("LP data must be int or Fraction")
+                if not v:
+                    raise LpError(f"row {i}: zero coefficient in column {j}")
+                last = j
+    except (TypeError, ValueError) as exc:
+        raise LpError("an LP row is a list of (column, coefficient) pairs") from exc
+
+
+def _primitive(row, rhs):
+    """The sparse ``row`` and its ``rhs`` times a rational lam != 0, as a
+    primitive integer vector whose rhs is >= 0; returns (pairs, rhs, lam)."""
+    ints, d = _common_denominator([*(v for _, v in row), rhs])
     g = gcd(*ints) or 1
     if ints[-1] < 0:
         g = -g
     if g != 1:
         ints = [v // g for v in ints]
-    return ints, Fraction(d, g)
+    return [(j, v) for (j, _), v in zip(row, ints)], ints[-1], Fraction(d, g)
 
 
 def _eliminate(r, p, f, support):
@@ -203,34 +239,32 @@ def _simplex_phase(tab, basis, ncols):
 
 
 def solve_lp(objective, a_rows, b_vals) -> LpResult:
-    """Minimise objective . x subject to a_rows x = b_vals, x >= 0."""
+    """Minimise objective . x subject to a_rows x = b_vals, x >= 0, where
+    each row is a sorted list of (column, nonzero coefficient) pairs."""
     m = len(a_rows)
     n = len(objective)
-    rows = []
-    row_scale = []  # integer row i = row_scale[i] * (input row i)
-    for row, rhs in zip(a_rows, b_vals):
-        ints, lam = _primitive([*row, rhs])
-        rows.append(ints)
-        row_scale.append(lam)
+    _check_problem(objective, a_rows, b_vals)
 
-    # columns: n originals, m artificials, the objective scale, the rhs
+    # columns: n originals, m artificials, the objective scale, the rhs;
+    # phase 1 minimises the sum of the artificials
     width = n + m + 2
-    scale = n + m
+    rows = []  # the primitive integer rows, as pairs
+    row_scale = []  # integer row i = row_scale[i] * (input row i)
     tab = []
-    for i, ints in enumerate(rows):
-        t = ints[:n] + [0] * (m + 2)
-        t[n + i] = 1
-        t[-1] = ints[-1]
-        tab.append(t)
-
-    # phase 1: minimise the sum of artificial variables
     obj = [0] * width
-    for t in tab:
-        for j in range(n):
-            if t[j]:
-                obj[j] -= t[j]
-        obj[-1] -= t[-1]
-    obj[scale] = 1
+    for i, (row, rhs) in enumerate(zip(a_rows, b_vals)):
+        pairs, b, lam = _primitive(row, rhs)
+        rows.append(pairs)
+        row_scale.append(lam)
+        t = [0] * width
+        for j, v in pairs:
+            t[j] = v
+            obj[j] -= v
+        t[n + i] = 1
+        t[-1] = b
+        obj[-1] -= b
+        tab.append(t)
+    obj[n + m] = 1
     tab.append(obj)
     basis = [n + i for i in range(m)]
     status, p1, b1 = _simplex_phase(tab, basis, n + m)
@@ -280,9 +314,16 @@ def _dual(objective, rows, basis, n):
     artificial n + k still basic, unique because that whole basis is
     nonsingular."""
     cols = [bj for bj in basis if bj < n]
+    position = {j: c for c, j in enumerate(cols)}
     basic = set(basis)
-    live = [k for k in range(len(rows)) if k + n not in basic]
-    eqs = [{k: rows[k][j] for k in live if rows[k][j]} for j in cols]
+    # one pass over the live rows transposes the basic columns
+    eqs = [{} for _ in cols]
+    for k, row in enumerate(rows):
+        if k + n not in basic:
+            for j, v in row:
+                c = position.get(j)
+                if c is not None:
+                    eqs[c][k] = v
     y = solve_q(eqs, len(rows), [objective[j] for j in cols])
     if y is None:
         raise LpError("optimal basis is singular")
@@ -292,6 +333,7 @@ def _dual(objective, rows, basis, n):
 def replay_check(objective, a_rows, b_vals, result: LpResult):
     """Check a primal-dual certificate exactly against the problem data:
     x >= 0, A x = b, A^T y <= c and b . y = c . x = value."""
+    _check_problem(objective, a_rows, b_vals)
     if result.status != "optimal":
         return
     n, m = len(objective), len(a_rows)
@@ -304,12 +346,11 @@ def replay_check(objective, a_rows, b_vals, result: LpResult):
         raise LpError("negative variable in certificate")
     aty = [0] * n
     for row, rhs, yk in zip(a_rows, b_vals, ys):
-        if sum(a * v for a, v in zip(row, xs) if a) != rhs * dx:
+        if sum(a * xs[j] for j, a in row) != rhs * dx:
             raise LpError("certificate violates a constraint")
         if yk:
-            for j, a in enumerate(row):
-                if a:
-                    aty[j] += a * yk
+            for j, a in row:
+                aty[j] += a * yk
     if any(s > ci * dy for s, ci in zip(aty, objective)):
         raise LpError("dual certificate violates A^T y <= c")
     primal = Fraction(sum(ci * v for ci, v in zip(objective, xs) if ci)) / dx

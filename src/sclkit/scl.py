@@ -129,64 +129,49 @@ def _scl_forced(chain, npos, edges):
 def _scl_full_lp(chain, npos, pairs, partners, edges):
     # variables: pair multiplicities, then coloured flows; no two edges share
     # (src, dst), since dst is the far end of the band and prev^-1(src) the
-    # near end, and together they name the pair and the side it is crossed at
+    # near end, and together they name the pair and the side it is crossed at;
+    # edge (src, dst) has colours 0..min(src, dst) in consecutive columns
     nvar = len(pairs)
-    colour_vars = {}  # (colour, src, dst) -> column
+    firsts = []  # each edge's colour-0 column
     for src, dst, _ in edges:
-        for colour in range(min(src, dst) + 1):
-            colour_vars[(colour, src, dst)] = nvar
-            nvar += 1
+        firsts.append(nvar)
+        nvar += min(src, dst) + 1
 
+    # each row is its sorted (column, coefficient) pairs
     rows = []
     rhs = []
 
-    def new_row():
-        rows.append([0] * nvar)
-        rhs.append(0)
-        return rows[-1]
-
     # coverage: each position is covered once
     for u in range(npos):
-        row = new_row()
-        for pidx in partners[u]:
-            row[pidx] += 1
-        rhs[-1] = 1
+        rows.append([(pidx, 1) for pidx in partners[u]])
+        rhs.append(1)
 
     # colour totals: sum of colours on a directed edge equals its pair weight
-    for src, dst, pidx in edges:
-        row = new_row()
-        row[pidx] -= 1
-        for colour in range(min(src, dst) + 1):
-            row[colour_vars[(colour, src, dst)]] += 1
+    for (src, dst, pidx), first in zip(edges, firsts):
+        rows.append([(pidx, -1), *((first + c, 1) for c in range(min(src, dst) + 1))])
+        rhs.append(0)
 
-    # conservation of each colour at each eligible node
+    # conservation of each colour at each eligible node: in-flow minus
+    # out-flow.  Each node lists its in and out edges once, in edge order,
+    # which is column order for every colour; no edge is a loop (words are
+    # cyclically reduced), so no column is both in and out
+    incident = [[] for _ in range(npos)]  # (colour-0 column, sign, top colour)
+    for (src, dst, _), first in zip(edges, firsts):
+        top = min(src, dst)
+        incident[dst].append((first, 1, top))
+        incident[src].append((first, -1, top))
     for colour in range(npos):
         for node in range(colour, npos):
-            ins = [
-                colour_vars[(colour, src, dst)]
-                for (src, dst, _) in edges
-                if dst == node and colour <= min(src, dst)
-            ]
-            outs = [
-                colour_vars[(colour, src, dst)]
-                for (src, dst, _) in edges
-                if src == node and colour <= min(src, dst)
-            ]
-            if not ins and not outs:
-                continue
-            row = new_row()
-            for j in ins:
-                row[j] += 1
-            for j in outs:
-                row[j] -= 1
+            row = [(first + colour, sign) for first, sign, top in incident[node] if colour <= top]
+            if row:
+                rows.append(row)
+                rhs.append(0)
 
     # objective: bands minus discs
-    objective = [0] * nvar
-    for pidx in range(len(pairs)):
-        objective[pidx] += 1
-    for (colour, src, dst), j in colour_vars.items():
-        if src == colour:
-            objective[j] -= 1
+    objective = [1] * len(pairs) + [0] * (nvar - len(pairs))
+    for (src, dst, _), first in zip(edges, firsts):
+        if src <= dst:
+            objective[first + src] = -1
 
     result = solve_lp(objective, rows, rhs)
     if result.status != "optimal":

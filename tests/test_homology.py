@@ -322,6 +322,15 @@ def test_support_lemma_precondition_boundary():
         check_support_lemma(cx, sub)
 
 
+def test_support_lemma_refuses_a_subcomplex_of_another_complex():
+    # every cell of the genus-2 surface: the torus lacks most of them
+    genus2 = closed_genus(2)
+    y = induced_subcomplex(genus2, genus2.cells())
+    for check in (check_support_lemma, relative_homology):
+        with pytest.raises(ComplexError, match="does not live"):
+            check(torus(), y)
+
+
 def test_support_lemma_closed_surface_specialisation():
     # orientable closed surface, H2(S, T) = 0 forces S = T
     cx = closed_genus(2)

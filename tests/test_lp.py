@@ -16,9 +16,23 @@ from sclkit import lp
 from sclkit.lp import LpError, replay_check, solve_lp
 
 
+def _pairs(row):
+    """A dense row as the solver's sorted (column, nonzero coefficient) pairs."""
+    return [(j, v) for j, v in enumerate(row) if v]
+
+
+def _solve(objective, rows, rhs):
+    return solve_lp(objective, [_pairs(row) for row in rows], rhs)
+
+
+def _check(objective, rows, rhs, res):
+    replay_check(objective, [_pairs(row) for row in rows], rhs, res)
+    return res
+
+
 def test_basic_minimisation():
     # min x + y  s.t.  x + 2y = 4, x, y >= 0
-    res = solve_lp([1, 1], [[1, 2]], [4])
+    res = _solve([1, 1], [[1, 2]], [4])
     assert res.status == "optimal"
     assert res.value == 2
     assert res.solution == [Fraction(0), Fraction(2)]
@@ -26,31 +40,31 @@ def test_basic_minimisation():
 
 def test_degenerate_equalities():
     # redundant constraint pair
-    res = solve_lp([1, 0], [[1, 1], [2, 2]], [3, 6])
+    res = _solve([1, 0], [[1, 1], [2, 2]], [3, 6])
     assert res.status == "optimal"
     assert res.value == 0
 
 
 def test_infeasible():
-    res = solve_lp([1], [[1], [1]], [1, 2])
+    res = _solve([1], [[1], [1]], [1, 2])
     assert res.status == "infeasible"
 
 
 def test_unbounded():
     # min -x s.t. x - y = 0: x can grow forever
-    res = solve_lp([-1, 0], [[1, -1]], [0])
+    res = _solve([-1, 0], [[1, -1]], [0])
     assert res.status == "unbounded"
 
 
 def test_negative_rhs_normalised():
-    res = solve_lp([1, 1], [[-1, -2]], [-4])
+    res = _solve([1, 1], [[-1, -2]], [-4])
     assert res.status == "optimal"
     assert res.value == 2
 
 
 def test_exact_fractions():
     # min x s.t. 3x = 1
-    res = solve_lp([1], [[3]], [1])
+    res = _solve([1], [[3]], [1])
     assert res.value == Fraction(1, 3)
 
 
@@ -58,17 +72,12 @@ def test_determinism():
     objective = [3, 1, 4, 1, 5]
     rows = [[1, 1, 0, 2, 0], [0, 1, 1, 0, 1], [2, 0, 1, 1, 0]]
     rhs = [5, 4, 6]
-    first = solve_lp(objective, rows, rhs)
+    first = _solve(objective, rows, rhs)
     for _ in range(3):
-        again = solve_lp(objective, rows, rhs)
+        again = _solve(objective, rows, rhs)
         assert again.value == first.value
         assert again.solution == first.solution
         assert again.pivots == first.pivots
-
-
-def _check(objective, rows, rhs, res):
-    replay_check(objective, rows, rhs, res)
-    return res
 
 
 def test_beale_cycling_example_terminates():
@@ -81,7 +90,7 @@ def test_beale_cycling_example_terminates():
         [0, 0, 1, 0, 0, 1, 0],
     ]
     rhs = [0, 0, 1]
-    res = _check(objective, rows, rhs, solve_lp(objective, rows, rhs))
+    res = _check(objective, rows, rhs, _solve(objective, rows, rhs))
     assert res.status == "optimal"
     assert res.value == Fraction(-5, 4)
     assert res.solution == [q(3, 4), 0, 0, 1, 0, 1, 0]
@@ -93,15 +102,25 @@ def test_fraction_coefficients_and_rhs():
     objective = [1, 1]
     rows = [[q(1, 2), q(2, 3)], [q(1, 3), q(-1, 4)]]
     rhs = [q(5, 6), q(1, 12)]
-    res = _check(objective, rows, rhs, solve_lp(objective, rows, rhs))
+    res = _check(objective, rows, rhs, _solve(objective, rows, rhs))
     assert res.solution == [q(19, 25), q(17, 25)] and res.value == q(36, 25)
     assert all(isinstance(v, Fraction) for v in res.solution + res.dual)
+
+
+def test_whole_fraction_coefficients_solve_as_ints():
+    # Fractions with denominator 1 still become ints before any pivot
+    q = Fraction
+    objective, rows = [0, 0, 0], [[2, 0, -2], [0, 0, 0], [1, 0, 1]]
+    whole = [[q(v, 2) for v in rows[0]], *rows[1:]]
+    base = _solve(objective, rows, [0, 0, 0])
+    res = _check(objective, whole, [q(0), 0, 0], _solve(objective, whole, [q(0), 0, 0]))
+    assert (res.status, res.solution, res.pivots) == (base.status, base.solution, base.pivots)
 
 
 def test_redundant_row_gets_dual_zero():
     # the second row is twice the first: its artificial stays basic
     objective, rows, rhs = [1, 2], [[1, 1], [2, 2]], [3, 6]
-    res = _check(objective, rows, rhs, solve_lp(objective, rows, rhs))
+    res = _check(objective, rows, rhs, _solve(objective, rows, rhs))
     assert res.value == 3
     assert res.dual == [1, 0]
     assert res.certificate()["dual"] == ["1", "0"]
@@ -111,7 +130,7 @@ def test_tampered_certificate_raises_under_optimize():
     script = textwrap.dedent(
         """
         from sclkit.lp import LpError, replay_check, solve_lp
-        problem = ([1, 2], [[1, 1], [2, 2]], [3, 6])
+        problem = ([1, 2], [[(0, 1), (1, 1)], [(0, 2), (1, 2)]], [3, 6])
         caught = 0
         for field, index, delta in (("solution", 0, 1), ("solution", 0, -4), ("dual", 0, 1), ("dual", 1, -1)):
             res = solve_lp(*problem)
@@ -227,7 +246,7 @@ def small_lps(draw):
 
 
 def _assert_matches_references(objective, rows, rhs):
-    res = solve_lp(objective, rows, rhs)
+    res = _solve(objective, rows, rhs)
     reference = _reference_solve(objective, rows, rhs, lp.BLAND_AFTER)
     assert (res.status, res.solution, res.dual, res.pivots, res.bland_pivots) == reference
     # Bland's rule alone may reach another optimal vertex, but not another value
@@ -235,7 +254,7 @@ def _assert_matches_references(objective, rows, rhs):
     assert res.status == bland_status
     if res.status == "optimal":
         assert res.value == sum(c * v for c, v in zip(objective, bland_x))
-        replay_check(objective, rows, rhs, res)
+        _check(objective, rows, rhs, res)
 
 
 # rows still basic in an artificial after phase 1: a pivot cancels the
@@ -275,12 +294,12 @@ def test_bland_fallback_matches_the_fraction_tableau(bland_after, lp_data):
 @given(small_lps(), st.data())
 def test_row_scaling_leaves_the_solve_unchanged(lp_data, data):
     objective, rows, rhs = lp_data
-    base = solve_lp(objective, rows, rhs)
+    base = _solve(objective, rows, rhs)
     i = data.draw(st.integers(0, len(rows) - 1))
     k = data.draw(st.sampled_from([2, 3, Fraction(1, 2), Fraction(5, 3)]))
     scaled_rows = [[k * v for v in row] if r == i else row for r, row in enumerate(rows)]
     scaled_rhs = [k * b if r == i else b for r, b in enumerate(rhs)]
-    res = solve_lp(objective, scaled_rows, scaled_rhs)
+    res = _solve(objective, scaled_rows, scaled_rhs)
     assert (res.status, res.value, res.solution, res.pivots) == (
         base.status,
         base.value,
@@ -288,10 +307,39 @@ def test_row_scaling_leaves_the_solve_unchanged(lp_data, data):
         base.pivots,
     )
     if res.status == "optimal":
-        replay_check(objective, scaled_rows, scaled_rhs, res)
+        _check(objective, scaled_rows, scaled_rhs, res)
         assert res.dual[i] * k == base.dual[i]
 
 
 def test_float_data_is_refused():
     with pytest.raises(LpError):
-        solve_lp([1, 1], [[0.5, 1]], [2])
+        _solve([1, 1], [[0.5, 1]], [2])
+
+
+# rows that are not sorted (column, nonzero coefficient) pairs over the
+# objective's columns, values that are not int or Fraction, and a rhs count
+# other than the row count; each beside the valid problem
+# min x + y  s.t.  x + 2y = 4
+MALFORMED = {
+    "more_rhs_than_rows": ([1, 1], [[(0, 1), (1, 2)]], [4, 5]),
+    "more_rows_than_rhs": ([1, 1], [[(0, 1)], [(1, 2)]], [4]),
+    "column_past_the_objective": ([1, 1], [[(0, 1), (2, 2)]], [4]),
+    "negative_column": ([1, 1], [[(-1, 1), (1, 2)]], [4]),
+    "columns_descending": ([1, 1], [[(1, 2), (0, 1)]], [4]),
+    "column_repeated": ([1, 1], [[(0, 1), (0, 1), (1, 2)]], [4]),
+    "zero_coefficient": ([1, 1], [[(0, 1), (1, 0)]], [4]),
+    "float_coefficient": ([1, 1], [[(0, 1), (1, 2.0)]], [4]),
+    "float_rhs": ([1, 1], [[(0, 1), (1, 2)]], [4.0]),
+    "float_objective": ([1.0, 1], [[(0, 1), (1, 2)]], [4]),
+    "dense_row": ([1, 1], [[1, 2]], [4]),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_input_is_refused(name):
+    objective, rows, rhs = MALFORMED[name]
+    with pytest.raises(LpError):
+        solve_lp(objective, rows, rhs)
+    res = solve_lp([1, 1], [[(0, 1), (1, 2)]], [4])
+    with pytest.raises(LpError):
+        replay_check(objective, rows, rhs, res)

@@ -531,6 +531,29 @@ def test_lp_pivot_counts_are_pinned(text, value, pivots):
     assert res.lp.dual is not None
 
 
+LP_SHAPES = [("[a,b][a,b]", (59, 58, 182)), ("[a,b][a,b][a,b]", (125, 179, 555))]
+
+
+@pytest.mark.parametrize("text, shape", LP_SHAPES, ids=[t for t, _ in LP_SHAPES])
+def test_scl_lp_shape_is_pinned(monkeypatch, text, shape):
+    # (rows, columns, nonzeros) of the colour-flow LP, and each row given as
+    # sorted (column, nonzero coefficient) pairs with no column repeated
+    captured = []
+    solve = sclkit.scl.solve_lp
+
+    def capture(objective, rows, rhs):
+        captured.append((objective, rows))
+        return solve(objective, rows, rhs)
+
+    monkeypatch.setattr(sclkit.scl, "solve_lp", capture)
+    assert scl(text, "ab").method == "lp"
+    [(objective, rows)] = captured
+    assert (len(rows), len(objective), sum(map(len, rows))) == shape
+    for row in rows:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)) and all(v for _, v in row)
+
+
 def test_bland_fallback_runs_on_a_real_scl_lp():
     assert scl("[a,b][a,b]", "ab").lp.bland_pivots == 0
     res = scl("[a,b][a,b][a,b]", "ab").lp
