@@ -160,10 +160,6 @@ class SnfResult:
         return sum(1 for d in self.diagonal if d != 0)
 
     @property
-    def invariant_factors(self):
-        return [d for d in self.diagonal if d != 0]
-
-    @property
     def torsion(self):
         return [d for d in self.diagonal if d > 1]
 

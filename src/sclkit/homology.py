@@ -9,30 +9,32 @@ edge, and the edge of a term (n, w) maps to the loop word w^n, so a
 degree-2 cone chain is a winding per circle together with a 2-chain of X:
 the coordinates of ``AdmissibleSurface.reduced_class``.
 
-Boundary maps are built sparsely from the face words and edge ends.
-``d2_rows`` reads d2 straight off the face words as one {face index:
-coefficient} row per edge, at most deg(f) nonzeros per face, for the
-orientation witness, the support lemma and the rot structure, which read
-no d1.  Homology and the cone build both maps as one {row index:
-coefficient} dict per cell, i.e. per column, and check d1 d2 = 0 on these
-columns in O(nnz) wherever d1 is built.  No dense boundary matrix is ever
-formed: where a map in columns meets ``kernel_q`` or ``solve_q``, which
-read sparse rows, it is transposed into rows in O(nnz), and
-``boundary_matrices`` returns both maps' rows.
+Boundary maps are built sparsely, in one form each, from the face words
+and the edge ends.  ``d2_rows`` reads d2, absolute or rel Y, straight
+off the face words as one {face index: coefficient} row per edge, at
+most deg(f) nonzeros per face; homology, the cone, the orientation
+witness, the support lemma and the rot structure all read these rows,
+which are the form ``kernel_q``, ``solve_q`` and ``unit_reduce`` take,
+so d2 is never transposed.  ``_d1_edges`` builds d1 as one {vertex
+index: +-1} per edge, the form ``_graph_rank`` reads (only
+``boundary_matrices`` lays it out as vertex rows), and checks d1 d2 = 0
+where it builds it: every face word must close up, each side starting
+where the one before it ends, which is the condition a ``TwoComplex``
+enforces and gives d1 d2 = 0 rel every Y.  The cone checks its circle
+words the same way.  No dense boundary matrix is ever formed.
 
 Rank and torsion.  Each map is ranked by the shape it has.  d1 is the
 incidence matrix of a graph, less the row of one extra node that stands
 for the ends outside it (in Y, or a cone circle's missing end), so its
-rank is the number of merges of a union-find over its columns, a spanning
+rank is the number of merges of a union-find over its edges, a spanning
 forest (``_graph_rank``); an incidence matrix is totally unimodular, so
-H0 has no torsion.  d2 is reduced by ``exactlin.unit_reduce``, which
-eliminates on pivots +-1 only (columns are fed as rows; rank and invariant
-factors do not see the transpose).  Each step is unimodular, so the map is
-equivalent over Z to I_k + R with R the small residual block: rank = k +
-rank R, and the invariant factors are k ones followed by those of R.  Over
-Z the torsion of H1 is read from ``smith_normal_form(R)``, checked to give
-U R V = D; over Q the rank is ``rank_q(R)``.  On surfaces almost every
-pivot is a unit; RP^2 leaves R = [[2]], which is its Z/2.
+H0 has no torsion.  d2's rows are reduced by ``exactlin.unit_reduce``,
+which eliminates on pivots +-1 only.  Each step is unimodular, so the map
+is equivalent over Z to I_k + R with R the small residual block: rank =
+k + rank R, and the invariant factors are k ones followed by those of R.
+Over Z the torsion of H1 is read from ``smith_normal_form(R)``, checked to
+give U R V = D; over Q the rank is ``rank_q(R)``.  On surfaces almost
+every pivot is a unit; RP^2 leaves R = [[2]], which is its Z/2.
 
 Collapse.  The exact solvers peel singletons before they eliminate (see
 ``exactlin``).  On a surface with boundary the free edges, those on one
@@ -57,7 +59,7 @@ free, on disjoint supports, and the witness is the contraction's sign on
 each face, with no kernel solved; rows that are left reach ``kernel_q``.
 The support lemma contracts d2 rel Y the same way and needs only the
 kernel's dimension: the classes left free less the rank of the rows left,
-which ``unit_reduce`` and ``rank_q`` rank.
+which ``_rank_torsion`` ranks as it ranks d2.
 
 Every guard here raises ``HomologyError`` (a ``ComplexError``), so the
 checks also run under ``python -O``.
@@ -112,9 +114,6 @@ class ChainVec:
     def as_dict(self):
         return dict(self.coeffs)
 
-    def support(self):
-        return frozenset(cell for cell, _ in self.coeffs)
-
     def __add__(self, other):
         if self.ring != other.ring:
             raise RingError(f"cannot add a {self.ring} chain to a {other.ring} chain")
@@ -136,68 +135,49 @@ def _add(col, i, c):
         col.pop(i, None)
 
 
-def _check_square_zero(d2, d1, what):
-    """Raise HomologyError unless d1 d2 = 0; both maps given as sparse columns."""
-    for col in d2:
-        total = {}
-        for i, c in col.items():
-            for v, a in d1[i].items():
-                total[v] = total.get(v, 0) + c * a
-        if any(total.values()):
-            raise HomologyError(what)
+def _check_closed(cx: TwoComplex, words, what):
+    """Raise HomologyError unless every word is a closed edge path: each
+    signed edge starts where the one before it, cyclically, ends.  This is
+    the condition a ``TwoComplex`` puts on its face words, and d1 of a
+    closed path is 0, so on the face words it is d1 d2 = 0, absolutely and
+    rel every Y; on a cone's circle words it is the square of the cone's
+    differential."""
+    edges = cx.edges
+    for word in words:
+        e, sign = word[-1]
+        a, b = edges[e]
+        here = b if sign > 0 else a
+        for e, sign in word:
+            a, b = edges[e]
+            if sign < 0:
+                a, b = b, a
+            if a != here:
+                raise HomologyError(what)
+            here = b
 
 
-def _d2_columns(cx: TwoComplex, sub: Subcomplex | None = None):
-    """Sparse d2 of C_*(X), or of C_*(X)/C_*(Y) for Y = ``sub``.
+def _d1_edges(cx: TwoComplex, sub: Subcomplex | None = None):
+    """(d1, vs): d1 of C_*(X), or of C_*(X)/C_*(Y) for Y = ``sub``, as one
+    {vertex index: +-1} per edge outside Y, in ascending edge id: +1 at its
+    target and -1 at its source, an end in Y left out, and a loop empty.
+    ``vs`` lists the vertices outside Y in ascending id.
 
-    Returns (d2, es, fs): the edges and faces outside Y in ascending id, and
-    d2 as one {edge index: signed side count} per face.
+    d1 d2 = 0 is checked wherever d1 is built, so here: every face word
+    must close up (``_check_closed``).
     """
-    es = [e for e in cx.edges if sub is None or e not in sub.edge_set]
-    fs = [f for f in cx.faces if sub is None or f not in sub.face_set]
-    eix = {e: i for i, e in enumerate(es)}
-    d2 = []
-    for f in fs:
-        col = {}
-        for e, sign in cx.faces[f]:
-            i = eix.get(e)
-            if i is not None:
-                col[i] = col.get(i, 0) + sign
-        d2.append(col if all(col.values()) else {i: c for i, c in col.items() if c})
-    return d2, es, fs
-
-
-def _boundary_columns(cx: TwoComplex, sub: Subcomplex | None = None):
-    """Sparse boundary maps of C_*(X), or of C_*(X)/C_*(Y) for Y = ``sub``.
-
-    Returns (d2, d1, vs, es, fs): the cells outside Y in ascending id, d2 as
-    in ``_d2_columns`` and d1 as one {vertex index: coefficient} per edge
-    (target minus source), checked to give d1 d2 = 0.
-    """
-    d2, es, fs = _d2_columns(cx, sub)
+    _check_closed(cx, cx.faces.values(), "d1*d2 != 0")
     vs = [v for v in cx.vertices if sub is None or v not in sub.vertex_set]
     vix = {v: i for i, v in enumerate(vs)}
     d1 = []
-    for e in es:
-        s, t = cx.edges[e]
-        col = {}
-        if t in vix:
-            _add(col, vix[t], 1)
-        if s in vix:
-            _add(col, vix[s], -1)
-        d1.append(col)
-    _check_square_zero(d2, d1, "d1*d2 != 0")
-    return d2, d1, vs, es, fs
-
-
-def _transpose(columns, nrows):
-    """The rows of the map with the given sparse columns, in O(nnz); each
-    row lists its columns in ascending order."""
-    rows = [{} for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            rows[i][j] = c
-    return rows
+    for e, (s, t) in cx.edges.items():
+        if sub is None or e not in sub.edge_set:
+            col = {}
+            if t in vix:
+                col[vix[t]] = 1
+            if s in vix:
+                _add(col, vix[s], -1)
+            d1.append(col)
+    return d1, vs
 
 
 def d2_rows(cx: TwoComplex, sub: Subcomplex | None = None):
@@ -208,19 +188,29 @@ def d2_rows(cx: TwoComplex, sub: Subcomplex | None = None):
 
     The rows are read straight off the face words, each face adding its
     signed sides to the rows of their edges, so each row lists its columns
-    in ascending order.  No d1 is built: a ``TwoComplex`` checks that every
-    face word closes up, which is d1 d2 = 0.
+    in ascending order; only a row that one face meets twice can cancel to
+    a zero entry, which is then dropped.  No d1 is built: a ``TwoComplex``
+    checks that every face word closes up, which is d1 d2 = 0.
     """
     eix = {e: i for i, e in enumerate(e for e in cx.edges if sub is None or e not in sub.edge_set)}
     fs = [f for f in cx.faces if sub is None or f not in sub.face_set]
+    faces = cx.faces
     rows = [{} for _ in eix]
+    repeated = []
     for j, f in enumerate(fs):
-        for e, sign in cx.faces[f]:
+        for e, sign in faces[f]:
             i = eix.get(e)
             if i is not None:
                 row = rows[i]
-                row[j] = row.get(j, 0) + sign
-    return [row if all(row.values()) else {j: c for j, c in row.items() if c} for row in rows], fs
+                if j in row:
+                    row[j] += sign
+                    repeated.append(i)
+                else:
+                    row[j] = sign
+    for i in repeated:
+        if not all(rows[i].values()):
+            rows[i] = {j: c for j, c in rows[i].items() if c}
+    return rows, fs
 
 
 def boundary_matrices(cx: TwoComplex):
@@ -232,8 +222,13 @@ def boundary_matrices(cx: TwoComplex):
     out, so these are exactly the rows that ``kernel_q`` and ``solve_q``
     take, with len(cx.faces) and len(cx.edges) columns.
     """
-    d2c, d1c, vs, es, _ = _boundary_columns(cx)
-    return _transpose(d2c, len(es)), _transpose(d1c, len(vs))
+    d2, _ = d2_rows(cx)
+    d1, vs = _d1_edges(cx)
+    rows = [{} for _ in vs]
+    for j, col in enumerate(d1):
+        for i, c in col.items():
+            rows[i][j] = c
+    return d2, rows
 
 
 @dataclass
@@ -262,11 +257,12 @@ class HomologySummary:
         return "; ".join(parts)
 
 
-def _rank_torsion(columns, nrows, ring):
-    """(rank, torsion) of the map whose sparse columns are given; the
-    torsion (invariant factors > 1) is () over Q.  Over Z the Smith normal
-    form of the residual is checked, U R V = D, before it is read."""
-    units, residual = unit_reduce(columns, nrows)
+def _rank_torsion(rows, ncols, ring):
+    """(rank, torsion) of the map with the given sparse rows over ``ncols``
+    columns; the torsion (invariant factors > 1) is () over Q.  Over Z the
+    Smith normal form of the residual is checked, U R V = D, before it is
+    read."""
+    units, residual = unit_reduce(rows, ncols)
     if ring == "Q":
         return units + rank_q(residual), ()
     snf = smith_normal_form(residual)
@@ -309,11 +305,13 @@ def _graph_rank(d1, n0):
     return rank
 
 
-def _complex_homology(d2, d1, n2, n1, n0, ring):
-    """Homology of  0 -> Z^n2 --d2--> Z^n1 --d1--> Z^n0 -> 0  over ``ring``."""
-    r2, t1 = _rank_torsion(d2, n1, ring)
-    r1 = _graph_rank(d1, n0)
-    ranks = (n0 - r1, n1 - r1 - r2, n2 - r2)
+def _complex_homology(cx: TwoComplex, sub: Subcomplex | None, ring):
+    """Homology of C_*(X), or of C_*(X)/C_*(Y) for Y = ``sub``, over ``ring``."""
+    d2, fs = d2_rows(cx, sub)
+    d1, vs = _d1_edges(cx, sub)
+    r2, t1 = _rank_torsion(d2, len(fs), ring)
+    r1 = _graph_rank(d1, len(vs))
+    ranks = (len(vs) - r1, len(d1) - r1 - r2, len(fs) - r2)
     if ring == "Q":
         return HomologySummary("Q", ranks)
     # torsion of H1 comes from the invariant factors of d2; d1 is an
@@ -324,8 +322,7 @@ def _complex_homology(d2, d1, n2, n1, n0, ring):
 
 def homology(cx: TwoComplex, ring="Z") -> HomologySummary:
     check_ring(ring)
-    d2, d1, vs, es, fs = _boundary_columns(cx)
-    return _complex_homology(d2, d1, len(fs), len(es), len(vs), ring)
+    return _complex_homology(cx, None, ring)
 
 
 def _check_lives_in(cx: TwoComplex, sub: Subcomplex):
@@ -343,8 +340,7 @@ def relative_homology(cx: TwoComplex, sub: Subcomplex, ring="Z") -> HomologySumm
     """Homology of the quotient chain complex C_*(X)/C_*(Y)."""
     check_ring(ring)
     _check_lives_in(cx, sub)
-    d2, d1, vs, es, fs = _boundary_columns(cx, sub)
-    return _complex_homology(d2, d1, len(fs), len(es), len(vs), ring)
+    return _complex_homology(cx, sub, ring)
 
 
 # -- mapping cone of a chain of loops -------------------------------------
@@ -405,32 +401,34 @@ def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
     circles is available through ConeComplex.boundary_degrees.
     """
     words = chain_circles(cx, terms)
-    d2x, d1x, vs, es, _ = _boundary_columns(cx)
-    eix = {e: i for i, e in enumerate(es)}
-    vix = {v: i for i, v in enumerate(vs)}
+    _check_closed(cx, words, "cone differential squares to nonzero")
+    rows, fs = d2_rows(cx)
+    d1x, vs = _d1_edges(cx)
     k = len(words)
 
-    # degree 2: circle edges then X faces; rows circle vertices then X edges.
-    # A one-edge loop has d = 0, so a circle edge column is -gamma alone.
-    d2 = []
-    for word in words:
-        col = {}
+    # degree 2: columns circle edges then X faces; rows circle vertices,
+    # left out since no column meets them (a one-edge loop has d = 0), then
+    # X edges.  So the rows are X's, shifted by k, with -gamma in the circle
+    # columns.
+    d2 = [{k + j: c for j, c in row.items()} for row in rows]
+    eix = {e: i for i, e in enumerate(cx.edges)}
+    for c, word in enumerate(words):
         for e, sign in word:
-            _add(col, k + eix[e], -sign)
-        d2.append(col)
-    d2.extend({k + i: x for i, x in col.items()} for col in d2x)
+            _add(d2[eix[e]], c, -sign)
     # degree 1: circle vertices then X edges; rows X vertices.  -gamma_0
     # sends a circle's vertex to the start of its word.
+    vix = {v: i for i, v in enumerate(vs)}
     d1 = [{vix[cx.endpoint(word[0], 0)]: -1} for word in words]
     d1.extend(d1x)
-    _check_square_zero(d2, d1, "cone differential squares to nonzero")
 
-    rows2, cols2, rows1 = k + len(es), len(d2), len(vs)
-    kernel = kernel_q(_transpose(d2, rows2), cols2)
-    # certificate: every kernel vector is a cone 2-cycle
-    _check_square_zero(
-        [{j: x for j, x in enumerate(vec) if x} for vec in kernel], d2, "cone kernel vector is not a cycle"
-    )
+    rows2, cols2, rows1 = k + len(d2), k + len(fs), len(vs)
+    kernel = kernel_q(d2, cols2)
+    # certificate: every kernel vector, scaled to integers, is a cone 2-cycle
+    for vec in kernel:
+        d = lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (d // x.denominator) for x in vec]
+        if any(sum(c * ints[j] for j, c in row.items()) for row in d2):
+            raise HomologyError("cone kernel vector is not a cycle")
     r2 = cols2 - len(kernel)
     r1 = _graph_rank(d1, rows1)
     summary = HomologySummary("Q", (rows1 - r1, rows2 - r1 - r2, cols2 - r2))

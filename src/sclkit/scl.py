@@ -25,8 +25,8 @@ from fractions import Fraction
 from math import lcm
 
 from .complexes import ComplexError, TwoComplex
-from .homology import d2_rows
-from .exactlin import peel, rank_q, solve_peeled, unit_reduce
+from .homology import _rank_torsion, d2_rows
+from .exactlin import peel, solve_peeled
 from .lp import LpResult, solve_lp
 from .words import ChainError, EdgeChain, OneChain, letter_inverse, word_inverse
 
@@ -99,12 +99,12 @@ def scl_lp(chain: OneChain) -> SclResult:
         edges.append((prev[v], u, idx))
 
     if all(len(lst) == 1 for lst in partners.values()):
-        return _scl_forced(chain, npos, edges)
+        return _scl_forced(npos, edges)
 
-    return _scl_full_lp(chain, npos, pairs, partners, edges)
+    return _scl_full_lp(npos, pairs, partners, edges)
 
 
-def _scl_forced(chain, npos, edges):
+def _scl_forced(npos, edges):
     """All pair multiplicities forced to 1: count flow cycles directly."""
     nxt = {}
     for src, dst, _ in edges:
@@ -126,7 +126,7 @@ def _scl_forced(chain, npos, edges):
     return SclResult(value, "exact", method="forced")
 
 
-def _scl_full_lp(chain, npos, pairs, partners, edges):
+def _scl_full_lp(npos, pairs, partners, edges):
     # variables: pair multiplicities, then coloured flows; no two edges share
     # (src, dst), since dst is the far end of the band and prev^-1(src) the
     # near end, and together they name the pair and the side it is crossed at;
@@ -211,7 +211,8 @@ class RotStructure:
     face it has left, which is the cellular collapse of S through its free
     edges.  A complete collapse, which every surface with boundary has,
     solves every face, so rank d2 = #faces, i.e. H2(S; Q) = 0, with nothing
-    eliminated; only the rows a collapse leaves are ranked by elimination.
+    eliminated; only the rows a collapse leaves are ranked, by elimination
+    in ``homology._rank_torsion``, as homology ranks d2.
     The order and the rows left are kept for ``rot_value``.  The weights,
     each an int or a Fraction, are kept as integer numerators over one
     denominator.
@@ -230,8 +231,7 @@ class RotStructure:
         self.order, self.rest = peel(self.d2, len(fs))
         rank = len(self.order)
         if self.rest:
-            units, residual = unit_reduce(list(self.rest.values()), len(fs))
-            rank += units + rank_q(residual)
+            rank += _rank_torsion(list(self.rest.values()), len(fs), "Q")[0]
         if rank != len(fs):
             raise ComplexError("rot structure needs H2(S; Q) = 0")
         if set(self.weights) != set(fs):
@@ -278,7 +278,7 @@ def rot_value(structure: RotStructure, chain: EdgeChain) -> Fraction:
     over their denominator D.
     """
     cx = structure.cx
-    vec = chain.one_chain_vector(cx)
+    vec = chain.one_chain_vector()
     n = len(structure.area)
     rows = [{**row, n: vec[e]} if e in vec else row for row, e in zip(structure.d2, cx.edges)]
     sol = solve_peeled(rows, n, structure.order, structure.rest)

@@ -258,7 +258,7 @@ class EdgeChain:
                 words.append(word_inverse(tuple(loop)) * (-coeff))
         return words
 
-    def one_chain_vector(self, cx: TwoComplex):
+    def one_chain_vector(self):
         """Image in C1 of the complex: edge id -> signed count."""
         out = {}
         for coeff, loop in self.terms:

@@ -113,6 +113,11 @@ def minors_gcd(mat, k):
     return g
 
 
+def invariant_factors(res):
+    """The nonzero diagonal entries of a Smith normal form."""
+    return [d for d in res.diagonal if d]
+
+
 def invariant_factors_oracle(mat):
     """d_k = gcd of k-minors divided by gcd of (k-1)-minors."""
     r = rank_q(mat)
@@ -164,7 +169,7 @@ def test_snf_random_small_against_minor_oracle():
         m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         res = smith_normal_form(m)
         check_snf(m, res)
-        assert res.invariant_factors == invariant_factors_oracle(m)
+        assert invariant_factors(res) == invariant_factors_oracle(m)
 
 
 def test_snf_random_medium_invariants():
@@ -355,8 +360,8 @@ def test_unit_reduce_splits_off_an_identity(rows, cols, data):
     sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
     units, residual = unit_reduce(sparse, cols)
     assert sparse == [{j: v for j, v in enumerate(row) if v} for row in m]  # input untouched
-    whole = smith_normal_form(m).invariant_factors
-    assert whole == [1] * units + smith_normal_form(residual).invariant_factors
+    whole = invariant_factors(smith_normal_form(m))
+    assert whole == [1] * units + invariant_factors(smith_normal_form(residual))
 
 
 def test_unit_reduce_keeps_a_non_unit_block():

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -38,11 +39,10 @@ from sclkit.homology import (
     ChainVec,
     RingError,
     _assert_orientation_witness,
-    _boundary_columns,
     _contract_faces,
+    _d1_edges,
     _graph_rank,
     _h2_rank,
-    _transpose,
     boundary_matrices,
     check_support_lemma,
     cone_complex,
@@ -66,6 +66,34 @@ def dense(rows, ncols):
         for j, c in row.items():
             out[j] = c
     return mat
+
+
+def support(chain):
+    """The cells a chain is nonzero on."""
+    return set(chain.as_dict())
+
+
+def reference_d2_columns(cx, sub=None):
+    """(columns, es, fs): d2 of C_*(X), or rel Y = ``sub``, as one column
+    {edge index: signed side count} per face outside Y, counted off the
+    face word with the edges and faces outside Y in ascending id."""
+    es = [e for e in cx.edges if sub is None or e not in sub.edge_set]
+    fs = [f for f in cx.faces if sub is None or f not in sub.face_set]
+    columns = []
+    for f in fs:
+        count = Counter(e for e, sign in cx.faces[f] if sign == 1)
+        count.subtract(e for e, sign in cx.faces[f] if sign == -1)
+        columns.append({es.index(e): c for e, c in count.items() if c and e in es})
+    return columns, es, fs
+
+
+def rows_of(columns, nrows):
+    """The sparse rows of the map with the given sparse columns."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            rows[i][j] = c
+    return rows
 
 
 def test_boundary_matrices_torus_vanish():
@@ -238,7 +266,7 @@ def test_one_edge_cone_matches_subdivided_cone(data):
 def test_orientable_closed_genus2():
     w = is_orientable(closed_genus(2), "Z")
     assert w is not None
-    assert w.support() == {0}
+    assert support(w) == {0}
 
 
 def test_orientable_rp2_fails():
@@ -479,12 +507,33 @@ def _random_complex(rng):
     return TwoComplex(range(nv), edges, faces)
 
 
-def _dense_snf_homology(cx):
-    """Ranks and torsion from Smith normal forms of the whole dense maps."""
-    d2, d1 = boundary_matrices(cx)
-    n2, n1, n0 = len(cx.faces), len(cx.edges), len(cx.vertices)
-    s2 = smith_normal_form(dense(d2, n2)) if n2 and n1 else None
-    s1 = smith_normal_form(dense(d1, n1)) if n1 and n0 else None
+def _dense_maps(cx, sub=None):
+    """(d2, d1, (n2, n1, n0)) of C_*(X), or of C_*(X)/C_*(Y) for Y =
+    ``sub``: the maps as dense matrices written down from the face words and
+    the edge ends, with the cells outside Y in ascending id, and the number
+    of faces, edges and vertices outside Y."""
+    vs = [v for v in cx.vertices if sub is None or v not in sub.vertex_set]
+    es = [e for e in cx.edges if sub is None or e not in sub.edge_set]
+    fs = [f for f in cx.faces if sub is None or f not in sub.face_set]
+    d2 = [[0] * len(fs) for _ in es]
+    for j, f in enumerate(fs):
+        for e, sign in cx.faces[f]:
+            if e in es:
+                d2[es.index(e)][j] += sign
+    d1 = [[0] * len(es) for _ in vs]
+    for j, e in enumerate(es):
+        for v, c in zip(cx.edges[e], (-1, 1)):
+            if v in vs:
+                d1[vs.index(v)][j] += c
+    return d2, d1, (len(fs), len(es), len(vs))
+
+
+def _dense_snf_homology(cx, sub=None):
+    """Ranks and torsion of C_*(X), or of C_*(X)/C_*(Y) for Y = ``sub``,
+    from Smith normal forms of the whole dense maps of ``_dense_maps``."""
+    d2, d1, (n2, n1, n0) = _dense_maps(cx, sub)
+    s2 = smith_normal_form(d2) if n2 and n1 else None
+    s1 = smith_normal_form(d1) if n1 and n0 else None
     r2 = s2.rank if s2 else 0
     r1 = s1.rank if s1 else 0
     t1 = tuple(s2.torsion) if s2 else ()
@@ -494,15 +543,24 @@ def _dense_snf_homology(cx):
 
 def test_homology_matches_dense_smith_normal_form_on_random_complexes():
     rng = random.Random(41)
-    torsion_seen = 0
+    sub_rng = random.Random(43)
+    torsion_seen = relative_torsion_seen = 0
     for _ in range(300):
         cx = _random_complex(rng)
+        d2, d1 = boundary_matrices(cx)
+        assert (dense(d2, len(cx.faces)), dense(d1, len(cx.edges))) == _dense_maps(cx)[:2]
         ranks, torsion = _dense_snf_homology(cx)
         hz = homology(cx, "Z")
         assert (hz.ranks, hz.torsion) == (ranks, torsion)
         assert homology(cx, "Q").ranks == ranks
         torsion_seen += bool(torsion[1])
-    assert torsion_seen > 10
+        sub = _random_subcomplex(sub_rng, cx)
+        ranks, torsion = _dense_snf_homology(cx, sub)
+        hz = relative_homology(cx, sub, "Z")
+        assert (hz.ranks, hz.torsion) == (ranks, torsion)
+        assert relative_homology(cx, sub, "Q").ranks == ranks
+        relative_torsion_seen += bool(torsion[1])
+    assert torsion_seen > 10 and relative_torsion_seen > 10
 
 
 def test_rp2_torsion_comes_from_the_non_unit_residual():
@@ -516,9 +574,10 @@ def test_rp2_torsion_comes_from_the_non_unit_residual():
 
 
 def reference_rank_torsion(columns, nrows, ring):
-    """(rank, torsion) by elimination, as every map was ranked before d1 got
-    a spanning forest and the support lemma a contraction: ``unit_reduce``,
-    then ``rank_q`` over Q or the Smith normal form over Z."""
+    """(rank, torsion) of the map with the given sparse columns by
+    elimination, as every map was ranked before d1 got a spanning forest and
+    the support lemma a contraction: ``unit_reduce`` on the columns, then
+    ``rank_q`` over Q or the Smith normal form over Z."""
     units, residual = unit_reduce(columns, nrows)
     if ring == "Q":
         return units + rank_q(residual), ()
@@ -528,7 +587,7 @@ def reference_rank_torsion(columns, nrows, ring):
 
 def reference_h2_rank(cx, sub):
     """rank H2(X, Y) = #faces outside Y - rank of d2 rel Y, by elimination."""
-    d2, _, _, es, fs = _boundary_columns(cx, sub)
+    d2, es, fs = reference_d2_columns(cx, sub)
     return len(fs) - reference_rank_torsion(d2, len(es), "Q")[0]
 
 
@@ -548,7 +607,7 @@ def test_graph_rank_reads_loops_ends_in_y_and_circle_columns():
     # two circle columns on one vertex: one merge each for the last two kinds
     cx = TwoComplex(range(4), {0: (0, 0), 1: (2, 3), 2: (1, 3), 3: (0, 1)}, {})
     sub = induced_subcomplex(cx, [("v", 2), ("v", 3)])
-    _, d1, vs, _, _ = _boundary_columns(cx, sub)
+    d1, vs = _d1_edges(cx, sub)
     assert vs == [0, 1] and d1 == [{}, {}, {1: -1}, {1: 1, 0: -1}]
     columns = [{0: -1}, {0: -1}] + d1
     assert _graph_rank(columns, 2) == reference_rank_torsion(columns, 2, "Q")[0] == 2
@@ -561,7 +620,7 @@ def test_graph_rank_matches_elimination_on_d1(data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     cx = _random_complex(rng)
     sub = _random_subcomplex(rng, cx) if data.draw(st.booleans()) else None
-    _, d1, vs, _, _ = _boundary_columns(cx, sub)
+    d1, vs = _d1_edges(cx, sub)
     # a cone circle's column: -1 at the start of its word, no row for its end
     circles = data.draw(st.lists(st.integers(0, len(vs) - 1), max_size=2)) if vs else []
     columns = [{v: -1} for v in circles] + d1
@@ -604,8 +663,8 @@ def test_h2_rank_by_contraction_matches_elimination(data):
     else:
         cx = barycentric(SUBDIVIDED_FIXTURES[data.draw(st.sampled_from(sorted(SUBDIVIDED_FIXTURES)))]())[0]
     sub = _random_subcomplex(rng, cx)
-    d2, _, _, es, fs = _boundary_columns(cx, sub)
-    assert d2_rows(cx, sub) == (_transpose(d2, len(es)), fs)
+    d2, es, fs = reference_d2_columns(cx, sub)
+    assert d2_rows(cx, sub) == (rows_of(d2, len(es)), fs)
     assert _h2_rank(cx, sub) == reference_h2_rank(cx, sub)
 
 
@@ -619,9 +678,9 @@ def reference_orientation_witness(cx, ring):
     if not cx.faces:
         return ChainVec.make(ring, {})
     bsub = boundary_subcomplex(cx)
-    d2, _, _, es, fs = _boundary_columns(cx, bsub)
+    d2, es, fs = reference_d2_columns(cx, bsub)
     basis = []
-    for vec in kernel_q(_transpose(d2, len(es)), len(fs)):
+    for vec in kernel_q(rows_of(d2, len(es)), len(fs)):
         d = lcm(*(x.denominator for x in vec))
         basis.append([x.numerator * (d // x.denominator) for x in vec])
     covered = {j for vec in basis for j, x in enumerate(vec) if x}
@@ -726,7 +785,7 @@ def test_disjoint_triangles_get_a_unit_witness_without_kernel_q(monkeypatch):
     monkeypatch.setattr(sclkit.homology, "kernel_q", lambda rows, ncols: handed.append(rows))
     for ring in ("Z", "Q"):
         witness = is_orientable(cx, ring)
-        assert witness is not None and witness.support() == set(cx.faces)
+        assert witness is not None and support(witness) == set(cx.faces)
         assert {abs(c) for _, c in witness.coeffs} == {1}
     assert handed == []
 
@@ -738,7 +797,7 @@ def test_closed_genus8_twice_subdivided():
     assert hz.ranks == (1, 16, 1) and hz.torsion == ((), (), ())
     assert homology(cx, "Q").ranks == (1, 16, 1)
     witness = is_orientable(cx, "Z")
-    assert witness is not None and witness.support() == set(cx.faces)
+    assert witness is not None and support(witness) == set(cx.faces)
 
 
 def test_z_chains_hold_integers():
@@ -768,7 +827,7 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
 
     rows_seen, builds, eliminated, reduced = [], [], [], []
     int_row, eliminate = sclkit.exactlin._int_row, sclkit.exactlin._eliminate
-    boundary_columns, unit_reduce = sclkit.homology._boundary_columns, sclkit.exactlin.unit_reduce
+    d2_rows, d1_edges, unit_reduce = sclkit.homology.d2_rows, sclkit.homology._d1_edges, sclkit.exactlin.unit_reduce
 
     def recording_int_row(row):
         rows_seen.append(row)
@@ -778,9 +837,13 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
         eliminated.append(list(rows))
         return eliminate(rows, ncols, units_only)
 
-    def counting_boundary_columns(*args):
-        builds.append(args)
-        return boundary_columns(*args)
+    def counting_d2_rows(*args):
+        builds.append("d2")
+        return d2_rows(*args)
+
+    def counting_d1_edges(*args):
+        builds.append("d1")
+        return d1_edges(*args)
 
     def recording_unit_reduce(rows, ncols):
         reduced.append(ncols)
@@ -788,32 +851,34 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
 
     monkeypatch.setattr(sclkit.exactlin, "_int_row", recording_int_row)
     monkeypatch.setattr(sclkit.exactlin, "_eliminate", recording_eliminate)
-    monkeypatch.setattr(sclkit.homology, "_boundary_columns", counting_boundary_columns)
+    monkeypatch.setattr(sclkit.homology, "d2_rows", counting_d2_rows)
+    monkeypatch.setattr(sclkit.scl, "d2_rows", counting_d2_rows)
+    monkeypatch.setattr(sclkit.homology, "_d1_edges", counting_d1_edges)
     monkeypatch.setattr(sclkit.homology, "unit_reduce", recording_unit_reduce)
-    monkeypatch.setattr(sclkit.scl, "unit_reduce", recording_unit_reduce)
-    # the rot structure builds d2 alone and solves on the same rows; with
-    # no d1 it builds no boundary columns, and every face collapses through
-    # a free edge, which ranks d2 without unit_reduce and leaves no d2 row
-    # to eliminate
+    # the rot structure builds d2 alone, once, and solves on the same rows;
+    # every face collapses through a free edge, which ranks d2 without
+    # unit_reduce and leaves no d2 row to eliminate
     structure = RotStructure(cx, weights)
     assert rot_value(structure, chain) == 3
-    assert builds == []
+    assert builds == ["d2"]
     assert len(structure.order) == len(cx.faces) and not structure.rest
     assert not any(eliminated)
     assert reduced == []
     # rel its boundary every face contracts into one class: the witness
-    # builds no d1 and is read off the contraction, with nothing eliminated
+    # builds d2 once, no d1, and is read off the contraction, with nothing
+    # eliminated
+    builds.clear()
     eliminated.clear()
     witness = is_orientable(cx)
-    assert witness is not None and witness.support() == set(cx.faces)
-    assert builds == []
+    assert witness is not None and support(witness) == set(cx.faces)
+    assert builds == ["d2"]
     assert eliminated == []
-    # the cone reuses X's boundary columns and reduces nothing: its d1 is
+    # the cone builds each of X's maps once and reduces nothing: its d1 is
     # ranked by a spanning forest and its d2 rank is read off the kernel
     reduced.clear()
     builds.clear()
     assert cone_complex(cx, chain.terms).summary.rank(2) == 1
-    assert reduced == [] and len(builds) == 1
+    assert reduced == [] and builds == ["d2", "d1"]
     # every row the solvers read is sparse: an edge meets at most two faces,
     # plus one entry for a right-hand side or a circle edge
     assert rows_seen and all(type(row) is dict and all(row.values()) for row in rows_seen)

@@ -205,7 +205,7 @@ def test_scl_is_invariant_under_the_nielsen_move_a_to_ab(chain):
     assert scl_lp(_a_to_ab(chain)).value == scl_lp(chain).value
 
 
-def _full_lp_of_forced(chain, npos, edges):
+def _full_lp_of_forced(npos, edges):
     """``_scl_full_lp`` on the arguments of a ``_scl_forced`` call: the pair
     of edge k // 2 is read off the far ends of its two edges."""
     ends = {}
@@ -213,7 +213,7 @@ def _full_lp_of_forced(chain, npos, edges):
         ends.setdefault(idx, []).append(dst)
     pairs = [tuple(sorted(ends[idx])) for idx in range(len(ends))]
     partners = {u: [idx for idx, pair in enumerate(pairs) if u in pair] for u in range(npos)}
-    return _scl_full_lp(chain, npos, pairs, partners, edges)
+    return _scl_full_lp(npos, pairs, partners, edges)
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,9 +221,9 @@ def _full_lp_of_forced(chain, npos, edges):
 def test_scl_of_a_random_chain_meets_duncan_howie_and_the_forced_path_meets_the_lp(chain):
     forced = sclkit.scl._scl_forced
 
-    def forced_checked_by_lp(chain, npos, edges):
-        result = forced(chain, npos, edges)
-        assert result.value == _full_lp_of_forced(chain, npos, edges).value
+    def forced_checked_by_lp(npos, edges):
+        result = forced(npos, edges)
+        assert result.value == _full_lp_of_forced(npos, edges).value
         return result
 
     # the product of the chain's words, each taken c times, is one word
@@ -360,7 +360,7 @@ def test_rot_refusals_are_typed_under_optimize():
 def reference_rot_value(cx, weights, chain):
     """rot by ``solve_q`` on every row of d2 and a Fraction sum."""
     d2, fs = d2_rows(cx)
-    vec = chain.one_chain_vector(cx)
+    vec = chain.one_chain_vector()
     sol = solve_q(d2, len(fs), [vec.get(e, 0) for e in cx.edges])
     if sol is None:
         raise ComplexError("chain is not a cellular 1-boundary")

@@ -120,4 +120,4 @@ def test_edge_chain_parse_and_text():
 def test_edge_chain_one_chain_vector():
     cx = closed_genus3_split()
     c = parse_edge_chain("2*c-", cx)
-    assert c.one_chain_vector(cx) == {cx.edge_id("c"): -2}
+    assert c.one_chain_vector() == {cx.edge_id("c"): -2}
