@@ -43,39 +43,35 @@ Given them, the solution with free variables 0 and the kernel vector whose
 free part is e_j are unique, so back substitution through the echelon rows
 returns exactly the vectors read off the RREF.
 
-Peeling singletons.  ``kernel_q``, ``solve_q`` and ``unit_reduce`` first
-run ``peel``, and ``_eliminate`` sees only the rows it leaves.  A row with
-one column c left says a x_c = b - (the columns already solved), so x_c
-is fixed in every solution (0 in every kernel vector); the peel pivots on
-it, takes column c out of every other row and repeats while singletons
-appear.  Only columns leave rows, so the peel reads no entry but the
-pivots' and reports its order, (column, row index) per pivot, which holds
-for every right-hand side: ``solve_peeled`` substitutes a right-hand side
-through that order, row by row, checks each row the peel emptied, and
-eliminates only the rows left, so one peel serves many right-hand sides.
-A peeled column is a pivot column of the RREF: were column c in the span
-of columns 0..c-1, the kernel would hold a vector with x_c = 1.  The other
-pivot columns are those of the rows left, since a kernel vector has
-x_c = 0 anyway; so the pivot columns, and with them the kernel vectors and
-the solution with free variables 0, are exactly those of elimination
-alone.  ``unit_reduce`` peels unit row singletons only, and also a column
-whose only nonzero is +-1: column operations clear that pivot's row, so
-the row leaves while the rank and the invariant factors stay.  Column
-singletons are for rank and torsion only: their row gives x_c in terms of
-the other columns, column c need not be a pivot column of the RREF, and
-pivoting there would change the kernel vectors and the solution that
-``kernel_q`` and ``solve_q`` return.
+Peeling singletons.  ``kernel_q`` and ``solve_q`` first run ``peel``, and
+``_eliminate`` sees only the rows it leaves.  A row with one column c left
+says a x_c = b - (the columns already solved), so x_c is fixed in every
+solution (0 in every kernel vector); the peel pivots on it, takes column c
+out of every other row and repeats while singletons appear.  Only columns
+leave rows, so the peel reads no entry but the pivots' and reports its
+order, (column, row index) per pivot, which holds for every right-hand
+side: ``solve_peeled`` substitutes a right-hand side through that order,
+row by row, checks each row the peel emptied, and eliminates only the rows
+left, so one peel serves many right-hand sides.  A peeled column is a pivot
+column of the RREF: were column c in the span of columns 0..c-1, the kernel
+would hold a vector with x_c = 1.  The other pivot columns are those of the
+rows left, since a kernel vector has x_c = 0 anyway; so the pivot columns,
+and with them the kernel vectors and the solution with free variables 0,
+are exactly those of elimination alone.
 
-Unit pivots over Z.  ``unit_reduce`` accepts only pivots +-1, leaves a
-column without one alone (its rows move on to their next column) and never
-divides a row by its gcd.  Each step then adds integer multiples of the
-pivot row to other rows.  The column operations that would clear the pivot
-row change no other row, since after the step its column is zero in every
-active row and the earlier pivot rows are already cleared.  Hence M is
-unimodularly equivalent to I_k + R, where k counts the unit pivots and R is
-what is left of the rows without pivot on the columns without pivot:
-rank M = k + rank R, and the invariant factors of M are k ones followed by
-those of R.  Smith normal form then runs on R only.
+Unit pivots over Z.  ``unit_reduce`` runs ``_eliminate`` on its rows, with
+no peel, and accepts only pivots +-1: it leaves a column without one alone
+(its rows move on to their next column) and never divides a row by its gcd.
+Each step then adds integer multiples of the pivot row to other rows.  The
+column operations that would clear the pivot row change no other row, since
+after the step its column is zero in every active row and the earlier pivot
+rows are already cleared.  Hence M is unimodularly equivalent to I_k + R,
+where k counts the unit pivots and R is what is left of the rows without
+pivot on the columns without pivot: rank M = k + rank R, and the invariant
+factors of M are k ones followed by those of R.  Smith normal form then
+runs on R only.  ``homology`` contracts the unit rows of a map before it
+calls ``unit_reduce`` (see ``homology._contract``), so on the pipeline's
+complexes few rows, and often none, reach it.
 
 The Smith normal form uses a fixed pivot rule (smallest nonzero absolute
 value, ties broken by lowest row then lowest column index).
@@ -325,7 +321,7 @@ def _check_columns(rows, ncols):
                 raise ValueError(f"row {i} has column {bad} outside 0 <= c < {ncols}")
 
 
-def peel(rows, ncols, units_only=False):
+def peel(rows, ncols):
     """Pivot on singletons before elimination, and report their order.
 
     ``rows`` are {column: int} dicts without zero entries; they are not
@@ -333,9 +329,7 @@ def peel(rows, ncols, units_only=False):
     is never pivoted on.  A row with one column left below ``ncols``, c,
     is a pivot: it solves x_c once every other column it holds is solved,
     and column c leaves every other row.  Only columns leave rows, so which
-    rows pivot, and in which order, does not depend on the entries.  With
-    ``units_only`` a pivot must be +-1, and a column left in one row only,
-    with +-1 there, also pivots, taking that row out.
+    rows pivot, and in which order, does not depend on the entries.
 
     Returns (order, rest): ``order`` lists (column, input row index) of the
     pivots in the order found, so each row's other columns pivot before it;
@@ -348,43 +342,24 @@ def peel(rows, ncols, units_only=False):
     done = [False] * ncols + [True]  # pivot columns, and the right-hand side
     row_todo = [i for i, k in enumerate(left) if k == 1]
     order = []
-    if row_todo or units_only:
+    if row_todo:
         at = [[] for _ in range(ncols + 1)]  # column -> the rows nonzero there
         for i, row in enumerate(rows):
             for k in row:
                 at[k].append(i)
-        count = [len(a) for a in at]  # rows per column, less those a column pivot took out
-        col_todo = [c for c in range(ncols) if count[c] == 1] if units_only else []
-        while row_todo or col_todo:
-            if row_todo:
-                i = row_todo.pop()
-                if left[i] != 1:
-                    continue
-                row = rows[i]
-                for c in row:
-                    if not done[c]:
-                        break
-                if units_only and row[c] * row[c] != 1:
-                    continue
-                for j in at[c]:
-                    if left[j]:
-                        left[j] -= 1
-                        if left[j] == 1:
-                            row_todo.append(j)
-            else:
-                c = col_todo.pop()
-                if done[c] or count[c] != 1:
-                    continue
-                for i in at[c]:
-                    if left[i]:
-                        break
-                if rows[i][c] * rows[i][c] != 1:
-                    continue
-                left[i] = 0
-                for k in rows[i]:
-                    count[k] -= 1
-                    if count[k] == 1 and not done[k]:
-                        col_todo.append(k)
+        while row_todo:
+            i = row_todo.pop()
+            if left[i] != 1:
+                continue
+            row = rows[i]
+            for c in row:
+                if not done[c]:
+                    break
+            for j in at[c]:
+                if left[j]:
+                    left[j] -= 1
+                    if left[j] == 1:
+                        row_todo.append(j)
             done[c] = True
             order.append((c, i))
     rest = {
@@ -449,15 +424,14 @@ def _eliminate(rows, ncols, units_only=False):
 def unit_reduce(rows, ncols):
     """Split an integer matrix as I_k + R up to unimodular equivalence.
 
-    ``rows`` are {column: int} dicts.  Peels unit singletons, then
-    eliminates on pivots +-1 only, and returns (k, R): k pivots were units,
-    and R is the dense residual (the rows that got no pivot, on the columns
-    that got none).  The rank is k + rank R and the invariant factors are k
-    ones followed by those of R.
+    ``rows`` are {column: int} dicts without zero entries.  Eliminates on
+    pivots +-1 only and returns (k, R): k pivots were units, and R is the
+    dense residual (the rows that got no pivot, on the columns that got
+    none).  The rank is k + rank R and the invariant factors are k ones
+    followed by those of R.
     """
     _check_columns(rows, ncols)
-    order, rest = peel(rows, ncols, units_only=True)
-    pivots, rest = _eliminate(list(rest.values()), ncols, units_only=True)
+    pivots, rest = _eliminate(rows, ncols, units_only=True)
     cols = sorted(set().union(*rest))
     at = {c: j for j, c in enumerate(cols)}
     residual = []
@@ -466,7 +440,7 @@ def unit_reduce(rows, ncols):
         for k, v in row.items():
             dense[at[k]] = v
         residual.append(dense)
-    return len(order) + len(pivots), residual
+    return len(pivots), residual
 
 
 def rank_q(mat) -> int:

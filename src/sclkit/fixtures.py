@@ -1,8 +1,7 @@
 """Worked example library.
 
 Every fixture is rebuilt on each call (complexes are immutable, so sharing
-would also be fine; rebuilding keeps tests independent).  Self-checks live
-in ``check_fixture_set``.
+would also be fine; rebuilding keeps tests independent).
 
 Naming:
 

@@ -16,50 +16,49 @@ most deg(f) nonzeros per face; homology, the cone, the orientation
 witness, the support lemma and the rot structure all read these rows,
 which are the form ``kernel_q``, ``solve_q`` and ``unit_reduce`` take,
 so d2 is never transposed.  ``_d1_edges`` builds d1 as one {vertex
-index: +-1} per edge, the form ``_graph_rank`` reads (only
-``boundary_matrices`` lays it out as vertex rows), and checks d1 d2 = 0
-where it builds it: every face word must close up, each side starting
-where the one before it ends, which is the condition a ``TwoComplex``
-enforces and gives d1 d2 = 0 rel every Y.  The cone checks its circle
-words the same way.  No dense boundary matrix is ever formed.
+index: +-1} per edge, the rows of its transpose, which has the same rank
+and invariant factors (only ``boundary_matrices`` lays it out as vertex
+rows), and checks d1 d2 = 0 where it builds it: every face word must
+close up, each side starting where the one before it ends, which is the
+condition a ``TwoComplex`` enforces and gives d1 d2 = 0 rel every Y.  The
+cone checks its circle words the same way.  No dense boundary matrix is
+ever formed.
 
-Rank and torsion.  Each map is ranked by the shape it has.  d1 is the
-incidence matrix of a graph, less the row of one extra node that stands
-for the ends outside it (in Y, or a cone circle's missing end), so its
-rank is the number of merges of a union-find over its edges, a spanning
-forest (``_graph_rank``); an incidence matrix is totally unimodular, so
-H0 has no torsion.  d2's rows are reduced by ``exactlin.unit_reduce``,
-which eliminates on pivots +-1 only.  Each step is unimodular, so the map
-is equivalent over Z to I_k + R with R the small residual block: rank =
-k + rank R, and the invariant factors are k ones followed by those of R.
-Over Z the torsion of H1 is read from ``smith_normal_form(R)``, checked to
-give U R V = D; over Q the rank is ``rank_q(R)``.  On surfaces almost
-every pivot is a unit; RP^2 leaves R = [[2]], which is its Z/2.
+Rank and torsion.  Every map is ranked by one routine, ``_rank_torsion``:
+a contraction of its unit rows (``_contract``), then
+``exactlin.unit_reduce`` on the rows the contraction leaves, which leaves
+a small residual R.  Each step is unimodular, so the map is equivalent
+over Z to I_k + R: rank = k + rank R, and the invariant factors are k
+ones followed by those of R.  Over Z the torsion is read from
+``smith_normal_form(R)``, checked to give U R V = D; over Q the rank is
+``rank_q(R)``.  Nothing is left to reduce in d1, an incidence matrix
+whose every edge row ties two vertices with +-1 or has one end outside
+(in Y, or a cone circle's missing end), nor in d2 of a surface that has
+boundary or is orientable.  A closed non-orientable surface leaves one
+row {k: +-2} per component: RP^2 leaves R = [[2]], which is its Z/2.
+
+Contraction.  A row {f: a, g: b} with a, b = +-1 says x_g = -a b x_f; one
+pass of a signed union-find over these rows merges the columns into
+classes, and a one-entry row {f: +-1} forces its class to 0.  Each merge
+and each forcing is a unit pivot, so what is left is the other rows,
+rewritten over one column per class left free: edges on three or more
+face sides, non-unit entries (RP^2's {0: 2}), and rows that close a cycle
+inside a class, which vanish or, with the other sign, become {k: +-2} (a
+Moebius band).  The rank is the number of columns less the classes left
+free, plus the rank of those rows.  The orientation witness, a kernel
+vector of d2 rel boundary, reads the same contraction: on a surface no
+row is left, so the kernel has one vector per class left free, on
+disjoint supports, and the witness is the contraction's sign on each
+face, with no kernel solved; rows that are left reach ``kernel_q``.  The
+support lemma needs only rank H2(X, Y), the number of faces outside Y
+less the rank of d2 rel Y.
 
 Collapse.  The exact solvers peel singletons before they eliminate (see
 ``exactlin``).  On a surface with boundary the free edges, those on one
 face side only, are d2's singleton rows: peeling one removes its face,
 which frees the face's other edges, so the peel is the cellular collapse
-of the surface through its boundary.  A surface that collapses onto a
-graph, as the subdivided ambient pairs do, leaves no row of d2 to
-eliminate; a complex without free edges, such as RP^2, goes on to the
-elimination unchanged.  The peel reports the collapse order, which
-``scl.RotStructure`` keeps to solve every chain it is given.
-
-Contraction.  Rel its boundary a surface has no free edge, so the
-orientation witness, a kernel vector of d2 rel boundary, contracts faces
-instead (``_contract_faces``).  An interior edge on two face sides is a
-row {f: +-1, g: +-1}, which says x_g = +-x_f; one pass of a signed
-union-find over these rows leaves one unknown per class of faces, or
-forces a class to 0 through a one-entry row (RP^2's {0: 2}) or a parity
-conflict (a Moebius band).  Only the other rows, edges on three or more
-face sides or with a non-unit entry, are rewritten over the classes.  On
-a surface there are none: the kernel then has one vector per class left
-free, on disjoint supports, and the witness is the contraction's sign on
-each face, with no kernel solved; rows that are left reach ``kernel_q``.
-The support lemma contracts d2 rel Y the same way and needs only the
-kernel's dimension: the classes left free less the rank of the rows left,
-which ``_rank_torsion`` ranks as it ranks d2.
+of the surface through its boundary.  ``scl.RotStructure`` keeps the
+collapse order to solve every chain it is given.
 
 Every guard here raises ``HomologyError`` (a ``ComplexError``), so the
 checks also run under ``python -O``.
@@ -257,52 +256,91 @@ class HomologySummary:
         return "; ".join(parts)
 
 
+def _contract(rows, ncols):
+    """Contract columns across the rows that tie two of them with units.
+
+    ``rows`` are sparse rows {column: int} without zeros, over ``ncols``
+    columns.  A row {f: a, g: b} with a, b = +-1 and f, g in different
+    classes says x_g = -a b x_f and joins the two classes in a signed
+    union-find; a row {f: +-1} forces the class of f to 0.  Every other
+    row is rewritten over the classes that are left, one column each, and
+    kept unless it vanishes.
+
+    Returns (column_class, rest, k): per column (class, sign), or (None, 0)
+    in a class forced to 0, and the rewritten rows over k columns.  Each
+    merge and each forcing is a unit pivot, so the kernel of ``rows`` is
+    exactly {x : x_f = sign * y[class]} for y in the kernel of ``rest``, the
+    rank is ncols - k + rank(rest), and the invariant factors are ncols - k
+    ones followed by those of ``rest``.
+    """
+    parent = list(range(ncols))
+    sign = [1] * ncols  # x_j = sign[j] * x_parent[j]
+    size = [1] * ncols
+    zero = [False] * ncols  # at a root: the class is forced to 0
+
+    def find(j):
+        """(root of j, x_j / x_root); union by size keeps the walk short."""
+        s = 1
+        while parent[j] != j:
+            s *= sign[j]
+            j = parent[j]
+        return j, s
+
+    rest = []
+    for row in rows:
+        if len(row) == 1:
+            ((f, a),) = row.items()
+            if a * a == 1:
+                zero[find(f)[0]] = True
+                continue
+        elif len(row) == 2:
+            (f, a), (g, b) = row.items()
+            if a * a == 1 and b * b == 1:
+                (rf, sf), (rg, sg) = find(f), find(g)
+                s = -a * b * sf * sg  # x_rg = s * x_rf
+                if rf != rg:
+                    if size[rf] < size[rg]:
+                        rf, rg = rg, rf
+                    parent[rg], sign[rg] = rf, s
+                    size[rf] += size[rg]
+                    zero[rf] = zero[rf] or zero[rg]
+                    continue
+                if s == 1:  # the row vanishes over the class
+                    continue
+        rest.append(row)
+
+    columns = {}
+    column_class = []
+    for j in range(ncols):
+        r, s = find(j)
+        column_class.append((None, 0) if zero[r] else (columns.setdefault(r, len(columns)), s))
+    rewritten = []
+    for row in rest:
+        new = {}
+        for j, a in row.items():
+            k, s = column_class[j]
+            if k is not None:
+                _add(new, k, s * a)
+        if new:
+            rewritten.append(new)
+    return column_class, rewritten, len(columns)
+
+
 def _rank_torsion(rows, ncols, ring):
     """(rank, torsion) of the map with the given sparse rows over ``ncols``
-    columns; the torsion (invariant factors > 1) is () over Q.  Over Z the
-    Smith normal form of the residual is checked, U R V = D, before it is
-    read."""
-    units, residual = unit_reduce(rows, ncols)
+    columns; the torsion (invariant factors > 1) is () over Q.
+
+    The rows are contracted (``_contract``), and only the rows left, over
+    the classes left, reach ``unit_reduce``.  Over Z the Smith normal form
+    of the residual is checked, U R V = D, before it is read."""
+    _, rest, k = _contract(rows, ncols)
+    units, residual = unit_reduce(rest, k) if rest else (0, [])
+    rank = ncols - k + units
     if ring == "Q":
-        return units + rank_q(residual), ()
+        return rank + rank_q(residual), ()
     snf = smith_normal_form(residual)
     check_snf(residual, snf)
-    return units + snf.rank, tuple(snf.torsion)
-
-
-def _graph_rank(d1, n0):
-    """Rank of d1, given as sparse columns over ``n0`` vertex rows, by a
-    spanning forest.
-
-    Each column is an edge of a graph on the n0 vertices and one extra
-    node: +1 at one end and -1 at the other, an end without a row (in Y,
-    or a cone circle's missing end) being the extra node, and no entry for
-    a loop.  So d1 is the incidence matrix of that graph less the extra
-    node's row, and its rank is n0 + 1 less the number of components: the
-    number of merges of a union-find over the columns.
-    """
-    parent = list(range(n0 + 1))
-    rank = 0
-    for col in d1:
-        if len(col) == 2:
-            (a, x), (b, y) = col.items()
-        elif len(col) == 1:
-            ((a, x),) = col.items()
-            b, y = n0, -x
-        elif not col:
-            continue
-        else:
-            raise HomologyError(f"d1 column {col} is not an edge of a graph")
-        if x * x != 1 or x + y:
-            raise HomologyError(f"d1 column {col} is not an edge of a graph")
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            rank += 1
-    return rank
+    return rank + snf.rank, tuple(snf.torsion)
 
 
 def _complex_homology(cx: TwoComplex, sub: Subcomplex | None, ring):
@@ -310,14 +348,13 @@ def _complex_homology(cx: TwoComplex, sub: Subcomplex | None, ring):
     d2, fs = d2_rows(cx, sub)
     d1, vs = _d1_edges(cx, sub)
     r2, t1 = _rank_torsion(d2, len(fs), ring)
-    r1 = _graph_rank(d1, len(vs))
+    r1, t0 = _rank_torsion(d1, len(vs), ring)
     ranks = (len(vs) - r1, len(d1) - r1 - r2, len(fs) - r2)
     if ring == "Q":
         return HomologySummary("Q", ranks)
-    # torsion of H1 comes from the invariant factors of d2; d1 is an
-    # incidence matrix, totally unimodular, so H0 has none, and the top
-    # degree is a subgroup of a free module, so it has none either
-    return HomologySummary("Z", ranks, ((), t1, ()))
+    # the torsion of Hn is that of the invariant factors of d(n+1); the top
+    # degree is a subgroup of a free module, so it has none
+    return HomologySummary("Z", ranks, (t0, t1, ()))
 
 
 def homology(cx: TwoComplex, ring="Z") -> HomologySummary:
@@ -430,7 +467,7 @@ def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
         if any(sum(c * ints[j] for j, c in row.items()) for row in d2):
             raise HomologyError("cone kernel vector is not a cycle")
     r2 = cols2 - len(kernel)
-    r1 = _graph_rank(d1, rows1)
+    r1 = _rank_torsion(d1, rows1, "Q")[0]
     summary = HomologySummary("Q", (rows1 - r1, rows2 - r1 - r2, cols2 - r2))
     return ConeComplex(circles=k, kernel_basis=kernel, summary=summary)
 
@@ -443,88 +480,14 @@ def is_orientable(cx: TwoComplex, ring="Z"):
 
     Returns the witness ChainVec, or None when impossible.  The kernel of
     d2 rel boundary is found by contracting faces across every edge that
-    ties two of them (``_contract_faces``); with no row left, each face's
+    ties two of them (``_contract``); with no row left, each face's
     coefficient is its sign in its class.  Only the rows the contraction
-    cannot read, edges on three or more face sides or with a non-unit
-    entry, go to ``kernel_q``, over one unknown per class of faces.  Over
+    leaves go to ``kernel_q``, over one unknown per class of faces.  Over
     Z and Q the answer agrees: the rational kernel basis, each vector scaled
     to integers, gives an integer witness whenever a rational one exists.
     """
     check_ring(ring)
     return _orientation_witness(cx, boundary_subcomplex(cx), ring)
-
-
-def _contract_faces(rows, nfaces):
-    """Contract faces across the rows of d2 that each tie two of them.
-
-    ``rows`` are sparse rows {face index: coefficient} without zeros, over
-    ``nfaces`` columns.  A row {f: a, g: b} with a, b = +-1 says
-    x_g = -a b x_f and joins f and g in one class of a signed union-find; a
-    row with one entry, or a second route inside a class with the other
-    sign, forces that class to 0.  Every other row is rewritten over the
-    classes that are left, one column each.
-
-    Returns (face_class, rest, k): per face (column, sign), or (None, 0) in
-    a class forced to 0, and the rewritten rows over k columns, so that the
-    kernel of ``rows`` is exactly {x : x_f = sign * y[column]} for y in the
-    kernel of ``rest``.
-    """
-    parent = list(range(nfaces))
-    sign = [1] * nfaces  # x_j = sign[j] * x_parent[j]
-    size = [1] * nfaces
-    zero = [False] * nfaces  # at a root: the class is forced to 0
-
-    def find(j):
-        """(root of j, x_j / x_root), compressing the path to the root."""
-        p = parent[j]
-        if parent[p] == p:
-            return p, sign[j]
-        path = []
-        while parent[j] != j:
-            path.append(j)
-            j = parent[j]
-        s = 1
-        for k in reversed(path):
-            s *= sign[k]
-            parent[k], sign[k] = j, s
-        return j, s
-
-    rest = []
-    for row in rows:
-        if len(row) == 1:
-            zero[find(next(iter(row)))[0]] = True
-            continue
-        if len(row) == 2:
-            (f, a), (g, b) = row.items()
-            if a * a == 1 and b * b == 1:
-                (rf, sf), (rg, sg) = find(f), find(g)
-                s = -a * b * sf * sg  # x_rg = s * x_rf
-                if rf == rg:
-                    zero[rf] = zero[rf] or s != 1
-                else:
-                    if size[rf] < size[rg]:
-                        rf, rg = rg, rf
-                    parent[rg], sign[rg] = rf, s
-                    size[rf] += size[rg]
-                    zero[rf] = zero[rf] or zero[rg]
-                continue
-        rest.append(row)
-
-    columns = {}
-    face_class = []
-    for j in range(nfaces):
-        r, s = find(j)
-        face_class.append((None, 0) if zero[r] else (columns.setdefault(r, len(columns)), s))
-    rewritten = []
-    for row in rest:
-        new = {}
-        for j, a in row.items():
-            k, s = face_class[j]
-            if k is not None:
-                _add(new, k, s * a)
-        if new:
-            rewritten.append(new)
-    return face_class, rewritten, len(columns)
 
 
 def _orientation_witness(cx: TwoComplex, bsub: Subcomplex, ring):
@@ -533,7 +496,7 @@ def _orientation_witness(cx: TwoComplex, bsub: Subcomplex, ring):
     if not cx.faces:
         return ChainVec.make(ring, {})
     rows, fs = d2_rows(cx, bsub)
-    face_class, rest, k = _contract_faces(rows, len(fs))
+    face_class, rest, k = _contract(rows, len(fs))
     if not rest:
         # the kernel has one vector per class, on disjoint supports: the
         # contraction's sign on each face of a class left free
@@ -584,19 +547,6 @@ def _assert_orientation_witness(cx: TwoComplex, chain: ChainVec, bsub: Subcomple
             raise HomologyError("witness boundary leaks outside the complex boundary")
 
 
-def _h2_rank(cx: TwoComplex, sub: Subcomplex):
-    """rank H2(X, Y), the dimension of the kernel of d2 rel Y.
-
-    The rows of d2 rel Y are contracted as for the orientation witness
-    (``_contract_faces``), so the kernel is that of the rows the contraction
-    cannot read, over one unknown per class of faces left free: rank H2 =
-    (classes left free) - (rank of those rows).
-    """
-    rows, fs = d2_rows(cx, sub)
-    _, rest, k = _contract_faces(rows, len(fs))
-    return k - _rank_torsion(rest, k, "Q")[0]
-
-
 @dataclass
 class SupportVerdict:
     ok: bool
@@ -611,8 +561,8 @@ def check_support_lemma(cx: TwoComplex, sub: Subcomplex) -> SupportVerdict:
     Verifies the preconditions, then either asserts the conclusion or
     reports the nonvanishing H2 rank.  H2 of a 2-complex pair is free and an
     orientation exists over Z exactly when it exists over Q, so the verdict
-    needs no ring: rank H2(X, Y) is the dimension of the kernel of d2 rel Y
-    (``_h2_rank``), and no d1 is built.
+    needs no ring: rank H2(X, Y) is the number of faces outside Y less the
+    rank of d2 rel Y (``_rank_torsion``), and no d1 is built.
     """
     _check_lives_in(cx, sub)
     bsub = boundary_subcomplex(cx)
@@ -620,7 +570,8 @@ def check_support_lemma(cx: TwoComplex, sub: Subcomplex) -> SupportVerdict:
         raise ComplexError("precondition: boundary of X must lie in Y")
     if _orientation_witness(cx, bsub, "Z") is None:
         raise ComplexError("precondition: X must be orientable")
-    h2_rank = _h2_rank(cx, sub)
+    rows, fs = d2_rows(cx, sub)
+    h2_rank = len(fs) - _rank_torsion(rows, len(fs), "Q")[0]
     if not h2_rank:
         missing = sorted(set(cx.faces) - sub.face_set)
         if missing:
@@ -644,10 +595,11 @@ def parse_chain_file(text, cx: TwoComplex, kind="f", ring="Z"):
         parts = line.split()
         if len(parts) != 2:
             raise ComplexError(f"line {lineno}: want '<coeff> <cell>'")
-        if ring == "Z":
-            c = int(parts[0])
-        else:
-            c = Fraction(parts[0])
+        try:
+            c = int(parts[0]) if ring == "Z" else Fraction(parts[0])
+        except (ValueError, ZeroDivisionError):
+            number = "an integer" if ring == "Z" else "a rational number"
+            raise ComplexError(f"line {lineno}: coefficient {parts[0]!r} is not {number}") from None
         ident = lookup(parts[1])
         coeffs[ident] = coeffs.get(ident, 0) + c
     return ChainVec.make(ring, coeffs)

@@ -211,8 +211,8 @@ class RotStructure:
     face it has left, which is the cellular collapse of S through its free
     edges.  A complete collapse, which every surface with boundary has,
     solves every face, so rank d2 = #faces, i.e. H2(S; Q) = 0, with nothing
-    eliminated; only the rows a collapse leaves are ranked, by elimination
-    in ``homology._rank_torsion``, as homology ranks d2.
+    eliminated; only the rows a collapse leaves are ranked, by
+    ``homology._rank_torsion``, which ranks every boundary map.
     The order and the rows left are kept for ``rot_value``.  The weights,
     each an int or a Fraction, are kept as integer numerators over one
     denominator.

@@ -152,9 +152,6 @@ class StandardFormReport:
     orientation_perfect: bool
     witnesses: dict
 
-    def in_standard_form(self):
-        return self.disc_sphere_free and self.connected_links and self.non_folded
-
 
 class Target(TwoComplex):
     """A coherently oriented cellulated surface, checked once by ``of``,

@@ -119,9 +119,6 @@ class OneChain:
             raise ChainError("target basis does not contain the chain's basis")
         return OneChain.make(bigger, self.terms)
 
-    def scaled(self, k):
-        return OneChain.make(self.basis, [(k * c, w) for c, w in self.terms])
-
     def text(self):
         if not self.terms:
             return "0"
@@ -179,6 +176,15 @@ def _parse_word(text, basis_set, where):
     return tuple(word)
 
 
+def _coefficient(term, head):
+    """The integer ``head`` before the '*' of ``term``, or a ChainError
+    naming the term."""
+    try:
+        return int(head.strip())
+    except ValueError:
+        raise ChainError(f"term {term!r}: coefficient {head.strip()!r} is not an integer") from None
+
+
 def parse_chain(text, basis) -> OneChain:
     """Parse the chain grammar over single-letter generators."""
     basis = tuple(basis)
@@ -214,8 +220,9 @@ def parse_chain(text, basis) -> OneChain:
         chunk = chunk.strip()
         coeff = sign
         if "*" in chunk:
-            head, chunk = chunk.split("*", 1)
-            coeff = sign * int(head.strip())
+            head, body = chunk.split("*", 1)
+            coeff = sign * _coefficient(chunk, head)
+            chunk = body
         word = _parse_word(chunk.strip(), bset, f"term {chunk!r}")
         reduced = cyclic_reduce(word)
         if not reduced:
@@ -287,8 +294,9 @@ def parse_edge_chain(text, cx: TwoComplex) -> EdgeChain:
             continue
         coeff = 1
         if "*" in piece:
-            head, piece = piece.split("*", 1)
-            coeff = int(head.strip())
+            head, body = piece.split("*", 1)
+            coeff = _coefficient(piece, head)
+            piece = body
         loop = []
         for tok in piece.split():
             if tok.endswith("+"):

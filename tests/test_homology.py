@@ -39,10 +39,9 @@ from sclkit.homology import (
     ChainVec,
     RingError,
     _assert_orientation_witness,
-    _contract_faces,
+    _contract,
     _d1_edges,
-    _graph_rank,
-    _h2_rank,
+    _rank_torsion,
     boundary_matrices,
     check_support_lemma,
     cone_complex,
@@ -473,6 +472,17 @@ def test_chain_file_and_report():
     assert "H2 rank 1" in text
 
 
+def test_chain_file_names_the_line_of_a_malformed_coefficient():
+    cx = torus()
+    with pytest.raises(ComplexError, match=r"^line 1: coefficient '1/2' is not an integer$"):
+        parse_chain_file("1/2 f", cx)
+    with pytest.raises(ComplexError, match=r"^line 2: coefficient 'x' is not a rational number$"):
+        parse_chain_file("1/2 f\nx f", cx, ring="Q")
+    with pytest.raises(ComplexError, match=r"^line 1: coefficient '1/0' is not a rational number$"):
+        parse_chain_file("1/0 f", cx, ring="Q")
+    assert parse_chain_file("1/2 f", cx, ring="Q").as_dict() == {cx.face_id("f"): Fraction(1, 2)}
+
+
 def test_homology_z_top_degree_torsion_free():
     for cx in (torus(), rp2(), closed_genus(2), closed_genus3_split()):
         assert homology(cx, "Z").torsion_of(2) == ()
@@ -570,14 +580,14 @@ def test_rp2_torsion_comes_from_the_non_unit_residual():
     assert homology(rp2(), "Z").torsion == ((), (2,), ())
 
 
-# -- ranks by the shape of the map against elimination ------------------------
+# -- ranks by contraction against elimination ----------------------------------
 
 
 def reference_rank_torsion(columns, nrows, ring):
     """(rank, torsion) of the map with the given sparse columns by
-    elimination, as every map was ranked before d1 got a spanning forest and
-    the support lemma a contraction: ``unit_reduce`` on the columns, then
-    ``rank_q`` over Q or the Smith normal form over Z."""
+    elimination alone, with no contraction: ``unit_reduce`` on the columns,
+    then ``rank_q`` over Q or the Smith normal form over Z.  The transpose
+    has the same rank and invariant factors, so the columns serve as rows."""
     units, residual = unit_reduce(columns, nrows)
     if ring == "Q":
         return units + rank_q(residual), ()
@@ -604,14 +614,16 @@ def book():
 
 def test_graph_rank_reads_loops_ends_in_y_and_circle_columns():
     # a loop, an edge with both ends in Y, an edge with one end in Y, and
-    # two circle columns on one vertex: one merge each for the last two kinds
+    # two circle columns on one vertex: the one-entry rows force both
+    # vertices to 0, and no row is left
     cx = TwoComplex(range(4), {0: (0, 0), 1: (2, 3), 2: (1, 3), 3: (0, 1)}, {})
     sub = induced_subcomplex(cx, [("v", 2), ("v", 3)])
     d1, vs = _d1_edges(cx, sub)
     assert vs == [0, 1] and d1 == [{}, {}, {1: -1}, {1: 1, 0: -1}]
     columns = [{0: -1}, {0: -1}] + d1
-    assert _graph_rank(columns, 2) == reference_rank_torsion(columns, 2, "Q")[0] == 2
-    assert reference_rank_torsion(columns, 2, "Z")[1] == ()
+    assert _contract(columns, 2) == ([(None, 0), (None, 0)], [], 0)
+    for ring in ("Z", "Q"):
+        assert _rank_torsion(columns, 2, ring) == reference_rank_torsion(columns, 2, ring) == (2, ())
 
 
 @settings(max_examples=150, deadline=None)
@@ -624,10 +636,18 @@ def test_graph_rank_matches_elimination_on_d1(data):
     # a cone circle's column: -1 at the start of its word, no row for its end
     circles = data.draw(st.lists(st.integers(0, len(vs) - 1), max_size=2)) if vs else []
     columns = [{v: -1} for v in circles] + d1
+    # an incidence matrix: the contraction leaves no row, and H0 has no
+    # torsion
+    assert _contract(columns, len(vs))[1] == []
     rank, _ = reference_rank_torsion(columns, len(vs), "Q")
-    assert _graph_rank(columns, len(vs)) == rank
-    # an incidence matrix is totally unimodular: no torsion in H0
-    assert reference_rank_torsion(columns, len(vs), "Z") == (rank, ())
+    assert _rank_torsion(columns, len(vs), "Q") == (rank, ())
+    assert _rank_torsion(columns, len(vs), "Z") == reference_rank_torsion(columns, len(vs), "Z") == (rank, ())
+
+
+def h2_rank(cx, sub):
+    """rank H2(X, Y) = #faces outside Y - rank of d2 rel Y, by contraction."""
+    rows, fs = d2_rows(cx, sub)
+    return len(fs) - _rank_torsion(rows, len(fs), "Q")[0]
 
 
 def test_contraction_leaves_rows_or_forces_classes_on_the_named_shapes():
@@ -635,15 +655,21 @@ def test_contraction_leaves_rows_or_forces_classes_on_the_named_shapes():
     cx = book()
     sub = induced_subcomplex(cx, [("e", e) for e in cx.edges if cx.name("e", e) != "m"])
     rows, fs = d2_rows(cx, sub)
-    assert _contract_faces(rows, len(fs))[1:] == ([{0: 1, 1: 1, 2: 1}], 3)
-    assert _h2_rank(cx, sub) == reference_h2_rank(cx, sub) == 2
-    # RP^2's entry 2 and the Moebius band's parity conflict force their
-    # classes to 0
-    for cx in (rp2(), mobius_band()):
+    assert _contract(rows, len(fs))[1:] == ([{0: 1, 1: 1, 2: 1}], 3)
+    assert h2_rank(cx, sub) == reference_h2_rank(cx, sub) == 2
+    # the free edges of a disc are one-entry unit rows: its class is forced
+    # to 0
+    rows, fs = d2_rows(disc())
+    assert _contract(rows, len(fs)) == ([(None, 0)], [], 0)
+    # RP^2's entry 2 and the Moebius band's parity conflict are left to
+    # elimination as one row {0: +-2} over their one class: H2 = 0, and the
+    # invariant factor 2 is their Z/2
+    for cx, entry in ((rp2(), 2), (mobius_band(), -2)):
         sub = boundary_subcomplex(cx)
         rows, fs = d2_rows(cx, sub)
-        assert _contract_faces(rows, len(fs)) == ([(None, 0)] * len(fs), [], 0)
-        assert _h2_rank(cx, sub) == reference_h2_rank(cx, sub) == 0
+        assert _contract(rows, len(fs))[1:] == ([{0: entry}], 1)
+        assert h2_rank(cx, sub) == reference_h2_rank(cx, sub) == 0
+        assert _rank_torsion(rows, len(fs), "Z") == (len(fs), (2,))
 
 
 RANK_SHAPES = {"book": book, "rp2": rp2, "mobius band": mobius_band, "klein bottle": klein_bottle}
@@ -665,7 +691,8 @@ def test_h2_rank_by_contraction_matches_elimination(data):
     sub = _random_subcomplex(rng, cx)
     d2, es, fs = reference_d2_columns(cx, sub)
     assert d2_rows(cx, sub) == (rows_of(d2, len(es)), fs)
-    assert _h2_rank(cx, sub) == reference_h2_rank(cx, sub)
+    assert h2_rank(cx, sub) == reference_h2_rank(cx, sub)
+    assert _rank_torsion(rows_of(d2, len(es)), len(fs), "Z") == reference_rank_torsion(d2, len(es), "Z")
 
 
 # -- orientation witness against the kernel-based oracle ---------------------
@@ -873,8 +900,9 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
     assert witness is not None and support(witness) == set(cx.faces)
     assert builds == ["d2"]
     assert eliminated == []
-    # the cone builds each of X's maps once and reduces nothing: its d1 is
-    # ranked by a spanning forest and its d2 rank is read off the kernel
+    # the cone builds each of X's maps once and reduces nothing: the
+    # contraction ranks its d1 with no row left, and its d2 rank is read off
+    # the kernel
     reduced.clear()
     builds.clear()
     assert cone_complex(cx, chain.terms).summary.rank(2) == 1
@@ -945,15 +973,15 @@ def test_guards_raise_typed_errors_under_optimize():
         # every face to 0
         cx = closed_genus(1)
         sub = induced_subcomplex(cx, [("e", e) for e in cx.edges])
-        contract_faces, calls = H._contract_faces, []
-        def tampered(rows, nfaces):
+        contract, calls = H._contract, []
+        def tampered(rows, ncols):
             calls.append(rows)
             if len(calls) == 1:
-                return contract_faces(rows, nfaces)
-            return [(None, 0)] * nfaces, [], 0
-        H._contract_faces = tampered
+                return contract(rows, ncols)
+            return [(None, 0)] * ncols, [], 0
+        H._contract = tampered
         expect("support", H.HomologyError, lambda: H.check_support_lemma(cx, sub))
-        H._contract_faces = contract_faces
+        H._contract = contract
 
         # a Smith normal form whose D is not U M V: RP^2's residual [[2]]
         smith_normal_form = H.smith_normal_form

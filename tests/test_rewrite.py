@@ -14,6 +14,7 @@ import sclkit.rewrite
 import sclkit.surfaces
 from sclkit.complexes import TwoComplex
 from sclkit.fixtures import (
+    closed_genus,
     disc,
     double_fold_fixture,
     figlnk,
@@ -102,6 +103,28 @@ def test_necklace_grid_reaches_standard_form(m, closed, fold_pos, back_pos):
         return
     after, log = make_standard_form(before)
     assert log.entries
+    assert after.reduced_class() == before.reduced_class()
+    assert ratio(after) <= ratio(before)
+    report = after.standard_form_report()
+    assert report.connected_links and report.non_folded
+
+
+@pytest.mark.parametrize(
+    "m, fold_pos, back_pos, error",
+    [
+        (1, 0, 1, "component remains folded without an eligible fold pair"),
+        (2, 0, 2, "no link connection applies: separator index out of range"),
+        (2, 0, 7, None),
+    ],
+    ids=["folded", "separator", "standard"],
+)
+def test_closed_genus2_necklaces_fail_or_reach_standard_form(m, fold_pos, back_pos, error):
+    before = fold_necklace(closed_genus(2), "f", m, fold_pos, back_pos)
+    if error is not None:
+        with pytest.raises(MoveError, match=f"^{error}$"):
+            make_standard_form(before)
+        return
+    after, _log = make_standard_form(before)
     assert after.reduced_class() == before.reduced_class()
     assert ratio(after) <= ratio(before)
     report = after.standard_form_report()

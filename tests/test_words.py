@@ -1,7 +1,7 @@
 import pytest
 
 from sclkit.complexes import TwoComplex
-from sclkit.fixtures import closed_genus3_split, one_holed
+from sclkit.fixtures import closed_genus3_split, one_holed, torus
 from sclkit.words import (
     ChainError,
     EdgeChain,
@@ -53,6 +53,13 @@ def test_parse_empty_word_rejected():
 def test_parse_unknown_letter():
     with pytest.raises(ChainError):
         parse_chain("xyz", "ab")
+
+
+def test_parse_chain_names_a_malformed_coefficient():
+    with pytest.raises(ChainError, match=r"^term 'x\*ab': coefficient 'x' is not an integer$"):
+        parse_chain("x*ab", "ab")
+    with pytest.raises(ChainError, match=r"^term '1/2\*\[a,b\]': coefficient '1/2' is not an integer$"):
+        parse_chain("ab - 1/2*[a,b]", "ab")
 
 
 def test_parse_nested_commutator():
@@ -115,6 +122,13 @@ def test_edge_chain_parse_and_text():
     d = parse_edge_chain("2*a1+ b1-", cx)
     assert d.terms[0][0] == 2
     assert d.text(cx) == "2*a1+ b1-"
+
+
+def test_parse_edge_chain_names_a_malformed_coefficient():
+    with pytest.raises(ChainError, match=r"^term 'k \* a\+ b\+ a- b-': coefficient 'k' is not an integer$"):
+        parse_edge_chain("k * a+ b+ a- b-", torus())
+    with pytest.raises(ChainError, match=r"^term '2.5\*a\+': coefficient '2.5' is not an integer$"):
+        parse_edge_chain("a+ b+ a- b- + 2.5*a+", torus())
 
 
 def test_edge_chain_one_chain_vector():
