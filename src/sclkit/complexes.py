@@ -51,13 +51,9 @@ class TwoComplex:
                     raise ComplexError(f"face {self.name('f', f)} uses unknown edge {e}")
                 if sign not in (1, -1):
                     raise ComplexError(f"face {self.name('f', f)} has bad sign {sign}")
-            for k in range(len(word)):
-                here = self.endpoint(word[k], 1)
-                there = self.endpoint(word[(k + 1) % len(word)], 0)
-                if here != there:
-                    raise ComplexError(
-                        f"face {self.name('f', f)} does not close at position {k}"
-                    )
+            k = self.open_position(word)
+            if k is not None:
+                raise ComplexError(f"face {self.name('f', f)} does not close at position {k}")
 
     # -- construction helpers -------------------------------------------
 
@@ -123,6 +119,23 @@ class TwoComplex:
         if sign == 1:
             return t if which else s
         return s if which else t
+
+    def open_position(self, word):
+        """The first position k at which side k of the nonempty edge
+        ``word`` does not end where side k + 1, cyclically, starts; None
+        when the word is a closed edge path.  As in ``endpoint``, a side of
+        sign 1 runs from its edge's source to its target, any other back."""
+        edges = self.edges
+        e, sign = word[0]
+        start = here = edges[e][sign != 1]
+        for k, (e, sign) in enumerate(word):
+            s, t = edges[e]
+            if sign != 1:
+                s, t = t, s
+            if s != here:
+                return k - 1
+            here = t
+        return None if here == start else len(word) - 1
 
     def degree(self, f):
         return len(self.faces[f])

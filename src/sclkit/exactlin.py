@@ -1,12 +1,12 @@
 """Exact linear algebra over Z and Q.
 
 Sparse rows are the matrix form of the exact solvers: ``kernel_q``,
-``solve_q``, ``peel`` and ``unit_reduce`` take a list of rows, each a dict
+``solve_q`` and ``peel`` take a list of rows, each a dict
 {column: int | Fraction} of its nonzeros, together with the column count,
 which an all-zero matrix could not otherwise tell.  A column outside
 0 <= c < ncols raises ValueError.  Dense matrices, plain lists of lists,
 are the form of ``rank_q`` (it ranks the small dense residual that
-``unit_reduce`` returns) and of the Smith normal form and its helpers.
+``homology._contract`` leaves) and of the Smith normal form and its helpers.
 Integer routines never leave Z; rational results are fractions.Fraction.
 Everything here is deterministic.
 
@@ -20,8 +20,8 @@ and then every numerator is scaled with it.  ``solve_peeled`` hands the
 integer form to callers that want one exact sum at the end, such as the
 cellular area of ``scl.rot_value``.
 
-Sparse elimination.  ``rank_q``, ``solve_q``, ``kernel_q`` and
-``unit_reduce`` end in one routine, ``_eliminate``, on {column: int} rows; a
+Sparse elimination.  ``rank_q``, ``solve_q`` and ``kernel_q`` end in one
+routine, ``_eliminate``, on {column: int} rows; a
 row with Fraction entries is first multiplied by the lcm of its
 denominators, which changes neither the row space nor, for an augmented
 row [a | b], the solutions of a . x = b.
@@ -59,19 +59,12 @@ rows left, since a kernel vector has x_c = 0 anyway; so the pivot columns,
 and with them the kernel vectors and the solution with free variables 0,
 are exactly those of elimination alone.
 
-Unit pivots over Z.  ``unit_reduce`` runs ``_eliminate`` on its rows, with
-no peel, and accepts only pivots +-1: it leaves a column without one alone
-(its rows move on to their next column) and never divides a row by its gcd.
-Each step then adds integer multiples of the pivot row to other rows.  The
-column operations that would clear the pivot row change no other row, since
-after the step its column is zero in every active row and the earlier pivot
-rows are already cleared.  Hence M is unimodularly equivalent to I_k + R,
-where k counts the unit pivots and R is what is left of the rows without
-pivot on the columns without pivot: rank M = k + rank R, and the invariant
-factors of M are k ones followed by those of R.  Smith normal form then
-runs on R only.  ``homology`` contracts the unit rows of a map before it
-calls ``unit_reduce`` (see ``homology._contract``), so on the pipeline's
-complexes few rows, and often none, reach it.
+Unit pivots over Z.  Nothing here splits unit pivots off a matrix:
+``homology._contract`` does, and performs every unit pivot the pipeline's
+boundary maps have.  What it leaves is a small dense residual R with the
+map unimodularly equivalent to I_k + R, so the rank is k + ``rank_q(R)``
+and the invariant factors are k ones followed by those of
+``smith_normal_form(R)``.
 
 The Smith normal form uses a fixed pivot rule (smallest nonzero absolute
 value, ties broken by lowest row then lowest column index).
@@ -370,15 +363,13 @@ def peel(rows, ncols):
     return order, rest
 
 
-def _eliminate(rows, ncols, units_only=False):
+def _eliminate(rows, ncols):
     """Sparse fraction-free elimination, columns left to right.
 
     ``rows`` are {column: int} dicts without zero entries, every column in
-    0 <= c < ``ncols``; they are not modified.  Returns (pivots, rest):
-    ``pivots`` lists (column, row) in column order, the row having no
-    nonzero in an earlier pivot column; ``rest`` lists the nonzero rows that
-    got no pivot, which is empty unless ``units_only`` restricts pivots to
-    entries +-1.
+    0 <= c < ``ncols``; they are not modified.  Returns the pivots, (column,
+    row) in column order, the row having no nonzero in an earlier pivot
+    column.
     """
     # bucket c holds the rows whose first nonzero past the columns already
     # processed is c, i.e. every active row that is nonzero in column c
@@ -386,68 +377,36 @@ def _eliminate(rows, ncols, units_only=False):
     for row in rows:
         if row:
             buckets[min(row)].append(row)
-    pivots, rest = [], []
+    pivots = []
     for c in range(ncols):
         bucket = buckets[c]
         if not bucket:
             continue
         prow = min(bucket, key=lambda r: (abs(r[c]), len(r)))
         p = prow[c]
-        if units_only and p * p != 1:
-            moved = bucket
-        else:
-            pivots.append((c, prow))
-            moved = []
-            for row in bucket:
-                if row is prow:
-                    continue
-                f = row[c]
-                if p * p == 1:
-                    new = _combine(row, 1, -f * p, prow)
-                else:
-                    new = _combine(row, p, -f, prow)
-                if not units_only:
-                    g = gcd(*new.values())
-                    if g > 1:
-                        new = {k: v // g for k, v in new.items()}
-                if new:
-                    moved.append(new)
-        for row in moved:
-            nxt = min((k for k in row if k > c), default=None)
-            if nxt is None:
-                rest.append(row)
+        pivots.append((c, prow))
+        for row in bucket:
+            if row is prow:
+                continue
+            f = row[c]
+            if p * p == 1:
+                new = _combine(row, 1, -f * p, prow)
             else:
-                buckets[nxt].append(row)
-    return pivots, rest
-
-
-def unit_reduce(rows, ncols):
-    """Split an integer matrix as I_k + R up to unimodular equivalence.
-
-    ``rows`` are {column: int} dicts without zero entries.  Eliminates on
-    pivots +-1 only and returns (k, R): k pivots were units, and R is the
-    dense residual (the rows that got no pivot, on the columns that got
-    none).  The rank is k + rank R and the invariant factors are k ones
-    followed by those of R.
-    """
-    _check_columns(rows, ncols)
-    pivots, rest = _eliminate(rows, ncols, units_only=True)
-    cols = sorted(set().union(*rest))
-    at = {c: j for j, c in enumerate(cols)}
-    residual = []
-    for row in rest:
-        dense = [0] * len(cols)
-        for k, v in row.items():
-            dense[at[k]] = v
-        residual.append(dense)
-    return len(pivots), residual
+                new = _combine(row, p, -f, prow)
+            if new:
+                # every column left is past c
+                g = gcd(*new.values())
+                if g > 1:
+                    new = {k: v // g for k, v in new.items()}
+                buckets[min(new)].append(new)
+    return pivots
 
 
 def rank_q(mat) -> int:
     """Rank over Q of a dense matrix."""
     cols = len(mat[0]) if mat else 0
     rows = [_int_row({j: v for j, v in enumerate(row) if v}) for row in mat]
-    return len(_eliminate(rows, cols)[0])
+    return len(_eliminate(rows, cols))
 
 
 def _substitute(steps, ncols, x):
@@ -513,7 +472,7 @@ def solve_peeled(rows, ncols, order, rest):
             left.append({**rest[i], ncols: r} if r else rest[i])
         elif r:
             return None
-    pivots, _ = _eliminate(left, ncols + 1)
+    pivots = _eliminate(left, ncols + 1)
     if pivots and pivots[-1][0] == ncols:
         return None
     y, e = _substitute(reversed(pivots), ncols, {})
@@ -529,7 +488,7 @@ def kernel_q(rows, ncols):
     column j, with free part e_j, as read off the reduced row echelon form."""
     _check_columns(rows, ncols)
     order, rest = peel([_int_row(row) for row in rows], ncols)
-    pivots, _ = _eliminate(list(rest.values()), ncols)
+    pivots = _eliminate(list(rest.values()), ncols)
     # a peeled column is 0 in every kernel vector
     pivot_cols = {c for c, _ in order} | {c for c, _ in pivots}
     steps = pivots[::-1]

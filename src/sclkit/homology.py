@@ -14,20 +14,21 @@ and the edge ends.  ``d2_rows`` reads d2, absolute or rel Y, straight
 off the face words as one {face index: coefficient} row per edge, at
 most deg(f) nonzeros per face; homology, the cone, the orientation
 witness, the support lemma and the rot structure all read these rows,
-which are the form ``kernel_q``, ``solve_q`` and ``unit_reduce`` take,
-so d2 is never transposed.  ``_d1_edges`` builds d1 as one {vertex
-index: +-1} per edge, the rows of its transpose, which has the same rank
-and invariant factors (only ``boundary_matrices`` lays it out as vertex
-rows), and checks d1 d2 = 0 where it builds it: every face word must
-close up, each side starting where the one before it ends, which is the
-condition a ``TwoComplex`` enforces and gives d1 d2 = 0 rel every Y.  The
-cone checks its circle words the same way.  No dense boundary matrix is
-ever formed.
+which are the form ``kernel_q`` and ``solve_q`` take, so d2 is never
+transposed.  ``_d1_edges`` builds d1 as one {vertex index: +-1} per
+edge, the rows of its transpose, which has the same rank and invariant
+factors (only ``boundary_matrices`` lays it out as vertex rows).  No
+map is checked where it is built: d1 d2 = 0, rel every Y, is the face
+words closing up, each side starting where the one before it ends, which
+a ``TwoComplex`` checks once when it is built
+(``TwoComplex.open_position``), and the square of the cone's differential
+vanishes because ``chain_circles`` checks every loop the same way.  No
+dense boundary matrix is ever formed.
 
 Rank and torsion.  Every map is ranked by one routine, ``_rank_torsion``:
-a contraction of its unit rows (``_contract``), then
-``exactlin.unit_reduce`` on the rows the contraction leaves, which leaves
-a small residual R.  Each step is unimodular, so the map is equivalent
+a contraction of its unit rows (``_contract``), which leaves a residual
+R, the rows left over the columns they touch, written out dense.  Every
+merge and every forced class is a unit pivot, so the map is equivalent
 over Z to I_k + R: rank = k + rank R, and the invariant factors are k
 ones followed by those of R.  Over Z the torsion is read from
 ``smith_normal_form(R)``, checked to give U R V = D; over Q the rank is
@@ -71,7 +72,8 @@ from fractions import Fraction
 from math import lcm
 
 from .complexes import ComplexError, Subcomplex, TwoComplex, boundary_subcomplex
-from .exactlin import check_snf, kernel_q, rank_q, smith_normal_form, unit_reduce
+from .exactlin import check_snf, kernel_q, rank_q, smith_normal_form
+from .words import word_power
 
 
 class RingError(ValueError):
@@ -113,17 +115,6 @@ class ChainVec:
     def as_dict(self):
         return dict(self.coeffs)
 
-    def __add__(self, other):
-        if self.ring != other.ring:
-            raise RingError(f"cannot add a {self.ring} chain to a {other.ring} chain")
-        out = self.as_dict()
-        for cell, c in other.coeffs:
-            out[cell] = out.get(cell, 0) + c
-        return ChainVec.make(self.ring, out)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
 
 def _add(col, i, c):
     """col[i] += c, dropping the entry when it cancels."""
@@ -134,37 +125,12 @@ def _add(col, i, c):
         col.pop(i, None)
 
 
-def _check_closed(cx: TwoComplex, words, what):
-    """Raise HomologyError unless every word is a closed edge path: each
-    signed edge starts where the one before it, cyclically, ends.  This is
-    the condition a ``TwoComplex`` puts on its face words, and d1 of a
-    closed path is 0, so on the face words it is d1 d2 = 0, absolutely and
-    rel every Y; on a cone's circle words it is the square of the cone's
-    differential."""
-    edges = cx.edges
-    for word in words:
-        e, sign = word[-1]
-        a, b = edges[e]
-        here = b if sign > 0 else a
-        for e, sign in word:
-            a, b = edges[e]
-            if sign < 0:
-                a, b = b, a
-            if a != here:
-                raise HomologyError(what)
-            here = b
-
-
 def _d1_edges(cx: TwoComplex, sub: Subcomplex | None = None):
     """(d1, vs): d1 of C_*(X), or of C_*(X)/C_*(Y) for Y = ``sub``, as one
     {vertex index: +-1} per edge outside Y, in ascending edge id: +1 at its
     target and -1 at its source, an end in Y left out, and a loop empty.
     ``vs`` lists the vertices outside Y in ascending id.
-
-    d1 d2 = 0 is checked wherever d1 is built, so here: every face word
-    must close up (``_check_closed``).
     """
-    _check_closed(cx, cx.faces.values(), "d1*d2 != 0")
     vs = [v for v in cx.vertices if sub is None or v not in sub.vertex_set]
     vix = {v: i for i, v in enumerate(vs)}
     d1 = []
@@ -330,17 +296,22 @@ def _rank_torsion(rows, ncols, ring):
     """(rank, torsion) of the map with the given sparse rows over ``ncols``
     columns; the torsion (invariant factors > 1) is () over Q.
 
-    The rows are contracted (``_contract``), and only the rows left, over
-    the classes left, reach ``unit_reduce``.  Over Z the Smith normal form
-    of the residual is checked, U R V = D, before it is read."""
+    The rows are contracted (``_contract``), and the rows left, written out
+    dense over the columns they touch, are the residual R.  Over Z the
+    Smith normal form of R is checked, U R V = D, before it is read."""
     _, rest, k = _contract(rows, ncols)
-    units, residual = unit_reduce(rest, k) if rest else (0, [])
-    rank = ncols - k + units
+    at = {c: j for j, c in enumerate(sorted(set().union(*rest)))}
+    residual = []
+    for row in rest:
+        dense = [0] * len(at)
+        for c, v in row.items():
+            dense[at[c]] = v
+        residual.append(dense)
     if ring == "Q":
-        return rank + rank_q(residual), ()
+        return ncols - k + rank_q(residual), ()
     snf = smith_normal_form(residual)
     check_snf(residual, snf)
-    return rank + snf.rank, tuple(snf.torsion)
+    return ncols - k + snf.rank, tuple(snf.torsion)
 
 
 def _complex_homology(cx: TwoComplex, sub: Subcomplex | None, ring):
@@ -412,22 +383,17 @@ class ConeComplex:
 
 def chain_circles(cx: TwoComplex, terms):
     """The loop word w^n of each integral chain term (n, w): w traversed n
-    times, reversed when n < 0.  Its circle's one edge maps to that word."""
+    times, reversed when n < 0.  Its circle's one edge maps to that word,
+    and since every w closes up, the cone's differential squares to 0."""
     words = []
     for coeff, word in terms:
         if coeff == 0:
             raise ComplexError("chain term with zero coefficient")
         if not word:
             raise ComplexError("chain term with empty loop")
-        for k in range(len(word)):
-            here = cx.endpoint(word[k], 1)
-            there = cx.endpoint(word[(k + 1) % len(word)], 0)
-            if here != there:
-                raise ComplexError("chain loop is not a closed edge path")
-        if coeff > 0:
-            words.append(tuple(word) * coeff)
-        else:
-            words.append(tuple((e, -s) for e, s in reversed(word)) * -coeff)
+        if cx.open_position(word) is not None:
+            raise ComplexError("chain loop is not a closed edge path")
+        words.append(word_power(word, coeff))
     return words
 
 
@@ -438,7 +404,6 @@ def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
     circles is available through ConeComplex.boundary_degrees.
     """
     words = chain_circles(cx, terms)
-    _check_closed(cx, words, "cone differential squares to nonzero")
     rows, fs = d2_rows(cx)
     d1x, vs = _d1_edges(cx)
     k = len(words)
@@ -586,8 +551,10 @@ def check_support_lemma(cx: TwoComplex, sub: Subcomplex) -> SupportVerdict:
 def parse_chain_file(text, cx: TwoComplex, kind="f", ring="Z"):
     """Lines '<coeff> <cell name>' into a ChainVec over cells of one kind."""
     check_ring(ring)
+    lookup = {"v": cx.vertex_id, "e": cx.edge_id, "f": cx.face_id}.get(kind)
+    if lookup is None:
+        raise ComplexError(f"kind must be 'v', 'e' or 'f', got {kind!r}")
     coeffs = {}
-    lookup = {"v": cx.vertex_id, "e": cx.edge_id, "f": cx.face_id}[kind]
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:

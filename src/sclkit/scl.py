@@ -28,7 +28,7 @@ from .complexes import ComplexError, TwoComplex
 from .homology import _rank_torsion, d2_rows
 from .exactlin import peel, solve_peeled
 from .lp import LpResult, solve_lp
-from .words import ChainError, EdgeChain, OneChain, letter_inverse, word_inverse
+from .words import ChainError, EdgeChain, OneChain, letter_inverse, word_power
 
 
 INFINITE = "infinite"
@@ -51,12 +51,8 @@ def _expand_positions(chain: OneChain):
     letters = []
     word_ranges = []
     for coeff, word in chain.terms:
-        if coeff < 0:
-            word = word_inverse(word)
-            coeff = -coeff
-        expanded = tuple(word) * coeff
         start = len(letters)
-        letters.extend(expanded)
+        letters.extend(word_power(word, coeff))
         word_ranges.append((start, len(letters)))
     return letters, word_ranges
 

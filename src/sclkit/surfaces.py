@@ -71,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import TwoComplex, surface_check
-from .words import EdgeChain, cyclic_rotations, cyclically_equal, word_inverse
+from .words import EdgeChain, cyclic_rotations, cyclically_equal, word_inverse, word_power
 
 
 class SurfaceError(ValueError):
@@ -707,10 +707,7 @@ def _match_circle(word, circle_words):
 def _word_is_power(word, u, degree):
     if degree == 0 or not u:
         return False
-    if degree > 0:
-        target = tuple(u) * degree
-    else:
-        target = word_inverse(tuple(u)) * (-degree)
+    target = word_power(u, degree)
     if len(word) != len(target):
         return False
     return tuple(word) in cyclic_rotations(target)

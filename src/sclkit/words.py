@@ -33,6 +33,11 @@ def word_inverse(word):
     return tuple(letter_inverse(l) for l in reversed(word))
 
 
+def word_power(word, n):
+    """w^n: ``word`` traversed n times, or its inverse -n times when n < 0."""
+    return tuple(word) * n if n >= 0 else word_inverse(word) * -n
+
+
 def free_reduce(word):
     out = []
     for letter in word:
@@ -249,21 +254,14 @@ class EdgeChain:
             for e, sign in loop:
                 if e not in cx.edges:
                     raise ChainError(f"unknown edge id {e}")
-            for k in range(len(loop)):
-                if cx.endpoint(loop[k], 1) != cx.endpoint(loop[(k + 1) % len(loop)], 0):
-                    raise ChainError("edge loop does not close up")
+            if cx.open_position(loop) is not None:
+                raise ChainError("edge loop does not close up")
             out.append((coeff, loop))
         return cls(tuple(out))
 
     def circle_words(self):
         """Edge word of each circle: the loop traversed coeff times."""
-        words = []
-        for coeff, loop in self.terms:
-            if coeff > 0:
-                words.append(tuple(loop) * coeff)
-            else:
-                words.append(word_inverse(tuple(loop)) * (-coeff))
-        return words
+        return [word_power(loop, coeff) for coeff, loop in self.terms]
 
     def one_chain_vector(self):
         """Image in C1 of the complex: edge id -> signed count."""

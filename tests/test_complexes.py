@@ -96,6 +96,30 @@ def test_build_empty_face_word():
         TwoComplex(["v"], {}, {0: ()})
 
 
+# edges 0: p -> q, 1: q -> r, 2: r -> p around a triangle on vertices 0, 1, 2
+TRIANGLE = {0: (0, 1), 1: (1, 2), 2: (2, 0)}
+
+
+@pytest.mark.parametrize(
+    "vertices, faces, message",
+    [
+        ([0, 1, 1, 2], {}, "duplicate vertex id"),
+        ([0, 1], {}, "edge e1 has dangling endpoint"),
+        ([0, 1, 2], {0: ((0, 1), (3, 1), (2, 1))}, "face f0 uses unknown edge 3"),
+        ([0, 1, 2], {0: ((0, 1), (1, 0), (2, 1))}, "face f0 has bad sign 0"),
+        # side 0 runs q -> p, side 1 starts at q
+        ([0, 1, 2], {0: ((0, -1), (1, 1), (2, 1))}, "face f0 does not close at position 0"),
+        # side 1 ends at r, side 2 runs q -> p
+        ([0, 1, 2], {0: ((0, 1), (1, 1), (0, -1))}, "face f0 does not close at position 1"),
+        # sides 0..2 close up at p, and side 3 ends at q, not where side 0 starts
+        ([0, 1, 2], {0: ((0, 1), (1, 1), (2, 1), (0, 1))}, "face f0 does not close at position 3"),
+    ],
+)
+def test_the_constructor_names_what_it_refuses(vertices, faces, message):
+    with pytest.raises(ComplexError, match=f"^{message}$"):
+        TwoComplex(vertices, TRIANGLE, faces)
+
+
 def test_torus_link_is_single_circle():
     t2 = torus()
     lk = link_graph(t2, 0)

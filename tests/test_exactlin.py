@@ -24,7 +24,6 @@ from sclkit.exactlin import (
     kernel_z,
     solve_q,
     mat_mul,
-    unit_reduce,
 )
 
 
@@ -267,12 +266,12 @@ def test_an_empty_matrix_keeps_its_column_count():
         # column 2 is where solve_q puts the right-hand side
         (lambda: solve_q([{0: 1}, {1: 1}, {0: 1, 2: 1}], 2, [1, 1, 1]), 2, 2),
         (lambda: solve_q([{-3: 1}], 2, [0]), 0, -3),
-        (lambda: unit_reduce([{0: 1, 5: 1}], 3), 0, 5),
+        (lambda: kernel_q([{0: 1, 5: 1}], 3), 0, 5),
         # singletons outside the matrix: the peel would index them
         (lambda: kernel_q([{0: 1}, {5: 1}], 2), 1, 5),
         (lambda: solve_q([{0: 1}, {7: 2}], 3, [1, 1]), 1, 7),
-        (lambda: unit_reduce([{0: 1}, {4: -1}], 2), 1, 4),
-        (lambda: unit_reduce([{-2: 1}], 2), 0, -2),
+        (lambda: solve_q([{0: 1}, {4: -1}], 2, [0, 0]), 1, 4),
+        (lambda: kernel_q([{-2: 1}], 2), 0, -2),
     ],
 )
 def test_a_column_outside_the_matrix_is_named(call, row, column):
@@ -352,29 +351,12 @@ def test_sparse_elimination_matches_dense_gauss_jordan(m, backwards, data):
     assert rows == before  # input untouched
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 6), st.integers(0, 6), st.data())
-def test_unit_reduce_splits_off_an_identity(rows, cols, data):
-    flat = data.draw(st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols))
-    m = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
-    units, residual = unit_reduce(sparse, cols)
-    assert sparse == [{j: v for j, v in enumerate(row) if v} for row in m]  # input untouched
-    whole = invariant_factors(smith_normal_form(m))
-    assert whole == [1] * units + invariant_factors(smith_normal_form(residual))
-
-
-def test_unit_reduce_keeps_a_non_unit_block():
-    # one unit pivot, after which the second row is left as [-2]
-    assert unit_reduce([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) == (1, [[-2]])
-
-
 # -- the peel against elimination alone ------------------------------------------
 
 
 def reference_kernel_q(rows, ncols):
     """``kernel_q`` by elimination alone, with Fraction back substitution."""
-    pivots, _ = _eliminate([_int_row(row) for row in rows], ncols)
+    pivots = _eliminate([_int_row(row) for row in rows], ncols)
     pivot_cols = {c for c, _ in pivots}
     basis = []
     for j in range(ncols):
@@ -393,7 +375,7 @@ def reference_kernel_q(rows, ncols):
 def reference_solve_q(rows, ncols, rhs):
     """``solve_q`` by elimination alone, with Fraction back substitution."""
     augmented = [_int_row({**row, ncols: b} if b else row) for row, b in zip(rows, rhs, strict=True)]
-    pivots, _ = _eliminate(augmented, ncols + 1)
+    pivots = _eliminate(augmented, ncols + 1)
     if pivots and pivots[-1][0] == ncols:
         return None
     x = [Fraction(0)] * ncols
@@ -450,14 +432,11 @@ def test_a_singleton_chain_is_peeled_before_elimination(monkeypatch):
     eliminated = []
     eliminate = sclkit.exactlin._eliminate
 
-    def recording_eliminate(rows, ncols, units_only=False):
+    def recording_eliminate(rows, ncols):
         eliminated.append(list(rows))
-        return eliminate(rows, ncols, units_only)
+        return eliminate(rows, ncols)
 
     monkeypatch.setattr(sclkit.exactlin, "_eliminate", recording_eliminate)
     assert kernel_q(rows, 3) == []
     assert solve_q(rows, 3, [1, 2, 1]) == [Fraction(-5, 2), 5, -1]
-    # unit_reduce does not peel: it eliminates on the unit pivots and
-    # leaves the 2
-    assert unit_reduce(rows, 3) == (2, [[2]])
-    assert eliminated == [[], [], rows]
+    assert eliminated == [[], []]

@@ -23,7 +23,7 @@ from sclkit.complexes import (
     surface_check,
 )
 from sclkit.complexes import barycentric
-from sclkit.exactlin import kernel_q, rank_q, smith_normal_form, unit_reduce
+from sclkit.exactlin import kernel_q, rank_q, smith_normal_form
 from sclkit.fixtures import (
     ambient_pair,
     closed_genus,
@@ -483,6 +483,11 @@ def test_chain_file_names_the_line_of_a_malformed_coefficient():
     assert parse_chain_file("1/2 f", cx, ring="Q").as_dict() == {cx.face_id("f"): Fraction(1, 2)}
 
 
+def test_chain_file_names_an_unknown_kind():
+    with pytest.raises(ComplexError, match=r"^kind must be 'v', 'e' or 'f', got 'x'$"):
+        parse_chain_file("1 f", torus(), kind="x")
+
+
 def test_homology_z_top_degree_torsion_free():
     for cx in (torus(), rp2(), closed_genus(2), closed_genus3_split()):
         assert homology(cx, "Z").torsion_of(2) == ()
@@ -576,7 +581,7 @@ def test_homology_matches_dense_smith_normal_form_on_random_complexes():
 def test_rp2_torsion_comes_from_the_non_unit_residual():
     # d2 of RP^2 is [[2]]: no unit pivot, the whole map is the residual
     assert boundary_matrices(rp2())[0] == [{0: 2}]
-    assert unit_reduce([{0: 2}], 1) == (0, [[2]])
+    assert _contract([{0: 2}], 1) == ([(0, 1)], [{0: 2}], 1)
     assert homology(rp2(), "Z").torsion == ((), (2,), ())
 
 
@@ -584,15 +589,40 @@ def test_rp2_torsion_comes_from_the_non_unit_residual():
 
 
 def reference_rank_torsion(columns, nrows, ring):
-    """(rank, torsion) of the map with the given sparse columns by
-    elimination alone, with no contraction: ``unit_reduce`` on the columns,
-    then ``rank_q`` over Q or the Smith normal form over Z.  The transpose
-    has the same rank and invariant factors, so the columns serve as rows."""
-    units, residual = unit_reduce(columns, nrows)
+    """(rank, torsion) of the map with the given sparse columns with no
+    contraction: ``rank_q`` over Q, or the Smith normal form over Z, of the
+    whole dense map.  The transpose has the same rank and invariant factors,
+    so the columns serve as rows."""
+    mat = dense(columns, nrows)
     if ring == "Q":
-        return units + rank_q(residual), ()
-    snf = smith_normal_form(residual)
-    return units + snf.rank, tuple(snf.torsion)
+        return rank_q(mat), ()
+    snf = smith_normal_form(mat)
+    return snf.rank, tuple(snf.torsion)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_rank_torsion_matches_the_dense_snf_on_integer_rows(nrows, ncols, data):
+    # sparse rows with many unit entries, so that the contraction merges,
+    # forces and leaves rows, and the residual is ranked on what is left
+    entry = st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -3))
+    flat = data.draw(st.lists(entry, min_size=nrows * ncols, max_size=nrows * ncols))
+    m = [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+    rows = [{j: v for j, v in enumerate(row) if v} for row in m]
+    before = [dict(row) for row in rows]
+    snf = smith_normal_form(m)
+    assert _rank_torsion(rows, ncols, "Z") == (snf.rank, tuple(snf.torsion))
+    assert _rank_torsion(rows, ncols, "Q") == (snf.rank, ())
+    assert rows == before  # input untouched
+
+
+def test_rank_torsion_keeps_a_non_unit_block():
+    # the first row ties x1 = -x0, and the second closes a cycle inside that
+    # class with the other sign: it is left as [2], one unit pivot and the
+    # invariant factor 2
+    rows = [{0: 1, 1: 1}, {0: 1, 1: -1}]
+    assert _contract(rows, 2) == ([(0, 1), (0, -1)], [{0: 2}], 1)
+    assert _rank_torsion(rows, 2, "Z") == (2, (2,))
 
 
 def reference_h2_rank(cx, sub):
@@ -852,17 +882,18 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
     rest = len(cx.faces) - len(t_faces)
     weights = {f: Fraction(6, len(t_faces)) if f in t_faces else Fraction(8, rest) for f in cx.faces}
 
-    rows_seen, builds, eliminated, reduced = [], [], [], []
+    rows_seen, builds, eliminated, residuals = [], [], [], []
     int_row, eliminate = sclkit.exactlin._int_row, sclkit.exactlin._eliminate
-    d2_rows, d1_edges, unit_reduce = sclkit.homology.d2_rows, sclkit.homology._d1_edges, sclkit.exactlin.unit_reduce
+    d2_rows, d1_edges = sclkit.homology.d2_rows, sclkit.homology._d1_edges
+    rank_q, smith_normal_form = sclkit.homology.rank_q, sclkit.homology.smith_normal_form
 
     def recording_int_row(row):
         rows_seen.append(row)
         return int_row(row)
 
-    def recording_eliminate(rows, ncols, units_only=False):
+    def recording_eliminate(rows, ncols):
         eliminated.append(list(rows))
-        return eliminate(rows, ncols, units_only)
+        return eliminate(rows, ncols)
 
     def counting_d2_rows(*args):
         builds.append("d2")
@@ -872,25 +903,30 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
         builds.append("d1")
         return d1_edges(*args)
 
-    def recording_unit_reduce(rows, ncols):
-        reduced.append(ncols)
-        return unit_reduce(rows, ncols)
+    def recording_rank_q(mat):
+        residuals.append(mat)
+        return rank_q(mat)
+
+    def recording_smith_normal_form(mat):
+        residuals.append(mat)
+        return smith_normal_form(mat)
 
     monkeypatch.setattr(sclkit.exactlin, "_int_row", recording_int_row)
     monkeypatch.setattr(sclkit.exactlin, "_eliminate", recording_eliminate)
     monkeypatch.setattr(sclkit.homology, "d2_rows", counting_d2_rows)
     monkeypatch.setattr(sclkit.scl, "d2_rows", counting_d2_rows)
     monkeypatch.setattr(sclkit.homology, "_d1_edges", counting_d1_edges)
-    monkeypatch.setattr(sclkit.homology, "unit_reduce", recording_unit_reduce)
+    monkeypatch.setattr(sclkit.homology, "rank_q", recording_rank_q)
+    monkeypatch.setattr(sclkit.homology, "smith_normal_form", recording_smith_normal_form)
     # the rot structure builds d2 alone, once, and solves on the same rows;
-    # every face collapses through a free edge, which ranks d2 without
-    # unit_reduce and leaves no d2 row to eliminate
+    # every face collapses through a free edge, which ranks d2 with no
+    # residual and leaves no d2 row to eliminate
     structure = RotStructure(cx, weights)
     assert rot_value(structure, chain) == 3
     assert builds == ["d2"]
     assert len(structure.order) == len(cx.faces) and not structure.rest
     assert not any(eliminated)
-    assert reduced == []
+    assert residuals == []
     # rel its boundary every face contracts into one class: the witness
     # builds d2 once, no d1, and is read off the contraction, with nothing
     # eliminated
@@ -900,13 +936,16 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
     assert witness is not None and support(witness) == set(cx.faces)
     assert builds == ["d2"]
     assert eliminated == []
-    # the cone builds each of X's maps once and reduces nothing: the
-    # contraction ranks its d1 with no row left, and its d2 rank is read off
-    # the kernel
-    reduced.clear()
+    # the cone builds each of X's maps once: the contraction ranks its d1
+    # with no row left, so rank_q sees an empty residual, and its d2 rank is
+    # read off the kernel
     builds.clear()
     assert cone_complex(cx, chain.terms).summary.rank(2) == 1
-    assert reduced == [] and builds == ["d2", "d1"]
+    assert residuals == [[]] and builds == ["d2", "d1"]
+    # over Z as well, homology ranks both maps with an empty residual
+    residuals.clear()
+    assert homology(cx, "Z").ranks == (1, 8, 0)
+    assert residuals == [[], []]
     # every row the solvers read is sparse: an edge meets at most two faces,
     # plus one entry for a right-hand side or a circle edge
     assert rows_seen and all(type(row) is dict and all(row.values()) for row in rows_seen)
@@ -922,7 +961,7 @@ def test_guards_raise_typed_errors_under_optimize():
         from fractions import Fraction
 
         import sclkit.homology as H
-        from sclkit.complexes import barycentric, boundary_subcomplex, induced_subcomplex
+        from sclkit.complexes import ComplexError, TwoComplex, barycentric, boundary_subcomplex, induced_subcomplex
         from sclkit.exactlin import SnfError, SnfResult
         from sclkit.fixtures import closed_genus, disc, one_holed, rp2, torus
 
@@ -934,18 +973,13 @@ def test_guards_raise_typed_errors_under_optimize():
             except error:
                 caught.append(name)
 
-        # a face word that no longer closes up: d1 d2 != 0
+        # a face word that does not close up, which would give d1 d2 != 0
         cx = disc()
-        cx.faces[0] = cx.faces[0][:-1]
-        expect("d1d2", H.HomologyError, lambda: H.boundary_matrices(cx))
+        expect("d1d2", ComplexError, lambda: TwoComplex(cx.vertices, cx.edges, {0: cx.faces[0][:-1]}))
 
-        # a circle word that is an open path: the cone differential squares
-        # to nonzero
-        cx = disc()
-        chain_circles = H.chain_circles
-        H.chain_circles = lambda cx, terms: [((0, 1),)]
-        expect("cone d2", H.HomologyError, lambda: H.cone_complex(cx, []))
-        H.chain_circles = chain_circles
+        # a chain loop that is an open path, whose circle would make the
+        # cone differential square to nonzero
+        expect("cone d2", ComplexError, lambda: H.cone_complex(cx, [(1, ((0, 1),))]))
 
         # a kernel vector on the circle edge alone: its image -c is no cycle
         cx = one_holed(1)
@@ -992,8 +1026,6 @@ def test_guards_raise_typed_errors_under_optimize():
         expect("snf", SnfError, lambda: H.homology(rp2(), "Z"))
         H.smith_normal_form = smith_normal_form
 
-        z, q = H.ChainVec.make("Z", {0: 1}), H.ChainVec.make("Q", {0: 1})
-        expect("ring", H.RingError, lambda: z + q)
         expect("z fraction", H.RingError, lambda: H.ChainVec.make("Z", {0: Fraction(1, 2)}))
         print(" ".join(name.replace(" ", "_") for name in caught))
         """
@@ -1012,6 +1044,5 @@ def test_guards_raise_typed_errors_under_optimize():
         "witness_leak",
         "support",
         "snf",
-        "ring",
         "z_fraction",
     ]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sclkit.scl
 from sclkit.complexes import ComplexError, TwoComplex, barycentric
-from sclkit.exactlin import rank_q, solve_q, unit_reduce
+from sclkit.exactlin import rank_q, solve_q
 from sclkit.fixtures import ambient_pair, one_holed, closed_genus3_split
 from sclkit.homology import d2_rows
 from sclkit.scl import (
@@ -374,10 +374,9 @@ def reference_rot_value(cx, weights, chain):
 
 def reference_rot_refusal(cx, weights):
     """The message ``RotStructure`` refuses rational weights with, ranking
-    all of d2 by ``unit_reduce`` and ``rank_q``, or None."""
+    all of d2, written out dense, by ``rank_q``, or None."""
     d2, fs = d2_rows(cx)
-    units, residual = unit_reduce(d2, len(fs))
-    if units + rank_q(residual) != len(fs):
+    if rank_q([[row.get(j, 0) for j in range(len(fs))] for row in d2]) != len(fs):
         return "rot structure needs H2(S; Q) = 0"
     if set(weights) != set(fs):
         return "rot structure must weight every face"

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -612,3 +613,101 @@ def test_a_side_that_is_not_a_handle_long_pair_is_refused():
     fpieces[0] = FPiece(s.fpieces[0].face, s.fpieces[0].sign, tuple(sides))
     with pytest.raises(SurfaceError, match=r"cellular disc 0 side 1 is not a \(handle, long\) pair"):
         rebuild(s, fpieces=fpieces)
+
+
+def with_side(s, fid, k, side):
+    """The cellular discs of s with side k of disc fid replaced."""
+    sides = list(s.fpieces[fid].sides)
+    sides[k] = side
+    return {**s.fpieces, fid: replace(s.fpieces[fid], sides=tuple(sides))}
+
+
+# figlnk(): vertex disc 0 over v holds the s-ends of the spoke handles 0..3
+# and two free slots, disc 1 over u1 holds (h0 t, h4 s, free); cellular disc
+# 0 lies over the face left = s2 R12 S1, its sides on (handle, long) (1, 1),
+# (4, 0) and (0, 0)
+PIECE_REFUSALS = [
+    pytest.param(
+        lambda s: {"vpieces": {**s.vpieces, 1: replace(s.vpieces[1], vertex=99)}},
+        "vertex disc 1 maps to unknown vertex",
+        id="unknown vertex",
+    ),
+    pytest.param(
+        lambda s: {"vpieces": {**s.vpieces, 1: replace(s.vpieces[1], slots=())}},
+        "vertex disc 1 has no slots",
+        id="no slots",
+    ),
+    pytest.param(
+        lambda s: {"vpieces": with_slot(s, 1, 2, ("h", 9, "s"))},
+        "disc 1 slot 2 references a missing handle",
+        id="missing handle",
+    ),
+    pytest.param(
+        lambda s: {"vpieces": with_slot(s, 0, 2, ("h", 0, "s"))},
+        "handle 0 s-end is held by two slots",
+        id="end held twice",
+    ),
+    pytest.param(
+        lambda s: {"handles": {**handle_edges(s), 0: 99}},
+        "handle 0 maps to unknown edge",
+        id="unknown edge",
+    ),
+    pytest.param(
+        lambda s: {"vpieces": with_slot(s, 1, 0, FREE)},
+        "handle 0 t-end is not placed on a slot",
+        id="end not placed",
+    ),
+    pytest.param(
+        # over s2, v -> u2, handle 0's t-end still sits on disc 1 over u1
+        lambda s: {"handles": {**handle_edges(s), 0: s.target.edge_id("s2")}},
+        "handle 0 t-end sits on a disc over the wrong vertex",
+        id="wrong vertex",
+    ),
+    pytest.param(
+        lambda s: {"fpieces": {**s.fpieces, 0: replace(s.fpieces[0], face=99)}},
+        "cellular disc 0 maps to unknown face",
+        id="unknown face",
+    ),
+    pytest.param(
+        lambda s: {"fpieces": {**s.fpieces, 0: replace(s.fpieces[0], sign=0)}},
+        "cellular disc 0 has bad sign",
+        id="bad sign",
+    ),
+    pytest.param(
+        lambda s: {"fpieces": {**s.fpieces, 0: replace(s.fpieces[0], sides=s.fpieces[0].sides[:2])}},
+        "cellular disc 0 must have 3 sides",
+        id="side count",
+    ),
+    pytest.param(
+        lambda s: {"fpieces": with_side(s, 0, 1, (4, 0, 0))},
+        "cellular disc 0 side 1 is not a (handle, long) pair",
+        id="not a pair",
+    ),
+    pytest.param(
+        lambda s: {"fpieces": with_side(s, 0, 1, (9, 0))},
+        "cellular disc 0 side 1 reference invalid",
+        id="invalid reference",
+    ),
+    pytest.param(
+        lambda s: {"fpieces": with_side(s, 0, 0, (0, 1))},
+        "cellular disc 0 side 0 glued to a handle over the wrong edge",
+        id="wrong edge",
+    ),
+    pytest.param(
+        lambda s: {"fpieces": with_side(s, 0, 0, (1, 0))},
+        "orientation inconsistency: disc 0 side 0 (polygon sign 1) cannot glue to long 0",
+        id="orientation",
+    ),
+    pytest.param(
+        lambda s: {"fpieces": {**s.fpieces, 2: s.fpieces[0]}},
+        "handle 1 long 1 is claimed by two disc sides",
+        id="long claimed twice",
+    ),
+]
+
+
+@pytest.mark.parametrize("broken, message", PIECE_REFUSALS)
+def test_every_piece_refusal_names_the_broken_piece(broken, message):
+    s = figlnk()
+    with pytest.raises(SurfaceError, match=f"^{re.escape(message)}$"):
+        rebuild(s, **broken(s))
