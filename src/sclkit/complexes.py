@@ -372,9 +372,6 @@ class Subcomplex:
         out += [("f", f) for f in sorted(self.face_set)]
         return out
 
-    def __contains__(self, cell):
-        return self._has(cell)
-
     def is_subset_of(self, other: "Subcomplex"):
         return (
             self.vertex_set <= other.vertex_set

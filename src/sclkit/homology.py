@@ -391,6 +391,9 @@ def chain_circles(cx: TwoComplex, terms):
             raise ComplexError("chain term with zero coefficient")
         if not word:
             raise ComplexError("chain term with empty loop")
+        for e, _sign in word:
+            if e not in cx.edges:
+                raise ComplexError(f"chain term {(coeff, word)} uses unknown edge id {e}")
         if cx.open_position(word) is not None:
             raise ComplexError("chain loop is not a closed edge path")
         words.append(word_power(word, coeff))

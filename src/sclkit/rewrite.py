@@ -110,23 +110,23 @@ class MoveLog:
 # -- the token surgery engine ------------------------------------------------
 
 
+def _slot(tok):
+    # a handle end's token is its own slot; every other token is a free arc
+    return tok if tok[0] == "h" else FREE
+
+
 class _Tokens:
-    """Cyclic slot structure of all vertex discs as one successor map."""
+    """Cyclic slot structure of all vertex discs as one successor map.  A
+    free arc's token is ("free", vid, j), or ("free+", n) once moved."""
 
     def __init__(self, surface: AdmissibleSurface):
         self.succ = {}
         self.vertex = {}
-        self.kind = {}  # token -> ("h", hid, end) | ("free",)
         self.free_n = 0
         for vid, vp in surface.vpieces.items():
             toks = []
             for j, slot in enumerate(vp.slots):
-                if slot == FREE:
-                    tok = ("free", vid, j)
-                    self.kind[tok] = FREE
-                else:
-                    tok = ("h", slot[1], slot[2])
-                    self.kind[tok] = slot
+                tok = ("free", vid, j) if slot == FREE else ("h", slot[1], slot[2])
                 self.vertex[tok] = vp.vertex
                 toks.append(tok)
             for j, tok in enumerate(toks):
@@ -135,14 +135,12 @@ class _Tokens:
     def new_free(self, vertex):
         tok = ("free+", self.free_n)
         self.free_n += 1
-        self.kind[tok] = FREE
         self.vertex[tok] = vertex
         self.succ[tok] = tok
         return tok
 
     def add_handle_token(self, hid, end, vertex):
         tok = ("h", hid, end)
-        self.kind[tok] = tok
         self.vertex[tok] = vertex
         self.succ[tok] = tok
         return tok
@@ -153,7 +151,6 @@ class _Tokens:
     def delete(self, tok):
         # only valid on self-looped or chained-out tokens
         del self.succ[tok]
-        del self.kind[tok]
         del self.vertex[tok]
 
     def fuse(self, toks, new_tok):
@@ -173,7 +170,6 @@ class _Tokens:
             run.append(nxt)
         prev = next(t for t, s in self.succ.items() if s == run[0])
         nxt = self.succ[run[-1]]
-        self.kind[new_tok] = new_tok
         self.vertex[new_tok] = self.vertex[run[0]]
         if prev == run[-1]:
             self.succ[new_tok] = new_tok
@@ -205,7 +201,7 @@ class _Tokens:
             verts = {self.vertex[t] for t in cyc}
             if len(verts) != 1:
                 raise MoveError("surgery produced a vertex disc over several vertices")
-            vpieces[vid] = VPiece(verts.pop(), tuple(self.kind[tok] for tok in cyc))
+            vpieces[vid] = VPiece(verts.pop(), tuple(_slot(tok) for tok in cyc))
         return vpieces
 
 
@@ -217,7 +213,7 @@ def _rebuild(surface: AdmissibleSurface, tokens: _Tokens, handles, fpieces, assi
     link connection clusters circuits by items (``_carry_by_items``).
     """
     vpieces = tokens.rebuild_vpieces()
-    if any(("h", hid, end) not in tokens.kind for hid in handles for end in "st"):
+    if any(("h", hid, end) not in tokens.succ for hid in handles for end in "st"):
         raise MoveError("handle lost an end during surgery")
     return AdmissibleSurface(
         surface.target,
@@ -227,7 +223,6 @@ def _rebuild(surface: AdmissibleSurface, tokens: _Tokens, handles, fpieces, assi
         fpieces,
         assignments=assignments,
         homotopy=surface.homotopy if homotopy is None else homotopy,
-        relaxed_boundary=surface.relaxed,
     )
 
 
@@ -263,7 +258,6 @@ def _without_components(surface: AdmissibleSurface, dead_indices):
         fpieces,
         assignments=assignments,
         homotopy=homotopy,
-        relaxed_boundary=surface.relaxed,
     )
 
 
@@ -604,7 +598,7 @@ def _glue_corners(tokens: _Tokens, new_tokens, corners):
         while tokens.succ[cyc[-1]] != tok:
             cyc.append(tokens.succ[cyc[-1]])
         seen.update(cyc)
-        if all(tokens.kind[t] == FREE for t in cyc):
+        if all(_slot(t) == FREE for t in cyc):
             for t in cyc:
                 tokens.delete(t)
         elif new_tokens.issuperset(cyc):
@@ -649,8 +643,8 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
         raise MoveError("separator index out of range")
     jE = runs[separator][-1]
     jS = runs[(separator + 1) % len(runs)][0]
-    hE_kind, hE_hid, hE_end = slots[jE]
-    hS_kind, hS_hid, hS_end = slots[jS]
+    _, hE_hid, hE_end = slots[jE]
+    _, hS_hid, hS_end = slots[jS]
     hE_h = surface.hpieces[hE_hid]
     hS_h = surface.hpieces[hS_hid]
     half_E = (hE_h.edge, 1 if hE_end == "s" else -1)
@@ -820,7 +814,6 @@ def retarget(surface: AdmissibleSurface, new_target: TwoComplex) -> AdmissibleSu
         surface.fpieces,
         assignments=surface.assignment_list(),
         homotopy=surface.homotopy,
-        relaxed_boundary=surface.relaxed,
     )
 
 
@@ -889,27 +882,14 @@ def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
                 raise MoveError(f"no link connection applies: {last_exc}")
             continue
         pairs = _find_fold_pairs(s)
-        if pairs:
-            done = False
-            last_exc = None
-            for pair in pairs:
-                try:
-                    s = eliminate_fold(s, pair[0], pair[1], log)
-                    done = True
-                    break
-                except MoveError as exc:
-                    last_exc = exc
-            if not done:
-                raise MoveError(f"no fold elimination applies: {last_exc}")
-            s = remove_trivial_components(s, log)
-            continue
-        break
+        if not pairs:
+            break
+        s = eliminate_fold(s, *pairs[0], log)
+        s = remove_trivial_components(s, log)
+    # the loop leaves only with every link connected; discs and spheres are
+    # not an error here: remove_trivial_components has dropped every one it
+    # could, and over a simply connected target the ones left carry the class
     report = s.standard_form_report()
-    if not report.connected_links:
-        raise MoveError("standard form loop stalled")
-    # discs and spheres are not an error here: remove_trivial_components has
-    # dropped every one it could, and over a simply connected target the
-    # ones left carry the class
     if not report.non_folded:
         # with connected links, a mixed component must contain an adjacent
         # opposite pair over one face; its absence means a fold pair through

@@ -187,19 +187,22 @@ def scl_upper_from_surface(surface) -> Fraction:
 
 # -- rotation number via cellular area -------------------------------------
 #
-# Positive face weights w_f, in units of pi and totalling -2 chi, make S a
-# surface of constant area; rot(c) is the area a cellular 1-boundary c
-# encloses over 2 pi, that is sum w_f x_f / 2 for the 2-chain x with
-# d2 x = c.  H2(S; Q) = 0 makes x unique.  A complete collapse of S through
-# its free edges certifies it, since each collapse step solves one face, and
-# the same order then solves x for every c.  The area is one integer dot
-# product: the weights are numerators over one denominator D, x is
-# numerators over one denominator d, and one Fraction is formed at the end.
+# Positive face weights w_f, in units of pi and totalling -2 chi, give S an
+# area; rot(c) here is the area a cellular 1-boundary c encloses over 2 pi,
+# that is sum w_f x_f / 2 for the 2-chain x with d2 x = c.  It is the
+# rotation quasimorphism, of defect 1, only for weights in which the edge
+# loops of c are geodesics.  H2(S; Q) = 0 makes x unique.  A complete
+# collapse of S through its free edges certifies it, since each collapse
+# step solves one face, and the same order then solves x for every c.  The
+# area is one integer dot product: the weights are numerators over one
+# denominator D, x is numerators over one denominator d, and one Fraction is
+# formed at the end.
 
 
 @dataclass
 class RotStructure:
-    """Per-face positive area weights, in units of pi, totalling -2 chi.
+    """Per-face positive area weights, in units of pi, totalling -2 chi;
+    nothing checks that they make any chain geodesic.
 
     Requires H2(S; Q) = 0, so a cellular 1-boundary has a unique bounding
     2-chain and the enclosed area is well defined.  The rows of d2, one per
@@ -263,7 +266,8 @@ def default_rot_structure(cx: TwoComplex) -> RotStructure:
 
 
 def rot_value(structure: RotStructure, chain: EdgeChain) -> Fraction:
-    """rot(c) = enclosed area / 2 pi for a cellular 1-boundary c.
+    """Enclosed area / 2 pi of a cellular 1-boundary c: rot(c) when the
+    weights make the edge loops of c geodesics, and a bare area otherwise.
 
     The chain's edge vector b is substituted through the structure's
     collapse order, face by face, on integer numerators over one running
@@ -293,14 +297,21 @@ class SandwichVerdict:
 
 
 def bavard_sandwich(structure: RotStructure, chain: EdgeChain, witness=None) -> SandwichVerdict:
-    """Lower bound rot/2 (the defect of rot is 1) against a witness bound.
+    """Lower bound rot/2 against a witness bound.
 
-    When the bounds agree the value is certified independently of the LP.
+    rot/2 bounds scl only for weights that make the chain geodesic, so a
+    lower bound above the witness's upper bound is refused.  When the bounds
+    agree the value is certified independently of the LP.
     """
     lower = rot_value(structure, chain) / 2
     upper = None
     if witness is not None:
         upper = scl_upper_from_surface(witness)
+        if lower > upper:
+            raise ComplexError(
+                f"rot lower bound {lower} exceeds the witness's upper bound {upper}: "
+                "the area weights do not make the chain geodesic"
+            )
     exact = lower if (upper is not None and upper == lower) else None
     return SandwichVerdict(lower=lower, upper=upper, exact=exact)
 

@@ -71,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import TwoComplex, surface_check
-from .words import EdgeChain, cyclic_rotations, cyclically_equal, word_inverse, word_power
+from .words import EdgeChain, cyclic_rotations, word_power
 
 
 class SurfaceError(ValueError):
@@ -191,7 +191,8 @@ class AdmissibleSurface:
     ``assignments`` says which circle each lettered boundary circuit winds
     around, and how often:
 
-    * None: match each circuit word against the chain's circles;
+    * None: match each circuit word against the chain's circles, as a
+      power of one circle word;
     * a list of (anchor item, circle, degree) entries, as made by
       ``assignment_list``, with each anchor given once and lying on a
       boundary circuit;
@@ -199,9 +200,15 @@ class AdmissibleSurface:
       pairs, that returns such a list; moves carry the assignments of the
       surface they rewrite this way.
 
-    With ``chain`` None the chain is read off the boundary instead: each
-    cyclic class of circuit words becomes a term of coefficient 1, and a
-    circuit reading a term backwards winds -1 times around it.
+    With ``chain`` None the chain's terms are read off the boundary
+    (``_infer_chain``), and the circuits are then matched against them like
+    any other chain's.
+
+    One rule certifies the boundary.  Without a ``homotopy`` certificate
+    each lettered circuit reads its circle word to its degree, a nonzero
+    one; with one, assignments must be given and the circuits may be any
+    loops the certificate homotopes onto the circles.  ``_check_boundary``
+    checks the 1-chain identities either way.
     """
 
     def __init__(
@@ -213,24 +220,21 @@ class AdmissibleSurface:
         fpieces: dict,
         assignments=None,
         homotopy=None,
-        relaxed_boundary=False,
     ):
         self.target = target = Target.of(target)
         self.chain = chain
         self.vpieces = {k: vpieces[k] for k in sorted(vpieces)}
         self.fpieces = {k: fpieces[k] for k in sorted(fpieces)}
         self.homotopy = {f: c for f, c in (homotopy or {}).items() if c}
-        self.relaxed = bool(relaxed_boundary) or bool(self.homotopy)
         self._validate_pieces(handles)
         self._check_corners()
         self._extract_circuits()
         if chain is None:
-            self.chain, assignments = _infer_chain(target, self._raw_circuits)
-        elif callable(assignments):
+            self.chain = _infer_chain(target, self._raw_circuits)
+        if callable(assignments):
             assignments = assignments(self._raw_circuits)
         self._resolve_assignments(assignments)
-        self._validate_boundary_words()
-        self._cross_checks()
+        self._check_boundary()
         self._find_components()
         self._find_link_runs()
 
@@ -381,7 +385,7 @@ class AdmissibleSurface:
                 if not word:
                     resolved.append(Circuit(items, word, None, 0))
                     continue
-                if self.relaxed:
+                if self.homotopy:
                     raise SurfaceError(
                         "homotoped boundaries need explicit circuit assignments"
                     )
@@ -413,7 +417,7 @@ class AdmissibleSurface:
                     resolved.append(Circuit(items, word, None, 0))
                 else:
                     circle, degree = found
-                    if word and degree == 0 and not self.relaxed:
+                    if word and degree == 0 and not self.homotopy:
                         # without a homotopy certificate a lettered circuit
                         # must wind at least once around its circle
                         raise SurfaceError("lettered circuit assigned degree 0")
@@ -428,9 +432,12 @@ class AdmissibleSurface:
                 raise SurfaceError(f"assignment to unknown circle {circ.circle}")
         self.circuits = tuple(resolved)
 
-    def _validate_boundary_words(self):
+    def _check_boundary(self):
+        """The circuit 1-chain must equal the degree-weighted circle
+        1-chains plus the boundary of the homotopy certificate, and the
+        pushforward boundary of the cellular discs."""
         circle_words = self.chain.circle_words()
-        if not self.relaxed:
+        if not self.homotopy:
             for circ in self.circuits:
                 if not circ.word:
                     self._check_constant_circuit(circ)
@@ -441,25 +448,23 @@ class AdmissibleSurface:
                         f"boundary word mismatch with chain: {circ.word} is not "
                         f"circle {circ.circle} to the power {circ.degree}"
                     )
-        # global identity: total boundary chain = degrees . circles + d(homotopy)
-        lhs = {}
-        for circ in self.circuits:
-            for e, sign in circ.word:
-                lhs[e] = lhs.get(e, 0) + sign
-            if circ.circle is not None:
-                u = circle_words[circ.circle]
-                for e, sign in u:
-                    lhs[e] = lhs.get(e, 0) - circ.degree * sign
-        for f, c in self.homotopy.items():
-            if f not in self.target.faces:
-                raise SurfaceError("homotopy certificate uses an unknown face")
-            for e, sign in self.target.faces[f]:
-                lhs[e] = lhs.get(e, 0) - c * sign
-        if any(v != 0 for v in lhs.values()):
+        faces = self.target.faces
+        words = _one_chain((e, sign) for circ in self.circuits for e, sign in circ.word)
+        if any(f not in faces for f in self.homotopy):
+            raise SurfaceError("homotopy certificate uses an unknown face")
+        expected = _one_chain(
+            [(e, circ.degree * sign) for circ in self.circuits if circ.circle is not None
+             for e, sign in circle_words[circ.circle]]
+            + [(e, c * sign) for f, c in self.homotopy.items() for e, sign in faces[f]]
+        )
+        if expected != words:
             raise SurfaceError(
                 "boundary words do not match the chain, even up to the "
                 "homotopy certificate"
             )
+        pushed = _one_chain((e, fp.sign * sign) for fp in self.fpieces.values() for e, sign in faces[fp.face])
+        if pushed != words:
+            raise SurfaceError("pushforward boundary disagrees with circuit words")
 
     def _check_constant_circuit(self, circ):
         vertices = {self.vpieces[item[1]].vertex for item in circ.items}
@@ -475,20 +480,6 @@ class AdmissibleSurface:
         raise SurfaceError(
             "constant boundary circuit at a vertex not visited by the chain"
         )
-
-    def _cross_checks(self):
-        """The pushforward boundary agrees with the circuit words."""
-        dz = {}
-        for fp in self.fpieces.values():
-            for e, sign in self.target.faces[fp.face]:
-                dz[e] = dz.get(e, 0) + fp.sign * sign
-        words = {}
-        for circ in self.circuits:
-            for e, sign in circ.word:
-                words[e] = words.get(e, 0) + sign
-        for e in set(dz) | set(words):
-            if dz.get(e, 0) != words.get(e, 0):
-                raise SurfaceError("pushforward boundary disagrees with circuit words")
 
     def _find_components(self):
         """Components as frozensets of piece keys, in order of their least
@@ -692,6 +683,14 @@ class AdmissibleSurface:
         )
 
 
+def _one_chain(pairs):
+    """The 1-chain of (edge, count) pairs, without zero entries."""
+    out = {}
+    for e, c in pairs:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def _match_circle(word, circle_words):
     for i, u in enumerate(circle_words):
         if not u or len(word) % len(u):
@@ -800,34 +799,25 @@ def disjoint_union(*surfaces) -> AdmissibleSurface:
         fpieces,
         assignments=assignments,
         homotopy=homotopy,
-        relaxed_boundary=any(s.relaxed for s in surfaces),
     )
 
 
 def _infer_chain(target, circuits):
-    """A chain and assignments matching the raw boundary circuits.
+    """The chain whose terms the raw boundary circuits read.
 
-    Merges the circuit words into chain terms by cyclic equality (a circuit
-    reading the inverse of an existing term is assigned degree -1).  Useful
-    for constructing fixtures whose boundary words are easier to trace than
-    to write down.
+    Each circuit word that is not a power of an earlier term, positive or
+    negative, becomes a new term of coefficient 1; ``AdmissibleSurface``
+    then matches the circuits to the terms as it does for any chain.  So a
+    circuit reading a term backwards winds -1 times around it, and one
+    reading a proper power of a term, k times, winds k times around it.
+    Useful for constructing fixtures whose boundary words are easier to
+    trace than to write down.
     """
     terms = []
-    assignments = []
-    for items, word in circuits:
-        if not word:
-            continue
-        for i, loop in enumerate(terms):
-            if cyclically_equal(loop, word):
-                assignments.append((items[0][:-1], i, 1))
-                break
-            if cyclically_equal(word_inverse(loop), word):
-                assignments.append((items[0][:-1], i, -1))
-                break
-        else:
-            terms.append(tuple(word))
-            assignments.append((items[0][:-1], len(terms) - 1, 1))
-    return EdgeChain.make(target, [(1, w) for w in terms]), assignments
+    for _items, word in circuits:
+        if word and _match_circle(word, terms) is None:
+            terms.append(word)
+    return EdgeChain.make(target, [(1, w) for w in terms])
 
 
 def derive_vpieces(target, handles, fpieces):

@@ -254,6 +254,8 @@ class EdgeChain:
             for e, sign in loop:
                 if e not in cx.edges:
                     raise ChainError(f"unknown edge id {e}")
+                if sign not in (1, -1):
+                    raise ChainError(f"edge {e} has sign {sign}, not +1 or -1")
             if cx.open_position(loop) is not None:
                 raise ChainError("edge loop does not close up")
             out.append((coeff, loop))

@@ -197,6 +197,11 @@ def test_cone_empty_loop_rejected():
         cone_complex(torus(), [(1, ())])
 
 
+def test_cone_unknown_edge_is_named_with_its_term():
+    with pytest.raises(ComplexError, match=r"chain term \(1, \(\(9, 1\),\)\) uses unknown edge id 9"):
+        cone_complex(torus(), [(1, ((9, 1),))])
+
+
 def _subdivided_cone(cx, terms):
     """H_*(X, c; Q) ranks and the image of H2(X, c) in H1 of the circles,
     from a mapping cone whose circle for a term (n, w) is subdivided into

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sclkit
 import sclkit.rewrite
@@ -131,6 +133,43 @@ def test_closed_genus2_necklaces_fail_or_reach_standard_form(m, fold_pos, back_p
     assert report.connected_links and report.non_folded
 
 
+KNOWN_FAILURES = (
+    "component remains folded without an eligible fold pair",
+    "no link connection applies: separator index out of range",
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GRID), st.booleans())
+def test_standard_form_keeps_the_class_or_fails_as_known(params, doubled):
+    m, closed, fold_pos, back_pos = params
+    before = fold_necklace(torus(), "f", m, fold_pos, back_pos, closed=closed)
+    if doubled:
+        before = disjoint_union(before, fold_necklace(torus(), "f", m, fold_pos, back_pos, closed=closed))
+    try:
+        after, _log = make_standard_form(before)
+    except MoveError as exc:
+        assert str(exc) in KNOWN_FAILURES
+        return
+    assert after.reduced_class() == before.reduced_class()
+    assert ratio(after) <= ratio(before)
+    report = after.standard_form_report()
+    assert report.connected_links and report.non_folded
+    # the pieces, the anchors and the certificate alone give back the
+    # circuits, whether or not the surface carries a certificate
+    again = AdmissibleSurface(
+        after.target,
+        after.chain,
+        after.vpieces,
+        {hid: hp.edge for hid, hp in after.hpieces.items()},
+        after.fpieces,
+        assignments=after.assignment_list(),
+        homotopy=after.homotopy,
+    )
+    assert again.circuits == after.circuits
+    assert again.reduced_class() == after.reduced_class()
+
+
 # -- the fold carry and the fold-pair search against their oracles ---------------
 
 
@@ -190,7 +229,6 @@ def test_folds_and_fold_pairs_match_their_oracles_on_the_necklace_sweep(monkeypa
             out.fpieces,
             assignments=lambda raw: word_matching_carry(surface, raw),
             homotopy=out.homotopy,
-            relaxed_boundary=out.relaxed,
         )
         # the class starts with the degree vector
         assert out.reduced_class() == oracle.reduced_class()
@@ -366,7 +404,7 @@ def reference_link_splice(tokens, new_tokens, corners, cases):
         cur = tokens.succ[a]
         guard = 0
         while cur != b:
-            if tokens.kind[cur] != FREE:
+            if cur[0] == "h":
                 raise MoveError("free run to replace contains glued slots")
             nxt = tokens.succ[cur]
             tokens.delete(cur)
@@ -437,7 +475,7 @@ def test_corner_splice_matches_the_override_reference(monkeypatch):
             splice(tokens, new_tokens, corners)
         except MoveError as exc:
             return str(exc)
-        return tokens.succ, tokens.kind
+        return tokens.succ, tokens.vertex
 
     def compared(tokens, new_tokens, corners):
         want = outcome(

@@ -25,6 +25,7 @@ from sclkit.scl import (
     scl_compare_under_inclusion,
     scl_lp,
 )
+from sclkit.surfaces import subsurface_as_admissible
 from sclkit.words import (
     ChainError,
     EdgeChain,
@@ -494,6 +495,40 @@ def test_bavard_sandwich_lower_only():
     verdict = bavard_sandwich(default_rot_structure(cx), parse_edge_chain("c-", cx))
     assert verdict.lower == Fraction(3, 2)
     assert verdict.upper is None and verdict.exact is None
+
+
+def _t_inverse_on_ambient_pair():
+    """ambient_pair(1, 2), the chain t^-1 and its witness T, which bounds
+    it, so scl(t^-1) <= 1/2."""
+    cx, t_sub = ambient_pair(1, 2)
+    chain = EdgeChain.make(cx, [(1, ((cx.edge_id("t"), -1),))])
+    return cx, chain, subsurface_as_admissible(cx, t_sub.cells(), chain)
+
+
+@pytest.mark.parametrize(
+    "weights, lower",
+    [((5, 1), "5/4"), (None, "9/14")],
+    ids=["fT=5,fR=1", "default"],
+)
+def test_bavard_sandwich_refuses_a_lower_bound_above_the_witness(weights, lower):
+    # positive weights fix no corner angle, so rot/2 need not bound scl
+    cx, chain, witness = _t_inverse_on_ambient_pair()
+    if weights is None:
+        structure = default_rot_structure(cx)
+    else:
+        structure = RotStructure(cx, dict(zip((cx.face_id("fT"), cx.face_id("fR")), weights)))
+    assert str(rot_value(structure, chain) / 2) == lower
+    with pytest.raises(ComplexError, match=f"rot lower bound {lower} exceeds the witness's upper bound 1/2"):
+        bavard_sandwich(structure, chain, witness)
+
+
+def test_bavard_sandwich_certifies_when_the_chain_is_geodesic():
+    # fT of area 2 puts all of the vertex's angle at fT's corners, so t^-1
+    # does not turn there
+    cx, chain, witness = _t_inverse_on_ambient_pair()
+    structure = RotStructure(cx, {cx.face_id("fT"): 2, cx.face_id("fR"): 4})
+    verdict = bavard_sandwich(structure, chain, witness)
+    assert verdict.lower == verdict.upper == verdict.exact == Fraction(1, 2)
 
 
 def test_scl_matches_rot_lower_bound():

@@ -107,6 +107,12 @@ def test_edge_chain_open_path_rejected():
         EdgeChain.make(cx, [(1, ((0, 1),))])
 
 
+def test_edge_chain_refuses_a_sign_other_than_plus_or_minus_one():
+    # TwoComplex refuses the same sign in a face word
+    with pytest.raises(ChainError, match="edge 0 has sign 2, not"):
+        EdgeChain.make(torus(), [(1, ((0, 2),))])
+
+
 def test_edge_chain_negative_coefficient_words():
     cx = one_holed(1)
     a = cx.edge_id("a1")
