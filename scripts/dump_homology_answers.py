@@ -86,7 +86,7 @@ def dump(name, cx, subs, terms):
     print("boundary", answer(lambda: boundary_matrices(cx)))
     for ring in ("Z", "Q"):
         print("homology", ring, answer(lambda: summary(homology(cx, ring))))
-        print("witness", ring, answer(lambda: is_orientable(cx, ring)))
+    print("witness", answer(lambda: is_orientable(cx)))
     bnd = boundary_subcomplex(cx)
     for label, sub in subs:
         for ring in ("Z", "Q"):

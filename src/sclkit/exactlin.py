@@ -12,13 +12,16 @@ Everything here is deterministic.
 
 Integer form.  A rational vector is kept as (x, d): {column: int}
 numerators of its nonzero entries over one denominator d > 0.  Every
-solver works in this form, with no Fraction formed on the way, and
-``solve_q`` and ``kernel_q`` return its Fraction view.  Substitution
-solves one column from one row whose other columns are known; the
-denominator grows only when the pivot entry does not divide the row's sum,
-and then every numerator is scaled with it.  ``solve_peeled`` hands the
-integer form to callers that want one exact sum at the end, such as the
-cellular area of ``scl.rot_value``.
+solver works in this form, with no Fraction formed on the way.
+Substitution solves one column from one row whose other columns are known;
+the denominator grows only when the pivot entry does not divide the row's
+sum, and then every numerator is scaled with it.  A kernel vector is a
+direction, so ``kernel_q`` returns it in integers: its numerators, which
+are the RREF vector times the lcm of its denominators, with a positive
+free entry.  A solution is a point, so ``solve_q`` returns
+the Fraction view x / d.  ``solve_peeled`` hands the integer form to
+callers that want one exact sum at the end, such as the cellular area of
+``scl.rot_value``.
 
 Sparse elimination.  ``rank_q``, ``solve_q`` and ``kernel_q`` end in one
 routine, ``_eliminate``, on {column: int} rows; a
@@ -418,6 +421,10 @@ def _substitute(steps, ncols, x):
     at first, and is completed in place over one running denominator d,
     which starts at 1 and grows only when a pivot entry does not divide its
     row's sum.  Returns the integer form (x, d), zero entries left out.
+
+    Each step scales d by the least factor that makes its new entry an
+    integer, so d stays the lcm of the denominators of x / d in lowest terms,
+    and the gcd of d and the numerators is 1.
     """
     d = 1
     for c, row in steps:
@@ -484,15 +491,23 @@ def solve_peeled(rows, ncols, order, rest):
 
 def kernel_q(rows, ncols):
     """Basis of the rational kernel of the matrix with the given sparse rows
-    and ``ncols`` columns (list of Fraction vectors): one vector per free
-    column j, with free part e_j, as read off the reduced row echelon form."""
+    and ``ncols`` columns, as integer vectors: one vector per free column j,
+    the one read off the reduced row echelon form with free part e_j, times
+    the lcm of its denominators.  Its entry j is positive, and the gcd of
+    its entries is 1."""
     _check_columns(rows, ncols)
     order, rest = peel([_int_row(row) for row in rows], ncols)
     pivots = _eliminate(list(rest.values()), ncols)
     # a peeled column is 0 in every kernel vector
     pivot_cols = {c for c, _ in order} | {c for c, _ in pivots}
     steps = pivots[::-1]
-    return [_fractions(*_substitute(steps, ncols, {j: 1}), ncols) for j in range(ncols) if j not in pivot_cols]
+    basis = []
+    for j in range(ncols):
+        if j not in pivot_cols:
+            # numerators over d, the lcm of the denominators; x_j = 1 is d > 0
+            x, _ = _substitute(steps, ncols, {j: 1})
+            basis.append([x.get(k, 0) for k in range(ncols)])
+    return basis
 
 
 def solve_q(rows, ncols, rhs):

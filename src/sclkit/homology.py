@@ -46,13 +46,18 @@ rewritten over one column per class left free: edges on three or more
 face sides, non-unit entries (RP^2's {0: 2}), and rows that close a cycle
 inside a class, which vanish or, with the other sign, become {k: +-2} (a
 Moebius band).  The rank is the number of columns less the classes left
-free, plus the rank of those rows.  The orientation witness, a kernel
-vector of d2 rel boundary, reads the same contraction: on a surface no
-row is left, so the kernel has one vector per class left free, on
-disjoint supports, and the witness is the contraction's sign on each
-face, with no kernel solved; rows that are left reach ``kernel_q``.  The
-support lemma needs only rank H2(X, Y), the number of faces outside Y
-less the rank of d2 rel Y.
+free, plus the rank of those rows.  The support lemma needs only
+rank H2(X, Y), the number of faces outside Y less the rank of d2 rel Y.
+
+Orientation witness.  ``is_orientable`` looks for a 2-cycle rel boundary
+that is nonzero on every face, in integers, and returns it as a plain
+{face id: int} dict.  It reads the same contraction.  On a surface no row
+is left, so the kernel has one vector per class left free, on disjoint
+supports, and the witness is the contraction's sign on each face, with
+no kernel solved.  Rows that are left reach ``kernel_q``, whose basis is
+integral; the basis vectors are summed with weights 1, B, B^2, ..., for
+B one more than their largest |entry|, which cancels no face that some
+basis vector is nonzero on.
 
 Collapse.  The exact solvers peel singletons before they eliminate (see
 ``exactlin``).  On a surface with boundary the free edges, those on one
@@ -69,7 +74,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .complexes import ComplexError, Subcomplex, TwoComplex, boundary_subcomplex
 from .exactlin import check_snf, kernel_q, rank_q, smith_normal_form
@@ -87,33 +91,6 @@ class HomologyError(ComplexError):
 def check_ring(ring):
     if ring not in ("Z", "Q"):
         raise RingError(f"ring must be 'Z' or 'Q', got {ring!r}")
-
-
-@dataclass(frozen=True)
-class ChainVec:
-    """Sparse chain vector: cell id -> coefficient, zero entries dropped."""
-
-    ring: str
-    coeffs: tuple  # sorted ((cell id, coefficient), ...)
-
-    @classmethod
-    def make(cls, ring, mapping):
-        check_ring(ring)
-        items = []
-        for cell in sorted(mapping):
-            c = mapping[cell]
-            if ring == "Q" and not isinstance(c, Fraction):
-                c = Fraction(c)
-            elif ring == "Z" and isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise RingError(f"Z chain coefficient {c} on cell {cell} is not an integer")
-                c = c.numerator
-            if c:
-                items.append((cell, c))
-        return cls(ring, tuple(items))
-
-    def as_dict(self):
-        return dict(self.coeffs)
 
 
 def _add(col, i, c):
@@ -362,11 +339,14 @@ class ConeComplex:
     (a, x) -> (-d a, d x - gamma a).  Each circle has one vertex and one
     edge, so a degree-2 chain is a winding per circle followed by a 2-chain
     of X.  With no 3-cells anywhere, H2 of the cone is exactly the kernel
-    of its degree-2 differential.
+    of its degree-2 differential.  ``kernel_basis`` holds that kernel's
+    basis from ``kernel_q``: integral cone 2-cycles, each a winding per
+    circle and a 2-chain of X, like ``AdmissibleSurface.reduced_class``.
+    It spans H2(X, c; Q); as integer vectors it need not span the lattice.
     """
 
     circles: int  # one per chain term; the first coordinates of a 2-chain
-    kernel_basis: list  # rational basis of H2(X, c)
+    kernel_basis: list  # integral cone 2-cycles, a basis of H2(X, c; Q)
     summary: HomologySummary
 
     def boundary_degrees(self, coords):
@@ -375,7 +355,7 @@ class ConeComplex:
             raise HomologyError(
                 f"{len(coords)} coordinates for a kernel basis of {len(self.kernel_basis)} vectors"
             )
-        degs = [Fraction(0)] * self.circles
+        degs = [0] * self.circles
         for c, vec in zip(coords, self.kernel_basis):
             degs = [d + c * x for d, x in zip(degs, vec)]
         return degs
@@ -428,11 +408,9 @@ def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
 
     rows2, cols2, rows1 = k + len(d2), k + len(fs), len(vs)
     kernel = kernel_q(d2, cols2)
-    # certificate: every kernel vector, scaled to integers, is a cone 2-cycle
+    # certificate: every kernel vector is a cone 2-cycle
     for vec in kernel:
-        d = lcm(*(x.denominator for x in vec))
-        ints = [x.numerator * (d // x.denominator) for x in vec]
-        if any(sum(c * ints[j] for j, c in row.items()) for row in d2):
+        if any(sum(c * vec[j] for j, c in row.items()) for row in d2):
             raise HomologyError("cone kernel vector is not a cycle")
     r2 = cols2 - len(kernel)
     r1 = _rank_torsion(d1, rows1, "Q")[0]
@@ -443,71 +421,56 @@ def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
 # -- orientability ---------------------------------------------------------
 
 
-def is_orientable(cx: TwoComplex, ring="Z"):
-    """Search a relative 2-cycle (mod boundary) supported on every face.
+def is_orientable(cx: TwoComplex):
+    """A 2-cycle rel boundary supported on every face, as {face id: int},
+    or None when there is none.
 
-    Returns the witness ChainVec, or None when impossible.  The kernel of
-    d2 rel boundary is found by contracting faces across every edge that
-    ties two of them (``_contract``); with no row left, each face's
-    coefficient is its sign in its class.  Only the rows the contraction
-    leaves go to ``kernel_q``, over one unknown per class of faces.  Over
-    Z and Q the answer agrees: the rational kernel basis, each vector scaled
-    to integers, gives an integer witness whenever a rational one exists.
+    Such a cycle is an orientation, and one exists over Z exactly when one
+    exists over Q: scale a rational one by the lcm of its denominators.
+    The cycles of d2 rel boundary are found by contracting faces across
+    every edge that ties two of them (``_contract``); with no row left,
+    each face's coefficient is its sign in its class, +-1.  Otherwise the
+    rows the contraction leaves go to ``kernel_q``, over one unknown per
+    class of faces, and its integer basis is combined so that no face is
+    cancelled.
     """
-    check_ring(ring)
-    return _orientation_witness(cx, boundary_subcomplex(cx), ring)
+    return _orientation_witness(cx, boundary_subcomplex(cx))
 
 
-def _orientation_witness(cx: TwoComplex, bsub: Subcomplex, ring):
+def _orientation_witness(cx: TwoComplex, bsub: Subcomplex):
     """``is_orientable`` with the boundary subcomplex ``bsub`` of ``cx``
     already at hand."""
-    if not cx.faces:
-        return ChainVec.make(ring, {})
     rows, fs = d2_rows(cx, bsub)
     face_class, rest, k = _contract(rows, len(fs))
-    if not rest:
-        # the kernel has one vector per class, on disjoint supports: the
-        # contraction's sign on each face of a class left free
-        if any(col is None for col, _ in face_class):
-            return None
-        chain = ChainVec.make(ring, {f: s for f, (_, s) in zip(fs, face_class)})
-        _assert_orientation_witness(cx, chain, bsub)
-        return chain
-    basis = []
-    for vec in kernel_q(rest, k):
-        d = lcm(*(x.denominator for x in vec))
-        ints = [x.numerator * (d // x.denominator) for x in vec]
-        basis.append([0 if col is None else s * ints[col] for col, s in face_class])
-    covered = set()
-    for vec in basis:
-        for j, x in enumerate(vec):
-            if x:
-                covered.add(j)
-    if covered != set(range(len(fs))):
-        return None
-    # weight the basis so supports cannot cancel; start with powers of 3,
-    # fall back to a base larger than any possible partial sum
-    max_entry = max((abs(x) for vec in basis for x in vec), default=0)
-    for base in (3, 2 * max_entry * max(3, len(basis)) + 3):
-        combo = [0] * len(fs)
+    if rest:
+        # sum B^i v_i with B = M + 1, M the largest |entry| of the basis v:
+        # where v_i is the last vector nonzero on a class, the earlier ones
+        # add up to at most M (B^i - 1) / (B - 1) < B^i in absolute value
+        kernel = kernel_q(rest, k)
+        base = 1 + max((abs(x) for vec in kernel for x in vec), default=0)
+        combo = [0] * k
         w = 1
-        for vec in basis:
-            for j, x in enumerate(vec):
-                combo[j] += w * x
+        for vec in kernel:
+            for c, x in enumerate(vec):
+                combo[c] += w * x
             w *= base
-        if all(combo[j] != 0 for j in range(len(fs))):
-            chain = ChainVec.make(ring, {fs[j]: combo[j] for j in range(len(fs))})
-            _assert_orientation_witness(cx, chain, bsub)
-            return chain
-    raise HomologyError("orientation witness combination failed unexpectedly")
+    else:
+        # the kernel has one vector per class, on disjoint supports
+        combo = [1] * k
+    if any(col is None or not combo[col] for col, _ in face_class):
+        return None
+    witness = {f: s * combo[col] for f, (col, s) in zip(fs, face_class)}
+    _assert_orientation_witness(cx, witness, bsub)
+    return witness
 
 
-def _assert_orientation_witness(cx: TwoComplex, chain: ChainVec, bsub: Subcomplex):
-    coeffs = chain.as_dict()
-    if set(coeffs) != set(cx.faces):
+def _assert_orientation_witness(cx: TwoComplex, witness, bsub: Subcomplex):
+    """Refuse a {face id: int} ``witness`` that misses a face or whose
+    boundary has an edge outside ``bsub``."""
+    if set(witness) != set(cx.faces) or not all(witness.values()):
         raise HomologyError("witness must be supported on every face")
     totals = {}
-    for f, c in coeffs.items():
+    for f, c in witness.items():
         for e, sign in cx.faces[f]:
             totals[e] = totals.get(e, 0) + sign * c
     for e, total in totals.items():
@@ -536,7 +499,7 @@ def check_support_lemma(cx: TwoComplex, sub: Subcomplex) -> SupportVerdict:
     bsub = boundary_subcomplex(cx)
     if not bsub.is_subset_of(sub):
         raise ComplexError("precondition: boundary of X must lie in Y")
-    if _orientation_witness(cx, bsub, "Z") is None:
+    if _orientation_witness(cx, bsub) is None:
         raise ComplexError("precondition: X must be orientable")
     rows, fs = d2_rows(cx, sub)
     h2_rank = len(fs) - _rank_torsion(rows, len(fs), "Q")[0]
@@ -552,7 +515,9 @@ def check_support_lemma(cx: TwoComplex, sub: Subcomplex) -> SupportVerdict:
 
 
 def parse_chain_file(text, cx: TwoComplex, kind="f", ring="Z"):
-    """Lines '<coeff> <cell name>' into a ChainVec over cells of one kind."""
+    """Lines '<coeff> <cell name>' into {cell id: coefficient} over cells of
+    one kind, without zeros; a coefficient is an int over Z, a Fraction
+    over Q, and the lines of one cell add up."""
     check_ring(ring)
     lookup = {"v": cx.vertex_id, "e": cx.edge_id, "f": cx.face_id}.get(kind)
     if lookup is None:
@@ -572,7 +537,7 @@ def parse_chain_file(text, cx: TwoComplex, kind="f", ring="Z"):
             raise ComplexError(f"line {lineno}: coefficient {parts[0]!r} is not {number}") from None
         ident = lookup(parts[1])
         coeffs[ident] = coeffs.get(ident, 0) + c
-    return ChainVec.make(ring, coeffs)
+    return {cell: c for cell, c in coeffs.items() if c}
 
 
 def print_homology(summary: HomologySummary) -> str:

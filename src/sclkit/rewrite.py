@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
 from .complexes import TwoComplex, link_graph
@@ -840,12 +839,14 @@ def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
 
     Terminates because the potential (negative discs, total link excess,
     disc count) drops lexicographically at every move; the result is disc-
-    and sphere-free, has connected links and is non-folded, with
-    -chi^-/n never increased and the class in H2(S, c) preserved.
+    and sphere-free, has connected links and is non-folded, with the class
+    in H2(S, c) preserved and -chi^- never increased.  Every move checks the
+    class, so the degree n never changes, and -chi^-/|n| does not rise
+    either, whatever the sign of n.
     """
     log = log if log is not None else MoveLog()
     s = remove_trivial_components(surface, log)
-    start_ratio = _ratio(s)
+    start_euler = s.reduced_euler()
     guard = 0
     while True:
         guard += 1
@@ -895,13 +896,6 @@ def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
         # opposite pair over one face; its absence means a fold pair through
         # several handles, which this implementation does not rewrite
         raise MoveError("component remains folded without an eligible fold pair")
-    if _ratio(s) > start_ratio:
+    if s.reduced_euler() < start_euler:
         raise MoveError("standard form worsened -chi^-/n")
     return s, log
-
-
-def _ratio(surface: AdmissibleSurface):
-    n = surface.uniform_degree()
-    if not n:
-        return Fraction(0)
-    return Fraction(-surface.reduced_euler(), n)

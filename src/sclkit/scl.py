@@ -28,7 +28,7 @@ from .complexes import ComplexError, TwoComplex
 from .homology import _rank_torsion, d2_rows
 from .exactlin import peel, solve_peeled
 from .lp import LpResult, solve_lp
-from .words import ChainError, EdgeChain, OneChain, letter_inverse, word_power
+from .words import ChainError, EdgeChain, OneChain, cyclically_equal, letter_inverse, word_power
 
 
 INFINITE = "infinite"
@@ -299,10 +299,20 @@ class SandwichVerdict:
 def bavard_sandwich(structure: RotStructure, chain: EdgeChain, witness=None) -> SandwichVerdict:
     """Lower bound rot/2 against a witness bound.
 
-    rot/2 bounds scl only for weights that make the chain geodesic, so a
-    lower bound above the witness's upper bound is refused.  When the bounds
-    agree the value is certified independently of the LP.
+    The witness must bound ``chain`` itself: its chain has the same terms,
+    in order, each loop up to cyclic rotation.  rot/2 bounds scl only for
+    weights that make the chain geodesic, so a lower bound above the
+    witness's upper bound is refused.  When the bounds agree the value is
+    certified independently of the LP.
     """
+    if witness is not None and not (
+        len(witness.chain.terms) == len(chain.terms)
+        and all(
+            c == d and cyclically_equal(loop, other)
+            for (c, loop), (d, other) in zip(witness.chain.terms, chain.terms)
+        )
+    ):
+        raise ComplexError(f"the witness bounds the chain {witness.chain.terms}, not {chain.terms}")
     lower = rot_value(structure, chain) / 2
     upper = None
     if witness is not None:

@@ -249,8 +249,6 @@ class EdgeChain:
             loop = tuple(tuple(se) for se in loop)
             if not loop:
                 raise ChainError("edge loop must be nonempty")
-            if coeff == 0:
-                continue
             for e, sign in loop:
                 if e not in cx.edges:
                     raise ChainError(f"unknown edge id {e}")
@@ -258,7 +256,9 @@ class EdgeChain:
                     raise ChainError(f"edge {e} has sign {sign}, not +1 or -1")
             if cx.open_position(loop) is not None:
                 raise ChainError("edge loop does not close up")
-            out.append((coeff, loop))
+            # a term with coefficient 0 is checked like any other, then dropped
+            if coeff:
+                out.append((coeff, loop))
         return cls(tuple(out))
 
     def circle_words(self):

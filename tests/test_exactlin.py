@@ -94,6 +94,13 @@ def dense_solve_q(mat, rhs):
     return x
 
 
+def integral(vec):
+    """A rational vector times the lcm of its denominators: the integer
+    form in which ``kernel_q`` returns a kernel vector."""
+    d = math.lcm(*(Fraction(x).denominator for x in vec))
+    return [int(x * d) for x in vec]
+
+
 def sparse(mat):
     """The sparse rows of a dense matrix and its column count: the form
     ``kernel_q`` and ``solve_q`` take."""
@@ -250,6 +257,17 @@ def test_solve_q_inconsistent():
     assert solve_q([{0: 1, 1: 1}, {0: 1, 1: 1}], 2, [0, 1]) is None
 
 
+def test_kernel_vectors_are_primitive_integer_vectors():
+    # the RREF vector (-3/2, 1, 0) times 2, and (-1/2, 0, 1) times 2; a
+    # Fraction row gives the same kernel as its integer multiple
+    for row in ({0: 2, 1: 3, 2: 1}, {0: 1, 1: Fraction(3, 2), 2: Fraction(1, 2)}):
+        kernel = kernel_q([row], 3)
+        assert kernel == [[-3, 2, 0], [-1, 0, 2]]
+        assert all(type(x) is int for vec in kernel for x in vec)
+    # x0 = 2 x1: the RREF vector is integral already
+    assert kernel_q([{0: 4, 1: -8}], 2) == [[2, 1]]
+
+
 def test_an_empty_matrix_keeps_its_column_count():
     # no nonzero entry: every column is free, and a solution has free variables 0
     assert kernel_q([], 2) == [[1, 0], [0, 1]]
@@ -339,7 +357,9 @@ def test_sparse_elimination_matches_dense_gauss_jordan(m, backwards, data):
         rows = [dict(reversed(row.items())) for row in rows]
     before = [dict(row) for row in rows]
     assert rank_q(m) == dense_rank_q(m)
-    assert kernel_q(rows, cols) == dense_kernel_q(m)
+    kernel = kernel_q(rows, cols)
+    assert kernel == [integral(vec) for vec in dense_kernel_q(m)]
+    assert all(type(x) is int for vec in kernel for x in vec)
     # an arbitrary right-hand side (often inconsistent) and a consistent one
     rhs = data.draw(vectors(len(m)))
     assert solve_q(rows, cols, rhs) == dense_solve_q(m, rhs)
@@ -415,7 +435,7 @@ def peelable(draw, max_cols=8):
 def test_peeling_matches_elimination_alone(matrix, data):
     rows, ncols = matrix
     before = [dict(row) for row in rows]
-    assert kernel_q(rows, ncols) == reference_kernel_q(rows, ncols)
+    assert kernel_q(rows, ncols) == [integral(vec) for vec in reference_kernel_q(rows, ncols)]
     # an arbitrary right-hand side, often inconsistent, and a consistent one
     rhs = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
     assert solve_q(rows, ncols, rhs) == reference_solve_q(rows, ncols, rhs)

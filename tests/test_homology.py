@@ -5,7 +5,6 @@ import sys
 import textwrap
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
 import pytest
@@ -36,8 +35,6 @@ from sclkit.fixtures import (
     torus,
 )
 from sclkit.homology import (
-    ChainVec,
-    RingError,
     _assert_orientation_witness,
     _contract,
     _d1_edges,
@@ -68,8 +65,8 @@ def dense(rows, ncols):
 
 
 def support(chain):
-    """The cells a chain is nonzero on."""
-    return set(chain.as_dict())
+    """The cells a {cell id: coefficient} chain is nonzero on."""
+    return {cell for cell, c in chain.items() if c}
 
 
 def reference_d2_columns(cx, sub=None):
@@ -268,18 +265,17 @@ def test_one_edge_cone_matches_subdivided_cone(data):
 
 
 def test_orientable_closed_genus2():
-    w = is_orientable(closed_genus(2), "Z")
+    w = is_orientable(closed_genus(2))
     assert w is not None
     assert support(w) == {0}
 
 
 def test_orientable_rp2_fails():
-    assert is_orientable(rp2(), "Q") is None
-    assert is_orientable(rp2(), "Z") is None
+    assert is_orientable(rp2()) is None
 
 
 def test_orientable_disc():
-    w = is_orientable(disc(), "Z")
+    w = is_orientable(disc())
     assert w is not None
 
 
@@ -312,9 +308,8 @@ def test_a_parity_conflict_makes_mobius_band_and_klein_bottle_non_orientable():
         # every row of d2 rel boundary ties the two faces with unit entries
         rows, _ = d2_rows(cx, boundary_subcomplex(cx))
         assert rows and all(len(row) == 2 and set(map(abs, row.values())) == {1} for row in rows)
-        for ring in ("Z", "Q"):
-            assert is_orientable(cx, ring) is None
-            assert reference_orientation_witness(cx, ring) is None
+        assert is_orientable(cx) is None
+        assert reference_orientation_witness(cx) is None
 
 
 def test_support_lemma_refuses_a_mobius_band():
@@ -328,7 +323,7 @@ def test_orientable_iff_b2_for_connected_closed_surface():
         rep = surface_check(cx)
         assert rep.is_surface and not rep.boundary_vertices
         b2 = homology(cx, "Q").rank(2)
-        assert (is_orientable(cx, "Q") is not None) == (b2 == 1)
+        assert (is_orientable(cx) is not None) == (b2 == 1)
 
 
 def test_support_lemma_missing_face_fails():
@@ -409,16 +404,15 @@ def test_subcomplex_orientability_stability():
     for _ in range(40):
         cx = rng.choice(pool)
         assert all(count <= 2 for count in cx.side_incidences().values())
-        beta = is_orientable(cx, "Z")
+        beta = is_orientable(cx)
         assert beta is not None
         sub = _random_subcomplex(rng, cx)
         sub_cx = sub.as_complex()
-        assert is_orientable(sub_cx, "Z") is not None or not sub.face_set
+        assert is_orientable(sub_cx) is not None or not sub.face_set
         # the restriction of the ambient witness is itself a witness
         if sub.face_set:
-            restricted = {f: c for f, c in beta.as_dict().items() if f in sub.face_set}
-            chain = ChainVec.make("Z", restricted)
-            _assert_orientation_witness(sub_cx, chain, boundary_subcomplex(sub_cx))
+            restricted = {f: c for f, c in beta.items() if f in sub.face_set}
+            _assert_orientation_witness(sub_cx, restricted, boundary_subcomplex(sub_cx))
 
 
 def test_excision_injectivity_random():
@@ -472,7 +466,9 @@ def test_excision_injectivity_random():
 def test_chain_file_and_report():
     cx = closed_genus3_split()
     chain = parse_chain_file("1 f1\n-1 f2\n", cx, kind="f")
-    assert chain.as_dict() == {cx.face_id("f1"): 1, cx.face_id("f2"): -1}
+    assert chain == {cx.face_id("f1"): 1, cx.face_id("f2"): -1}
+    # the lines of one cell add up, and a sum of 0 is left out
+    assert parse_chain_file("1 f1\n2 f2\n-1 f1\n", cx) == {cx.face_id("f2"): 2}
     text = print_homology(homology(cx, "Q"))
     assert "H2 rank 1" in text
 
@@ -485,7 +481,7 @@ def test_chain_file_names_the_line_of_a_malformed_coefficient():
         parse_chain_file("1/2 f\nx f", cx, ring="Q")
     with pytest.raises(ComplexError, match=r"^line 1: coefficient '1/0' is not a rational number$"):
         parse_chain_file("1/0 f", cx, ring="Q")
-    assert parse_chain_file("1/2 f", cx, ring="Q").as_dict() == {cx.face_id("f"): Fraction(1, 2)}
+    assert parse_chain_file("1/2 f", cx, ring="Q") == {cx.face_id("f"): Fraction(1, 2)}
 
 
 def test_chain_file_names_an_unknown_kind():
@@ -733,18 +729,14 @@ def test_h2_rank_by_contraction_matches_elimination(data):
 # -- orientation witness against the kernel-based oracle ---------------------
 
 
-def reference_orientation_witness(cx, ring):
+def reference_orientation_witness(cx):
     """``is_orientable`` as it was before faces were contracted: a kernel
-    basis of all of d2 rel boundary from ``kernel_q``, each vector scaled
-    to integers, weighted so that supports cannot cancel."""
-    if not cx.faces:
-        return ChainVec.make(ring, {})
+    basis of all of d2 rel boundary from ``kernel_q``, weighted by powers of
+    3, or of a base larger than any partial sum, so that supports cannot
+    cancel."""
     bsub = boundary_subcomplex(cx)
     d2, es, fs = reference_d2_columns(cx, bsub)
-    basis = []
-    for vec in kernel_q(rows_of(d2, len(es)), len(fs)):
-        d = lcm(*(x.denominator for x in vec))
-        basis.append([x.numerator * (d // x.denominator) for x in vec])
+    basis = kernel_q(rows_of(d2, len(es)), len(fs))
     covered = {j for vec in basis for j, x in enumerate(vec) if x}
     if covered != set(range(len(fs))):
         return None
@@ -757,25 +749,21 @@ def reference_orientation_witness(cx, ring):
                 combo[j] += w * x
             w *= base
         if all(combo):
-            chain = ChainVec.make(ring, dict(zip(fs, combo)))
+            chain = dict(zip(fs, combo))
             _assert_orientation_witness(cx, chain, bsub)
             return chain
     raise AssertionError("reference witness combination failed")
 
 
 def _witness_agrees_with_reference(cx):
-    """Compare ``is_orientable`` with the oracle over Z and Q, check every
-    witness, and return whether ``cx`` is orientable."""
-    answers = set()
-    for ring in ("Z", "Q"):
-        witness = is_orientable(cx, ring)
-        assert (witness is None) == (reference_orientation_witness(cx, ring) is None)
-        if witness is not None:
-            assert all(type(c) is (int if ring == "Z" else Fraction) for _, c in witness.coeffs)
-            _assert_orientation_witness(cx, witness, boundary_subcomplex(cx))
-        answers.add(witness is not None)
-    assert len(answers) == 1
-    return answers.pop()
+    """Compare ``is_orientable`` with the oracle, check the witness, and
+    return whether ``cx`` is orientable."""
+    witness = is_orientable(cx)
+    assert (witness is None) == (reference_orientation_witness(cx) is None)
+    if witness is not None:
+        assert all(type(c) is int for c in witness.values())
+        _assert_orientation_witness(cx, witness, boundary_subcomplex(cx))
+    return witness is not None
 
 
 SUBDIVIDED_FIXTURES = {
@@ -845,10 +833,9 @@ def test_disjoint_triangles_get_a_unit_witness_without_kernel_q(monkeypatch):
     cx = TwoComplex(range(1200), edges, faces)
     handed = []
     monkeypatch.setattr(sclkit.homology, "kernel_q", lambda rows, ncols: handed.append(rows))
-    for ring in ("Z", "Q"):
-        witness = is_orientable(cx, ring)
-        assert witness is not None and support(witness) == set(cx.faces)
-        assert {abs(c) for _, c in witness.coeffs} == {1}
+    witness = is_orientable(cx)
+    assert witness is not None and support(witness) == set(cx.faces)
+    assert {abs(c) for c in witness.values()} == {1}
     assert handed == []
 
 
@@ -858,16 +845,8 @@ def test_closed_genus8_twice_subdivided():
     hz = homology(cx, "Z")
     assert hz.ranks == (1, 16, 1) and hz.torsion == ((), (), ())
     assert homology(cx, "Q").ranks == (1, 16, 1)
-    witness = is_orientable(cx, "Z")
+    witness = is_orientable(cx)
     assert witness is not None and support(witness) == set(cx.faces)
-
-
-def test_z_chains_hold_integers():
-    with pytest.raises(RingError, match="not an integer"):
-        ChainVec.make("Z", {0: Fraction(1, 2)})
-    chain = ChainVec.make("Z", {0: Fraction(4, 2), 1: Fraction(0), 2: -3})
-    assert chain.coeffs == ((0, 2), (2, -3))
-    assert all(type(c) is int for _, c in chain.coeffs)
 
 
 def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
@@ -963,8 +942,6 @@ def test_certify_steps_solve_on_sparse_rows_and_rot_ranks_only_d2(monkeypatch):
 def test_guards_raise_typed_errors_under_optimize():
     script = textwrap.dedent(
         """
-        from fractions import Fraction
-
         import sclkit.homology as H
         from sclkit.complexes import ComplexError, TwoComplex, barycentric, boundary_subcomplex, induced_subcomplex
         from sclkit.exactlin import SnfError, SnfResult
@@ -1000,12 +977,12 @@ def test_guards_raise_typed_errors_under_optimize():
 
         cx = torus()
         expect("witness support", H.HomologyError,
-               lambda: H._assert_orientation_witness(cx, H.ChainVec.make("Z", {}), boundary_subcomplex(cx)))
+               lambda: H._assert_orientation_witness(cx, {}, boundary_subcomplex(cx)))
         cx = barycentric(closed_genus(1))[0]
-        witness = H.is_orientable(cx).as_dict()
+        witness = H.is_orientable(cx)
         witness[0] += 1
         expect("witness leak", H.HomologyError,
-               lambda: H._assert_orientation_witness(cx, H.ChainVec.make("Z", witness), boundary_subcomplex(cx)))
+               lambda: H._assert_orientation_witness(cx, witness, boundary_subcomplex(cx)))
 
         # a tampered H2(X, Y) = 0 for a Y that misses the face: the support
         # lemma's contraction, which follows the orientation witness's, forces
@@ -1031,7 +1008,6 @@ def test_guards_raise_typed_errors_under_optimize():
         expect("snf", SnfError, lambda: H.homology(rp2(), "Z"))
         H.smith_normal_form = smith_normal_form
 
-        expect("z fraction", H.RingError, lambda: H.ChainVec.make("Z", {0: Fraction(1, 2)}))
         print(" ".join(name.replace(" ", "_") for name in caught))
         """
     )
@@ -1049,5 +1025,4 @@ def test_guards_raise_typed_errors_under_optimize():
         "witness_leak",
         "support",
         "snf",
-        "z_fraction",
     ]

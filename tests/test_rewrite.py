@@ -1,5 +1,6 @@
 import copy
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -17,11 +18,14 @@ import sclkit.surfaces
 from sclkit.complexes import TwoComplex
 from sclkit.fixtures import (
     closed_genus,
+    closed_genus3_split,
     disc,
     double_fold_fixture,
     figlnk,
     fold_fixture,
     fold_necklace,
+    genus3_chain,
+    genus3_T,
     sigma_genus1,
     t_itself,
     torus,
@@ -35,6 +39,7 @@ from sclkit.surfaces import (
     derive_vpieces,
     disjoint_union,
     required_long_index,
+    subsurface_as_admissible,
 )
 from sclkit.words import canonical_rotation
 
@@ -308,6 +313,34 @@ def test_fold_elimination_validates_the_new_surface_once(monkeypatch):
     assert out.two_chain() == s.two_chain()
 
 
+@pytest.mark.parametrize(
+    "surface, fids, message",
+    [
+        pytest.param(fold_fixture, (0, 9), "unknown cellular disc", id="unknown disc"),
+        # figlnk's discs lie over two different triangles
+        pytest.param(figlnk, (0, 1), "fold elimination needs discs over the same face", id="different faces"),
+        pytest.param(double_fold_fixture, (0, 2), "fold elimination needs discs of opposite orientation", id="same sign"),
+        # the open necklace has no back handle from disc 3 to disc 0
+        pytest.param(
+            lambda: fold_necklace(torus(), "f", 2, 0, 2, closed=False),
+            (0, 3),
+            "discs are not adjacent through a common handle",
+            id="not adjacent",
+        ),
+        # with m = 1 the fold and the back handle join the same two discs
+        pytest.param(
+            lambda: fold_necklace(torus(), "f", 1, 0, 2),
+            (0, 1),
+            "discs adjacent through several handles; not supported",
+            id="several handles",
+        ),
+    ],
+)
+def test_fold_elimination_names_the_input_it_refuses(surface, fids, message):
+    with pytest.raises(MoveError, match=f"^{re.escape(message)}$"):
+        eliminate_fold(surface(), *fids)
+
+
 def test_standard_form_finds_components_once_per_surface(monkeypatch):
     calls = []
     built = []
@@ -555,13 +588,30 @@ def test_thickening_a_disc_collars_edges_of_incidence_plus_one():
 # -- typed errors ----------------------------------------------------------------
 
 
+def test_standard_form_refuses_a_worse_surface_of_negative_degree(monkeypatch):
+    # T^- has degree -1 and -chi^- = 3; T^- + T^- + T^+ has the same class and
+    # -chi^- = 9, while -chi^-/n falls from -3 to -9
+    cx = closed_genus3_split()
+    minus, plus = (subsurface_as_admissible(cx, genus3_T(cx).cells(), genus3_chain(cx), sign=k) for k in (-1, 1))
+    worse = disjoint_union(minus, minus, plus)
+    assert minus.degree_vector() == worse.degree_vector() == [-1]
+    assert minus.reduced_class() == worse.reduced_class()
+    assert (minus.reduced_euler(), worse.reduced_euler()) == (-3, -9)
+    pairs = iter([[(0, 0)], []])
+    monkeypatch.setattr(sclkit.rewrite, "_find_fold_pairs", lambda s: next(pairs))
+    monkeypatch.setattr(sclkit.rewrite, "eliminate_fold", lambda s, fid1, fid2, log: worse)
+    with pytest.raises(MoveError, match=r"^standard form worsened -chi\^-/n$"):
+        make_standard_form(minus)
+
+
 def test_guards_raise_typed_errors_under_optimize():
     script = textwrap.dedent(
         """
         from types import SimpleNamespace
 
         import sclkit.rewrite as R
-        from sclkit.fixtures import fold_fixture, one_holed
+        from sclkit.fixtures import closed_genus3_split, genus3_chain, genus3_T, one_holed
+        from sclkit.surfaces import disjoint_union, subsurface_as_admissible
 
         caught = []
 
@@ -578,10 +628,14 @@ def test_guards_raise_typed_errors_under_optimize():
         expect("thicken", lambda: R.thicken_boundary(one_holed(1)))
         R.homology = homology
 
-        # standard form raises -chi^-/n
-        ratios = iter([0, 1])
-        R._ratio = lambda s: next(ratios)
-        expect("ratio", lambda: R.make_standard_form(fold_fixture()))
+        # a move returns a surface of the same class and a larger -chi^-,
+        # on an input of degree -1, where -chi^-/n falls from -3 to -9
+        cx = closed_genus3_split()
+        minus, plus = (subsurface_as_admissible(cx, genus3_T(cx).cells(), genus3_chain(cx), sign=k) for k in (-1, 1))
+        pairs = iter([[(0, 0)], []])
+        R._find_fold_pairs = lambda s: next(pairs)
+        R.eliminate_fold = lambda s, fid1, fid2, log: disjoint_union(minus, minus, plus)
+        expect("worsened", lambda: R.make_standard_form(minus))
         print(" ".join(caught))
         """
     )
@@ -590,4 +644,4 @@ def test_guards_raise_typed_errors_under_optimize():
     out = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["thicken", "ratio"]
+    assert out.stdout.split() == ["thicken", "worsened"]

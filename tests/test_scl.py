@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sclkit.scl
-from sclkit.complexes import ComplexError, TwoComplex, barycentric
+from sclkit.complexes import ComplexError, TwoComplex, barycentric, induced_subcomplex
 from sclkit.exactlin import rank_q, solve_q
 from sclkit.fixtures import ambient_pair, one_holed, closed_genus3_split
 from sclkit.homology import d2_rows
@@ -529,6 +529,34 @@ def test_bavard_sandwich_certifies_when_the_chain_is_geodesic():
     structure = RotStructure(cx, {cx.face_id("fT"): 2, cx.face_id("fR"): 4})
     verdict = bavard_sandwich(structure, chain, witness)
     assert verdict.lower == verdict.upper == verdict.exact == Fraction(1, 2)
+
+
+def test_bavard_sandwich_refuses_a_witness_of_another_chain():
+    # T bounds t^-1, not the boundary c^-1 of S; with geodesic weights the
+    # bounds would read 3/2 > 1/2 and blame the weights
+    cx, chain, witness = _t_inverse_on_ambient_pair()
+    other = EdgeChain.make(cx, [(1, ((cx.edge_id("c"), -1),))])
+    structure = RotStructure(cx, {cx.face_id("fT"): 2, cx.face_id("fR"): 4})
+    with pytest.raises(ComplexError, match=r"^the witness bounds the chain \(\(1, \(\(4, -1\),\)\),\), not \(\(1, \(\(5, -1\),\)\),\)$"):
+        bavard_sandwich(structure, other, witness)
+    with pytest.raises(ComplexError, match="the witness bounds the chain"):
+        bavard_sandwich(structure, EdgeChain.make(cx, [(2, chain.terms[0][1])]), witness)
+
+
+def test_bavard_sandwich_takes_a_witness_of_a_rotated_loop():
+    # subdivided once, t^-1 reads two edges; the witness built for one
+    # rotation of the loop serves the other
+    s, _ = ambient_pair(1, 2)
+    cx, halves = barycentric(s)
+    first, second = halves[s.edge_id("t")]
+    chain = EdgeChain.make(cx, [(1, ((second, -1), (first, -1)))])
+    rotated = EdgeChain.make(cx, [(1, ((first, -1), (second, -1)))])
+    t_faces = [f for f in cx.faces if cx.name("f", f).startswith("fT:")]
+    witness = subsurface_as_admissible(cx, induced_subcomplex(cx, [("f", f) for f in t_faces]).cells(), chain)
+    rest = len(cx.faces) - len(t_faces)
+    structure = RotStructure(cx, {f: Fraction(2, len(t_faces)) if f in t_faces else Fraction(4, rest) for f in cx.faces})
+    for c in (chain, rotated):
+        assert bavard_sandwich(structure, c, witness).exact == Fraction(1, 2)
 
 
 def test_scl_matches_rot_lower_bound():

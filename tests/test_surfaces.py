@@ -1,8 +1,15 @@
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+
+import sclkit
 
 from sclkit.complexes import (
     ComplexError,
@@ -26,6 +33,7 @@ from sclkit.fixtures import (
     genus3_T,
     rp2,
     sigma_genus1,
+    square_disc,
     t_itself,
     torus,
 )
@@ -721,3 +729,177 @@ def test_every_piece_refusal_names_the_broken_piece(broken, message):
     s = figlnk()
     with pytest.raises(SurfaceError, match=f"^{re.escape(message)}$"):
         rebuild(s, **broken(s))
+
+
+# -- boundary, subsurface and union refusals -------------------------------------
+
+
+def square_rim_chain(cx):
+    """The rim loop r12 r23 r34 r41 of ``square_disc``: it visits u1..u4
+    but not the centre v."""
+    return EdgeChain.make(cx, [(1, tuple((cx.edge_id(name), 1) for name in ("r12", "r23", "r34", "r41")))])
+
+
+def lone_discs(cx, *names):
+    """Vertex discs with one free slot each, over the named vertices: each
+    is a component whose boundary is a constant circuit."""
+    return {vid: VPiece(cx.vertex_id(name), (FREE,)) for vid, name in enumerate(names)}
+
+
+def built(s, chain=None, vpieces=None, assignments=None, homotopy=None):
+    """s rebuilt with its pieces and the given chain (s's own when None),
+    assignments (as given, None included) and homotopy certificate."""
+    return AdmissibleSurface(
+        s.target,
+        s.chain if chain is None else chain,
+        vpieces if vpieces is not None else s.vpieces,
+        handle_edges(s),
+        s.fpieces,
+        assignments=assignments,
+        homotopy=homotopy,
+    )
+
+
+# t_itself(): one vertex disc over the one vertex of closed_genus3_split,
+# one cellular disc over f1 and the chain c^-1 (edge 4); its one boundary
+# circuit reads c^-1 from its anchor ('long', 4, 1).  Face f2's boundary is
+# the 1-chain c.  fold_fixture()'s one circuit carries the longs
+# ('long', 1, 0) and ('long', 2, 1).
+BOUNDARY_REFUSALS = [
+    pytest.param(
+        lambda: built(t_itself(), homotopy={0: 1}),
+        "homotoped boundaries need explicit circuit assignments",
+        id="homotopy without assignments",
+    ),
+    pytest.param(
+        lambda: built(t_itself(), chain=EdgeChain.make(closed_genus3_split(), [(1, ((5, 1),))])),
+        "boundary word ((4, -1),) matches no circle of the chain",
+        id="no matching circle",
+    ),
+    pytest.param(
+        lambda: built(fold_fixture(), assignments=[(("long", 1, 0), 0, 1), (("long", 2, 1), 0, 2)]),
+        "conflicting assignments on one circuit",
+        id="conflicting assignments",
+    ),
+    pytest.param(
+        lambda: built(t_itself(), assignments=[]),
+        "circuit ('long', 4, 1, -1) has no assignment",
+        id="circuit without assignment",
+    ),
+    pytest.param(
+        lambda: built(t_itself(), assignments=[(("long", 4, 1), 3, 1)]),
+        "assignment to unknown circle 3",
+        id="unknown circle",
+    ),
+    pytest.param(
+        lambda: built(t_itself(), assignments=[(("long", 4, 1), 0, 2)]),
+        "boundary word mismatch with chain: ((4, -1),) is not circle 0 to the power 2",
+        id="word not the power",
+    ),
+    pytest.param(
+        lambda: built(t_itself(), assignments=[(("long", 4, 1), 0, 1)], homotopy={99: 1}),
+        "homotopy certificate uses an unknown face",
+        id="homotopy over an unknown face",
+    ),
+    pytest.param(
+        lambda: built(t_itself(), assignments=[(("long", 4, 1), 0, 1)], homotopy={1: 1}),
+        "boundary words do not match the chain, even up to the homotopy certificate",
+        id="homotopy of the wrong boundary",
+    ),
+    pytest.param(
+        lambda: AdmissibleSurface(square_disc(), square_rim_chain(square_disc()), lone_discs(square_disc(), "v"), {}, {}),
+        "constant boundary circuit at a vertex not visited by the chain",
+        id="constant circuit off the chain",
+    ),
+    pytest.param(
+        lambda: subsurface_as_admissible(closed_genus3_split(), genus3_T().cells(), genus3_chain(), sign=0),
+        "sign must be +1 or -1",
+        id="subsurface sign",
+    ),
+    pytest.param(
+        # the loop c alone: an edge on no face
+        lambda: subsurface_as_admissible(closed_genus3_split(), [("v", 0), ("e", 4)], genus3_chain()),
+        "the chosen cells do not form a surface",
+        id="subsurface not a surface",
+    ),
+    pytest.param(
+        lambda: disjoint_union(t_itself(), fold_fixture()),
+        "disjoint union needs a common target",
+        id="union of two targets",
+    ),
+    pytest.param(
+        # both over a torus, bounding different chains
+        lambda: disjoint_union(fold_fixture(), fold_necklace(torus(), "f", 1, 0, 2)),
+        "disjoint union needs a common chain",
+        id="union of two chains",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, message", BOUNDARY_REFUSALS)
+def test_every_boundary_refusal_is_reached(build, message):
+    with pytest.raises(SurfaceError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_the_constant_circuit_check_passes_on_the_chain():
+    # the same lone disc over u1, which the rim visits, is accepted
+    cx = square_disc()
+    s = AdmissibleSurface(cx, square_rim_chain(cx), lone_discs(cx, "u1"), {}, {})
+    assert [c.word for c in s.circuits] == [()]
+
+
+def test_boundary_guards_that_cannot_fail_raise_when_tampered_under_optimize():
+    # circuits are read off the pieces, so their 1-chain is the pushforward
+    # boundary, and a letterless circuit never leaves its vertex disc; a
+    # tampered reading reaches each check
+    script = textwrap.dedent(
+        """
+        import sclkit.surfaces as S
+        from sclkit.fixtures import square_disc, t_itself
+        from sclkit.words import EdgeChain
+
+        caught = []
+
+        def expect(name, message, call):
+            try:
+                call()
+            except S.SurfaceError as exc:
+                if str(exc) == message:
+                    caught.append(name)
+
+        s = t_itself()
+        handles = {hid: hp.edge for hid, hp in s.hpieces.items()}
+        one_chain, calls = S._one_chain, []
+        def tampered(pairs):
+            # the third 1-chain of the boundary check is the pushforward
+            calls.append(pairs)
+            out = one_chain(pairs)
+            return {**out, 4: out.get(4, 0) + 1} if len(calls) == 3 else out
+        S._one_chain = tampered
+        expect("pushforward", "pushforward boundary disagrees with circuit words",
+               lambda: S.AdmissibleSurface(s.target, s.chain, s.vpieces, handles, s.fpieces))
+        S._one_chain = one_chain
+
+        cx = square_disc()
+        rim = EdgeChain.make(cx, [(1, tuple((cx.edge_id(n), 1) for n in ("r12", "r23", "r34", "r41")))])
+        discs = {0: S.VPiece(cx.vertex_id("u1"), (S.FREE,)), 1: S.VPiece(cx.vertex_id("u2"), (S.FREE,))}
+        extract = S.AdmissibleSurface._extract_circuits
+        def merged(surface):
+            # the two constant circuits read as one
+            extract(surface)
+            (a, _), (b, _) = surface._raw_circuits
+            surface._raw_circuits = [(a + b, ())]
+        S.AdmissibleSurface._extract_circuits = merged
+        expect("letterless", "letterless circuit touching several vertices",
+               lambda: S.AdmissibleSurface(cx, rim, discs, {}, {}))
+        S.AdmissibleSurface._extract_circuits = extract
+        print(" ".join(caught))
+        """
+    )
+    src = str(Path(sclkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["pushforward", "letterless"]

@@ -113,6 +113,21 @@ def test_edge_chain_refuses_a_sign_other_than_plus_or_minus_one():
         EdgeChain.make(torus(), [(1, ((0, 2),))])
 
 
+@pytest.mark.parametrize(
+    "loop, message",
+    [(((99, 1),), "unknown edge id 99"), (((0, 1), (1, 1), (0, 5)), "edge 0 has sign 5, not")],
+    ids=["unknown edge", "bad sign"],
+)
+def test_edge_chain_checks_a_term_with_coefficient_zero(loop, message):
+    with pytest.raises(ChainError, match=message):
+        EdgeChain.make(torus(), [(0, loop)])
+
+
+def test_edge_chain_drops_a_term_with_coefficient_zero():
+    a = ((torus().edge_id("a"), 1),)
+    assert EdgeChain.make(torus(), [(0, a), (2, a)]).terms == ((2, a),)
+
+
 def test_edge_chain_negative_coefficient_words():
     cx = one_holed(1)
     a = cx.edge_id("a1")
