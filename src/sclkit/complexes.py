@@ -349,22 +349,17 @@ class Subcomplex:
             raise ComplexError(f"unknown vertex id {min(unknown)}")
 
     def as_complex(self) -> TwoComplex:
-        """The subcomplex as a TwoComplex, keeping the parent's cell ids."""
+        """The subcomplex as a TwoComplex, keeping the parent's cell ids and
+        the names the parent gives its cells; ``subsurface_as_admissible``
+        checks that it is a surface."""
         cx = self.parent
+        own = {"v": self.vertex_set, "e": self.edge_set, "f": self.face_set}
         return TwoComplex(
-            sorted(self.vertex_set),
-            {e: cx.edges[e] for e in sorted(self.edge_set)},
-            {f: cx.faces[f] for f in sorted(self.face_set)},
-            names={k: v for k, v in cx.names.items() if self._has(k)},
+            self.vertex_set,
+            {e: cx.edges[e] for e in self.edge_set},
+            {f: cx.faces[f] for f in self.face_set},
+            names={cell: name for cell, name in cx.names.items() if cell[1] in own[cell[0]]},
         )
-
-    def _has(self, key):
-        kind, ident = key
-        if kind == "v":
-            return ident in self.vertex_set
-        if kind == "e":
-            return ident in self.edge_set
-        return ident in self.face_set
 
     def cells(self):
         out = [("v", v) for v in sorted(self.vertex_set)]

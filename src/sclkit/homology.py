@@ -22,8 +22,8 @@ map is checked where it is built: d1 d2 = 0, rel every Y, is the face
 words closing up, each side starting where the one before it ends, which
 a ``TwoComplex`` checks once when it is built
 (``TwoComplex.open_position``), and the square of the cone's differential
-vanishes because ``chain_circles`` checks every loop the same way.  No
-dense boundary matrix is ever formed.
+vanishes because ``EdgeChain.make`` checks every loop of the chain the
+same way.  No dense boundary matrix is ever formed.
 
 Rank and torsion.  Every map is ranked by one routine, ``_rank_torsion``:
 a contraction of its unit rows (``_contract``), which leaves a residual
@@ -67,7 +67,8 @@ of the surface through its boundary.  ``scl.RotStructure`` keeps the
 collapse order to solve every chain it is given.
 
 Every guard here raises ``HomologyError`` (a ``ComplexError``), so the
-checks also run under ``python -O``.
+checks also run under ``python -O``; a malformed chain of loops is
+refused by ``EdgeChain.make`` with a ``ChainError``.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from fractions import Fraction
 
 from .complexes import ComplexError, Subcomplex, TwoComplex, boundary_subcomplex
 from .exactlin import check_snf, kernel_q, rank_q, smith_normal_form
-from .words import word_power
+from .words import EdgeChain, one_chain
 
 
 class RingError(ValueError):
@@ -361,32 +362,23 @@ class ConeComplex:
         return degs
 
 
-def chain_circles(cx: TwoComplex, terms):
-    """The loop word w^n of each integral chain term (n, w): w traversed n
-    times, reversed when n < 0.  Its circle's one edge maps to that word,
-    and since every w closes up, the cone's differential squares to 0."""
-    words = []
-    for coeff, word in terms:
-        if coeff == 0:
-            raise ComplexError("chain term with zero coefficient")
-        if not word:
-            raise ComplexError("chain term with empty loop")
-        for e, _sign in word:
-            if e not in cx.edges:
-                raise ComplexError(f"chain term {(coeff, word)} uses unknown edge id {e}")
-        if cx.open_position(word) is not None:
-            raise ComplexError("chain loop is not a closed edge path")
-        words.append(word_power(word, coeff))
-    return words
-
-
 def cone_complex(cx: TwoComplex, terms) -> ConeComplex:
     """Build the mapping cone for the chain with the given (coeff, loop) terms.
+
+    The cone has one circle per term, whose one edge maps to the loop word
+    w^n of its term (n, w), read off ``EdgeChain.make(cx, terms)``: that is
+    where a loop is refused, with a ``ChainError``, unless it is a nonempty
+    closed edge path of ``cx`` with signs +-1, so the cone's differential
+    squares to 0.  The cone checks one thing itself: a term with
+    coefficient 0, which would leave its circle without a word, is refused.
 
     The summary carries H_*(X, c; Q); the connecting map to H1 of the
     circles is available through ConeComplex.boundary_degrees.
     """
-    words = chain_circles(cx, terms)
+    terms = list(terms)
+    if any(coeff == 0 for coeff, _loop in terms):
+        raise ComplexError("chain term with zero coefficient")
+    words = EdgeChain.make(cx, terms).circle_words()
     rows, fs = d2_rows(cx)
     d1x, vs = _d1_edges(cx)
     k = len(words)
@@ -469,13 +461,9 @@ def _assert_orientation_witness(cx: TwoComplex, witness, bsub: Subcomplex):
     boundary has an edge outside ``bsub``."""
     if set(witness) != set(cx.faces) or not all(witness.values()):
         raise HomologyError("witness must be supported on every face")
-    totals = {}
-    for f, c in witness.items():
-        for e, sign in cx.faces[f]:
-            totals[e] = totals.get(e, 0) + sign * c
-    for e, total in totals.items():
-        if total != 0 and e not in bsub.edge_set:
-            raise HomologyError("witness boundary leaks outside the complex boundary")
+    totals = one_chain((e, sign * c) for f, c in witness.items() for e, sign in cx.faces[f])
+    if not set(totals) <= bsub.edge_set:
+        raise HomologyError("witness boundary leaks outside the complex boundary")
 
 
 @dataclass
@@ -522,7 +510,7 @@ def parse_chain_file(text, cx: TwoComplex, kind="f", ring="Z"):
     lookup = {"v": cx.vertex_id, "e": cx.edge_id, "f": cx.face_id}.get(kind)
     if lookup is None:
         raise ComplexError(f"kind must be 'v', 'e' or 'f', got {kind!r}")
-    coeffs = {}
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -535,9 +523,8 @@ def parse_chain_file(text, cx: TwoComplex, kind="f", ring="Z"):
         except (ValueError, ZeroDivisionError):
             number = "an integer" if ring == "Z" else "a rational number"
             raise ComplexError(f"line {lineno}: coefficient {parts[0]!r} is not {number}") from None
-        ident = lookup(parts[1])
-        coeffs[ident] = coeffs.get(ident, 0) + c
-    return {cell: c for cell, c in coeffs.items() if c}
+        pairs.append((lookup(parts[1]), c))
+    return one_chain(pairs)
 
 
 def print_homology(summary: HomologySummary) -> str:

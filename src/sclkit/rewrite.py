@@ -48,7 +48,7 @@ from .surfaces import (
     corner_tokens,
     required_long_index,
 )
-from .words import EdgeChain, canonical_rotation
+from .words import EdgeChain, canonical_rotation, one_chain
 
 
 class MoveError(RuntimeError):
@@ -244,11 +244,8 @@ def _without_components(surface: AdmissibleSurface, dead_indices):
     # certificate leaves one for the kept boundary; dropped circuits that do
     # not wind 0 in total change the degree vector, and the class check in
     # remove_trivial_components rejects the removal
-    homotopy = dict(surface.homotopy)
-    if homotopy:
-        for k, fp in surface.fpieces.items():
-            if ("f", k) in dead_pieces:
-                homotopy[fp.face] = homotopy.get(fp.face, 0) - fp.sign
+    dead_faces = [(fp.face, -fp.sign) for k, fp in surface.fpieces.items() if ("f", k) in dead_pieces]
+    homotopy = one_chain([*surface.homotopy.items(), *dead_faces]) if surface.homotopy else {}
     return AdmissibleSurface(
         surface.target,
         surface.chain,
@@ -713,9 +710,7 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
     }
     _glue_corners(tokens, new_tokens, new_corners)
 
-    homotopy = dict(surface.homotopy)
-    for face in new_faces_crossed:
-        homotopy[face] = homotopy.get(face, 0) + 1
+    homotopy = one_chain([*surface.homotopy.items(), *((face, 1) for face in new_faces_crossed)])
 
     carry = partial(_carry_by_items, surface)
     out = _rebuild(surface, tokens, handles, fpieces, carry, homotopy=homotopy)

@@ -47,21 +47,17 @@ class SclResult:
 
 
 def _expand_positions(chain: OneChain):
-    """Circle words w_i^{n_i} as one global list of letter positions."""
+    """(letters, prev): the circle words w_i^{n_i} as one global list of
+    letter positions, and each position's cyclic predecessor in its own
+    circle word.  Every circle word is nonempty, so the first position of
+    one has the last as its predecessor."""
     letters = []
-    word_ranges = []
+    prev = []
     for coeff, word in chain.terms:
         start = len(letters)
         letters.extend(word_power(word, coeff))
-        word_ranges.append((start, len(letters)))
-    return letters, word_ranges
-
-
-def _cyclic_prev(pos, word_ranges):
-    for start, end in word_ranges:
-        if start <= pos < end:
-            return end - 1 if pos == start else pos - 1
-    raise IndexError(pos)
+        prev += [len(letters) - 1, *range(start, len(letters) - 1)]
+    return letters, prev
 
 
 def scl_lp(chain: OneChain) -> SclResult:
@@ -71,9 +67,8 @@ def scl_lp(chain: OneChain) -> SclResult:
     if not chain.is_boundary():
         return SclResult(None, INFINITE, method="homology")
 
-    letters, word_ranges = _expand_positions(chain)
+    letters, prev = _expand_positions(chain)
     npos = len(letters)
-    prev = [_cyclic_prev(p, word_ranges) for p in range(npos)]
 
     pairs = []  # unordered (u, v), u < v, inverse letters
     for u in range(npos):
@@ -275,9 +270,13 @@ def rot_value(structure: RotStructure, chain: EdgeChain) -> Fraction:
     row that solved a face holds by construction, and every other one is
     checked against b, which certifies d2 x = b.  The area is then one
     integer dot product: sum of w_f x_f over 2 D d, with the weights w_f
-    over their denominator D.
+    over their denominator D.  A chain with an edge that is not an edge of
+    the structure's complex is refused, naming the edge.
     """
     cx = structure.cx
+    outside = {e for _coeff, loop in chain.terms for e, _sign in loop} - cx.edges.keys()
+    if outside:
+        raise ComplexError(f"chain edge {min(outside)} is not an edge of the rot structure's complex")
     vec = chain.one_chain_vector()
     n = len(structure.area)
     rows = [{**row, n: vec[e]} if e in vec else row for row, e in zip(structure.d2, cx.edges)]

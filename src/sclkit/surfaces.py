@@ -70,8 +70,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import TwoComplex, surface_check
-from .words import EdgeChain, cyclic_rotations, word_power
+from .complexes import ComplexError, Subcomplex, TwoComplex, surface_check
+from .words import EdgeChain, cyclically_equal, one_chain, word_power
 
 
 class SurfaceError(ValueError):
@@ -378,12 +378,15 @@ class AdmissibleSurface:
         self._raw_circuits = circuits
 
     def _resolve_assignments(self, assignments):
+        """Give each circuit its (circle, degree) from (anchor, circle,
+        degree) entries.  With ``assignments`` None the entries are made
+        here: each lettered circuit, anchored at its first item, is matched
+        to the circle whose word it reads a power of."""
         circle_words = self.chain.circle_words()
-        resolved = []
         if assignments is None:
+            assignments = []
             for items, word in self._raw_circuits:
                 if not word:
-                    resolved.append(Circuit(items, word, None, 0))
                     continue
                 if self.homotopy:
                     raise SurfaceError(
@@ -394,37 +397,37 @@ class AdmissibleSurface:
                     raise SurfaceError(
                         f"boundary word {word} matches no circle of the chain"
                     )
-                resolved.append(Circuit(items, word, match[0], match[1]))
-        else:
-            by_anchor = {}
-            for anchor, circle, degree in assignments:
-                anchor = tuple(anchor)
-                if anchor in by_anchor:
-                    raise SurfaceError(f"assignment anchor {anchor} is given twice")
-                by_anchor[anchor] = (circle, degree)
-            unplaced = set(by_anchor)
-            for items, word in self._raw_circuits:
-                found = None
-                for item in items:
-                    if item[:-1] in by_anchor:
-                        unplaced.discard(item[:-1])
-                        if found is not None and found != by_anchor[item[:-1]]:
-                            raise SurfaceError("conflicting assignments on one circuit")
-                        found = by_anchor[item[:-1]]
-                if found is None:
-                    if word:
-                        raise SurfaceError(f"circuit {items[0]} has no assignment")
-                    resolved.append(Circuit(items, word, None, 0))
-                else:
-                    circle, degree = found
-                    if word and degree == 0 and not self.homotopy:
-                        # without a homotopy certificate a lettered circuit
-                        # must wind at least once around its circle
-                        raise SurfaceError("lettered circuit assigned degree 0")
-                    resolved.append(Circuit(items, word, circle, degree))
-            if unplaced:
-                anchor = min(unplaced, key=str)
-                raise SurfaceError(f"assignment anchor {anchor} lies on no boundary circuit")
+                assignments.append((items[0][:-1], *match))
+        by_anchor = {}
+        for anchor, circle, degree in assignments:
+            anchor = tuple(anchor)
+            if anchor in by_anchor:
+                raise SurfaceError(f"assignment anchor {anchor} is given twice")
+            by_anchor[anchor] = (circle, degree)
+        unplaced = set(by_anchor)
+        resolved = []
+        for items, word in self._raw_circuits:
+            found = None
+            for item in items:
+                if item[:-1] in by_anchor:
+                    unplaced.discard(item[:-1])
+                    if found is not None and found != by_anchor[item[:-1]]:
+                        raise SurfaceError("conflicting assignments on one circuit")
+                    found = by_anchor[item[:-1]]
+            if found is None:
+                if word:
+                    raise SurfaceError(f"circuit {items[0]} has no assignment")
+                resolved.append(Circuit(items, word, None, 0))
+            else:
+                circle, degree = found
+                if word and degree == 0 and not self.homotopy:
+                    # without a homotopy certificate a lettered circuit
+                    # must wind at least once around its circle
+                    raise SurfaceError("lettered circuit assigned degree 0")
+                resolved.append(Circuit(items, word, circle, degree))
+        if unplaced:
+            anchor = min(unplaced, key=str)
+            raise SurfaceError(f"assignment anchor {anchor} lies on no boundary circuit")
         for circ in resolved:
             if circ.circle is not None and not (
                 0 <= circ.circle < len(circle_words)
@@ -443,16 +446,16 @@ class AdmissibleSurface:
                     self._check_constant_circuit(circ)
                     continue
                 u = circle_words[circ.circle]
-                if not _word_is_power(circ.word, u, circ.degree):
+                if not cyclically_equal(circ.word, word_power(u, circ.degree)):
                     raise SurfaceError(
                         f"boundary word mismatch with chain: {circ.word} is not "
                         f"circle {circ.circle} to the power {circ.degree}"
                     )
         faces = self.target.faces
-        words = _one_chain((e, sign) for circ in self.circuits for e, sign in circ.word)
+        words = one_chain((e, sign) for circ in self.circuits for e, sign in circ.word)
         if any(f not in faces for f in self.homotopy):
             raise SurfaceError("homotopy certificate uses an unknown face")
-        expected = _one_chain(
+        expected = one_chain(
             [(e, circ.degree * sign) for circ in self.circuits if circ.circle is not None
              for e, sign in circle_words[circ.circle]]
             + [(e, c * sign) for f, c in self.homotopy.items() for e, sign in faces[f]]
@@ -462,7 +465,7 @@ class AdmissibleSurface:
                 "boundary words do not match the chain, even up to the "
                 "homotopy certificate"
             )
-        pushed = _one_chain((e, fp.sign * sign) for fp in self.fpieces.values() for e, sign in faces[fp.face])
+        pushed = one_chain((e, fp.sign * sign) for fp in self.fpieces.values() for e, sign in faces[fp.face])
         if pushed != words:
             raise SurfaceError("pushforward boundary disagrees with circuit words")
 
@@ -571,10 +574,7 @@ class AdmissibleSurface:
         return degs[0] if all(d == degs[0] for d in degs) else None
 
     def two_chain(self):
-        out = {}
-        for fp in self.fpieces.values():
-            out[fp.face] = out.get(fp.face, 0) + fp.sign
-        return {f: c for f, c in out.items() if c}
+        return one_chain((fp.face, fp.sign) for fp in self.fpieces.values())
 
     def reduced_class(self):
         """Exact fingerprint of the class in H2(S, c).
@@ -586,10 +586,7 @@ class AdmissibleSurface:
         surfaces over the same target and chain represent the same class
         iff these agree.
         """
-        x = self.two_chain()
-        for f, c in self.homotopy.items():
-            x[f] = x.get(f, 0) - c
-        x = {f: c for f, c in x.items() if c}
+        x = one_chain([*self.two_chain().items(), *((f, -c) for f, c in self.homotopy.items())])
         return tuple(self.degree_vector()), tuple(sorted(x.items()))
 
     def link_runs(self, vid):
@@ -683,33 +680,16 @@ class AdmissibleSurface:
         )
 
 
-def _one_chain(pairs):
-    """The 1-chain of (edge, count) pairs, without zero entries."""
-    out = {}
-    for e, c in pairs:
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
-
-
 def _match_circle(word, circle_words):
     for i, u in enumerate(circle_words):
         if not u or len(word) % len(u):
             continue
         d = len(word) // len(u)
-        if _word_is_power(word, u, d):
+        if cyclically_equal(word, word_power(u, d)):
             return i, d
-        if _word_is_power(word, u, -d):
+        if cyclically_equal(word, word_power(u, -d)):
             return i, -d
     return None
-
-
-def _word_is_power(word, u, degree):
-    if degree == 0 or not u:
-        return False
-    target = word_power(u, degree)
-    if len(word) != len(target):
-        return False
-    return tuple(word) in cyclic_rotations(target)
 
 
 # -- canonical decomposition of an embedded subsurface ----------------------
@@ -723,25 +703,25 @@ def subsurface_as_admissible(
 ) -> AdmissibleSurface:
     """The inclusion of a subsurface as a transverse admissible surface.
 
-    cells: the cell set of the subsurface (must be closed and a surface).
+    cells: the cell set of the subsurface, (kind, id) pairs of kind "v",
+    "e" or "f", grouped by kind into a ``Subcomplex`` of ``target``, which
+    refuses an unknown kind, an unknown cell or a set that is not closed
+    with a ``ComplexError``; its ``as_complex`` must be a surface.
     Every face is covered by one cellular disc carrying ``sign``; for
     sign = -1 the mirror surface traverses the chain backwards.
     """
     if sign not in (1, -1):
         raise SurfaceError("sign must be +1 or -1")
-    sub_vertices = sorted(i for k, i in cells if k == "v")
-    sub_edges = sorted(i for k, i in cells if k == "e")
-    sub_faces = sorted(i for k, i in cells if k == "f")
-    sub_cx = TwoComplex(
-        sub_vertices,
-        {e: target.edges[e] for e in sub_edges},
-        {f: target.faces[f] for f in sub_faces},
-    )
-    report = surface_check(sub_cx)
-    if not report.is_surface:
+    by_kind = {"v": set(), "e": set(), "f": set()}
+    for kind, ident in cells:
+        if kind not in by_kind:
+            raise ComplexError(f"unknown cell kind {kind}")
+        by_kind[kind].add(ident)
+    sub = Subcomplex(target, *map(frozenset, by_kind.values()))
+    if not surface_check(sub.as_complex()).is_surface:
         raise SurfaceError("the chosen cells do not form a surface")
 
-    handles = dict(enumerate(sub_edges))
+    handles = dict(enumerate(sorted(sub.edge_set)))
     hid_of_edge = {e: i for i, e in handles.items()}
     fpieces = {
         i: FPiece(
@@ -749,7 +729,7 @@ def subsurface_as_admissible(
             sign,
             tuple((hid_of_edge[e], required_long_index(sign * eps)) for e, eps in target.faces[f]),
         )
-        for i, f in enumerate(sub_faces)
+        for i, f in enumerate(sorted(sub.face_set))
     }
     # the corners order the slots round each vertex disc
     vpieces = derive_vpieces(target, handles, fpieces)
@@ -768,7 +748,6 @@ def disjoint_union(*surfaces) -> AdmissibleSurface:
             raise SurfaceError("disjoint union needs a common chain")
     vpieces, handles, fpieces = {}, {}, {}
     assignments = []
-    homotopy = {}
     voff = hoff = foff = 0
     for s in surfaces:
         hmap = {hid: hid + hoff for hid in s.hpieces}
@@ -786,8 +765,6 @@ def disjoint_union(*surfaces) -> AdmissibleSurface:
         for anchor, circle, degree in s.assignment_list():
             # a lettered circuit starts at its least item, a long side
             assignments.append((("long", hmap[anchor[1]], anchor[2]), circle, degree))
-        for f, c in s.homotopy.items():
-            homotopy[f] = homotopy.get(f, 0) + c
         voff = max(vpieces, default=-1) + 1
         hoff = max(handles, default=-1) + 1
         foff = max(fpieces, default=-1) + 1
@@ -798,7 +775,7 @@ def disjoint_union(*surfaces) -> AdmissibleSurface:
         handles,
         fpieces,
         assignments=assignments,
-        homotopy=homotopy,
+        homotopy=one_chain(item for s in surfaces for item in s.homotopy.items()),
     )
 
 

@@ -66,7 +66,20 @@ def canonical_rotation(word):
 
 
 def cyclically_equal(w1, w2):
-    return len(w1) == len(w2) and canonical_rotation(w1) == canonical_rotation(w2)
+    """Whether the word ``w1`` is a rotation of ``w2``, read as tuples of
+    letters; this is the one comparison of cyclic words, powers included:
+    a loop reads u^d exactly when it is cyclically equal to
+    ``word_power(u, d)``."""
+    return len(w1) == len(w2) and tuple(w1) in cyclic_rotations(tuple(w2))
+
+
+def one_chain(pairs):
+    """The sum of (cell, count) pairs as a {cell: count} dict, in the order
+    the cells first appear, without zero entries; the one sum of chains."""
+    out = {}
+    for cell, count in pairs:
+        out[cell] = out.get(cell, 0) + count
+    return {cell: count for cell, count in out.items() if count}
 
 
 @dataclass(frozen=True)
@@ -244,18 +257,23 @@ class EdgeChain:
 
     @classmethod
     def make(cls, cx: TwoComplex, terms):
+        """The chain of (coeff, loop) terms on ``cx``, each loop a nonempty
+        closed path of edges of ``cx`` with signs +1 or -1.  This is the one
+        check of a chain of loops: a refusal is a ChainError that names its
+        term."""
         out = []
         for coeff, loop in terms:
             loop = tuple(tuple(se) for se in loop)
+            term = (coeff, loop)
             if not loop:
-                raise ChainError("edge loop must be nonempty")
+                raise ChainError(f"chain term {term}: edge loop must be nonempty")
             for e, sign in loop:
                 if e not in cx.edges:
-                    raise ChainError(f"unknown edge id {e}")
+                    raise ChainError(f"chain term {term} uses unknown edge id {e}")
                 if sign not in (1, -1):
-                    raise ChainError(f"edge {e} has sign {sign}, not +1 or -1")
+                    raise ChainError(f"chain term {term}: edge {e} has sign {sign}, not +1 or -1")
             if cx.open_position(loop) is not None:
-                raise ChainError("edge loop does not close up")
+                raise ChainError(f"chain term {term}: edge loop does not close up")
             # a term with coefficient 0 is checked like any other, then dropped
             if coeff:
                 out.append((coeff, loop))
@@ -267,11 +285,7 @@ class EdgeChain:
 
     def one_chain_vector(self):
         """Image in C1 of the complex: edge id -> signed count."""
-        out = {}
-        for coeff, loop in self.terms:
-            for e, sign in loop:
-                out[e] = out.get(e, 0) + coeff * sign
-        return {e: c for e, c in out.items() if c}
+        return one_chain((e, coeff * sign) for coeff, loop in self.terms for e, sign in loop)
 
     def text(self, cx: TwoComplex):
         if not self.terms:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -338,6 +339,40 @@ def test_parse_errors():
         parse_complex("face f = a\n")
     with pytest.raises(ComplexError):
         parse_complex("widget w\n")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TwoComplex.build(["p", "p"], [], []), "duplicate vertex name"),
+        (lambda: TwoComplex.build(["p"], [("a", "p", "p"), ("a", "p", "p")], []), "duplicate edge name a"),
+        (lambda: TwoComplex.build(["p"], [("a", "p", "p")], [("f", [("b", 1)])]), "face f uses unknown edge b"),
+        (lambda: torus().vertex_id("w"), "unknown vertex w"),
+        (lambda: torus().edge_id("c"), "unknown edge c"),
+        (lambda: torus().face_id("g"), "unknown face g"),
+        (lambda: induced_subcomplex(torus(), [("v", 9)]), "unknown vertex id 9"),
+        (lambda: induced_subcomplex(torus(), [("e", 9)]), "unknown edge id 9"),
+        (lambda: induced_subcomplex(torus(), [("x", 0)]), "unknown cell kind x"),
+        (lambda: parse_complex("vertex p q\n"), "line 1: vertex wants one name"),
+        (lambda: parse_complex("vertex p\nface f a+\n"), "line 2: face wants 'face <name> = <word>'"),
+    ],
+    ids=[
+        "duplicate vertex name",
+        "duplicate edge name",
+        "face over unknown edge",
+        "vertex name",
+        "edge name",
+        "face name",
+        "induced vertex",
+        "induced edge",
+        "induced kind",
+        "vertex line",
+        "face line",
+    ],
+)
+def test_every_complex_refusal_is_reached(call, message):
+    with pytest.raises(ComplexError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- references for ``link_graph``, ``surface_check`` and ``link_shapes``:

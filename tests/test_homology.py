@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -35,6 +36,7 @@ from sclkit.fixtures import (
     torus,
 )
 from sclkit.homology import (
+    RingError,
     _assert_orientation_witness,
     _contract,
     _d1_edges,
@@ -49,6 +51,7 @@ from sclkit.homology import (
     print_homology,
     relative_homology,
 )
+from sclkit.words import ChainError
 
 
 def loop(cx, name, sign=1):
@@ -185,18 +188,25 @@ def test_cone_genus3_separating_loop():
 
 def test_cone_open_path_rejected():
     cx = disc()
-    with pytest.raises(ComplexError):
+    with pytest.raises(ChainError, match="edge loop does not close up"):
         cone_complex(cx, [(1, ((cx.edge_id("e1"), 1),))])
 
 
 def test_cone_empty_loop_rejected():
-    with pytest.raises(ComplexError):
+    with pytest.raises(ChainError, match="edge loop must be nonempty"):
         cone_complex(torus(), [(1, ())])
 
 
 def test_cone_unknown_edge_is_named_with_its_term():
-    with pytest.raises(ComplexError, match=r"chain term \(1, \(\(9, 1\),\)\) uses unknown edge id 9"):
+    with pytest.raises(ChainError, match=r"chain term \(1, \(\(9, 1\),\)\) uses unknown edge id 9"):
         cone_complex(torus(), [(1, ((9, 1),))])
+
+
+def test_cone_refuses_an_edge_sign_other_than_one():
+    # read as a reversed edge of weight 2, the sign would give a cone
+    cx = one_holed(1)
+    with pytest.raises(ChainError, match=r"chain term \(1, \(\(\d+, 2\),\)\): edge \d+ has sign 2"):
+        cone_complex(cx, [(1, ((cx.edge_id("c"), 2),))])
 
 
 def _subdivided_cone(cx, terms):
@@ -487,6 +497,20 @@ def test_chain_file_names_the_line_of_a_malformed_coefficient():
 def test_chain_file_names_an_unknown_kind():
     with pytest.raises(ComplexError, match=r"^kind must be 'v', 'e' or 'f', got 'x'$"):
         parse_chain_file("1 f", torus(), kind="x")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: homology(torus(), "R"), RingError, "ring must be 'Z' or 'Q', got 'R'"),
+        (lambda: cone_complex(torus(), [(0, loop(torus(), "a"))]), ComplexError, "chain term with zero coefficient"),
+        (lambda: parse_chain_file("1 f\n2\n", torus()), ComplexError, "line 2: want '<coeff> <cell>'"),
+    ],
+    ids=["ring", "cone zero coefficient", "chain file line"],
+)
+def test_every_homology_refusal_is_reached(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_homology_z_top_degree_torsion_free():
@@ -946,6 +970,7 @@ def test_guards_raise_typed_errors_under_optimize():
         from sclkit.complexes import ComplexError, TwoComplex, barycentric, boundary_subcomplex, induced_subcomplex
         from sclkit.exactlin import SnfError, SnfResult
         from sclkit.fixtures import closed_genus, disc, one_holed, rp2, torus
+        from sclkit.words import ChainError
 
         caught = []
 
@@ -961,7 +986,7 @@ def test_guards_raise_typed_errors_under_optimize():
 
         # a chain loop that is an open path, whose circle would make the
         # cone differential square to nonzero
-        expect("cone d2", ComplexError, lambda: H.cone_complex(cx, [(1, ((0, 1),))]))
+        expect("cone d2", ChainError, lambda: H.cone_complex(cx, [(1, ((0, 1),))]))
 
         # a kernel vector on the circle edge alone: its image -c is no cycle
         cx = one_holed(1)

@@ -320,6 +320,21 @@ def test_rot_structure_refuses_weights_that_are_not_rational():
     assert rot_value(RotStructure(s, weights), parse_edge_chain("c-", s)) == 3
 
 
+@pytest.mark.parametrize("face, edge", [(8, 9), (0, 12)], ids=["no_edge_of_S", "mixed"])
+def test_rot_refuses_a_chain_edge_outside_its_complex(face, edge):
+    # a face loop of the subdivision bounds there; over S, face 8's loop
+    # would read area 0, and face 0's loop, which also runs over an edge id
+    # that S has, would read as no 1-boundary
+    s, _ = ambient_pair(1, 2)
+    structure = RotStructure(s, {s.face_id("fT"): 2, s.face_id("fR"): 4})
+    big = barycentric(s)[0]
+    chain = EdgeChain.make(big, [(1, big.faces[face])])
+    message = f"chain edge {edge} is not an edge of the rot structure's complex"
+    for call in (rot_value, bavard_sandwich):
+        with pytest.raises(ComplexError, match=message):
+            call(structure, chain)
+
+
 def test_rot_refusals_are_typed_under_optimize():
     script = textwrap.dedent(
         """

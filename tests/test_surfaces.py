@@ -162,6 +162,21 @@ def test_a_non_orientable_subsurface_is_refused():
         subsurface_as_admissible(cx, cx.cells(), EdgeChain.make(cx, []))
 
 
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (lambda cx: [("f", 99)] + genus3_T(cx).cells(), "unknown face id 99"),
+        (lambda cx: [("x", 0)] + genus3_T(cx).cells(), "unknown cell kind x"),
+        (lambda cx: [("f", cx.face_id("f1"))], "subcomplex not closed: face edge missing"),
+    ],
+    ids=["unknown face", "unknown kind", "not closed"],
+)
+def test_subsurface_cells_must_form_a_subcomplex(cells, message):
+    cx = closed_genus3_split()
+    with pytest.raises(ComplexError, match=f"^{message}$"):
+        subsurface_as_admissible(cx, cells(cx), genus3_chain(cx))
+
+
 def test_a_target_is_checked_once_and_keeps_its_boundary():
     target = Target.of(disc())
     assert Target.of(target) is target
@@ -870,16 +885,16 @@ def test_boundary_guards_that_cannot_fail_raise_when_tampered_under_optimize():
 
         s = t_itself()
         handles = {hid: hp.edge for hid, hp in s.hpieces.items()}
-        one_chain, calls = S._one_chain, []
+        one_chain, calls = S.one_chain, []
         def tampered(pairs):
             # the third 1-chain of the boundary check is the pushforward
             calls.append(pairs)
             out = one_chain(pairs)
             return {**out, 4: out.get(4, 0) + 1} if len(calls) == 3 else out
-        S._one_chain = tampered
+        S.one_chain = tampered
         expect("pushforward", "pushforward boundary disagrees with circuit words",
                lambda: S.AdmissibleSurface(s.target, s.chain, s.vpieces, handles, s.fpieces))
-        S._one_chain = one_chain
+        S.one_chain = one_chain
 
         cx = square_disc()
         rim = EdgeChain.make(cx, [(1, tuple((cx.edge_id(n), 1) for n in ("r12", "r23", "r34", "r41")))])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sclkit.complexes import TwoComplex
@@ -156,3 +158,35 @@ def test_edge_chain_one_chain_vector():
     cx = closed_genus3_split()
     c = parse_edge_chain("2*c-", cx)
     assert c.one_chain_vector() == {cx.edge_id("c"): -2}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: OneChain.make("aa", []), "duplicate generator in basis"),
+        (lambda: OneChain.make("a", [(1, w("aA"))]), "chain term reduces to the empty word"),
+        (lambda: OneChain.make("a", [(1, w("b"))]), "letter 'b' outside the basis"),
+        (lambda: OneChain.make("a", [(1, (("a", 2),))]), "letter sign must be +1 or -1"),
+        (lambda: parse_chain("[a,b", "ab"), "term '[a,b': malformed commutator"),
+        (lambda: parse_chain("a1", "a"), "term 'a1': unexpected character '1'"),
+        (lambda: parse_chain("a", ["ab"]), "word grammar wants single lowercase letters as generators"),
+        (lambda: parse_chain(" + ", "a"), "empty chain text"),
+        (lambda: EdgeChain.make(torus(), [(1, ())]), "chain term (1, ()): edge loop must be nonempty"),
+        (lambda: parse_edge_chain("a+ b", torus()), "edge token 'b' needs +/- suffix"),
+    ],
+    ids=[
+        "duplicate generator",
+        "empty word",
+        "letter outside basis",
+        "letter sign",
+        "malformed commutator",
+        "unexpected character",
+        "long generator",
+        "empty text",
+        "empty loop",
+        "edge token suffix",
+    ],
+)
+def test_every_chain_refusal_is_reached(call, message):
+    with pytest.raises(ChainError, match=f"^{re.escape(message)}$"):
+        call()
