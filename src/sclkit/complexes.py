@@ -81,7 +81,11 @@ class TwoComplex:
             edict[i] = (vid[s], vid[t])
             names[("e", i)] = name
         fdict = {}
+        fseen = set()
         for i, (name, word) in enumerate(faces):
+            if name in fseen:
+                raise ComplexError(f"duplicate face name {name}")
+            fseen.add(name)
             try:
                 fdict[i] = tuple((eid[e], sign) for e, sign in word)
             except KeyError as exc:

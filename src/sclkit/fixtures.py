@@ -23,6 +23,16 @@ Naming:
 from __future__ import annotations
 
 from .complexes import TwoComplex, induced_subcomplex
+from .surfaces import (
+    FREE,
+    AdmissibleSurface,
+    FPiece,
+    VPiece,
+    derive_vpieces,
+    required_long_index,
+    subsurface_as_admissible,
+)
+from .words import EdgeChain
 
 
 def torus() -> TwoComplex:
@@ -176,15 +186,6 @@ COMPLEX_FIXTURES = {
 
 # -- admissible surface fixtures --------------------------------------------
 
-from .surfaces import (  # noqa: E402
-    FREE,
-    AdmissibleSurface,
-    FPiece,
-    VPiece,
-    subsurface_as_admissible,
-)
-from .words import EdgeChain  # noqa: E402
-
 
 def genus3_chain(cx=None) -> EdgeChain:
     """The separating boundary loop of T in the split genus 3 surface,
@@ -251,8 +252,6 @@ def fold_necklace(target=None, face_name="f", m=1, fold_pos=0, back_pos=1, close
     every other side sits on a handle with a free outer long.  Every
     adjacent pair is an eligible fold elimination.
     """
-    from .surfaces import derive_vpieces, required_long_index
-
     target = target or torus()
     face = target.face_id(face_name)
     word = target.faces[face]

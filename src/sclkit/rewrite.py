@@ -16,7 +16,10 @@ free arcs), and every corner either move glues is the cross-splice
 A fold splices the two tokens of each mirrored pair of corners; a link
 connection splices the y of each new corner (y, x) with the predecessor
 of x, which makes succ(y) = x.  Vertex discs are recovered as the cycles
-of the final map.  Handle pairs whose freed long sides become glued to
+of the final map: ``words.orbits`` walks them from every token in ``str``
+order (``_Tokens.rebuild_vpieces``), and the corner gluing walks the
+cycles it touched from its spliced tokens, in splice order
+(``_glue_corners``).  Handle pairs whose freed long sides become glued to
 each other fuse end to end into single handles.
 
 Boundary words are only changed by the link-connection move; it records a
@@ -48,7 +51,7 @@ from .surfaces import (
     corner_tokens,
     required_long_index,
 )
-from .words import EdgeChain, canonical_rotation, one_chain
+from .words import EdgeChain, canonical_rotation, one_chain, orbits
 
 
 class MoveError(RuntimeError):
@@ -178,25 +181,12 @@ class _Tokens:
         for t in run:
             self.delete(t)
 
-    def cycles(self):
-        seen = set()
-        out = []
-        for tok in sorted(self.succ, key=str):
-            if tok in seen:
-                continue
-            cyc = []
-            cur = tok
-            while cur not in seen:
-                seen.add(cur)
-                cyc.append(cur)
-                cur = self.succ[cur]
-            out.append(cyc)
-        return out
-
     def rebuild_vpieces(self):
-        """Vertex discs from the cycles."""
+        """Vertex discs from the cycles of the successor map: its
+        ``orbits`` from every token in ``str`` order, so a disc's id and
+        slot rotation follow that order."""
         vpieces = {}
-        for vid, cyc in enumerate(self.cycles()):
+        for vid, cyc in enumerate(orbits(self.succ, sorted(self.succ, key=str))):
             verts = {self.vertex[t] for t in cyc}
             if len(verts) != 1:
                 raise MoveError("surgery produced a vertex disc over several vertices")
@@ -257,7 +247,7 @@ def _without_components(surface: AdmissibleSurface, dead_indices):
     )
 
 
-def remove_trivial_components(surface: AdmissibleSurface, log: MoveLog | None = None):
+def remove_trivial_components(surface: AdmissibleSurface, log: MoveLog):
     """Drop components with positive Euler characteristic.
 
     Dropping never changes -chi^-.  A disc or sphere whose removal would
@@ -284,13 +274,12 @@ def remove_trivial_components(surface: AdmissibleSurface, log: MoveLog | None = 
         return surface
     if out.reduced_euler() != surface.reduced_euler():
         raise MoveError("trivial-component removal changed chi minus")
-    if log is not None:
-        log.record(
-            "remove_trivial_components",
-            f"components={dead}" + (f" kept={kept_back}" if kept_back else ""),
-            before,
-            _metrics(out),
-        )
+    log.record(
+        "remove_trivial_components",
+        f"components={dead}" + (f" kept={kept_back}" if kept_back else ""),
+        before,
+        _metrics(out),
+    )
     return out
 
 
@@ -393,7 +382,7 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     return tokens, handles, fpieces, rename
 
 
-def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog | None = None):
+def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog):
     """Delete two adjacent cellular discs of opposite orientation.
 
     The discs must map to the same face and share a handle through the same
@@ -446,15 +435,14 @@ def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog | None =
     new_words = sorted(canonical_rotation(c.word) for c in out.circuits)
     if new_words != old_words:
         raise MoveError("fold elimination changed the boundary words")
-    if log is not None:
-        note = f"with {delta // 2} compressions" if delta else ""
-        log.record(
-            "eliminate_fold",
-            f"discs=({fid1},{fid2}) face={fp1.face}",
-            before,
-            _metrics(out),
-            note=note,
-        )
+    note = f"with {delta // 2} compressions" if delta else ""
+    log.record(
+        "eliminate_fold",
+        f"discs=({fid1},{fid2}) face={fp1.face}",
+        before,
+        _metrics(out),
+        note=note,
+    )
     return out
 
 
@@ -585,15 +573,8 @@ def _glue_corners(tokens: _Tokens, new_tokens, corners):
         pred[x], pred[s] = y, p
         glued.add(y)
         touched += [y, p]
-    seen = set()
     open_ends = []
-    for tok in touched:
-        if tok in seen:
-            continue
-        cyc = [tok]
-        while tokens.succ[cyc[-1]] != tok:
-            cyc.append(tokens.succ[cyc[-1]])
-        seen.update(cyc)
+    for cyc in orbits(tokens.succ, touched):
         if all(_slot(t) == FREE for t in cyc):
             for t in cyc:
                 tokens.delete(t)
@@ -605,7 +586,7 @@ def _glue_corners(tokens: _Tokens, new_tokens, corners):
         tokens.succ[free] = head
 
 
-def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, separator=0):
+def connect_link(surface: AdmissibleSurface, vid, log: MoveLog, separator):
     """Connect the collapsed link of a vertex disc by pushing the boundary
     across a fan of target faces.
 
@@ -724,13 +705,12 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog | None = None, se
         raise MoveError("fallback link connection did not produce a fold")
     if after["neg"] != before["neg"]:
         raise MoveError("positive link connection changed the negative disc count")
-    if log is not None:
-        log.record(
-            "connect_link",
-            f"vdisc={vid} policy=positive faces={new_faces_crossed}",
-            before,
-            after,
-        )
+    log.record(
+        "connect_link",
+        f"vdisc={vid} policy=positive faces={new_faces_crossed}",
+        before,
+        after,
+    )
     return out
 
 
@@ -866,7 +846,7 @@ def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
             for vid in vids:
                 for sep in range(len(s.vpieces[vid].slots)):
                     try:
-                        s = connect_link(s, vid, log, separator=sep)
+                        s = connect_link(s, vid, log, sep)
                         done = True
                     except MoveError as exc:
                         last_exc = exc

@@ -28,7 +28,7 @@ from .complexes import ComplexError, TwoComplex
 from .homology import _rank_torsion, d2_rows
 from .exactlin import peel, solve_peeled
 from .lp import LpResult, solve_lp
-from .words import ChainError, EdgeChain, OneChain, cyclically_equal, letter_inverse, word_power
+from .words import ChainError, EdgeChain, OneChain, cyclically_equal, letter_inverse, orbits, word_power
 
 
 INFINITE = "infinite"
@@ -102,16 +102,7 @@ def _scl_forced(npos, edges):
         if src in nxt:
             raise ChainError("forced flow is not a permutation")
         nxt[src] = dst
-    seen = set()
-    discs = 0
-    for g in range(npos):
-        if g in seen:
-            continue
-        discs += 1
-        cur = g
-        while cur not in seen:
-            seen.add(cur)
-            cur = nxt[cur]
+    discs = len(orbits(nxt, range(npos)))
     bands = len(edges) // 2
     value = Fraction(bands - discs, 2)
     return SclResult(value, "exact", method="forced")

@@ -71,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import ComplexError, Subcomplex, TwoComplex, surface_check
-from .words import EdgeChain, cyclically_equal, one_chain, word_power
+from .words import EdgeChain, cyclically_equal, one_chain, orbits, word_power
 
 
 class SurfaceError(ValueError):
@@ -347,32 +347,29 @@ class AdmissibleSurface:
         def after(vid, j):
             return vid, (j + 1) % len(self.vpieces[vid].slots)
 
-        walk = {}  # free item -> (direction, tail point, head point)
+        # each free item (kind, id, j, direction) runs from its tail point
+        # to its head point, and each point is the tail of at most one item;
+        # the circuits are the ``orbits`` of the items' successor map, from
+        # the items in ``str`` order
+        at = {}  # tail point -> free item
+        head = {}  # free item -> head point
         for vid, vp in self.vpieces.items():
+            n = len(vp.slots)
             for j, slot in enumerate(vp.slots):
                 if slot == FREE:
-                    walk[("slot", vid, j)] = (1, (vid, j), after(vid, j))
+                    at[vid, j] = item = ("slot", vid, j, 1)
+                    head[item] = vid, (j + 1) % n
         for hid, hp in self.hpieces.items():
             if hp.longs[0] == FREE:
-                walk[("long", hid, 0)] = (1, hp.src, after(*hp.tgt))
+                at[hp.src] = item = ("long", hid, 0, 1)
+                head[item] = after(*hp.tgt)
             if hp.longs[1] == FREE:
-                walk[("long", hid, 1)] = (-1, hp.tgt, after(*hp.src))
-        start_of = {tail: name for name, (_dir, tail, _head) in walk.items()}
+                at[hp.tgt] = item = ("long", hid, 1, -1)
+                head[item] = after(*hp.src)
+        succ = {item: at[point] for item, point in head.items()}
         circuits = []
-        used = set()
-        for name in sorted(walk, key=str):
-            if name in used:
-                continue
-            items = []
-            word = []
-            cur = name
-            while cur not in used:
-                used.add(cur)
-                direction, _tail, head = walk[cur]
-                items.append((*cur, direction))
-                if cur[0] == "long":
-                    word.append((self.hpieces[cur[1]].edge, direction))
-                cur = start_of[head]
+        for items in orbits(succ, sorted(head, key=str)):
+            word = [(self.hpieces[hid].edge, d) for kind, hid, _, d in items if kind == "long"]
             circuits.append((tuple(items), tuple(word)))
         circuits.sort(key=lambda c: min(c[0]))
         self._raw_circuits = circuits
@@ -804,48 +801,33 @@ def derive_vpieces(target, handles, fpieces):
     forces one slot to follow another around a vertex disc; the chains and
     cycles of that successor relation are the vertex discs, with one free
     arc closing each open chain.  Handle ends touching no corner become
-    their own two-slot discs (end plus free arc).
+    their own two-slot discs (end plus free arc).  The discs are the
+    ``orbits`` of the successor map from the chain heads, then from every
+    token, in handle order; a disc's id and slot rotation follow that order.
     """
     succ = {}
-    pred = {}
+    pred = set()
     for fp in fpieces.values():
         word = target.faces[fp.face]
         for k in range(len(word)):
             start, end = corner_tokens(fp, word, k)
             # each token names one long side, and each side starts one
-            # corner and ends another
+            # corner and ends another; so no token has two predecessors,
+            # and a walk from a head never meets a token already walked
             if start in succ or end in pred:
                 raise SurfaceError("two disc sides claim one handle long side")
             succ[start] = end
-            pred[end] = start
+            pred.add(end)
     tokens = [("h", hid, end) for hid in sorted(handles) for end in ("s", "t")]
     vertex_of = {}
     for tok in tokens:
         s, t = target.edges[handles[tok[1]]]
         vertex_of[tok] = s if tok[2] == "s" else t
+    heads = [tok for tok in tokens if tok not in pred]
     vpieces = {}
-    seen = set()
-    for tok in tokens:
-        if tok in seen or tok in pred:
-            continue
-        chain = [tok]
-        seen.add(tok)
-        while chain[-1] in succ:
-            nxt = succ[chain[-1]]
-            if nxt in seen:
-                raise SurfaceError("corner adjacency chain crosses itself")
-            chain.append(nxt)
-            seen.add(nxt)
-        _register_vpiece(vpieces, vertex_of, chain, chain + [FREE])
-    for tok in tokens:
-        if tok in seen:
-            continue
-        cyc = [tok]
-        seen.add(tok)
-        while succ[cyc[-1]] != tok:
-            cyc.append(succ[cyc[-1]])
-            seen.add(cyc[-1])
-        _register_vpiece(vpieces, vertex_of, cyc, cyc)
+    for walk in orbits(succ, heads + tokens):
+        # a chain ends at a token with no successor, a cycle before its head
+        _register_vpiece(vpieces, vertex_of, walk, walk if walk[-1] in succ else walk + [FREE])
     return vpieces
 
 

@@ -82,6 +82,30 @@ def one_chain(pairs):
     return {cell: count for cell, count in out.items() if count}
 
 
+def orbits(succ, starts):
+    """The walks of the successor map ``succ`` from each start not yet
+    visited, in the order of ``starts``; the one walk of successor maps.
+
+    A walk stops before an item already visited or at an item with no
+    successor, so on a permutation each cycle is listed once, from its
+    first item in ``starts``.
+    """
+    seen = set()
+    out = []
+    for start in starts:
+        if start in seen:
+            continue
+        walk = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            walk.append(cur)
+            # an item with no successor leads back to the visited start
+            cur = succ.get(cur, start)
+        out.append(walk)
+    return out
+
+
 @dataclass(frozen=True)
 class OneChain:
     """Integral 1-chain over a free group: sum of coeff * cyclic word."""

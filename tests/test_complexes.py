@@ -347,6 +347,10 @@ def test_parse_errors():
         (lambda: TwoComplex.build(["p", "p"], [], []), "duplicate vertex name"),
         (lambda: TwoComplex.build(["p"], [("a", "p", "p"), ("a", "p", "p")], []), "duplicate edge name a"),
         (lambda: TwoComplex.build(["p"], [("a", "p", "p")], [("f", [("b", 1)])]), "face f uses unknown edge b"),
+        (
+            lambda: TwoComplex.build(["v"], [("a", "v", "v"), ("b", "v", "v")], [("f", [("a", 1)]), ("f", [("b", 1)])]),
+            "duplicate face name f",
+        ),
         (lambda: torus().vertex_id("w"), "unknown vertex w"),
         (lambda: torus().edge_id("c"), "unknown edge c"),
         (lambda: torus().face_id("g"), "unknown face g"),
@@ -360,6 +364,7 @@ def test_parse_errors():
         "duplicate vertex name",
         "duplicate edge name",
         "face over unknown edge",
+        "duplicate face name",
         "vertex name",
         "edge name",
         "face name",

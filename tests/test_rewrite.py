@@ -30,7 +30,7 @@ from sclkit.fixtures import (
     t_itself,
     torus,
 )
-from sclkit.rewrite import MoveError, connect_link, eliminate_fold, make_standard_form, thicken_boundary
+from sclkit.rewrite import MoveError, MoveLog, connect_link, eliminate_fold, make_standard_form, thicken_boundary
 from sclkit.surfaces import (
     FREE,
     AdmissibleSurface,
@@ -305,7 +305,7 @@ def test_fold_elimination_validates_the_new_surface_once(monkeypatch):
     s = fold_fixture()
     monkeypatch.setattr(sclkit.surfaces, "surface_check", counting_check)
     monkeypatch.setattr(AdmissibleSurface, "_check_corners", counting_corners)
-    out = eliminate_fold(s, 0, 1)
+    out = eliminate_fold(s, 0, 1, MoveLog())
     # the target was checked when s was built, and the fold reuses it; the
     # new surface is checked once, on its pieces
     assert checked == [] and out.target is s.target
@@ -338,7 +338,7 @@ def test_fold_elimination_validates_the_new_surface_once(monkeypatch):
 )
 def test_fold_elimination_names_the_input_it_refuses(surface, fids, message):
     with pytest.raises(MoveError, match=f"^{re.escape(message)}$"):
-        eliminate_fold(surface(), *fids)
+        eliminate_fold(surface(), *fids, MoveLog())
 
 
 def test_standard_form_finds_components_once_per_surface(monkeypatch):
@@ -410,7 +410,7 @@ def test_link_connection_fallback_on_an_annulus(slots):
     assert len(s.link_runs(0)) == 2
     for separator in (0, 1):
         with pytest.raises(MoveError, match="winding lost with its boundary circuits"):
-            connect_link(s, 0, separator=separator)
+            connect_link(s, 0, MoveLog(), separator)
 
 
 def reference_link_splice(tokens, new_tokens, corners, cases):
@@ -551,7 +551,7 @@ def with_pillow(which):
         return disjoint_union(s, pillow(s.target, s.target.face_id("f2"), s.chain))
     # a link connection leaves a homotopy certificate, and the pillow comes
     # first so that the disc it sits beside is the component kept back
-    s = connect_link(figlnk(), 0)
+    s = connect_link(figlnk(), 0, MoveLog(), 0)
     assert s.homotopy
     return disjoint_union(pillow(s.target, s.target.face_id("top"), s.chain), s)
 

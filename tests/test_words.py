@@ -1,6 +1,8 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclkit.complexes import TwoComplex
 from sclkit.fixtures import closed_genus3_split, one_holed, torus
@@ -10,6 +12,7 @@ from sclkit.words import (
     OneChain,
     cyclic_reduce,
     cyclically_equal,
+    orbits,
     parse_chain,
     parse_edge_chain,
     word_inverse,
@@ -190,3 +193,70 @@ def test_edge_chain_one_chain_vector():
 def test_every_chain_refusal_is_reached(call, message):
     with pytest.raises(ChainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_orbits_fixed_cases():
+    assert orbits({}, []) == []
+    # a permutation: each cycle once, from its first item among the starts
+    assert orbits({0: 1, 1: 2, 2: 0, 3: 3}, [3, 1, 0, 2]) == [[3], [1, 2, 0]]
+    # a chain stops at its last item, and a later walk before a visited one
+    assert orbits({"a": "b", "b": "c"}, ["b", "a", "c"]) == [["b", "c"], ["a"]]
+    # a start with no successor is a walk of its own; unreached items are left out
+    assert orbits({1: 2}, [3, 3]) == [[3]]
+
+
+def reference_orbits(succ, starts):
+    visited = []
+    walks = []
+    for start in starts:
+        if start in visited:
+            continue
+        walk = [start]
+        while walk[-1] in succ and succ[walk[-1]] not in visited + walk:
+            walk.append(succ[walk[-1]])
+        visited += walk
+        walks.append(walk)
+    return walks
+
+
+@st.composite
+def partial_maps(draw):
+    """An injective partial map on range(n) and a start order with repeats."""
+    n = draw(st.integers(0, 12))
+    image = draw(st.permutations(range(n)))
+    domain = draw(st.sets(st.sampled_from(range(n)))) if n else set()
+    starts = draw(st.lists(st.sampled_from(range(n)), max_size=2 * n)) if n else []
+    return {i: image[i] for i in sorted(domain)}, starts
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_maps())
+def test_orbits_match_a_reference_walk(case):
+    succ, starts = case
+    walks = orbits(succ, starts)
+    assert walks == reference_orbits(succ, starts)
+    # the walks partition the items reached from the starts
+    reached = set()
+    frontier = list(starts)
+    while frontier:
+        item = frontier.pop()
+        if item not in reached:
+            reached.add(item)
+            frontier += [succ[item]] if item in succ else []
+    items = [item for walk in walks for item in walk]
+    assert len(items) == len(set(items)) and set(items) == reached
+    visited = set()
+    for walk in walks:
+        # each walk follows succ and ends at a visited item or at one with no successor
+        assert all(succ.get(a) == b for a, b in zip(walk, walk[1:]))
+        visited.update(walk)
+        assert walk[-1] not in succ or succ[walk[-1]] in visited
+    # each cycle of succ that a start meets is one walk, from its first start
+    for start in dict.fromkeys(starts):
+        cycle = [start]
+        while cycle[-1] in succ and succ[cycle[-1]] not in cycle:
+            cycle.append(succ[cycle[-1]])
+        if cycle[-1] in succ and succ[cycle[-1]] == start:
+            first = next(s for s in starts if s in cycle)
+            rotation = cycle[cycle.index(first):] + cycle[: cycle.index(first)]
+            assert rotation in walks
