@@ -252,6 +252,8 @@ def fold_necklace(target=None, face_name="f", m=1, fold_pos=0, back_pos=1, close
     every other side sits on a handle with a free outer long.  Every
     adjacent pair is an eligible fold elimination.
     """
+    if m < 1:
+        raise ValueError("fold_necklace wants m >= 1")
     target = target or torus()
     face = target.face_id(face_name)
     word = target.faces[face]

@@ -68,16 +68,15 @@ read again changes none of these numbers.  Hence the basis sequence, the
 solution and the pivot count are those of the Fraction tableau on the same
 primitive rows, artificial columns kept.
 
-Certificate.  At the optimum the dual y of the primitive rows solves
-A_B^T y = c_B over the basic original columns, with y_k = 0 for each
+Certificate.  At the optimum the dual y solves A_B^T y = c_B over the
+basic original columns, on the caller's own rows, with y_k = 0 for each
 artificial n + k still basic (k is its artificial's row, which need not be
 the tableau row that holds it).  With those artificials the basis is
-nonsingular, so this y is unique: it is the y that makes every basic
-reduced cost zero, the one read off the artificial columns' reduced costs
-(y_k = -reduced cost of artificial k) had they been kept.  One sparse
-``exactlin.solve_q`` finds it, and y_k is mapped back through the sign and
-scale applied to row k.  ``replay_check`` verifies x >= 0, A x = b,
-A^T y <= c and b . y = c . x against the caller's own data.
+nonsingular, so this y is unique: the y that makes every basic reduced
+cost zero.  Scaling row k to a primitive row would only divide y_k by the
+same factor.  One sparse ``exactlin.solve_q`` finds y, and ``solve_lp``
+verifies x >= 0, A x = b, A^T y <= c and b . y = c . x against the
+caller's data, as ``replay_check`` does after checking that data.
 """
 
 from __future__ import annotations
@@ -159,15 +158,15 @@ def _check_problem(objective, a_rows, b_vals):
 
 
 def _primitive(row, rhs):
-    """The sparse ``row`` and its ``rhs`` times a rational lam != 0, as a
-    primitive integer vector whose rhs is >= 0; returns (pairs, rhs, lam)."""
-    ints, d = _common_denominator([*(v for _, v in row), rhs])
+    """The sparse ``row`` and its ``rhs`` times a rational != 0, as a
+    primitive integer vector whose rhs is >= 0; returns (pairs, rhs)."""
+    ints = _common_denominator([*(v for _, v in row), rhs])[0]
     g = gcd(*ints) or 1
     if ints[-1] < 0:
         g = -g
     if g != 1:
         ints = [v // g for v in ints]
-    return [(j, v) for (j, _), v in zip(row, ints)], ints[-1], Fraction(d, g)
+    return [(j, v) for (j, _), v in zip(row, ints)], ints[-1]
 
 
 def _eliminate(r, p, f, support):
@@ -248,14 +247,10 @@ def solve_lp(objective, a_rows, b_vals) -> LpResult:
     # columns: n originals, m artificials, the objective scale, the rhs;
     # phase 1 minimises the sum of the artificials
     width = n + m + 2
-    rows = []  # the primitive integer rows, as pairs
-    row_scale = []  # integer row i = row_scale[i] * (input row i)
     tab = []
     obj = [0] * width
     for i, (row, rhs) in enumerate(zip(a_rows, b_vals)):
-        pairs, b, lam = _primitive(row, rhs)
-        rows.append(pairs)
-        row_scale.append(lam)
+        pairs, b = _primitive(row, rhs)
         t = [0] * width
         for j, v in pairs:
             t[j] = v
@@ -301,15 +296,14 @@ def solve_lp(objective, a_rows, b_vals) -> LpResult:
     for i, bj in enumerate(basis):
         if bj < n:
             x[bj] = Fraction(tab[i][-1], tab[i][bj])
-    y = _dual(objective, rows, basis, n)
-    dual = [yk * lam for yk, lam in zip(y, row_scale)]
-    result = LpResult("optimal", Fraction(-obj[-1], s), x, p1 + p2, dual, b1 + b2)
-    replay_check(objective, a_rows, b_vals, result)
+    y = _dual(objective, a_rows, basis, n)
+    result = LpResult("optimal", Fraction(-obj[-1], s), x, p1 + p2, y, b1 + b2)
+    _replay_certificate(objective, a_rows, b_vals, result)
     return result
 
 
 def _dual(objective, rows, basis, n):
-    """The dual of the primitive integer ``rows`` at an optimal basis: y with
+    """The dual of the caller's ``rows`` at an optimal basis: y with
     A_B^T y = c_B on the basic original columns and y_k = 0 for each
     artificial n + k still basic, unique because that whole basis is
     nonsingular."""
@@ -331,9 +325,14 @@ def _dual(objective, rows, basis, n):
 
 
 def replay_check(objective, a_rows, b_vals, result: LpResult):
-    """Check a primal-dual certificate exactly against the problem data:
-    x >= 0, A x = b, A^T y <= c and b . y = c . x = value."""
+    """Check the problem data, then a primal-dual certificate exactly
+    against it: x >= 0, A x = b, A^T y <= c and b . y = c . x = value."""
     _check_problem(objective, a_rows, b_vals)
+    _replay_certificate(objective, a_rows, b_vals, result)
+
+
+def _replay_certificate(objective, a_rows, b_vals, result: LpResult):
+    """``replay_check`` on data already checked."""
     if result.status != "optimal":
         return
     n, m = len(objective), len(a_rows)

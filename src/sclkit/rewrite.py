@@ -51,7 +51,7 @@ from .surfaces import (
     corner_tokens,
     required_long_index,
 )
-from .words import EdgeChain, canonical_rotation, one_chain, orbits
+from .words import canonical_rotation, one_chain, orbits
 
 
 class MoveError(RuntimeError):
@@ -201,13 +201,10 @@ def _rebuild(surface: AdmissibleSurface, tokens: _Tokens, handles, fpieces, assi
     what ``AdmissibleSurface`` takes: a fold renames the old anchors, and a
     link connection clusters circuits by items (``_carry_by_items``).
     """
-    vpieces = tokens.rebuild_vpieces()
-    if any(("h", hid, end) not in tokens.succ for hid in handles for end in "st"):
-        raise MoveError("handle lost an end during surgery")
     return AdmissibleSurface(
         surface.target,
         surface.chain,
-        vpieces,
+        tokens.rebuild_vpieces(),
         handles,
         fpieces,
         assignments=assignments,
@@ -333,11 +330,7 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     for k in range(deg):
         if k == shared_position:
             continue
-        a_hid = fp1.sides[k][0]
-        b_hid = fp2.sides[k][0]
-        if a_hid == shared or b_hid == shared:
-            raise MoveError("shared handle reused on another position")
-        ra, rb = find(a_hid), find(b_hid)
+        ra, rb = find(fp1.sides[k][0]), find(fp2.sides[k][0])
         if ra == rb:
             raise MoveError(
                 "freed handles close into a circle bundle; not supported"
@@ -352,9 +345,6 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     rename = {}
     for root in sorted(groups):
         members = sorted(groups[root])
-        edge = surface.hpieces[members[0]].edge
-        if any(surface.hpieces[h].edge != edge for h in members):
-            raise MoveError("merged handles sit over different edges")
         survivors = [
             (h, li)
             for h in members
@@ -368,7 +358,9 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
         cid = next_id
         next_id += 1
         rename.update((side, (cid, side[1])) for side in survivors)
-        handles[cid] = edge
+        # each pair joins the two discs' sides at one word position, so the
+        # whole chain lies over that position's edge
+        handles[cid] = surface.hpieces[members[0]].edge
         for h in members:
             del handles[h]
         # fuse the members' end tokens, one run per end label
@@ -387,8 +379,8 @@ def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog):
 
     The discs must map to the same face and share a handle through the same
     word position; the elimination splices their remaining side handles
-    pairwise, preserving the Euler characteristic, the pushforward 2-chain
-    and the boundary.
+    pairwise, preserving the Euler characteristic, the class in H2(S, c)
+    and the boundary words.
     """
     if fid1 not in surface.fpieces or fid2 not in surface.fpieces:
         raise MoveError("unknown cellular disc")
@@ -412,7 +404,7 @@ def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog):
     k = shared_positions[0]
 
     before = _metrics(surface)
-    old_chain = surface.two_chain()
+    old_coords = surface.reduced_class()
     old_words = sorted(canonical_rotation(c.word) for c in surface.circuits)
 
     tokens, handles, fpieces, rename = _mirror_surgery(surface, fid1, fid2, k)
@@ -430,8 +422,8 @@ def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog):
     # the surgery resolves by the compression the pinch makes available;
     # each compression raises the Euler characteristic by 2 and preserves
     # the pushforward class, so the estimate only improves
-    if out.two_chain() != old_chain:
-        raise MoveError("fold elimination changed the pushforward 2-chain")
+    if out.reduced_class() != old_coords:
+        raise MoveError("fold elimination changed the class in H2(S, c)")
     new_words = sorted(canonical_rotation(c.word) for c in out.circuits)
     if new_words != old_words:
         raise MoveError("fold elimination changed the boundary words")
@@ -454,30 +446,21 @@ def _walk_link_until(surface, v, start_half, stop_half):
 
     The walk goes round the target's link circle in the direction of the
     positive discs: each crossed corner is looked up by its outgoing side
-    h2 and hands over its incoming side h1.
+    h2 and hands over its incoming side h1.  ``v`` is an interior vertex of
+    the ``Target``, whose link is a circle and whose face words are
+    coherently oriented, so each half-edge at v is the outgoing side of
+    exactly one corner and the walk from start reaches stop.
     """
-    lk = link_graph(surface.target, v)
-    by_out = {}
-    seen_in = set()
-    for (h1, h2), prov in lk.links:
-        if h1 in seen_in or h2 in by_out:
-            raise MoveError("target vertex link is not a simple circle")
-        seen_in.add(h1)
-        by_out[h2] = (h1, prov)
+    by_out = {h2: (h1, prov) for (h1, h2), prov in link_graph(surface.target, v).links}
     corners = []
     halves = []
     cur = start_half
-    for _ in range(len(lk.links) + 1):
-        entry = by_out.get(cur)
-        if entry is None:
-            raise MoveError("link walk fell off the circle")
-        nxt, prov = entry
+    while True:
+        cur, prov = by_out[cur]
         corners.append(prov)
-        if nxt == stop_half:
+        if cur == stop_half:
             return corners, halves
-        halves.append(nxt)
-        cur = nxt
-    raise MoveError("link walk did not reach the far handle")
+        halves.append(cur)
 
 
 def _carry_by_items(old: AdmissibleSurface, new_raw):
@@ -590,14 +573,20 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog, separator):
     """Connect the collapsed link of a vertex disc by pushing the boundary
     across a fan of target faces.
 
-    The vertex disc must map to an interior vertex of the target and have a
-    disconnected collapsed link.  A free stretch of its boundary between two
-    link components is replaced by a path of new positive cellular discs,
-    together with the fresh handles and vertex discs the crossed faces
-    require; the negative discs are left as they are.  Every corner of the
-    new discs is glued by one cross-splice (``_glue_corners``).  The
+    A free stretch of the disc's boundary between two link components, the
+    ones ``separator`` names, is replaced by a path of new positive cellular
+    discs, together with the fresh handles and vertex discs the crossed
+    faces require; the negative discs are left as they are.  Every corner
+    of the new discs is glued by one cross-splice (``_glue_corners``).  The
     boundary is moved by a homotopy, so the class in H2(S, c) is unchanged;
     the faces crossed are added to the homotopy certificate.
+
+    Before it builds anything it refuses an unknown vertex disc, a
+    connected link, a boundary vertex ("thicken the target first"), a
+    separator out of range or with a glued long side, and a fan whose first
+    disc cannot enter on the near handle's free long side or whose last
+    disc cannot leave on the far handle's (both ends of one handle flanking
+    the stretch, say).
     """
     if vid not in surface.vpieces:
         raise MoveError("unknown vertex disc")
@@ -610,9 +599,6 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog, separator):
         raise MoveError(
             "vertex disc maps to a boundary vertex; thicken the target first"
         )
-
-    before = _metrics(surface)
-    old_coords = surface.reduced_class()
 
     slots = vp.slots
     # the separator after run i joins run i to run i+1
@@ -632,6 +618,16 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog, separator):
         raise MoveError("separator long sides are unexpectedly glued")
 
     corners, halves = _walk_link_until(surface, v, half_E, half_S)
+    faces = surface.target.faces
+    face, kidx = corners[0]
+    if required_long_index(faces[face][(kidx + 1) % len(faces[face])][1]) != xE:
+        raise MoveError("walk direction does not fit the free side")
+    face, kidx = corners[-1]
+    if hS_hid == hE_hid or required_long_index(faces[face][kidx][1]) != xS:
+        raise MoveError("the far handle cannot take the fan's last side")
+
+    before = _metrics(surface)
+    old_coords = surface.reduced_class()
 
     # build the new pieces
     handles = {hid: hp.edge for hid, hp in surface.hpieces.items()}
@@ -643,43 +639,25 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog, separator):
         handles[hid] = edge
         return hid
 
-    n_handles = [new_handle(half[0]) for half in halves]  # over the crossed half-edges
+    # disc t enters on handle t of the fan and leaves on handle t + 1: the
+    # near handle, one over each crossed half-edge, then the far handle
+    fan = [hE_hid, *(new_handle(half[0]) for half in halves), hS_hid]
     new_corners = []  # (y, x) tokens of every corner of the new discs
-    new_faces_crossed = []
-    # when the arrival side cannot take the far handle's free long (both ends
-    # of one handle flank the stretch, say), the last disc leaves on a fresh
-    # handle instead; the link does not reconnect, but the first disc folds
-    # against the handle's other side and the next fold elimination makes
-    # the progress, as in the alternation that proves termination
-    face_last, leave_last = corners[-1]
-    li_last = required_long_index(surface.target.faces[face_last][leave_last][1])
-    fallback = li_last != xS or hS_hid == hE_hid
+    new_faces_crossed = [face for face, _ in corners]
     for t, (face, kidx) in enumerate(corners):
-        word = surface.target.faces[face]
-        deg = len(word)
-        fid = next_f
-        next_f += 1
-        new_faces_crossed.append(face)
-        enter_pos, leave_pos = (kidx + 1) % deg, kidx
-        sides = [None] * deg
-        for q in range(deg):
-            li = required_long_index(word[q][1])
-            if q == enter_pos:
-                hid = hE_hid if t == 0 else n_handles[t - 1]
-                if t == 0 and li != xE:
-                    raise MoveError("walk direction does not fit the free side")
-            elif q == leave_pos:
-                if t == len(corners) - 1 and not fallback:
-                    hid = hS_hid
-                elif t == len(corners) - 1:
-                    hid = new_handle(word[q][0])
-                else:
-                    hid = n_handles[t]
+        word = faces[face]
+        sides = []
+        for q, (edge, sign) in enumerate(word):
+            if q == (kidx + 1) % len(word):
+                hid = fan[t]
+            elif q == kidx:
+                hid = fan[t + 1]
             else:
-                hid = new_handle(word[q][0])
-            sides[q] = (hid, li)
-        fpieces[fid] = FPiece(face, 1, tuple(sides))
-        new_corners += (corner_tokens(fpieces[fid], word, k) for k in range(deg))
+                hid = new_handle(edge)
+            sides.append((hid, required_long_index(sign)))
+        fpieces[next_f] = FPiece(face, 1, tuple(sides))
+        new_corners += (corner_tokens(fpieces[next_f], word, k) for k in range(len(word)))
+        next_f += 1
 
     # token surgery: glue every corner of the new discs
     tokens = _Tokens(surface)
@@ -699,10 +677,8 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog, separator):
     if out.reduced_class() != old_coords:
         raise MoveError("link connection changed the class in H2(S, c)")
     after = _metrics(out)
-    if not fallback and after["link_excess"] != before["link_excess"] - 1:
+    if after["link_excess"] != before["link_excess"] - 1:
         raise MoveError("link connection did not lower the link excess by one")
-    if fallback and not _find_fold_pairs(out):
-        raise MoveError("fallback link connection did not produce a fold")
     if after["neg"] != before["neg"]:
         raise MoveError("positive link connection changed the negative disc count")
     log.record(
@@ -777,20 +753,6 @@ def thicken_boundary(cx: TwoComplex) -> Target:
     return out
 
 
-def retarget(surface: AdmissibleSurface, new_target: TwoComplex) -> AdmissibleSurface:
-    """Re-read a surface over a target whose cellulation was extended."""
-    chain = EdgeChain.make(new_target, surface.chain.terms)
-    return AdmissibleSurface(
-        new_target,
-        chain,
-        surface.vpieces,
-        {hid: hp.edge for hid, hp in surface.hpieces.items()},
-        surface.fpieces,
-        assignments=surface.assignment_list(),
-        homotopy=surface.homotopy,
-    )
-
-
 # -- standard form -------------------------------------------------------------
 
 
@@ -812,12 +774,13 @@ def _find_fold_pairs(surface: AdmissibleSurface):
 def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
     """Alternate link connection (positive policy) and fold elimination.
 
-    Terminates because the potential (negative discs, total link excess,
-    disc count) drops lexicographically at every move; the result is disc-
-    and sphere-free, has connected links and is non-folded, with the class
-    in H2(S, c) preserved and -chi^- never increased.  Every move checks the
-    class, so the degree n never changes, and -chi^-/|n| does not rise
-    either, whatever the sign of n.
+    Every link connection lowers the link excess by one, which
+    ``connect_link`` checks.  The loop terminates because the potential
+    (negative discs, total link excess, disc count) drops lexicographically
+    at every move; the result is disc- and sphere-free, has connected links
+    and is non-folded, with the class in H2(S, c) preserved and -chi^- never
+    increased.  Every move checks the class, so the degree n never changes,
+    and -chi^-/|n| does not rise either, whatever the sign of n.
     """
     log = log if log is not None else MoveLog()
     s = remove_trivial_components(surface, log)
@@ -831,8 +794,17 @@ def make_standard_form(surface: AdmissibleSurface, log: MoveLog | None = None):
         if vids:
             if any(s.vpieces[v].vertex in s.target.boundary_vertices for v in vids):
                 before = _metrics(s)
-                new_target = thicken_boundary(s.target)
-                s = retarget(s, new_target)
+                # the collar keeps every cell id, so the pieces and the chain
+                # read the same over the thickened target
+                s = AdmissibleSurface(
+                    thicken_boundary(s.target),
+                    s.chain,
+                    s.vpieces,
+                    {hid: hp.edge for hid, hp in s.hpieces.items()},
+                    s.fpieces,
+                    assignments=s.assignment_list(),
+                    homotopy=s.homotopy,
+                )
                 log.record(
                     "thicken_boundary",
                     "",

@@ -804,6 +804,8 @@ def derive_vpieces(target, handles, fpieces):
     their own two-slot discs (end plus free arc).  The discs are the
     ``orbits`` of the successor map from the chain heads, then from every
     token, in handle order; a disc's id and slot rotation follow that order.
+    A disc lies over its first end's vertex: ``AdmissibleSurface`` refuses
+    an end over any other.
     """
     succ = {}
     pred = set()
@@ -819,20 +821,11 @@ def derive_vpieces(target, handles, fpieces):
             succ[start] = end
             pred.add(end)
     tokens = [("h", hid, end) for hid in sorted(handles) for end in ("s", "t")]
-    vertex_of = {}
-    for tok in tokens:
-        s, t = target.edges[handles[tok[1]]]
-        vertex_of[tok] = s if tok[2] == "s" else t
     heads = [tok for tok in tokens if tok not in pred]
     vpieces = {}
     for walk in orbits(succ, heads + tokens):
+        _, hid, end = walk[0]
+        vertex = target.edges[handles[hid]][0 if end == "s" else 1]
         # a chain ends at a token with no successor, a cycle before its head
-        _register_vpiece(vpieces, vertex_of, walk, walk if walk[-1] in succ else walk + [FREE])
+        vpieces[len(vpieces)] = VPiece(vertex, tuple(walk if walk[-1] in succ else walk + [FREE]))
     return vpieces
-
-
-def _register_vpiece(vpieces, vertex_of, chain, slots):
-    verts = {vertex_of[t] for t in chain}
-    if len(verts) != 1:
-        raise SurfaceError("corner chain mixes vertices")
-    vpieces[len(vpieces)] = VPiece(verts.pop(), tuple(slots))

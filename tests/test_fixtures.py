@@ -13,8 +13,13 @@ from sclkit.fixtures import ambient_pair, closed_genus, fold_necklace, one_holed
         (lambda: ambient_pair(2, 2), "ambient_pair wants 1 <= inner < outer"),
         (lambda: fold_necklace(torus(), "f", 1, 0, 0), "necklace needs distinct positions on a face of degree >= 2"),
         (lambda: fold_necklace(torus(), "f", 1, 0, 4), "necklace needs distinct positions on a face of degree >= 2"),
+        (lambda: fold_necklace(torus(), "f", 0, 0, 2), "fold_necklace wants m >= 1"),
+        (lambda: fold_necklace(torus(), "f", -1, 0, 2), "fold_necklace wants m >= 1"),
     ],
-    ids=["closed genus 0", "one-holed genus 0", "inner not below outer", "fold at its back", "back off the face"],
+    ids=[
+        "closed genus 0", "one-holed genus 0", "inner not below outer", "fold at its back", "back off the face",
+        "no discs", "negative disc count",
+    ],
 )
 def test_every_fixture_refusal_is_reached(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

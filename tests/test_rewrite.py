@@ -26,6 +26,7 @@ from sclkit.fixtures import (
     fold_necklace,
     genus3_chain,
     genus3_T,
+    one_holed,
     sigma_genus1,
     t_itself,
     torus,
@@ -35,6 +36,7 @@ from sclkit.surfaces import (
     FREE,
     AdmissibleSurface,
     FPiece,
+    Target,
     VPiece,
     derive_vpieces,
     disjoint_union,
@@ -388,12 +390,13 @@ def test_standard_form_checks_only_targets_and_builds_no_complex(monkeypatch):
 # -- the link connection's corner splice -------------------------------------------
 
 
-def one_handle_annulus(slots):
-    """An annulus over the torus: one vertex disc with the given slots and
-    one handle over ``a`` whose long sides are both free."""
-    cx = torus()
+def one_handle_annulus(slots, cx=None, edge="a"):
+    """An annulus over ``cx``, the torus by default: one vertex disc over
+    ``v`` with the given slots and one handle over ``edge`` whose long sides
+    are both free."""
+    cx = cx or torus()
     vpieces = {0: VPiece(cx.vertex_id("v"), slots)}
-    return AdmissibleSurface(cx, None, vpieces, {0: cx.edge_id("a")}, {})
+    return AdmissibleSurface(cx, None, vpieces, {0: cx.edge_id(edge)}, {})
 
 
 ANNULI = {
@@ -403,14 +406,52 @@ ANNULI = {
 
 
 @pytest.mark.parametrize("slots", list(ANNULI.values()), ids=list(ANNULI))
-def test_link_connection_fallback_on_an_annulus(slots):
-    # both ends of the one handle flank every free stretch, so the fan leaves
-    # on a fresh handle; the boundary circuits it reroutes lose their winding
+def test_far_handle_cannot_take_the_last_side_on_an_annulus(slots):
+    # both ends of the one handle flank every free stretch, so the fan's last
+    # disc has no free long side to leave on, and the move refuses up front
     s = one_handle_annulus(slots)
     assert len(s.link_runs(0)) == 2
     for separator in (0, 1):
-        with pytest.raises(MoveError, match="winding lost with its boundary circuits"):
+        with pytest.raises(MoveError, match="^the far handle cannot take the fan's last side$"):
             connect_link(s, 0, MoveLog(), separator)
+
+
+def test_carry_refuses_lost_winding_and_circuits_with_no_ancestry():
+    s = figlnk()
+    kept = [(c.items, c.word) for c in s.circuits]
+    # the circuits' items come back without letters, so the winding is lost
+    with pytest.raises(MoveError, match="^winding lost with its boundary circuits$"):
+        sclkit.rewrite._carry_by_items(s, [(items, ()) for items, _word in kept])
+    # a lettered circuit that shares no item with an old one
+    stray = ((("long", max(s.hpieces) + 1, 0, 1),), kept[0][1])
+    with pytest.raises(MoveError, match="^new boundary circuits with no ancestry$"):
+        sclkit.rewrite._carry_by_items(s, [*kept, stray])
+
+
+CLOSED_TORUS = Target.of(torus())
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        (lambda: connect_link(figlnk(), 99, MoveLog(), 0), "unknown vertex disc"),
+        # vertex disc 1 of figlnk has one link run
+        (lambda: connect_link(figlnk(), 1, MoveLog(), 0), "vertex disc already has a connected link"),
+        (
+            lambda: connect_link(one_handle_annulus(ANNULI["annulus(s,_,t,_)"], one_holed(1), "a1"), 0, MoveLog(), 0),
+            "vertex disc maps to a boundary vertex; thicken the target first",
+        ),
+        # a closed target has no boundary to thicken and comes back as it is
+        (lambda: thicken_boundary(CLOSED_TORUS) is CLOSED_TORUS, None),
+    ],
+    ids=["unknown vertex disc", "connected link", "boundary vertex", "closed target"],
+)
+def test_link_connection_input_refusals_and_a_closed_target(call, refusal):
+    if refusal is None:
+        assert call()
+    else:
+        with pytest.raises(MoveError, match=f"^{re.escape(refusal)}$"):
+            call()
 
 
 def reference_link_splice(tokens, new_tokens, corners, cases):
