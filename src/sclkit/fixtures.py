@@ -29,7 +29,6 @@ from .surfaces import (
     FPiece,
     VPiece,
     derive_vpieces,
-    required_long_index,
     subsurface_as_admissible,
 )
 from .words import EdgeChain
@@ -234,8 +233,8 @@ def figlnk() -> AdmissibleSurface:
     }
     handles = dict(enumerate((s1, s2, s3, s4, r12, r34)))
     fpieces = {
-        0: FPiece(left, 1, ((1, 1), (4, 0), (0, 0))),
-        1: FPiece(right, -1, ((3, 0), (5, 1), (2, 1))),
+        0: FPiece(left, 1, (1, 4, 0)),
+        1: FPiece(right, -1, (3, 5, 2)),
     }
     chain = EdgeChain.make(
         cx,
@@ -266,15 +265,12 @@ def fold_necklace(target=None, face_name="f", m=1, fold_pos=0, back_pos=1, close
     handles = {}
     sides = {i: [None] * deg for i in range(n_discs)}
 
-    def disc_sign(i):
-        return 1 if i % 2 == 0 else -1
-
     def glue(pos, *discs):
         # one new handle over the edge at pos, glued to each disc's side there
         hid = len(handles)
         handles[hid] = word[pos][0]
         for i in discs:
-            sides[i][pos] = (hid, required_long_index(disc_sign(i) * word[pos][1]))
+            sides[i][pos] = hid
 
     for j in range(m):
         glue(fold_pos, 2 * j, 2 * j + 1)
@@ -286,7 +282,7 @@ def fold_necklace(target=None, face_name="f", m=1, fold_pos=0, back_pos=1, close
             if pos != fold_pos and sides[i][pos] is None:
                 glue(pos, i)
 
-    fpieces = {i: FPiece(face, disc_sign(i), tuple(sides[i])) for i in range(n_discs)}
+    fpieces = {i: FPiece(face, 1 if i % 2 == 0 else -1, tuple(sides[i])) for i in range(n_discs)}
     vpieces = derive_vpieces(target, handles, fpieces)
     return AdmissibleSurface(target, None, vpieces, handles, fpieces)
 

@@ -49,7 +49,6 @@ from .surfaces import (
     Target,
     VPiece,
     corner_tokens,
-    required_long_index,
 )
 from .words import canonical_rotation, one_chain, orbits
 
@@ -247,7 +246,8 @@ def _without_components(surface: AdmissibleSurface, dead_indices):
 def remove_trivial_components(surface: AdmissibleSurface, log: MoveLog):
     """Drop components with positive Euler characteristic.
 
-    Dropping never changes -chi^-.  A disc or sphere whose removal would
+    Dropping never changes -chi^-, to which a component of positive Euler
+    characteristic adds 0.  A disc or sphere whose removal would
     change the class in H2(S, c) is kept instead (such components occur
     over simply connected targets, where essential-looking words bound).
     """
@@ -269,8 +269,6 @@ def remove_trivial_components(surface: AdmissibleSurface, log: MoveLog):
         kept_back.append(dead.pop())
     if not dead:
         return surface
-    if out.reduced_euler() != surface.reduced_euler():
-        raise MoveError("trivial-component removal changed chi minus")
     log.record(
         "remove_trivial_components",
         f"components={dead}" + (f" kept={kept_back}" if kept_back else ""),
@@ -290,8 +288,14 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     the fold share.  Handles whose freed long sides become glued to each
     other merge in chains; a chain closing onto itself would be a circle
     bundle over an edge, which the transverse model cannot express, and is
-    rejected.  ``rename`` maps each long side left over to the merged
-    handle, under the same long index.
+    rejected.  ``rename`` maps each handle of a chain to the merged handle,
+    which keeps the long sides left over under their long indices.
+
+    A handle has two long sides, so a chain is a path, and each of its
+    pairs takes a disc side off each of its two members.  The two discs
+    have opposite signs, so a pair takes long a at one member and 1 - a at
+    the next, and only the path's two ends keep a long side: 1 - a at one
+    end and a at the other.
     """
     fp1 = surface.fpieces[fid1]
     fp2 = surface.fpieces[fid2]
@@ -300,7 +304,7 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     if deg < 2:
         raise MoveError("mirror surgery needs a face of degree at least 2")
 
-    shared = fp1.sides[shared_position][0]
+    shared = fp1.sides[shared_position]
 
     tokens = _Tokens(surface)
     # glue every mirrored pair of corners
@@ -330,7 +334,7 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     for k in range(deg):
         if k == shared_position:
             continue
-        ra, rb = find(fp1.sides[k][0]), find(fp2.sides[k][0])
+        ra, rb = find(fp1.sides[k]), find(fp2.sides[k])
         if ra == rb:
             raise MoveError(
                 "freed handles close into a circle bundle; not supported"
@@ -345,19 +349,9 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
     rename = {}
     for root in sorted(groups):
         members = sorted(groups[root])
-        survivors = [
-            (h, li)
-            for h in members
-            for li, ref in enumerate(surface.hpieces[h].longs)
-            if ref == FREE or ref[1] not in (fid1, fid2)
-        ]
-        if len(survivors) != 2:
-            raise MoveError("merged handle chain with unexpected free sides")
-        if survivors[0][1] == survivors[1][1]:
-            raise MoveError("merged handle cannot host both survivors")
         cid = next_id
         next_id += 1
-        rename.update((side, (cid, side[1])) for side in survivors)
+        rename.update(dict.fromkeys(members, cid))
         # each pair joins the two discs' sides at one word position, so the
         # whole chain lies over that position's edge
         handles[cid] = surface.hpieces[members[0]].edge
@@ -368,7 +362,7 @@ def _mirror_surgery(surface: AdmissibleSurface, fid1, fid2, shared_position):
             tokens.fuse({("h", h, label) for h in members}, ("h", cid, label))
 
     fpieces = {
-        fid: FPiece(fp.face, fp.sign, tuple(rename.get(side, side) for side in fp.sides))
+        fid: FPiece(fp.face, fp.sign, tuple(rename.get(hid, hid) for hid in fp.sides))
         for fid, fp in fpieces.items()
     }
     return tokens, handles, fpieces, rename
@@ -395,7 +389,7 @@ def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog):
     shared_positions = [
         k
         for k in range(len(fp1.sides))
-        if fp1.sides[k][0] == fp2.sides[k][0]
+        if fp1.sides[k] == fp2.sides[k]
     ]
     if not shared_positions:
         raise MoveError("discs are not adjacent through a common handle")
@@ -410,8 +404,8 @@ def eliminate_fold(surface: AdmissibleSurface, fid1, fid2, log: MoveLog):
     tokens, handles, fpieces, rename = _mirror_surgery(surface, fid1, fid2, k)
     # every free long side survives, so each circuit keeps its anchor
     assignments = [
-        (("long", *rename.get(anchor[1:], anchor[1:])), circle, degree)
-        for anchor, circle, degree in surface.assignment_list()
+        (("long", rename.get(h, h), li), circle, degree)
+        for (_, h, li), circle, degree in surface.assignment_list()
     ]
     out = _rebuild(surface, tokens, handles, fpieces, assignments)
 
@@ -583,10 +577,8 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog, separator):
 
     Before it builds anything it refuses an unknown vertex disc, a
     connected link, a boundary vertex ("thicken the target first"), a
-    separator out of range or with a glued long side, and a fan whose first
-    disc cannot enter on the near handle's free long side or whose last
-    disc cannot leave on the far handle's (both ends of one handle flanking
-    the stretch, say).
+    separator out of range, and a stretch flanked by both ends of one
+    handle.
     """
     if vid not in surface.vpieces:
         raise MoveError("unknown vertex disc")
@@ -608,23 +600,14 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog, separator):
     jS = runs[(separator + 1) % len(runs)][0]
     _, hE_hid, hE_end = slots[jE]
     _, hS_hid, hS_end = slots[jS]
-    hE_h = surface.hpieces[hE_hid]
-    hS_h = surface.hpieces[hS_hid]
-    half_E = (hE_h.edge, 1 if hE_end == "s" else -1)
-    half_S = (hS_h.edge, 1 if hS_end == "s" else -1)
-    xE = 1 if hE_end == "s" else 0
-    xS = 0 if hS_end == "s" else 1
-    if hE_h.longs[xE] != FREE or hS_h.longs[xS] != FREE:
-        raise MoveError("separator long sides are unexpectedly glued")
-
+    if hS_hid == hE_hid:
+        raise MoveError("the far handle cannot take the fan's last side")
+    half_E = (surface.hpieces[hE_hid].edge, 1 if hE_end == "s" else -1)
+    half_S = (surface.hpieces[hS_hid].edge, 1 if hS_end == "s" else -1)
+    # jE ends a link run and jS starts one, so the long sides of their
+    # handles that the fan's first and last discs take are free
     corners, halves = _walk_link_until(surface, v, half_E, half_S)
     faces = surface.target.faces
-    face, kidx = corners[0]
-    if required_long_index(faces[face][(kidx + 1) % len(faces[face])][1]) != xE:
-        raise MoveError("walk direction does not fit the free side")
-    face, kidx = corners[-1]
-    if hS_hid == hE_hid or required_long_index(faces[face][kidx][1]) != xS:
-        raise MoveError("the far handle cannot take the fan's last side")
 
     before = _metrics(surface)
     old_coords = surface.reduced_class()
@@ -647,14 +630,14 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog, separator):
     for t, (face, kidx) in enumerate(corners):
         word = faces[face]
         sides = []
-        for q, (edge, sign) in enumerate(word):
+        for q, (edge, _sign) in enumerate(word):
             if q == (kidx + 1) % len(word):
                 hid = fan[t]
             elif q == kidx:
                 hid = fan[t + 1]
             else:
                 hid = new_handle(edge)
-            sides.append((hid, required_long_index(sign)))
+            sides.append(hid)
         fpieces[next_f] = FPiece(face, 1, tuple(sides))
         new_corners += (corner_tokens(fpieces[next_f], word, k) for k in range(len(word)))
         next_f += 1

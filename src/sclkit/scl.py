@@ -75,13 +75,12 @@ def scl_lp(chain: OneChain) -> SclResult:
         for v in range(u + 1, npos):
             if letters[v] == letter_inverse(letters[u]):
                 pairs.append((u, v))
+    # a boundary's letters have signed count 0 per generator, so every
+    # position has a partner
     partners = {u: [] for u in range(npos)}
     for idx, (u, v) in enumerate(pairs):
         partners[u].append(idx)
         partners[v].append(idx)
-    if any(not lst for lst in partners.values()):
-        # cannot happen for a 1-boundary; defensive
-        raise ChainError("position without an inverse partner in a boundary chain")
 
     # directed gap edges: pair (u, v) crossed at u gives prev(u) -> v
     edges = []  # (src gap, dst gap, pair index)
@@ -97,11 +96,9 @@ def scl_lp(chain: OneChain) -> SclResult:
 
 def _scl_forced(npos, edges):
     """All pair multiplicities forced to 1: count flow cycles directly."""
-    nxt = {}
-    for src, dst, _ in edges:
-        if src in nxt:
-            raise ChainError("forced flow is not a permutation")
-        nxt[src] = dst
+    # each position is in one pair, and prev is a bijection, so each gap is
+    # the src of exactly one edge
+    nxt = {src: dst for src, dst, _ in edges}
     discs = len(orbits(nxt, range(npos)))
     bands = len(edges) // 2
     value = Fraction(bands - discs, 2)
@@ -163,6 +160,8 @@ def _scl_full_lp(npos, pairs, partners, edges):
 
 def scl_upper_from_surface(surface) -> Fraction:
     """Upper bound -chi^- / 2n from a monotone admissible surface."""
+    if not surface.chain.terms:
+        raise ComplexError("the surface bounds a chain with no terms")
     n = surface.uniform_degree()
     if n is None:
         raise ComplexError("surface degrees are not uniform across circles")

@@ -10,7 +10,8 @@ A surface mapping to a 2-complex S in transverse form decomposes into
   vertex-disc slots;
 * cellular discs ("fpieces"): polygons mapping homeomorphically onto
   faces, carrying an orientation sign, with one side per position of the
-  face's attaching word, each glued to a handle long side.
+  face's attaching word, each naming the handle it is glued to; the sign
+  rule below picks the long side.
 
 Each gluing is given once: a surface is built from its vertex discs, its
 handles as a map from handle id to edge, and its cellular discs.  A
@@ -32,10 +33,11 @@ identifications canonical:
   to p_{j'+1}, long1 from p_{j+1} to p_{j'}; its word is
   long0 . slot(D',j')^-1 . long1^-1 . slot(D,j)^-1, so it traverses long0
   positively and long1 negatively.
-* cellular disc over sigma with sign s: its word lists the referenced long
-  edges in attaching-word order (reversed and inverted when s = -1).
-  Cancellation forces a side with polygon sign -1 onto a long0 and a side
-  with polygon sign +1 onto a long1.
+* cellular disc over sigma with sign s: its word lists the long edges of
+  the named handles in attaching-word order (reversed and inverted when
+  s = -1).  The sign rule (``required_long_index``) puts a side with
+  polygon sign -1 on its handle's long0 and a side with polygon sign +1 on
+  its long1, so that the long edge cancels.
 
 Validation runs on the pieces; no complex is assembled.  Given the
 gluing, sign and long-index rules that ``_validate_pieces`` enforces, the
@@ -45,8 +47,8 @@ with one check left over:
 * a vertex disc runs over each slot with sign +1, and a handle runs over
   both of its end slots with sign -1;
 * a handle runs over long0 with sign +1 and long1 with sign -1; the sign
-  rule forces a polygon side on long0 to have polygon sign -1 and one on
-  long1 to have +1, and no long takes two polygon sides;
+  rule puts a polygon side of polygon sign -1 on long0 and one of +1 on
+  long1, and no long takes two polygon sides;
 * so every glued item cancels, every free item is +-1, and the boundary
   is exactly the free items;
 * a corner point's link has at most four half-edges: its two slot halves,
@@ -96,7 +98,7 @@ class HPiece:
 class FPiece:
     face: int
     sign: int
-    sides: tuple  # per word position: (hpiece id, long index)
+    sides: tuple  # per word position: the hpiece id glued there; the sign rule picks its long side
 
 
 FREE = ("free",)
@@ -118,10 +120,10 @@ def corner_tokens(fp: FPiece, word, k):
     Tokens are handle slots ("h", hpiece id, "s"|"t").  The corner between
     polygon-consecutive sides X then Y satisfies succ(start slot of Y) =
     end slot of X, and the gap after the start slot is the corner point.
-    A side on long0 is traversed negatively (it starts at the handle's tgt
-    end), a side on long1 positively, so the start slot of Y is its
-    handle's tgt end for long0 and src end for long1, and the end slot of X
-    is the src end for long0 and tgt end for long1.  For a disc of sign -1
+    A side names its handle, and its polygon sign picks the long side: a
+    side of sign -1 lies on long0, which it traverses negatively, so it
+    starts at the handle's tgt end and ends at its src end; a side of sign
+    +1 lies on long1 and runs the other way round.  For a disc of sign -1
     the polygon runs through the word backwards, swapping the roles of the
     two sides at the corner.
     """
@@ -130,9 +132,9 @@ def corner_tokens(fp: FPiece, word, k):
         x_pos, y_pos = k, (k + 1) % deg
     else:
         x_pos, y_pos = (k + 1) % deg, k
-    hx, lix = fp.sides[x_pos]
-    hy, liy = fp.sides[y_pos]
-    return ("h", hy, "t" if liy == 0 else "s"), ("h", hx, "s" if lix == 0 else "t")
+    start = "t" if polygon_sign(fp, word, y_pos) == -1 else "s"
+    end = "s" if polygon_sign(fp, word, x_pos) == -1 else "t"
+    return ("h", fp.sides[y_pos], start), ("h", fp.sides[x_pos], end)
 
 
 @dataclass(frozen=True)
@@ -286,22 +288,14 @@ class AdmissibleSurface:
                 raise SurfaceError(
                     f"cellular disc {fid} must have {len(word)} sides"
                 )
-            for k, side in enumerate(fp.sides):
-                if not (isinstance(side, tuple) and len(side) == 2):
-                    raise SurfaceError(f"cellular disc {fid} side {k} is not a (handle, long) pair")
-                hid, li = side
-                if hid not in handles or li not in (0, 1):
-                    raise SurfaceError(f"cellular disc {fid} side {k} reference invalid")
+            for k, hid in enumerate(fp.sides):
+                if hid not in handles:
+                    raise SurfaceError(f"cellular disc {fid} side {k} references a missing handle")
                 if handles[hid] != word[k][0]:
                     raise SurfaceError(
                         f"cellular disc {fid} side {k} glued to a handle over the wrong edge"
                     )
-                psign = polygon_sign(fp, word, k)
-                if required_long_index(psign) != li:
-                    raise SurfaceError(
-                        f"orientation inconsistency: disc {fid} side {k} "
-                        f"(polygon sign {psign}) cannot glue to long {li}"
-                    )
+                li = required_long_index(polygon_sign(fp, word, k))
                 if longs[hid][li] != FREE:
                     raise SurfaceError(f"handle {hid} long {li} is claimed by two disc sides")
                 longs[hid][li] = ("f", fid, k)
@@ -508,7 +502,7 @@ class AdmissibleSurface:
         for hid, hp in self.hpieces.items():
             groups[find(hp.src[0])].add(("h", hid))
         for fid, fp in self.fpieces.items():
-            groups[find(self.hpieces[fp.sides[0][0]].src[0])].add(("f", fid))
+            groups[find(self.hpieces[fp.sides[0]].src[0])].add(("f", fid))
         comps = [frozenset(groups[root]) for root in sorted(groups)]
         self._components = tuple(comps)
         self._component_chis = tuple(
@@ -566,9 +560,7 @@ class AdmissibleSurface:
     def uniform_degree(self):
         """The common circle degree n, or None when degrees differ."""
         degs = self.degree_vector()
-        if not degs:
-            return None
-        return degs[0] if all(d == degs[0] for d in degs) else None
+        return degs[0] if len(set(degs)) == 1 else None
 
     def two_chain(self):
         return one_chain((fp.face, fp.sign) for fp in self.fpieces.values())
@@ -721,11 +713,7 @@ def subsurface_as_admissible(
     handles = dict(enumerate(sorted(sub.edge_set)))
     hid_of_edge = {e: i for i, e in handles.items()}
     fpieces = {
-        i: FPiece(
-            f,
-            sign,
-            tuple((hid_of_edge[e], required_long_index(sign * eps)) for e, eps in target.faces[f]),
-        )
+        i: FPiece(f, sign, tuple(hid_of_edge[e] for e, _eps in target.faces[f]))
         for i, f in enumerate(sorted(sub.face_set))
     }
     # the corners order the slots round each vertex disc
@@ -757,8 +745,7 @@ def disjoint_union(*surfaces) -> AdmissibleSurface:
         for hid, hp in s.hpieces.items():
             handles[hmap[hid]] = hp.edge
         for fid, fp in s.fpieces.items():
-            sides = tuple((hmap[hid], li) for hid, li in fp.sides)
-            fpieces[fid + foff] = FPiece(fp.face, fp.sign, sides)
+            fpieces[fid + foff] = FPiece(fp.face, fp.sign, tuple(hmap[hid] for hid in fp.sides))
         for anchor, circle, degree in s.assignment_list():
             # a lettered circuit starts at its least item, a long side
             assignments.append((("long", hmap[anchor[1]], anchor[2]), circle, degree))

@@ -645,7 +645,7 @@ def reference_collapse(surface):
     faces = {}
     for i, fp in enumerate(surface.fpieces.values()):
         word = surface.target.faces[fp.face]
-        faces[i] = [(hix[fp.sides[k][0]], polygon_sign(fp, word, k)) for k in polygon_order(fp, len(word))]
+        faces[i] = [(hix[fp.sides[k]], polygon_sign(fp, word, k)) for k in polygon_order(fp, len(word))]
     return TwoComplex(range(len(vix)), edges, faces)
 
 

@@ -132,6 +132,18 @@ def test_homology_rp2():
     assert hz.torsion_of(1) == (2,)
 
 
+@pytest.mark.parametrize(
+    "make, ring, text",
+    [
+        (torus, "Z", "H0 = Z^1; H1 = Z^2; H2 = Z^1"),
+        (rp2, "Z", "H0 = Z^1; H1 = Z^0 + Z/2; H2 = Z^0"),
+        (rp2, "Q", "H0 = Q^1; H1 = Q^0; H2 = Q^0"),
+    ],
+)
+def test_a_homology_summary_describes_each_degree(make, ring, text):
+    assert homology(make(), ring).describe() == text
+
+
 def test_homology_euler_poincare_fixtures():
     for cx in (torus(), rp2(), disc(), closed_genus(2), one_holed(2), closed_genus3_split()):
         h = homology(cx, "Q")

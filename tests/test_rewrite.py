@@ -40,7 +40,6 @@ from sclkit.surfaces import (
     VPiece,
     derive_vpieces,
     disjoint_union,
-    required_long_index,
     subsurface_as_admissible,
 )
 from sclkit.words import canonical_rotation
@@ -203,7 +202,7 @@ def pairwise_fold_pairs(surface):
         for fid2, fp2 in surface.fpieces.items():
             if fid2 <= fid1 or fp2.face != fp1.face or fp2.sign + fp1.sign != 0:
                 continue
-            shared = [k for k in range(len(fp1.sides)) if fp1.sides[k][0] == fp2.sides[k][0]]
+            shared = [k for k in range(len(fp1.sides)) if fp1.sides[k] == fp2.sides[k]]
             if len(shared) == 1:
                 out.append((fid1, fid2))
     return out
@@ -578,7 +577,7 @@ def pillow(target, face, chain):
     word = target.faces[face]
     handles = {k: e for k, (e, _eps) in enumerate(word)}
     fpieces = {
-        fid: FPiece(face, sign, tuple((k, required_long_index(sign * eps)) for k, (_e, eps) in enumerate(word)))
+        fid: FPiece(face, sign, tuple(range(len(word))))
         for fid, sign in ((0, 1), (1, -1))
     }
     vpieces = derive_vpieces(target, handles, fpieces)

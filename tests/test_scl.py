@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import sclkit.scl
 from sclkit.complexes import ComplexError, TwoComplex, barycentric, induced_subcomplex
 from sclkit.exactlin import rank_q, solve_q
-from sclkit.fixtures import ambient_pair, one_holed, closed_genus3_split
+from sclkit.fixtures import ambient_pair, one_holed, closed_genus3_split, torus
 from sclkit.homology import d2_rows
 from sclkit.scl import (
     RotStructure,
@@ -24,6 +24,7 @@ from sclkit.scl import (
     rot_value,
     scl_compare_under_inclusion,
     scl_lp,
+    scl_upper_from_surface,
 )
 from sclkit.surfaces import subsurface_as_admissible
 from sclkit.words import (
@@ -503,6 +504,14 @@ def test_a_collapse_that_stops_leaves_rows_to_eliminate():
     assert rot_value(structure, chain) == area / 2
     with pytest.raises(ComplexError, match="chain is not a cellular 1-boundary"):
         rot_value(structure, EdgeChain.make(cx, [(1, a1)]))
+
+
+def test_the_surface_bound_refuses_a_chain_with_no_terms():
+    cx = torus()
+    witness = subsurface_as_admissible(cx, cx.cells(), EdgeChain.make(cx, []))
+    assert witness.degree_vector() == []
+    with pytest.raises(ComplexError, match="^the surface bounds a chain with no terms$"):
+        scl_upper_from_surface(witness)
 
 
 def test_bavard_sandwich_lower_only():
