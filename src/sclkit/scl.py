@@ -16,6 +16,17 @@ of discs), and scl is half the minimum.  Disc counting is made linear by
 colouring flow by the least gap on each cycle: a conserved flow supported
 on gaps >= m contributes its out-flow at m many cycles through m, and any
 cycle decomposition arises this way.  All arithmetic is exact rational.
+
+No programme is built for the chain as given.  scl is a function on
+B_1^H, the real 1-boundaries modulo g^n = n g and h g h^-1 = g, and it is
+homogeneous under positive scaling (Calegari, *scl*, MSJ Memoirs 20, 2009,
+section 2.6).  So a term c * u^m counts as c m * u, conjugate roots add,
+inverse-conjugate roots subtract (g^-1 = -g), and with d the gcd of the
+weights left the chain is d times its homogeneous form, whose scl is
+exactly 1/d of the chain's.  ``scl_lp`` counts or solves that form
+(``OneChain.homogeneous``), which has no more letter positions than the
+input and often far fewer: [a,b]^3 becomes 3 * [a,b], whose one
+commutator takes the forced count in place of an LP on 12 positions.
 """
 
 from __future__ import annotations
@@ -36,10 +47,16 @@ INFINITE = "infinite"
 
 @dataclass
 class SclResult:
+    """scl of a chain, as ``scale`` times the scl of ``chain``, its
+    homogeneous form (``OneChain.homogeneous``); ``method`` names the path
+    that ran on ``chain``: 'trivial', 'homology', 'forced' or 'lp'."""
+
     value: Fraction | None  # None means infinite
     status: str  # 'exact' | 'infinite'
-    lp: LpResult | None = None  # primal x and dual y, checked, of 2 * value
+    lp: LpResult | None = None  # primal x and dual y, checked, of 2 * value / scale on chain
     method: str = "lp"
+    scale: int = 1  # d: the input chain is d * chain in B_1^H
+    chain: OneChain | None = None  # the reduced chain the forced count or the LP ran on
 
     @property
     def is_infinite(self):
@@ -61,11 +78,23 @@ def _expand_positions(chain: OneChain):
 
 
 def scl_lp(chain: OneChain) -> SclResult:
-    """Exact scl of an integral chain over the free group on its basis."""
+    """Exact scl of an integral chain over the free group on its basis:
+    d times the scl of its homogeneous form."""
+    scale, reduced = chain.homogeneous()
+    result = _scl_circles(reduced)
+    result.scale = scale
+    if result.value is not None:
+        result.value *= scale
+    return result
+
+
+def _scl_circles(chain: OneChain) -> SclResult:
+    """Exact scl of the chain read as circles: a term (k, w) is one circle
+    reading w^k, counted or solved with no reduction."""
     if chain.is_zero():
-        return SclResult(Fraction(0), "exact", method="trivial")
+        return SclResult(Fraction(0), "exact", method="trivial", chain=chain)
     if not chain.is_boundary():
-        return SclResult(None, INFINITE, method="homology")
+        return SclResult(None, INFINITE, method="homology", chain=chain)
 
     letters, prev = _expand_positions(chain)
     npos = len(letters)
@@ -89,9 +118,11 @@ def scl_lp(chain: OneChain) -> SclResult:
         edges.append((prev[v], u, idx))
 
     if all(len(lst) == 1 for lst in partners.values()):
-        return _scl_forced(npos, edges)
-
-    return _scl_full_lp(npos, pairs, partners, edges)
+        result = _scl_forced(npos, edges)
+    else:
+        result = _scl_full_lp(npos, pairs, partners, edges)
+    result.chain = chain
+    return result
 
 
 def _scl_forced(npos, edges):

@@ -261,7 +261,7 @@ class AdmissibleSurface:
                 if slot == FREE:
                     continue
                 kind, hid, which = slot
-                if kind != "h" or hid not in handles or which not in ("s", "t"):
+                if kind != "h" or not _is_handle(hid, handles) or which not in ("s", "t"):
                     raise SurfaceError(f"disc {vid} slot {j} references a missing handle")
                 if (hid, which) in ends:
                     raise SurfaceError(f"handle {hid} {which}-end is held by two slots")
@@ -289,7 +289,7 @@ class AdmissibleSurface:
                     f"cellular disc {fid} must have {len(word)} sides"
                 )
             for k, hid in enumerate(fp.sides):
-                if hid not in handles:
+                if not _is_handle(hid, handles):
                     raise SurfaceError(f"cellular disc {fid} side {k} references a missing handle")
                 if handles[hid] != word[k][0]:
                     raise SurfaceError(
@@ -667,6 +667,14 @@ class AdmissibleSurface:
             f"{len(self.hpieces)} handles, {len(self.fpieces)} cellular discs, "
             f"chi={self.euler_characteristic()})"
         )
+
+
+def _is_handle(hid, handles):
+    """Whether ``hid`` names a handle; an unhashable id names none."""
+    try:
+        return hid in handles
+    except TypeError:
+        return False
 
 
 def _match_circle(word, circle_words):

@@ -16,6 +16,7 @@ terms are separated by ``+`` / ``-``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .complexes import TwoComplex
 
@@ -63,6 +64,39 @@ def cyclic_rotations(word):
 def canonical_rotation(word):
     """Lexicographically least rotation; canonical key for cyclic equality."""
     return min(cyclic_rotations(word)) if word else word
+
+
+def word_root(word):
+    """(u, m): the shortest prefix u of ``word`` with word = u^m.  A word
+    with period p dividing its length is its prefix of length p repeated,
+    and the prefix of a cyclically reduced word is cyclically reduced."""
+    n = len(word)
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and word[p:] == word[:-p]:
+            return word[:p], n // p
+    return word, 1
+
+
+def _merge_cyclic(terms, inverses=False):
+    """(coeff, word) terms summed over equal cyclic words, each into the
+    first word form and in the order words first appear; with ``inverses``,
+    a word cyclically equal to the inverse of an earlier one is subtracted
+    from it.  One dict keyed on the canonical rotation does the matching."""
+    index = {}
+    merged = []
+    for coeff, word in terms:
+        key = canonical_rotation(word)
+        if key in index:
+            merged[index[key]][0] += coeff
+            continue
+        if inverses:
+            inv = canonical_rotation(word_inverse(word))
+            if inv in index:
+                merged[index[inv]][0] -= coeff
+                continue
+        index[key] = len(merged)
+        merged.append([coeff, word])
+    return merged
 
 
 def cyclically_equal(w1, w2):
@@ -119,7 +153,7 @@ class OneChain:
         bset = set(basis)
         if len(bset) != len(basis):
             raise ChainError("duplicate generator in basis")
-        merged = []
+        reduced = []
         for coeff, word in terms:
             word = cyclic_reduce(tuple(word))
             if not word:
@@ -129,16 +163,35 @@ class OneChain:
                     raise ChainError(f"letter {sym!r} outside the basis")
                 if sign not in (1, -1):
                     raise ChainError("letter sign must be +1 or -1")
-            for entry in merged:
-                if cyclically_equal(entry[1], word):
-                    entry[0] += coeff
-                    break
-            else:
-                merged.append([coeff, word])
-        return cls(basis, tuple((c, w) for c, w in merged if c))
+            reduced.append((coeff, word))
+        return cls(basis, tuple((c, w) for c, w in _merge_cyclic(reduced) if c))
 
     def is_zero(self):
         return not self.terms
+
+    def homogeneous(self):
+        """(d, reduced): the chain is d * reduced in B_1^H, where g^n = n g
+        and g + g^-1 = 0, so scl(chain) = d * scl(reduced).
+
+        Each term c * u^m, u the root of its word, adds c * m to u;
+        conjugate roots add and inverse-conjugate roots subtract.  A
+        negative weight becomes the inverse root, zero weights drop and d is
+        the gcd of what is left, each term keeping its weight over d.  A
+        chain this leaves as it is, the zero chain included, is returned
+        itself with d = 1.
+        """
+        rooted = []
+        for coeff, word in self.terms:
+            root, m = word_root(word)
+            rooted.append((coeff * m, root))
+        if len(rooted) > 1:  # one term has nothing to merge with
+            rooted = _merge_cyclic(rooted, inverses=True)
+        weights = [(k, u) if k > 0 else (-k, word_inverse(u)) for k, u in rooted if k]
+        d = gcd(*(k for k, _ in weights)) or 1
+        terms = tuple((k // d, u) for k, u in weights)
+        if terms == self.terms:
+            return 1, self
+        return d, OneChain(self.basis, terms)
 
     def exponent_vector(self):
         """Per-generator signed letter count, weighted by coefficients.

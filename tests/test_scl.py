@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sclkit.scl
@@ -18,6 +18,7 @@ from sclkit.homology import d2_rows
 from sclkit.scl import (
     RotStructure,
     SclResult,
+    _scl_circles,
     _scl_full_lp,
     bavard_sandwich,
     default_rot_structure,
@@ -36,6 +37,7 @@ from sclkit.words import (
     parse_chain,
     parse_edge_chain,
     word_inverse,
+    word_power,
 )
 
 
@@ -91,9 +93,19 @@ def test_scl_conjugation_invariance():
 
 
 def test_scl_chain_with_two_terms():
-    # scl(a b + b^{-1} a^{-1}) = 0: the two circles cobound an annulus
+    # scl(a b + b^{-1} a^{-1}) = 0: the two circles cobound an annulus, and
+    # the homogeneous form cancels them to the zero chain
     res = scl("ab + BA", "ab")
-    assert res.value == 0
+    assert (res.value, res.method, res.chain.is_zero()) == (0, "trivial", True)
+    assert _scl_circles(parse_chain("ab + BA", "ab")).value == 0
+
+
+def test_scl_of_a_power_runs_on_its_root_and_scales():
+    res = scl("[a,b][a,b][a,b]", "ab")
+    assert (res.value, res.method, res.scale) == (Fraction(3, 2), "forced", 3)
+    assert res.chain == parse_chain("[a,b]", "ab")
+    res = scl("aaabAAAB", "ab")
+    assert (res.scale, res.chain, res.method) == (1, parse_chain("aaabAAAB", "ab"), "lp")
 
 
 def test_scl_alternating_word():
@@ -189,14 +201,39 @@ def test_scl_is_invariant_under_rotation_conjugation_and_automorphisms(chain, da
 @settings(max_examples=30, deadline=None)
 @given(boundary_chains(6))
 def test_scl_of_twice_a_random_chain_is_twice_its_scl(chain):
-    assert scl_lp(scaled(chain, 2)).value == 2 * scl_lp(chain).value
+    # 2c reduces to c with scale 2; the LP on the circles of c checks that
+    assert scl_lp(scaled(chain, 2)).value == 2 * _scl_circles(chain).value
 
 
 @settings(max_examples=20, deadline=None)
 @given(boundary_chains(10))
 def test_scl_of_the_negated_chain_is_its_scl(chain):
     # -c lists every word with coefficient -1, which the LP reads backwards
-    assert scl_lp(scaled(chain, -1)).value == scl_lp(chain).value
+    assert _scl_circles(scaled(chain, -1)).value == scl_lp(chain).value
+
+
+@settings(max_examples=30, deadline=None)
+@given(boundary_chains(6), st.data())
+def test_the_homogeneous_form_has_the_scl_of_the_chain(chain, data):
+    # scl through the homogeneous form against the LP on the circles as
+    # given, on a boundary that B_1^H reduces: k times the chain with one
+    # term written as its k-th power, or the chain plus a term and the
+    # inverse of a rotation of it, or both
+    terms = list(chain.terms)
+    i = data.draw(st.integers(0, len(terms) - 1))
+    coeff, word = terms[i]
+    change = data.draw(st.sampled_from(["power", "inverse", "both"]))
+    if change != "inverse":
+        k = data.draw(st.sampled_from([2, 3]))
+        terms = [(c * k, w) for c, w in terms]
+        terms[i] = (coeff, word_power(word, k))
+    if change != "power":
+        j = data.draw(st.integers(0, len(word) - 1))
+        terms += [(1, word), (1, word_inverse(word[j:] + word[:j]))]
+    other = OneChain.make(chain.basis, terms)
+    # the unreduced LP grows as the cube of its letter positions
+    assume(sum(abs(c) * len(w) for c, w in other.terms) <= 12)
+    assert scl_lp(other).value == _scl_circles(other).value
 
 
 def _a_to_ab(chain):
@@ -593,9 +630,15 @@ def test_scl_matches_rot_lower_bound():
         assert lp_value == lower
 
 
+def circles(text):
+    """scl of the chain's circles as given, with no homogeneous reduction:
+    the colour-flow LP of a power word."""
+    return _scl_circles(parse_chain(text, "ab"))
+
+
 def test_lp_determinism():
-    first = scl("[a,b][a,b]", "ab")
-    again = scl("[a,b][a,b]", "ab")
+    first = circles("[a,b][a,b]")
+    again = circles("[a,b][a,b]")
     assert first.value == again.value
     assert first.lp.pivots == again.lp.pivots
     assert first.lp.solution == again.lp.solution
@@ -616,7 +659,7 @@ PINNED_PIVOTS = [
 
 @pytest.mark.parametrize("text, value, pivots", PINNED_PIVOTS, ids=[t for t, _, _ in PINNED_PIVOTS])
 def test_lp_pivot_counts_are_pinned(text, value, pivots):
-    res = scl(text, "ab")
+    res = circles(text)
     assert res.method == "lp"
     assert (res.value, res.lp.pivots) == (value, pivots)
     assert res.lp.dual is not None
@@ -637,7 +680,7 @@ def test_scl_lp_shape_is_pinned(monkeypatch, text, shape):
         return solve(objective, rows, rhs)
 
     monkeypatch.setattr(sclkit.scl, "solve_lp", capture)
-    assert scl(text, "ab").method == "lp"
+    assert circles(text).method == "lp"
     [(objective, rows)] = captured
     assert (len(rows), len(objective), sum(map(len, rows))) == shape
     for row in rows:
@@ -646,8 +689,8 @@ def test_scl_lp_shape_is_pinned(monkeypatch, text, shape):
 
 
 def test_bland_fallback_runs_on_a_real_scl_lp():
-    assert scl("[a,b][a,b]", "ab").lp.bland_pivots == 0
-    res = scl("[a,b][a,b][a,b]", "ab").lp
+    assert circles("[a,b][a,b]").lp.bland_pivots == 0
+    res = circles("[a,b][a,b][a,b]").lp
     assert 0 < res.bland_pivots < res.pivots
     assert res.certificate()["bland_pivots"] == res.bland_pivots
 

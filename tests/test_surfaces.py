@@ -678,6 +678,11 @@ PIECE_REFUSALS = [
         id="missing handle",
     ),
     pytest.param(
+        lambda s: {"vpieces": with_slot(s, 1, 2, ("h", [1], "s"))},
+        "disc 1 slot 2 references a missing handle",
+        id="unhashable slot handle",
+    ),
+    pytest.param(
         lambda s: {"vpieces": with_slot(s, 0, 2, ("h", 0, "s"))},
         "handle 0 s-end is held by two slots",
         id="end held twice",
@@ -717,6 +722,11 @@ PIECE_REFUSALS = [
         lambda s: {"fpieces": with_side(s, 0, 1, 9)},
         "cellular disc 0 side 1 references a missing handle",
         id="invalid reference",
+    ),
+    pytest.param(
+        lambda s: {"fpieces": with_side(s, 0, 0, [1])},
+        "cellular disc 0 side 0 references a missing handle",
+        id="unhashable side",
     ),
     pytest.param(
         lambda s: {"fpieces": with_side(s, 0, 0, 0)},

@@ -16,6 +16,7 @@ from sclkit.words import (
     parse_chain,
     parse_edge_chain,
     word_inverse,
+    word_root,
 )
 
 
@@ -48,6 +49,71 @@ def test_parse_merging():
 def test_parse_cancel_to_zero():
     c = parse_chain("abAB - abAB", "ab")
     assert c.is_zero()
+
+
+def test_make_merges_rotations_into_the_first_form_in_first_order():
+    c = OneChain.make("ab", [(1, w("ba")), (1, w("abAB")), (2, w("ab")), (1, w("ABab"))])
+    assert c.terms == ((3, w("ba")), (2, w("abAB")))
+
+
+def _make_by_pairs(terms):
+    """OneChain.make's merge by pairwise cyclic comparison, for reference."""
+    merged = []
+    for coeff, word in terms:
+        word = cyclic_reduce(tuple(word))
+        for entry in merged:
+            if cyclically_equal(entry[1], word):
+                entry[0] += coeff
+                break
+        else:
+            merged.append([coeff, word])
+    return tuple((c, word) for c, word in merged if c)
+
+
+CYCLIC_WORDS = st.lists(st.sampled_from([("a", 1), ("a", -1), ("b", 1), ("b", -1)]), min_size=1, max_size=4).filter(
+    lambda word: cyclic_reduce(tuple(word))
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), CYCLIC_WORDS), max_size=5))
+def test_make_merges_like_a_pairwise_comparison(terms):
+    assert OneChain.make("ab", terms).terms == _make_by_pairs(terms)
+
+
+def test_word_root():
+    assert word_root(w("abABabABabAB")) == (w("abAB"), 3)
+    assert word_root(w("aaa")) == (w("a"), 3)
+    assert word_root(w("aabaab")) == (w("aab"), 2)
+    assert word_root(w("abAB")) == (w("abAB"), 1)
+    assert word_root(w("aabAAB")) == (w("aabAAB"), 1)
+
+
+HOMOGENEOUS = [
+    ("[a,b][a,b][a,b]", 3, "[a,b]"),
+    ("ab + BA", 1, "0"),
+    ("[a,b][a,b] + [a,b]", 3, "[a,b]"),
+    # [a,B] is a rotation of [a,b]^-1, so it subtracts
+    ("2*[a,b] + [a,B]", 1, "[a,b]"),
+    ("2*[a,b] + [a,b][a,B]", 1, "2*[a,b] + [a,b][a,B]"),
+    ("-2*ab + 4*BA", 6, "BA"),
+    ("2*[a,b][a,b] + 4*aaabAAAB", 4, "[a,b] + aaabAAAB"),
+    ("2*[a,b] + 4*aaabAAAB", 2, "[a,b] + 2*aaabAAAB"),
+    ("2*ab + 2*ab + 4*BABA", 4, "BA"),
+    ("[a,b][a,b] - [a,b][a,b]", 1, "0"),
+]
+
+
+@pytest.mark.parametrize("text, scale, reduced", HOMOGENEOUS, ids=[t for t, _, _ in HOMOGENEOUS])
+def test_homogeneous_form(text, scale, reduced):
+    d, chain = parse_chain(text, "ab").homogeneous()
+    assert (d, chain.terms) == (scale, () if reduced == "0" else parse_chain(reduced, "ab").terms)
+
+
+def test_homogeneous_form_of_a_reduced_chain_is_the_chain():
+    for text in ("[a,b]", "2*[a,b] + aaabAAAB", "ab - ab"):
+        chain = parse_chain(text, "ab")
+        assert chain.homogeneous() == (1, chain) and chain.homogeneous()[1] is chain
 
 
 def test_parse_empty_word_rejected():
