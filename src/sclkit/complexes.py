@@ -352,19 +352,6 @@ class Subcomplex:
         if unknown:
             raise ComplexError(f"unknown vertex id {min(unknown)}")
 
-    def as_complex(self) -> TwoComplex:
-        """The subcomplex as a TwoComplex, keeping the parent's cell ids and
-        the names the parent gives its cells; ``subsurface_as_admissible``
-        checks that it is a surface."""
-        cx = self.parent
-        own = {"v": self.vertex_set, "e": self.edge_set, "f": self.face_set}
-        return TwoComplex(
-            self.vertex_set,
-            {e: cx.edges[e] for e in self.edge_set},
-            {f: cx.faces[f] for f in self.face_set},
-            names={cell: name for cell, name in cx.names.items() if cell[1] in own[cell[0]]},
-        )
-
     def cells(self):
         out = [("v", v) for v in sorted(self.vertex_set)]
         out += [("e", e) for e in sorted(self.edge_set)]

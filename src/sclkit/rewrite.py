@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import count
 
 from .complexes import TwoComplex, link_graph
 from .homology import homology
@@ -617,8 +618,10 @@ def connect_link(surface: AdmissibleSurface, vid, log: MoveLog, separator):
     fpieces = dict(surface.fpieces)
     next_f = max(fpieces, default=-1) + 1
 
+    new_ids = count(max(handles, default=-1) + 1)
+
     def new_handle(edge):
-        hid = max(handles, default=-1) + 1
+        hid = next(new_ids)
         handles[hid] = edge
         return hid
 

@@ -251,9 +251,10 @@ class AdmissibleSurface:
         from or to, and each long side takes at most one disc side.
         """
         cx = self.target
+        vertices = set(cx.vertices)
         ends = {}
         for vid, vp in self.vpieces.items():
-            if vp.vertex not in cx.vertices:
+            if vp.vertex not in vertices:
                 raise SurfaceError(f"vertex disc {vid} maps to unknown vertex")
             if not vp.slots:
                 raise SurfaceError(f"vertex disc {vid} has no slots")
@@ -698,14 +699,29 @@ def subsurface_as_admissible(
     chain: EdgeChain,
     sign=1,
 ) -> AdmissibleSurface:
-    """The inclusion of a subsurface as a transverse admissible surface.
+    """The inclusion of a subsurface T as a transverse admissible surface.
 
-    cells: the cell set of the subsurface, (kind, id) pairs of kind "v",
-    "e" or "f", grouped by kind into a ``Subcomplex`` of ``target``, which
-    refuses an unknown kind, an unknown cell or a set that is not closed
-    with a ``ComplexError``; its ``as_complex`` must be a surface.
-    Every face is covered by one cellular disc carrying ``sign``; for
-    sign = -1 the mirror surface traverses the chain backwards.
+    cells: the cell set of T, (kind, id) pairs of kind "v", "e" or "f",
+    grouped by kind into a ``Subcomplex`` of ``target``, which refuses an
+    unknown kind, an unknown cell or a set that is not closed with a
+    ``ComplexError``.  Every face is covered by one cellular disc carrying
+    ``sign``; for sign = -1 the mirror surface traverses the chain
+    backwards.
+
+    T must be a surface, and that is read off the pieces as they are made,
+    with no complex of T built:
+
+    1. every edge of T lies on one or two sides of T's face words;
+    2. every vertex of T lies under exactly one of the vertex discs that
+       ``derive_vpieces`` reads off the corners.
+
+    Together these are ``surface_check`` on T.  Each half-edge of an edge
+    has the edge's side count as its link degree, so step 1 leaves no link
+    node isolated or branched.  ``derive_vpieces`` joins the two handle-end
+    tokens at each corner of T's faces, as the link does, and refuses a
+    token with two successors or two predecessors, so each link component
+    is one path or cycle, walked into one disc; a vertex on no edge of T
+    gets none.  So step 2 asks that each link be one arc or circle.
     """
     if sign not in (1, -1):
         raise SurfaceError("sign must be +1 or -1")
@@ -715,8 +731,6 @@ def subsurface_as_admissible(
             raise ComplexError(f"unknown cell kind {kind}")
         by_kind[kind].add(ident)
     sub = Subcomplex(target, *map(frozenset, by_kind.values()))
-    if not surface_check(sub.as_complex()).is_surface:
-        raise SurfaceError("the chosen cells do not form a surface")
 
     handles = dict(enumerate(sorted(sub.edge_set)))
     hid_of_edge = {e: i for i, e in handles.items()}
@@ -724,8 +738,28 @@ def subsurface_as_admissible(
         i: FPiece(f, sign, tuple(hid_of_edge[e] for e, _eps in target.faces[f]))
         for i, f in enumerate(sorted(sub.face_set))
     }
+    sides = dict.fromkeys(handles, 0)
+    for fp in fpieces.values():
+        for hid in fp.sides:
+            sides[hid] += 1
+    for hid, n in sides.items():
+        if not 1 <= n <= 2:
+            where = f"{n} face sides" if n else "no face"
+            raise SurfaceError(
+                f"the chosen cells do not form a surface: edge {target.name('e', handles[hid])} "
+                f"lies on {where} of them"
+            )
     # the corners order the slots round each vertex disc
     vpieces = derive_vpieces(target, handles, fpieces)
+    discs = dict.fromkeys(sorted(sub.vertex_set), 0)
+    for vp in vpieces.values():
+        discs[vp.vertex] += 1
+    for v, n in discs.items():
+        if n != 1:
+            where = f"under {n} vertex discs" if n else "on no edge of them"
+            raise SurfaceError(
+                f"the chosen cells do not form a surface: vertex {target.name('v', v)} lies {where}"
+            )
     return AdmissibleSurface(target, chain, vpieces, handles, fpieces)
 
 

@@ -27,6 +27,7 @@ from sclkit.surfaces import FREE, AdmissibleSurface, VPiece, polygon_sign
 from test_surfaces import (
     FOLD_NECKLACES,
     NECKLACE_GRID,
+    as_complex,
     handle_edges,
     polygon_order,
     reference_validate,
@@ -321,7 +322,7 @@ def test_subcomplex_stability_of_small_links():
         cx = rng.choice(pool)
         assert small_links(cx)
         cells = [c for c in cx.cells() if rng.random() < 0.6]
-        sub = induced_subcomplex(cx, cells).as_complex()
+        sub = as_complex(induced_subcomplex(cx, cells))
         assert small_links(sub)
 
 

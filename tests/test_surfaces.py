@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import re
@@ -8,16 +9,20 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sclkit
 
 from sclkit.complexes import (
     ComplexError,
+    Subcomplex,
     TwoComplex,
     barycentric,
     boundary_subcomplex,
     induced_subcomplex,
     link_graph,
+    link_shapes,
     surface_check,
 )
 from sclkit.fixtures import (
@@ -31,6 +36,7 @@ from sclkit.fixtures import (
     genus3_chain,
     genus3_sigma_prime,
     genus3_T,
+    one_holed,
     rp2,
     sigma_genus1,
     square_disc,
@@ -41,10 +47,12 @@ from sclkit.rewrite import MoveError, make_standard_form
 from sclkit.surfaces import (
     FREE,
     AdmissibleSurface,
+    FPiece,
     SurfaceError,
     Target,
     VPiece,
     corner_tokens,
+    derive_vpieces,
     disjoint_union,
     polygon_sign,
     required_long_index,
@@ -298,6 +306,117 @@ def test_the_containment_check_tells_t_from_the_surface_beside_it():
     t_cells = set(genus3_T(cx).cells())
     assert t_itself(cx).image_cells() <= t_cells
     assert not sigma_genus1(cx).image_cells() <= t_cells
+
+
+# -- the surface test of subsurface_as_admissible, held to surface_check on
+# the subcomplex built as a complex
+
+
+def as_complex(sub):
+    """The subcomplex ``sub`` as a ``TwoComplex``, keeping its parent's cell
+    ids and the names its parent gives its cells.  ``surface_check`` of it
+    is the surface test that ``parent_order_subsurface`` makes and that
+    ``subsurface_as_admissible`` reads off its pieces instead."""
+    cx = sub.parent
+    own = {"v": sub.vertex_set, "e": sub.edge_set, "f": sub.face_set}
+    return TwoComplex(
+        sub.vertex_set,
+        {e: cx.edges[e] for e in sub.edge_set},
+        {f: cx.faces[f] for f in sub.face_set},
+        names={cell: name for cell, name in cx.names.items() if cell[1] in own[cell[0]]},
+    )
+
+
+NOT_A_SURFACE = "the chosen cells do not form a surface"
+
+
+def parent_order_subsurface(target, cells, chain, sign):
+    """``subsurface_as_admissible`` with its checks in their former order:
+    ``surface_check`` of the subcomplex built as a complex, then
+    ``derive_vpieces``, then ``AdmissibleSurface``."""
+    by_kind = {"v": set(), "e": set(), "f": set()}
+    for kind, ident in cells:
+        by_kind[kind].add(ident)
+    sub = Subcomplex(target, *map(frozenset, by_kind.values()))
+    if not surface_check(as_complex(sub)).is_surface:
+        raise SurfaceError(NOT_A_SURFACE)
+    handles = dict(enumerate(sorted(sub.edge_set)))
+    hid_of_edge = {e: i for i, e in handles.items()}
+    fpieces = {
+        i: FPiece(f, sign, tuple(hid_of_edge[e] for e, _ in target.faces[f]))
+        for i, f in enumerate(sorted(sub.face_set))
+    }
+    return AdmissibleSurface(target, chain, derive_vpieces(target, handles, fpieces), handles, fpieces)
+
+
+@functools.cache
+def subdivided(name, level):
+    """(S, whether S is a ``Target``) for a base surface subdivided ``level`` times."""
+    cx = {
+        "closed_genus3_split": closed_genus3_split,
+        "one_holed(2)": lambda: one_holed(2),
+        "torus": torus,
+        "ambient_pair(1,2)": lambda: ambient_pair(1, 2)[0],
+        "rp2": rp2,
+    }[name]()
+    for _ in range(level):
+        cx, _halves = barycentric(cx)
+    try:
+        Target.of(cx)
+    except SurfaceError:
+        return cx, False
+    return cx, True
+
+
+def refusal(build):
+    try:
+        return build(), None
+    except SurfaceError as err:
+        return None, str(err)
+
+
+def assert_names_a_failing_cell(cx, cells, message):
+    """The cell a surface refusal names is one at which the subcomplex, as a
+    complex, fails ``surface_check``, and the count it gives is that cell's."""
+    sub_cx = as_complex(induced_subcomplex(cx, cells))
+    edge = re.fullmatch(rf"{NOT_A_SURFACE}: edge (\S+) lies on (no face|(\d+) face sides) of them", message)
+    if edge:
+        count = sub_cx.side_incidences()[cx.edge_id(edge[1])]
+        assert count == int(edge[3] or 0) and count not in (1, 2)
+        return
+    vertex = re.fullmatch(rf"{NOT_A_SURFACE}: vertex (\S+) lies (on no edge of them|under (\d+) vertex discs)", message)
+    assert vertex, message
+    shape = link_shapes(sub_cx)[cx.vertex_id(vertex[1])]
+    if vertex[3]:
+        assert shape.components == int(vertex[3]) > 1
+    else:
+        assert shape.kind() == "empty"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_surface_test_read_off_the_pieces_is_surface_check(data):
+    name = data.draw(st.sampled_from(["closed_genus3_split", "one_holed(2)", "torus", "ambient_pair(1,2)", "rp2"]))
+    cx, is_target = subdivided(name, data.draw(st.integers(0, 2)))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    # an induced subcomplex of a random face set, plus stray edges and vertices
+    keep = data.draw(st.sampled_from((0.0, 0.1, 0.3, 0.6, 0.9, 1.0)))
+    picked = [("f", f) for f in cx.faces if rng.random() < keep]
+    picked += [("e", rng.choice(list(cx.edges))) for _ in range(data.draw(st.sampled_from((0, 0, 1, 2))))]
+    picked += [("v", rng.choice(cx.vertices)) for _ in range(data.draw(st.sampled_from((0, 0, 1, 2))))]
+    cells = induced_subcomplex(cx, picked).cells()
+    sign = data.draw(st.sampled_from((1, -1)))
+
+    got, got_error = refusal(lambda: subsurface_as_admissible(cx, cells, None, sign=sign))
+    want, want_error = refusal(lambda: parent_order_subsurface(cx, cells, None, sign))
+    assert (got is None) == (want is None), (got_error, want_error)
+    if want is not None:
+        assert got.vpieces == want.vpieces and got.hpieces == want.hpieces
+        assert got.fpieces == want.fpieces and got.circuits == want.circuits
+    elif is_target and want_error == NOT_A_SURFACE:
+        assert_names_a_failing_cell(cx, cells, got_error)
+    elif is_target:
+        assert got_error == want_error
 
 
 # -- validation through the assembled complex, kept as a reference -----------
@@ -777,6 +896,15 @@ def built(s, chain=None, vpieces=None, assignments=None, homotopy=None):
     )
 
 
+def three_pages():
+    """Three triangles glued along one rim a b c: a 2-complex, not a surface."""
+    return TwoComplex.build(
+        ["p", "q", "r"],
+        [("a", "p", "q"), ("b", "q", "r"), ("c", "r", "p")],
+        [(name, [("a", 1), ("b", 1), ("c", 1)]) for name in ("f1", "f2", "f3")],
+    )
+
+
 # t_itself(): one vertex disc over the one vertex of closed_genus3_split,
 # one cellular disc over f1 and the chain c^-1 (edge 4); its one boundary
 # circuit reads c^-1 from its anchor ('long', 4, 1).  Face f2's boundary is
@@ -836,8 +964,30 @@ BOUNDARY_REFUSALS = [
     pytest.param(
         # the loop c alone: an edge on no face
         lambda: subsurface_as_admissible(closed_genus3_split(), [("v", 0), ("e", 4)], genus3_chain()),
-        "the chosen cells do not form a surface",
+        "the chosen cells do not form a surface: edge c lies on no face of them",
         id="subsurface not a surface",
+    ),
+    pytest.param(
+        # three triangles on one rim: each rim edge lies on three face sides
+        lambda: subsurface_as_admissible(three_pages(), three_pages().cells(), None),
+        "the chosen cells do not form a surface: edge a lies on 3 face sides of them",
+        id="subsurface with a branched edge",
+    ),
+    pytest.param(
+        # square_disc's top and bottom triangles meet only at the centre v
+        lambda: subsurface_as_admissible(
+            square_disc(), induced_subcomplex(square_disc(), [("f", 0), ("f", 2)]).cells(), None
+        ),
+        "the chosen cells do not form a surface: vertex v lies under 2 vertex discs",
+        id="subsurface pinched at a vertex",
+    ),
+    pytest.param(
+        # the top triangle and the rim vertex u2 beside it
+        lambda: subsurface_as_admissible(
+            square_disc(), induced_subcomplex(square_disc(), [("f", 0), ("v", 2)]).cells(), None
+        ),
+        "the chosen cells do not form a surface: vertex u2 lies on no edge of them",
+        id="subsurface with a stray vertex",
     ),
     pytest.param(
         lambda: disjoint_union(t_itself(), fold_fixture()),
